@@ -4,7 +4,8 @@ Grid specifications accept ``start:stop:step`` (inclusive endpoints,
 snapped within 1e-12), comma lists, or a single value; momentum grids
 additionally accept ``log:start:stop:count``.  Outputs are CSV or JSON
 (schema_version field) with 15-significant-digit decimals; identical
-configuration and seed produce byte-identical files.
+configuration and seed produce byte-identical files.  Grid points are
+evaluated serially, in grid order.
 
 Exit codes: 0 all rows within tolerance, 1 tolerance breach or pipeline
 failure, 2 usage errors.
@@ -15,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from cosmopair import verify as verify_mod
@@ -32,7 +31,6 @@ from cosmopair.entanglement import EntropyResult, sweep
 __all__ = ["main", "parse_grid", "parse_momentum_grid",
            "state_token_to_occupation", "occupation_to_state_token"]
 
-WORKERS_ENV_VAR = "COSMOPAIR_WORKERS"
 SCHEMA_VERSION = 1
 SWEEP_COLUMNS = ("scenario", "input_state", "n", "lambda",
                  "S_numeric", "S_closed", "discrepancy")
@@ -145,25 +143,6 @@ def _write_text(path, text: str) -> None:
             handle.write(text)
 
 
-def _worker_count(args, parser) -> int:
-    if getattr(args, "workers", None):
-        return max(1, int(args.workers))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            parser.error(f"{WORKERS_ENV_VAR}={env!r} is not an integer")
-    return os.cpu_count() or 1
-
-
-def _pool_map(workers: int):
-    if workers <= 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=workers)
-    return pool.map, pool
-
-
 def _json_value(value):
     if value is None:
         return None
@@ -197,15 +176,10 @@ def _cmd_sweep(args, parser) -> int:
         lambda_grid = parse_grid(args.lam) if args.lam else None
     except ValueError as err:
         parser.error(str(err))
-    workers = _worker_count(args, parser)
-    map_fn, pool = _pool_map(workers)
     try:
-        results = sweep(scenario, occupation, n_grid, lambda_grid, map_fn=map_fn)
+        results = sweep(scenario, occupation, n_grid, lambda_grid)
     except ValueError as err:
         parser.error(str(err))
-    finally:
-        if pool is not None:
-            pool.shutdown()
     rows = [_SweepRow(r).as_mapping(scenario) for r in results]
     breaches = [row for row in rows
                 if row["discrepancy"] is not None and row["discrepancy"] > args.tolerance]
@@ -275,13 +249,7 @@ def _cmd_dynamics(args, parser) -> int:
             raise ValueError("tanh profile needs epsilon > 0 and rho > 0")
     except ValueError as err:
         parser.error(str(err))
-    workers = _worker_count(args, parser)
-    map_fn, pool = _pool_map(workers)
-    try:
-        rows = list(map_fn(lambda p: _dynamics_row(p, direction, args), grid))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    rows = [_dynamics_row(p, direction, args) for p in grid]
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -361,8 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="closed-form agreement gate for the exit code")
     sweep_p.add_argument("--output", default=None, help="output path (default stdout)")
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep_p.add_argument("--workers", type=int, default=None)
-    sweep_p.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
 
     dyn_p = sub.add_parser("dynamics", help="mode-equation pipeline over momenta")
     dyn_p.add_argument("--profile", choices=("constant", "tanh"), default="tanh")
@@ -375,7 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dyn_p.add_argument("--tol", type=float, default=1e-9)
     dyn_p.add_argument("--output", default=None)
     dyn_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    dyn_p.add_argument("--workers", type=int, default=None)
 
     ver_p = sub.add_parser("verify", help="run the full identity suite")
     ver_p.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)

@@ -173,14 +173,13 @@ def _evaluate_point(scenario: Scenario, occupation: int, n: float, lam: float,
 
 
 def sweep(scenario: Scenario, occupation: int, n_grid, lambda_grid=None,
-          phases: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
-          map_fn=map) -> list[EntropyResult]:
+          phases: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+          ) -> list[EntropyResult]:
     """Entropy results over a density (and lambda) grid, grid-ordered.
 
     The lambda grid is required (nonempty) for the charge-only scenario
     and forced to the single value 1 otherwise, keeping result records
-    uniform.  ``map_fn`` lets callers evaluate points through a worker
-    pool; results always come back in grid order.
+    uniform.
     """
     n_values = [float(v) for v in n_grid]
     if not n_values:
@@ -197,7 +196,5 @@ def sweep(scenario: Scenario, occupation: int, n_grid, lambda_grid=None,
                 raise ValueError(f"lambda {lam} outside [0, 1]")
     else:
         lam_values = [1.0]
-    points = [(n, lam) for n in n_values for lam in lam_values]
-    return list(map_fn(
-        lambda point: _evaluate_point(scenario, occupation, point[0], point[1], phases),
-        points))
+    return [_evaluate_point(scenario, occupation, n, lam, phases)
+            for n in n_values for lam in lam_values]

@@ -29,11 +29,9 @@ __all__ = [
     "annihilation_operator",
     "basis_state",
     "charge_operator",
-    "creation_operator",
     "dimension",
     "entropy_of_eigenvalues",
     "ladder_operators",
-    "number_operator",
     "occupancy",
     "outer_product",
     "partial_trace",
@@ -77,10 +75,6 @@ def annihilation_operator(mode: int, n_modes: int) -> np.ndarray:
     return op
 
 
-def creation_operator(mode: int, n_modes: int) -> np.ndarray:
-    return annihilation_operator(mode, n_modes).conj().T
-
-
 @functools.lru_cache(maxsize=None)
 def ladder_operators(n_modes: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
     """Cached (annihilators, creators) for all modes; arrays are read-only."""
@@ -94,11 +88,6 @@ def ladder_operators(n_modes: int) -> tuple[tuple[np.ndarray, ...], tuple[np.nda
         lowering.append(f)
         raising.append(fd)
     return tuple(lowering), tuple(raising)
-
-
-def number_operator(mode: int, n_modes: int) -> np.ndarray:
-    f = annihilation_operator(mode, n_modes)
-    return f.conj().T @ f
 
 
 def basis_state(bits: int, n_modes: int) -> np.ndarray:
@@ -188,8 +177,11 @@ def partial_trace(rho: np.ndarray, keep, n_modes: int) -> np.ndarray:
     return reduced
 
 
-def validate_density_operator(rho: np.ndarray, tolerance: float = 1e-12) -> None:
-    """Raise if rho is not Hermitian, unit trace, and (almost) positive."""
+def validate_density_operator(rho: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
+    """Raise if rho is not Hermitian, unit trace, and (almost) positive.
+
+    Returns the ascending eigenvalues of the Hermitian part of rho.
+    """
     rho = np.asarray(rho, dtype=complex)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > tolerance:
@@ -200,6 +192,7 @@ def validate_density_operator(rho: np.ndarray, tolerance: float = 1e-12) -> None
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
     if float(eigs.min()) < -tolerance:
         raise ValueError(f"density operator has negative eigenvalue {eigs.min()}")
+    return eigs
 
 
 EIGENVALUE_FLOOR = 1e-14
@@ -208,11 +201,12 @@ EIGENVALUE_FLOOR = 1e-14
 def von_neumann_entropy(rho: np.ndarray, tolerance: float = 1e-12) -> float:
     """Subsystem entropy -sum(l log2 l) in bits.
 
+    The validated spectrum is clipped into [0, 1], so rounding (an
+    eigenvalue of 1 + 1e-15, say) cannot make the entropy negative.
     Eigenvalues below 1e-14 count as exact zeros, implementing the
     0 log 0 = 0 convention in floating point.
     """
-    validate_density_operator(rho, tolerance)
-    eigs = np.linalg.eigvalsh((np.asarray(rho, dtype=complex) + np.asarray(rho).conj().T) / 2)
+    eigs = np.clip(validate_density_operator(rho, tolerance), 0.0, 1.0)
     eigs = eigs[eigs > EIGENVALUE_FLOOR]
     return float(-np.sum(eigs * np.log2(eigs))) + 0.0  # +0.0 folds -0.0 into 0.0
 

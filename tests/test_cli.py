@@ -182,19 +182,24 @@ def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
-def test_workers_env_override(tmp_path, monkeypatch):
-    out = tmp_path / "env.csv"
-    monkeypatch.setenv(cli.WORKERS_ENV_VAR, "2")
-    code = cli.main(["sweep", "--scenario", "spinless", "--state", "vac",
-                     "--n", "0:2:0.5", "--output", str(out)])
-    assert code == 0
-    assert len(out.read_text().strip().split("\n")) == 6
+def test_charge_sweep_entropy_nonnegative_at_full_density(capsys):
+    # at n = 4 the reduced spectrum holds an eigenvalue of 1 up to rounding
+    assert cli.main(["sweep", "--scenario", "charge", "--n", "4",
+                     "--lambda", "0:1:0.1"]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert len(rows) == 11
+    assert all(float(row.split(",")[4]) >= 0.0 for row in rows)
 
 
-def test_workers_flag_changes_nothing(tmp_path):
-    serial = tmp_path / "serial.csv"
-    pooled = tmp_path / "pooled.csv"
-    args = ["sweep", "--scenario", "spin-am", "--state", "vac", "--n", "0:4:0.5"]
-    assert cli.main(args + ["--workers", "1", "--output", str(serial)]) == 0
-    assert cli.main(args + ["--workers", "4", "--output", str(pooled)]) == 0
-    assert serial.read_bytes() == pooled.read_bytes()
+def test_pool_and_sweep_seed_options_are_gone(tmp_path, monkeypatch):
+    sweep_args = ["sweep", "--scenario", "spinless", "--n", "1",
+                  "--output", str(tmp_path / "sweep.csv")]
+    dynamics_args = ["dynamics", "--profile", "constant", "--p-grid", "1",
+                     "--output", str(tmp_path / "dyn.csv")]
+    for argv in (sweep_args + ["--workers", "2"], dynamics_args + ["--workers", "2"],
+                 sweep_args + ["--seed", "1"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+    monkeypatch.setenv("COSMOPAIR_WORKERS", "x")
+    assert cli.main(sweep_args) == 0

@@ -132,6 +132,10 @@ def test_entropy_pure_and_mixed():
     assert abs(fock.von_neumann_entropy(np.diag([0.25] * 4)) - 2.0) <= 1e-14
 
 
+def test_entropy_of_rounded_pure_state_is_exactly_zero():
+    assert fock.von_neumann_entropy(np.diag([1 + 1e-15, -1e-15])) == 0.0
+
+
 def test_entropy_validates_input():
     with pytest.raises(ValueError):
         fock.von_neumann_entropy(np.array([[0.5, 0.3], [0.0, 0.5]]))
