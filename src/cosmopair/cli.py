@@ -269,7 +269,10 @@ def _cmd_dynamics(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    results = verify_mod.run_all(seed=args.seed, batch=args.batch)
+    try:
+        results = verify_mod.run_all(seed=args.seed, batch=args.batch)
+    except ValueError as err:
+        parser.error(str(err))
     if args.report == "json":
         _write_text(args.output, verify_mod.render_json(results, seed=args.seed))
     else:

@@ -76,18 +76,17 @@ def annihilation_operator(mode: int, n_modes: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def ladder_operators(n_modes: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Cached (annihilators, creators) for all modes; arrays are read-only."""
-    lowering = []
-    raising = []
-    for mode in range(n_modes):
-        f = annihilation_operator(mode, n_modes)
-        fd = f.conj().T
-        f.flags.writeable = False
-        fd.flags.writeable = False
-        lowering.append(f)
-        raising.append(fd)
-    return tuple(lowering), tuple(raising)
+def ladder_operators(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached (annihilators, creators) for all modes; read-only stacks.
+
+    Each stack has shape (n_modes, 2**n, 2**n), so ``lowering[i]`` is the
+    annihilator of mode i and the stack contracts in one ``einsum``.
+    """
+    lowering = np.stack([annihilation_operator(mode, n_modes) for mode in range(n_modes)])
+    raising = lowering.conj().transpose(0, 2, 1).copy()
+    lowering.flags.writeable = False
+    raising.flags.writeable = False
+    return lowering, raising
 
 
 def basis_state(bits: int, n_modes: int) -> np.ndarray:
@@ -142,14 +141,6 @@ def outer_product(state: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
     return np.outer(state, state.conj())
 
 
-def _scatter_bits(value: int, positions: list[int]) -> int:
-    out = 0
-    for j, pos in enumerate(positions):
-        if value >> j & 1:
-            out |= 1 << pos
-    return out
-
-
 def partial_trace(rho: np.ndarray, keep, n_modes: int) -> np.ndarray:
     """Reduced density operator on a subset of modes.
 
@@ -157,6 +148,12 @@ def partial_trace(rho: np.ndarray, keep, n_modes: int) -> np.ndarray:
     the reduced basis index packs the kept modes in increasing mode
     order.  Trace and Hermiticity are preserved; diagonal occupation
     probabilities are exact sums of the input diagonal.
+
+    rho is reshaped to a tensor of 2n binary axes, n row axes then n
+    column axes.  The reshape is row-major, so bit i of a basis index
+    (the occupation of mode i) is axis n-1-i of its half; the traced
+    modes share a label between their row and column axes and are summed
+    in one ``einsum``.
     """
     keep = sorted(set(int(m) for m in keep))
     if not keep:
@@ -167,14 +164,19 @@ def partial_trace(rho: np.ndarray, keep, n_modes: int) -> np.ndarray:
     dim = dimension(n_modes)
     if rho.shape != (dim, dim):
         raise ValueError(f"operator shape {rho.shape} does not match {n_modes} modes")
-    rest = [m for m in range(n_modes) if m not in keep]
-    dim_keep = 1 << len(keep)
-    reduced = np.zeros((dim_keep, dim_keep), dtype=complex)
-    kept_base = np.array([_scatter_bits(k, keep) for k in range(dim_keep)])
-    for rb in range(1 << len(rest)):
-        idx = kept_base | _scatter_bits(rb, rest)
-        reduced += rho[np.ix_(idx, idx)]
-    return reduced
+    if len(keep) == n_modes:
+        return rho.copy()
+    # Bit i of an index maps to tensor axis n-1-i (row half) and 2n-1-i
+    # (column half).  Mode m labels its row axis m and its column axis
+    # n + m; a traced mode reuses its row label on the column axis.
+    axis_modes = range(n_modes - 1, -1, -1)
+    row_labels = list(axis_modes)
+    col_labels = [n_modes + m if m in keep else m for m in axis_modes]
+    out_labels = list(reversed(keep)) + [n_modes + m for m in reversed(keep)]
+    dim_keep = dimension(len(keep))
+    reduced = np.einsum(rho.reshape((2,) * (2 * n_modes)), row_labels + col_labels,
+                        out_labels)
+    return reduced.reshape(dim_keep, dim_keep)
 
 
 def validate_density_operator(rho: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
@@ -202,13 +204,17 @@ def von_neumann_entropy(rho: np.ndarray, tolerance: float = 1e-12) -> float:
     """Subsystem entropy -sum(l log2 l) in bits.
 
     The validated spectrum is clipped into [0, 1], so rounding (an
-    eigenvalue of 1 + 1e-15, say) cannot make the entropy negative.
-    Eigenvalues below 1e-14 count as exact zeros, implementing the
-    0 log 0 = 0 convention in floating point.
+    eigenvalue of 1 + 1e-15, say) cannot make the entropy negative, and
+    the result is capped at log2(dim), the entropy of the maximally mixed
+    state, which rounding would otherwise exceed by an ulp.  Eigenvalues
+    below 1e-14 count as exact zeros, implementing the 0 log 0 = 0
+    convention in floating point.
     """
     eigs = np.clip(validate_density_operator(rho, tolerance), 0.0, 1.0)
+    bound = math.log2(len(eigs))
     eigs = eigs[eigs > EIGENVALUE_FLOOR]
-    return float(-np.sum(eigs * np.log2(eigs))) + 0.0  # +0.0 folds -0.0 into 0.0
+    entropy = min(float(-np.sum(eigs * np.log2(eigs))), bound)
+    return entropy + 0.0  # +0.0 folds -0.0 into 0.0
 
 
 def entropy_of_eigenvalues(eigenvalues) -> float:

@@ -79,6 +79,15 @@ def _pair_products(n_modes: int) -> np.ndarray:
     return products
 
 
+@functools.lru_cache(maxsize=None)
+def _occupation_exponents(n_modes: int) -> np.ndarray:
+    """Cached read-only exponents M/2 - N(k) of the diagonal factor per basis index k."""
+    occupations = np.array([fock.occupancy(k) for k in range(fock.dimension(n_modes))])
+    exponents = n_modes / 2 - occupations
+    exponents.flags.writeable = False
+    return exponents
+
+
 def _pair_sum(theta: np.ndarray) -> np.ndarray:
     """(1/2) sum_ij theta_ij f+_i f+_j for an already validated theta."""
     return 0.5 * np.einsum("ij,ijkl->kl", theta, _pair_products(theta.shape[0]))
@@ -141,11 +150,11 @@ def conjugate_mode(unitary: np.ndarray, mode: int,
     lowering, raising = fock.ladder_operators(n)
     conjugated = unitary @ lowering[mode] @ unitary.conj().T
     norm2 = float(2 ** (n - 1))
-    mu_row = np.array([np.trace(raising[i] @ conjugated) / norm2 for i in range(n)])
-    nu_row = np.array([np.trace(lowering[i] @ conjugated) / norm2 for i in range(n)])
-    recomposed = np.zeros_like(conjugated)
-    for i in range(n):
-        recomposed += mu_row[i] * lowering[i] + nu_row[i] * raising[i]
+    # Row i is tr(f+_i X) / 2**(n-1) and tr(f_i X) / 2**(n-1) respectively.
+    mu_row = np.einsum("ikl,lk->i", raising, conjugated) / norm2
+    nu_row = np.einsum("ikl,lk->i", lowering, conjugated) / norm2
+    recomposed = (np.einsum("i,ikl->kl", mu_row, lowering)
+                  + np.einsum("i,ikl->kl", nu_row, raising))
     residual = float(np.max(np.abs(conjugated - recomposed)))
     if residual > tolerance:
         raise DecompositionError(
@@ -158,16 +167,20 @@ def apply_decoupled(theta: np.ndarray, state: np.ndarray) -> np.ndarray:
 
     Right to left: the pair-annihilation exponential truncated at second
     order by nilpotency, the occupation-diagonal factor, and the
-    pair-creation exponential truncated at second order.  Requires
-    |theta| scalar and cos(r) away from zero; the dense route covers the
-    cos(r) = 0 edge.
+    pair-creation exponential truncated at second order.  ``state`` is
+    one state of shape (2**n,) or a block of k column states of shape
+    (2**n, k); a block is transformed column by column in the same four
+    matrix products, so ``apply_decoupled(theta, np.eye(2**n))`` is the
+    whole unitary.  Requires |theta| scalar and cos(r) away from zero;
+    the dense route covers the cos(r) = 0 edge.
     """
     theta = _check_theta(theta)
     state = np.asarray(state, dtype=complex)
     n = theta.shape[0]
     dim = fock.dimension(n)
-    if state.shape != (dim,):
-        raise ValueError(f"state length {state.shape} does not match {n} modes")
+    if state.ndim not in (1, 2) or state.shape[0] != dim:
+        raise ValueError(f"state shape {state.shape} is not ({dim},) or ({dim}, k) "
+                         f"for {n} modes")
     radius = squeezing_angle(theta)
     cos_r = math.cos(radius)
     if abs(cos_r) < MIN_COS_FACTORIZED:
@@ -177,8 +190,8 @@ def apply_decoupled(theta: np.ndarray, state: np.ndarray) -> np.ndarray:
     create = tan_scale * _pair_sum(theta)
     destroy = -create.conj().T
     out = state + destroy @ state + 0.5 * destroy @ (destroy @ state)
-    occupations = np.array([fock.occupancy(k) for k in range(dim)])
-    out = out * cos_r ** (n / 2 - occupations)
+    diagonal = cos_r ** _occupation_exponents(n)
+    out = out * (diagonal if state.ndim == 1 else diagonal[:, np.newaxis])
     out = out + create @ out + 0.5 * create @ (create @ out)
     return out
 

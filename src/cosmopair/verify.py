@@ -180,10 +180,9 @@ def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
             unitary = unitary_dense(build_generator(theta))
             worst_unitarity = max(worst_unitarity, float(np.max(np.abs(
                 unitary @ unitary.conj().T - eye))))
-            for occupation in range(dim):
-                direct = apply_decoupled(theta, fock.basis_state(occupation,
-                                                                 scenario.n_modes))
-                worst = max(worst, float(np.max(np.abs(direct - unitary[:, occupation]))))
+            # Column k of the block is the factorized image of basis input k.
+            direct = apply_decoupled(theta, eye)
+            worst = max(worst, float(np.max(np.abs(direct - unitary))))
             mu_ref, nu_ref = expected_pair_mixing(coeffs)
             for mode in range(scenario.n_modes):
                 mu_row, nu_row = conjugate_mode(unitary, mode)
@@ -346,7 +345,13 @@ def _check_complementary_reductions(seed: int) -> CheckResult:
 
 
 def run_all(seed: int = DEFAULT_SEED, batch: int = 100) -> list[CheckResult]:
-    """Run the full identity suite; deterministic for a fixed seed."""
+    """Run the full identity suite; deterministic for a fixed seed.
+
+    ``batch`` is the number of seeded draws per scenario for the oracle
+    checks and must be at least 1, so that no check passes vacuously.
+    """
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
     results: list[CheckResult] = []
     results.append(_check_anticommutators(4))
     results.append(_check_anticommutators(2))

@@ -170,6 +170,16 @@ def test_verify_json_report(tmp_path):
     assert all("residual" in c for c in payload["checks"])
 
 
+def test_verify_rejects_nonpositive_batch(tmp_path, capsys):
+    for batch in ("0", "-3"):
+        out = tmp_path / f"report{batch}.txt"
+        with pytest.raises(SystemExit) as err:
+            cli.main(["verify", "--batch", batch, "--output", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+        assert "batch must be at least 1" in capsys.readouterr().err
+
+
 def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     # massless zero-momentum mode has no out-region frequency to match
     out = tmp_path / "dyn.csv"

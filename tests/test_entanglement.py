@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SCENARIOS
@@ -147,6 +147,26 @@ def test_spin_spinless_relation():
 @settings(max_examples=60, deadline=None)
 def test_spin_spinless_relation_property(n):
     assert ent.spin_spinless_relation(n)[2] <= 1e-12
+
+
+_PHASE = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
+
+
+@given(scenario=st.sampled_from(ALL_SCENARIOS),
+       fraction=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+       lam=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+       phases=st.tuples(_PHASE, _PHASE, _PHASE, _PHASE))
+@settings(max_examples=60, deadline=None)
+# n = 2, lam = 0 reduces to the maximally mixed state; uncapped rounding read 2 + 4e-16
+@example(scenario=Scenario.CHARGE_ONLY, fraction=0.5, lam=0.0, phases=(0.0, 0.0, 0.0, 0.0))
+def test_entropy_numeric_within_subsystem_bounds(scenario, fraction, lam, phases):
+    n = min(fraction * scenario.n_max, scenario.n_max)
+    params = DensityParameters(n=n, lam=lam, phases=phases)
+    coefficients = from_density(params, scenario)
+    bound = len(scenario.particle_modes)
+    for occupation in range(fock.dimension(scenario.n_modes)):
+        entropy = ent.entropy_numeric(coefficients, occupation)
+        assert 0.0 <= entropy <= bound
 
 
 def test_closed_form_concavity():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,49 @@ def test_complementary_reductions_share_entropy(seed):
     s_low = fock.von_neumann_entropy(fock.partial_trace(rho, [0, 1], 4))
     s_high = fock.von_neumann_entropy(fock.partial_trace(rho, [2, 3], 4))
     assert abs(s_low - s_high) <= 1e-10
+
+
+def _scatter_bits(value, positions):
+    out = 0
+    for j, pos in enumerate(positions):
+        if value >> j & 1:
+            out |= 1 << pos
+    return out
+
+
+def partial_trace_block_sum(rho, keep, n_modes):
+    """Brute-force reference: sum the kept-mode blocks over every traced pattern."""
+    keep = sorted(keep)
+    rest = [m for m in range(n_modes) if m not in keep]
+    dim_keep = 1 << len(keep)
+    reduced = np.zeros((dim_keep, dim_keep), dtype=complex)
+    kept_base = np.array([_scatter_bits(k, keep) for k in range(dim_keep)])
+    for rb in range(1 << len(rest)):
+        idx = kept_base | _scatter_bits(rb, rest)
+        reduced += rho[np.ix_(idx, idx)]
+    return reduced
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+def test_partial_trace_matches_block_sum_reference(n_modes):
+    rng = np.random.default_rng(500 + n_modes)
+    dim = fock.dimension(n_modes)
+    for _ in range(3):
+        # neither Hermitian nor unit trace: the map is linear on any matrix
+        rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        for size in range(1, n_modes + 1):
+            for keep in itertools.combinations(range(n_modes), size):
+                reduced = fock.partial_trace(rho, keep, n_modes)
+                reference = partial_trace_block_sum(rho, keep, n_modes)
+                assert reduced.shape == reference.shape
+                assert np.max(np.abs(reduced - reference)) <= 1e-14
+
+
+def test_partial_trace_keeping_every_mode_copies():
+    rho = fock.outer_product(fock.basis_state(1, 2))
+    reduced = fock.partial_trace(rho, [1, 0], 2)
+    assert np.array_equal(reduced, rho)
+    assert not np.shares_memory(reduced, rho)
 
 
 def test_partial_trace_argument_errors():

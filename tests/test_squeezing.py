@@ -121,6 +121,37 @@ def test_decoupled_preserves_norm(seed):
     assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_decoupled_block_matches_columns_and_dense_oracle(scenario):
+    rng = np.random.default_rng(211)
+    dim = fock.dimension(scenario.n_modes)
+    for _ in range(8):
+        theta = theta_from_coefficients(random_coefficients(scenario, rng))
+        block = sq.apply_decoupled(theta, np.eye(dim))
+        assert block.shape == (dim, dim)
+        columns = np.column_stack([
+            sq.apply_decoupled(theta, fock.basis_state(k, scenario.n_modes))
+            for k in range(dim)])
+        assert np.max(np.abs(block - columns)) <= 1e-14
+        unitary = sq.unitary_dense(sq.build_generator(theta))
+        assert np.max(np.abs(block - unitary)) <= 1e-10
+        states = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        out = sq.apply_decoupled(theta, states)
+        assert out.shape == (dim, 3)
+        for k in range(3):
+            assert np.max(np.abs(out[:, k] - sq.apply_decoupled(theta, states[:, k]))) \
+                <= 1e-14
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_decoupled_rejects_mismatched_shapes(scenario):
+    theta = theta_from_coefficients(seeded_sets(scenario, 1, seed=5)[0])
+    dim = fock.dimension(scenario.n_modes)
+    for shape in ((dim + 1,), (dim + 1, 2), (dim, 2, 2)):
+        with pytest.raises(ValueError):
+            sq.apply_decoupled(theta, np.zeros(shape))
+
+
 def test_decoupled_rejects_non_scalar_modulus():
     theta = np.zeros((4, 4), dtype=complex)
     theta[0, 2], theta[2, 0] = 0.3, -0.3  # single pair only: |theta| not scalar
