@@ -8,49 +8,4 @@ densities or from integrating the mode equation for a configurable
 scale-factor profile.
 """
 
-from cosmopair.bogoliubov import (
-    BogolyubovCoefficients,
-    DensityParameters,
-    Scenario,
-    ValidationReport,
-    cross_term_identity,
-    determinant_combination,
-    expected_pair_mixing,
-    from_density,
-    mu_nu_from_theta,
-    random_coefficients,
-    theta_from_coefficients,
-    validate,
-)
-from cosmopair.dynamics import (
-    DressingResult,
-    ModeParameters,
-    ModeSolution,
-    ScalarBogolyubov,
-    ScaleFactorProfile,
-    dress_coefficients,
-    extract_scalar_coefficients,
-    integrate_mode,
-    momentum_point,
-    particle_density,
-    spinor_contraction,
-)
-from cosmopair.entanglement import (
-    EntropyResult,
-    entropy_excited_closed_form,
-    entropy_numeric,
-    entropy_vacuum_closed_form,
-    spin_spinless_relation,
-    sweep,
-)
-from cosmopair.squeezing import (
-    InOutExpansion,
-    apply_decoupled,
-    build_generator,
-    conjugate_mode,
-    in_state_expansion,
-    unitary_dense,
-    unitary_for,
-)
-
 __version__ = "0.1.0"

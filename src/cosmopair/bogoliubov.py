@@ -27,6 +27,7 @@ __all__ = [
     "DensityParameters",
     "Scenario",
     "ValidationReport",
+    "check_theta",
     "cross_term_identity",
     "determinant_combination",
     "expected_pair_mixing",
@@ -39,6 +40,15 @@ __all__ = [
 ]
 
 CONSTRAINT_TOLERANCE = 1e-12
+# Loose gate of theta_from_coefficients: numerically dressed coefficient
+# sets satisfy the constraints only to integration accuracy.
+THETA_CHECK_TOLERANCE = 1e-6
+# Relative deviation of theta^dag theta from r**2 * identity that
+# squeezing_angle accepts.
+SCALAR_MODULUS_TOLERANCE = 1e-10
+# random_coefficients keeps n below this fraction of n_max, so a stays
+# bounded away from zero and the factorized route well conditioned.
+RANDOM_DENSITY_FRACTION_MAX = 0.995
 
 UP, DOWN = 0, 1
 
@@ -237,20 +247,20 @@ def _angle_over_sine(a: float) -> float:
     return math.acos(a) / math.sqrt(1.0 - a * a)
 
 
-def theta_from_coefficients(coeffs: BogolyubovCoefficients,
-                            check_tolerance: float = 1e-6) -> np.ndarray:
+def theta_from_coefficients(coeffs: BogolyubovCoefficients) -> np.ndarray:
     """Antisymmetric generator matrix of the squeezing unitary.
 
     Entry (i, j) couples modes i and j through a pair-creation term; the
     block pattern links each particle mode to both antiparticle modes
     with amplitudes -arccos(a)/sin(arccos(a)) times conj(beta) entries.
-    The default validation gate is loose so that numerically dressed
-    coefficient sets (constraints satisfied to integration accuracy)
-    are accepted; exact sets pass the tight check in :func:`validate`.
+    The validation gate ``THETA_CHECK_TOLERANCE`` is loose so that
+    numerically dressed coefficient sets (constraints satisfied to
+    integration accuracy) are accepted; exact sets pass the tight check
+    in :func:`validate`.
     """
     if coeffs.a < 0.0:
         raise ValueError("amplitude a must be nonnegative")
-    report = validate(coeffs, tolerance=check_tolerance)
+    report = validate(coeffs, tolerance=THETA_CHECK_TOLERANCE)
     if not report.passed:
         raise ValueError(f"invalid coefficients, failing constraints: {report.failing()}")
     phi = _angle_over_sine(min(coeffs.a, 1.0))
@@ -270,7 +280,18 @@ def theta_from_coefficients(coeffs: BogolyubovCoefficients,
     return theta
 
 
-def squeezing_angle(theta: np.ndarray, tolerance: float = 1e-10) -> float:
+def check_theta(theta: np.ndarray) -> np.ndarray:
+    """theta as a complex array; raises unless it is an antisymmetric 2x2 or 4x4 matrix."""
+    theta = np.asarray(theta, dtype=complex)
+    if theta.ndim != 2 or theta.shape[0] != theta.shape[1] or theta.shape[0] not in (2, 4):
+        raise ValueError(f"theta must be a 2x2 or 4x4 matrix, got {theta.shape}")
+    scale = max(1.0, float(np.max(np.abs(theta))))
+    if float(np.max(np.abs(theta + theta.T))) > 1e-12 * scale:
+        raise ValueError("theta must be antisymmetric")
+    return theta
+
+
+def squeezing_angle(theta: np.ndarray) -> float:
     """Scalar polar radius r with |theta| = r * identity.
 
     Raises if theta^dag theta is not a multiple of the identity, which
@@ -280,7 +301,7 @@ def squeezing_angle(theta: np.ndarray, tolerance: float = 1e-10) -> float:
     gram = theta.conj().T @ theta
     r2 = float(np.mean(np.diag(gram).real))
     deviation = float(np.max(np.abs(gram - r2 * np.eye(theta.shape[0]))))
-    if deviation > tolerance * max(1.0, r2):
+    if deviation > SCALAR_MODULUS_TOLERANCE * max(1.0, r2):
         raise ValueError(f"|theta| is not scalar: deviation {deviation}")
     return math.sqrt(max(r2, 0.0))
 
@@ -292,14 +313,7 @@ def mu_nu_from_theta(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     through the Hermitian eigendecomposition of theta^dag theta; the
     sin(x)/x factor extends analytically through singular |theta|.
     """
-    theta = np.asarray(theta, dtype=complex)
-    n = theta.shape[0]
-    if theta.shape != (n, n):
-        raise ValueError("theta must be square")
-    asym = float(np.max(np.abs(theta + theta.T)))
-    scale = max(1.0, float(np.max(np.abs(theta))))
-    if asym > 1e-12 * scale:
-        raise ValueError(f"theta is not antisymmetric: residual {asym}")
+    theta = check_theta(theta)
     gram = theta.conj().T @ theta
     eigs, vecs = np.linalg.eigh(gram)
     radii = np.sqrt(np.clip(eigs, 0.0, None))
@@ -329,15 +343,15 @@ def expected_pair_mixing(coeffs: BogolyubovCoefficients) -> tuple[np.ndarray, np
     return mu, nu
 
 
-def random_coefficients(scenario: Scenario, rng: np.random.Generator,
-                        n_fraction_max: float = 0.995) -> BogolyubovCoefficients:
+def random_coefficients(scenario: Scenario,
+                        rng: np.random.Generator) -> BogolyubovCoefficients:
     """Random valid coefficient set for property and oracle tests.
 
-    The density stays below n_fraction_max * n_max so the amplitude a is
-    bounded away from zero and the factorized application remains well
-    conditioned.
+    The density stays below ``RANDOM_DENSITY_FRACTION_MAX * n_max`` so the
+    amplitude a is bounded away from zero and the factorized application
+    remains well conditioned.
     """
-    n = float(rng.uniform(0.0, n_fraction_max * scenario.n_max))
+    n = float(rng.uniform(0.0, RANDOM_DENSITY_FRACTION_MAX * scenario.n_max))
     lam = float(rng.uniform(0.0, 1.0))
     phases = tuple(float(p) for p in rng.uniform(0.0, 2.0 * math.pi, size=4))
     return from_density(DensityParameters(n=n, lam=lam, phases=phases), scenario)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -59,6 +58,10 @@ __all__ = [
 ]
 
 TOL_MIN, TOL_MAX = 1e-12, 1e-6
+# Evenly spaced samples of an integrated mode across its span.
+N_SAMPLES = 241
+# Out-region energies below this make a mode degenerate: no plane waves to match.
+MIN_OUT_ENERGY = 1e-9
 
 
 class IntegrationError(RuntimeError):
@@ -179,7 +182,9 @@ class ModeSolution:
     the solution of the same equation with reversed-frequency initial
     data (the conjugate of the opposite-sign branch); their Wronskian
     f g' - f' g is exactly conserved by the equation and monitors the
-    integrator.
+    integrator.  The samples span tau[0] to tau[-1].  ``shifted`` holds
+    (tau, f, f_dot) one out-region oscillation period before tau[-1], or
+    None when that time falls before tau[0] or the mode is degenerate.
     """
 
     tau: np.ndarray
@@ -190,9 +195,8 @@ class ModeSolution:
     params: ModeParameters
     profile: ScaleFactorProfile
     tol: float
-    tau_span: tuple[float, float]
     n_rhs_evaluations: int
-    dense: Callable[[float], np.ndarray]
+    shifted: tuple[float, complex, complex] | None
 
     def wronskian(self) -> np.ndarray:
         return self.f * self.g_dot - self.f_dot * self.g
@@ -214,12 +218,14 @@ class ModeSolution:
 
 def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
                    tau_span: tuple[float, float] | None = None,
-                   tol: float = 1e-9, n_samples: int = 241) -> ModeSolution:
+                   tol: float = 1e-9) -> ModeSolution:
     """Integrate the mode equation across the expansion epoch.
 
-    Initial data is exactly positive frequency at tau_span[0].  Raises a
-    configuration error when the span does not reach the flat
-    asymptotics to within tol on the scale factor.
+    Initial data is exactly positive frequency at tau_span[0].  The
+    solution is sampled at ``N_SAMPLES`` even times and at the one
+    period-shifted time that ``extract_scalar_coefficients`` matches
+    against.  Raises a configuration error when the span does not reach
+    the flat asymptotics to within tol on the scale factor.
     """
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol {tol} outside [{TOL_MIN}, {TOL_MAX}]")
@@ -243,15 +249,23 @@ def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
     f0 = np.exp(-1j * en.e_in * tau0)
     g0 = np.exp(+1j * en.e_in * tau0)
     y0 = np.array([f0, -1j * en.e_in * f0, g0, +1j * en.e_in * g0], dtype=complex)
-    grid = np.linspace(tau0, tau1, n_samples)
-    sol = solve_ivp(rhs, (tau0, tau1), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, t_eval=grid, dense_output=True)
+    grid = np.linspace(tau0, tau1, N_SAMPLES)
+    # No shifted sample for a degenerate mode or a span shorter than a period.
+    tau_shift = tau1 - 2.0 * math.pi / en.e_out if en.e_out >= MIN_OUT_ENERGY else -math.inf
+    has_shift = tau_shift > tau0
+    sol = solve_ivp(rhs, (tau0, tau1), y0, method="DOP853", rtol=tol, atol=tol * 1e-2,
+                    t_eval=np.union1d(grid, [tau_shift]) if has_shift else grid)
     if not sol.success:
         raise IntegrationError(f"mode integration failed: {sol.message}")
-    return ModeSolution(tau=sol.t, f=sol.y[0], f_dot=sol.y[1], g=sol.y[2],
-                        g_dot=sol.y[3], params=params, profile=profile, tol=tol,
-                        tau_span=(tau0, tau1), n_rhs_evaluations=int(sol.nfev),
-                        dense=sol.sol)
+    shifted = None
+    if has_shift:
+        k = int(np.searchsorted(sol.t, tau_shift))
+        shifted = (tau_shift, sol.y[0, k], sol.y[1, k])
+    samples = np.isin(sol.t, grid)
+    y = sol.y[:, samples]
+    return ModeSolution(tau=sol.t[samples], f=y[0], f_dot=y[1], g=y[2], g_dot=y[3],
+                        params=params, profile=profile, tol=tol,
+                        n_rhs_evaluations=int(sol.nfev), shifted=shifted)
 
 
 @dataclass(frozen=True)
@@ -275,20 +289,16 @@ def _match_plane_waves(f: complex, f_dot: complex, e_out: float,
     return complex(a), complex(b)
 
 
-def extract_scalar_coefficients(sol: ModeSolution,
-                                params: ModeParameters | None = None) -> ScalarBogolyubov:
+def extract_scalar_coefficients(sol: ModeSolution) -> ScalarBogolyubov:
     """Match the late-time solution onto in/out plane waves."""
-    params = params or sol.params
-    en = asymptotic_energies(params, sol.profile)
-    if en.e_out < 1e-9:
+    en = asymptotic_energies(sol.params, sol.profile)
+    if en.e_out < MIN_OUT_ENERGY:
         raise IntegrationError("degenerate mode: out-region energy is zero")
     tau_end = float(sol.tau[-1])
     a, b = _match_plane_waves(sol.f[-1], sol.f_dot[-1], en.e_out, tau_end)
-    period = 2.0 * math.pi / en.e_out
-    tau_shift = tau_end - period
-    if tau_shift > sol.tau_span[0]:
-        y = sol.dense(tau_shift)
-        a2, b2 = _match_plane_waves(y[0], y[1], en.e_out, tau_shift)
+    if sol.shifted is not None:
+        tau_shift, f_shift, f_dot_shift = sol.shifted
+        a2, b2 = _match_plane_waves(f_shift, f_dot_shift, en.e_out, tau_shift)
         shift_residual = max(abs(a - a2), abs(b - b2))
     else:
         shift_residual = math.nan
@@ -364,8 +374,11 @@ def particle_density(coeffs: BogolyubovCoefficients) -> float:
     Per-spin particle densities are the row sums of |beta|**2 and
     antiparticle densities the column sums, so the total is twice the
     full sum; the spinless case (one stored entry) reduces to 2|beta|**2.
+    The sum is nonnegative by construction and capped at n_max, which
+    rounding overshoots by an ulp at full density.
     """
-    return float(2.0 * np.sum(np.abs(coeffs.beta) ** 2))
+    total = float(2.0 * np.sum(np.abs(coeffs.beta) ** 2))
+    return min(total, coeffs.scenario.n_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,7 +423,7 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
     coeffs = dressed.coefficients
     n_created = particle_density(coeffs)
     s_num = entropy_numeric(coeffs, occupation=0)
-    s_closed = entropy_vacuum_closed_form(min(n_created, 4.0), Scenario.CHARGE_ONLY)
+    s_closed = entropy_vacuum_closed_form(n_created, Scenario.CHARGE_ONLY)
     b = np.abs(coeffs.beta)
     return MomentumPointResult(
         p_vec=params.p_vec, p=params.p, a=coeffs.a,

@@ -87,13 +87,10 @@ def entropy_numeric(coeffs: BogolyubovCoefficients, occupation: int) -> float:
     """
     scenario = coeffs.scenario
     n_modes = scenario.n_modes
-    unitary = unitary_for(coeffs)
     if not 0 <= occupation < fock.dimension(n_modes):
         raise ValueError(f"occupation {occupation} out of range for {n_modes} modes")
-    evolved = unitary[:, occupation]
-    rho = fock.outer_product(evolved)
-    reduced = fock.partial_trace(rho, scenario.particle_modes, n_modes)
-    return fock.von_neumann_entropy(reduced)
+    evolved = unitary_for(coeffs)[:, occupation]
+    return fock.subsystem_entropy(evolved, scenario.particle_modes, n_modes)
 
 
 def _spin_pattern(occupation: int) -> tuple[int, int]:

@@ -24,6 +24,9 @@ import numpy as np
 
 MAX_MODES = 8
 
+# Gate on state norms and on density-operator Hermiticity, trace and positivity.
+STATE_TOLERANCE = 1e-12
+
 __all__ = [
     "MAX_MODES",
     "annihilation_operator",
@@ -36,7 +39,7 @@ __all__ = [
     "outer_product",
     "partial_trace",
     "spin_z_operator",
-    "validate_density_operator",
+    "subsystem_entropy",
     "von_neumann_entropy",
 ]
 
@@ -132,12 +135,12 @@ def spin_z_operator() -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
-def outer_product(state: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
+def outer_product(state: np.ndarray) -> np.ndarray:
     """Pure density operator |psi><psi| of a normalized state."""
     state = np.asarray(state, dtype=complex)
     norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > tolerance:
-        raise ValueError(f"state norm {norm} deviates from 1 beyond {tolerance}")
+    if abs(norm - 1.0) > STATE_TOLERANCE:
+        raise ValueError(f"state norm {norm} deviates from 1 beyond {STATE_TOLERANCE}")
     return np.outer(state, state.conj())
 
 
@@ -179,20 +182,20 @@ def partial_trace(rho: np.ndarray, keep, n_modes: int) -> np.ndarray:
     return reduced.reshape(dim_keep, dim_keep)
 
 
-def validate_density_operator(rho: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
+def validate_density_operator(rho: np.ndarray) -> np.ndarray:
     """Raise if rho is not Hermitian, unit trace, and (almost) positive.
 
     Returns the ascending eigenvalues of the Hermitian part of rho.
     """
     rho = np.asarray(rho, dtype=complex)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > tolerance:
+    if herm > STATE_TOLERANCE:
         raise ValueError(f"density operator not Hermitian: residual {herm}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tolerance:
+    if abs(tr - 1.0) > STATE_TOLERANCE:
         raise ValueError(f"density operator trace {tr} deviates from 1")
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if float(eigs.min()) < -tolerance:
+    if float(eigs.min()) < -STATE_TOLERANCE:
         raise ValueError(f"density operator has negative eigenvalue {eigs.min()}")
     return eigs
 
@@ -200,7 +203,7 @@ def validate_density_operator(rho: np.ndarray, tolerance: float = 1e-12) -> np.n
 EIGENVALUE_FLOOR = 1e-14
 
 
-def von_neumann_entropy(rho: np.ndarray, tolerance: float = 1e-12) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """Subsystem entropy -sum(l log2 l) in bits.
 
     The validated spectrum is clipped into [0, 1], so rounding (an
@@ -210,11 +213,20 @@ def von_neumann_entropy(rho: np.ndarray, tolerance: float = 1e-12) -> float:
     below 1e-14 count as exact zeros, implementing the 0 log 0 = 0
     convention in floating point.
     """
-    eigs = np.clip(validate_density_operator(rho, tolerance), 0.0, 1.0)
+    eigs = np.clip(validate_density_operator(rho), 0.0, 1.0)
     bound = math.log2(len(eigs))
     eigs = eigs[eigs > EIGENVALUE_FLOOR]
     entropy = min(float(-np.sum(eigs * np.log2(eigs))), bound)
     return entropy + 0.0  # +0.0 folds -0.0 into 0.0
+
+
+def subsystem_entropy(state: np.ndarray, keep, n_modes: int) -> float:
+    """Entropy in bits of the modes ``keep`` of a normalized pure state.
+
+    Forms |psi><psi|, traces out every other mode and diagonalizes the
+    reduced operator; both halves of a pure state share this entropy.
+    """
+    return von_neumann_entropy(partial_trace(outer_product(state), keep, n_modes))
 
 
 def entropy_of_eigenvalues(eigenvalues) -> float:

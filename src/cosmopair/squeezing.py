@@ -26,24 +26,22 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from cosmopair import fock
 from cosmopair.bogoliubov import (
     BogolyubovCoefficients,
+    check_theta,
     squeezing_angle,
     theta_from_coefficients,
 )
 
 __all__ = [
     "DecompositionError",
-    "InOutExpansion",
     "apply_decoupled",
     "build_generator",
     "conjugate_mode",
-    "in_state_expansion",
     "pair_creation_sum",
     "unitary_dense",
     "unitary_for",
@@ -54,20 +52,13 @@ __all__ = [
 # no longer guaranteed (measured ~1.6e-11 at cos(r) = 5e-3).
 MIN_COS_FACTORIZED = 5e-3
 
+# Largest residual conjugate_mode accepts when it recomposes U f_j U^dag
+# from single ladder operators.
+CONJUGATION_TOLERANCE = 1e-10
+
 
 class DecompositionError(RuntimeError):
     """A ladder-operator decomposition failed beyond tolerance."""
-
-
-def _check_theta(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=complex)
-    n = theta.shape[0]
-    if theta.ndim != 2 or theta.shape != (n, n) or n not in (2, 4):
-        raise ValueError(f"theta must be a 2x2 or 4x4 matrix, got {theta.shape}")
-    scale = max(1.0, float(np.max(np.abs(theta))))
-    if float(np.max(np.abs(theta + theta.T))) > 1e-12 * scale:
-        raise ValueError("theta must be antisymmetric")
-    return theta
 
 
 @functools.lru_cache(maxsize=None)
@@ -99,7 +90,7 @@ def pair_creation_sum(theta: np.ndarray) -> np.ndarray:
     The pair-annihilation sum (1/2) sum_ij conj(theta_ij) f_i f_j equals
     minus its conjugate transpose, since f_j f_i = -f_i f_j.
     """
-    return _pair_sum(_check_theta(theta))
+    return _pair_sum(check_theta(theta))
 
 
 def build_generator(theta: np.ndarray) -> np.ndarray:
@@ -128,17 +119,20 @@ def unitary_dense(gen: np.ndarray) -> np.ndarray:
 
 
 def unitary_for(coeffs: BogolyubovCoefficients) -> np.ndarray:
-    """Dense squeezing unitary for a coefficient set."""
+    """Dense squeezing unitary for a coefficient set.
+
+    Column k is the evolved in-region occupation state k written over the
+    out-region occupation basis.
+    """
     return unitary_dense(build_generator(theta_from_coefficients(coeffs)))
 
 
-def conjugate_mode(unitary: np.ndarray, mode: int,
-                   tolerance: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def conjugate_mode(unitary: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows (mu_j., nu_j.) of the ladder mixing U f_j U^dag = mu f + nu f+.
 
     Decomposes the conjugated annihilator in the Frobenius-orthogonal
     basis of single-ladder matrices and insists the residual stays below
-    tolerance; a large residual signals a broken sign convention.
+    ``CONJUGATION_TOLERANCE``; a large residual signals a broken sign convention.
     """
     unitary = np.asarray(unitary, dtype=complex)
     dim = unitary.shape[0]
@@ -156,7 +150,7 @@ def conjugate_mode(unitary: np.ndarray, mode: int,
     recomposed = (np.einsum("i,ikl->kl", mu_row, lowering)
                   + np.einsum("i,ikl->kl", nu_row, raising))
     residual = float(np.max(np.abs(conjugated - recomposed)))
-    if residual > tolerance:
+    if residual > CONJUGATION_TOLERANCE:
         raise DecompositionError(
             f"conjugated mode is not linear in ladder operators: residual {residual}")
     return mu_row, nu_row
@@ -174,7 +168,7 @@ def apply_decoupled(theta: np.ndarray, state: np.ndarray) -> np.ndarray:
     whole unitary.  Requires |theta| scalar and cos(r) away from zero;
     the dense route covers the cos(r) = 0 edge.
     """
-    theta = _check_theta(theta)
+    theta = check_theta(theta)
     state = np.asarray(state, dtype=complex)
     n = theta.shape[0]
     dim = fock.dimension(n)
@@ -195,29 +189,3 @@ def apply_decoupled(theta: np.ndarray, state: np.ndarray) -> np.ndarray:
     out = out + create @ out + 0.5 * create @ (create @ out)
     return out
 
-
-@dataclass(frozen=True, eq=False)
-class InOutExpansion:
-    """An in-region state expanded over the out-region occupation basis."""
-
-    amplitudes: np.ndarray
-
-    def coefficient(self, bits: int) -> complex:
-        return complex(self.amplitudes[bits])
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def in_state_expansion(coeffs: BogolyubovCoefficients, occupation: int) -> InOutExpansion:
-    """Expansion of an evolved occupation state over the out basis.
-
-    The input occupation labels the in-region state; the returned
-    amplitudes are those of the same state written in out-region kets.
-    """
-    dim = fock.dimension(coeffs.n_modes)
-    if not 0 <= occupation < dim:
-        raise ValueError(f"occupation {occupation} out of range for {coeffs.n_modes} modes")
-    unitary = unitary_for(coeffs)
-    return InOutExpansion(amplitudes=unitary[:, occupation].copy())

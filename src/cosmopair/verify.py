@@ -41,7 +41,6 @@ from cosmopair.squeezing import (
     apply_decoupled,
     build_generator,
     conjugate_mode,
-    in_state_expansion,
     pair_creation_sum,
     unitary_dense,
     unitary_for,
@@ -223,13 +222,13 @@ def _check_expansions(seed: int) -> list[CheckResult]:
         worst_exc = 0.0
         for _ in range(25):
             coeffs = random_coefficients(scenario, rng)
+            unitary = unitary_for(coeffs)
             for occupation in cataloged_occupations(scenario):
-                expansion = in_state_expansion(coeffs, occupation)
                 reference = closed_form_expansion(coeffs, occupation)
-                vec = np.zeros_like(expansion.amplitudes)
+                vec = np.zeros(unitary.shape[0], dtype=complex)
                 for bits, amp in reference.items():
                     vec[bits] = amp
-                err = float(np.max(np.abs(expansion.amplitudes - vec)))
+                err = float(np.max(np.abs(unitary[:, occupation] - vec)))
                 if occupation == 0:
                     worst_vac = max(worst_vac, err)
                 else:
@@ -270,14 +269,16 @@ def _check_excited_catalogue() -> list[CheckResult]:
     results = []
     for scenario in Scenario:
         worst = 0.0
+        n_modes = scenario.n_modes
         lambdas = (0.1, 0.5, 0.9) if scenario is Scenario.CHARGE_ONLY else (1.0,)
-        densities = [0.0, 0.5, 1.0, 2.0, 3.0, scenario.n_max]
-        densities = [d for d in densities if d <= scenario.n_max]
-        for occupation in range(fock.dimension(scenario.n_modes)):
-            for n in densities:
-                for lam in lambdas:
-                    coeffs = from_density(DensityParameters(n=n, lam=lam), scenario)
-                    numeric = entropy_numeric(coeffs, occupation)
+        densities = [d for d in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0) if d <= scenario.n_max]
+        for n in densities:
+            for lam in lambdas:
+                coeffs = from_density(DensityParameters(n=n, lam=lam), scenario)
+                unitary = unitary_for(coeffs)
+                for occupation in range(fock.dimension(n_modes)):
+                    numeric = fock.subsystem_entropy(unitary[:, occupation],
+                                                     scenario.particle_modes, n_modes)
                     closed = entropy_excited_closed_form(occupation, n, lam, scenario)
                     worst = max(worst, abs(numeric - closed))
         results.append(_result(f"excited_entropy_catalogue_{scenario.value}", worst, 1e-10,
@@ -335,11 +336,11 @@ def _check_complementary_reductions(seed: int) -> CheckResult:
             coeffs = random_coefficients(scenario, rng)
             unitary = unitary_for(coeffs)
             occupation = int(rng.integers(fock.dimension(scenario.n_modes)))
-            rho = fock.outer_product(unitary[:, occupation])
-            s_particle = fock.von_neumann_entropy(fock.partial_trace(
-                rho, scenario.particle_modes, scenario.n_modes))
-            s_anti = fock.von_neumann_entropy(fock.partial_trace(
-                rho, scenario.antiparticle_modes, scenario.n_modes))
+            evolved = unitary[:, occupation]
+            s_particle = fock.subsystem_entropy(evolved, scenario.particle_modes,
+                                                scenario.n_modes)
+            s_anti = fock.subsystem_entropy(evolved, scenario.antiparticle_modes,
+                                            scenario.n_modes)
             worst = max(worst, abs(s_particle - s_anti))
     return _result("complementary_reduction_entropy", worst, 1e-10)
 

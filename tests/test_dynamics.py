@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import ALL_SCENARIOS
 from cosmopair import dynamics as dyn
-from cosmopair.bogoliubov import Scenario, validate
+from cosmopair.bogoliubov import DensityParameters, Scenario, from_density, validate
 
 TANH = dyn.ScaleFactorProfile.smooth_step(1.0, 1.0)
 FLAT = dyn.ScaleFactorProfile.constant(1.0)
@@ -160,7 +163,6 @@ def test_dress_tanh_profile_normalization_and_lambda():
 
 
 def test_particle_density_round_trip():
-    from cosmopair.bogoliubov import DensityParameters, from_density
     for scenario, n in ((Scenario.CHARGE_ONLY, 2.0),
                         (Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 2.0),
                         (Scenario.SPINLESS, 1.2)):
@@ -168,6 +170,24 @@ def test_particle_density_round_trip():
         assert abs(dyn.particle_density(coeffs) - n) <= 1e-12
     zero = from_density(DensityParameters(n=0.0), Scenario.CHARGE_ONLY)
     assert dyn.particle_density(zero) == 0.0
+
+
+_PHASE = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@given(fraction=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+       lam=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+       phases=st.tuples(_PHASE, _PHASE, _PHASE, _PHASE))
+@settings(max_examples=60, deadline=None)
+# full density at lam = 0.5: the unclamped charge-only sum read 4.000000000000001
+@example(fraction=1.0, lam=0.5, phases=(0.0, 0.0, 0.0, 0.0))
+def test_particle_density_round_trip_within_bounds(scenario, fraction, lam, phases):
+    n = min(fraction * scenario.n_max, scenario.n_max)
+    coeffs = from_density(DensityParameters(n=n, lam=lam, phases=phases), scenario)
+    density = dyn.particle_density(coeffs)
+    assert abs(density - n) <= 1e-12
+    assert 0.0 <= density <= scenario.n_max
 
 
 def test_momentum_point_end_to_end():

@@ -184,12 +184,15 @@ def test_complementary_reductions_for_evolved_states(scenario):
     for _ in range(6):
         n = float(rng.uniform(0, scenario.n_max))
         occupation = int(rng.integers(fock.dimension(scenario.n_modes)))
-        unitary = unitary_for(coeffs(n, 0.3, scenario))
-        rho = fock.outer_product(unitary[:, occupation])
-        s_particle = fock.von_neumann_entropy(
+        evolved = unitary_for(coeffs(n, 0.3, scenario))[:, occupation]
+        rho = fock.outer_product(evolved)
+        explicit = fock.von_neumann_entropy(
             fock.partial_trace(rho, scenario.particle_modes, scenario.n_modes))
-        s_anti = fock.von_neumann_entropy(
-            fock.partial_trace(rho, scenario.antiparticle_modes, scenario.n_modes))
+        s_particle = fock.subsystem_entropy(evolved, scenario.particle_modes,
+                                            scenario.n_modes)
+        s_anti = fock.subsystem_entropy(evolved, scenario.antiparticle_modes,
+                                        scenario.n_modes)
+        assert s_particle == explicit
         assert abs(s_particle - s_anti) <= 1e-10
 
 

@@ -185,38 +185,39 @@ def test_pair_sum_square_top_coefficient():
         assert abs(squared[0b1111, 0] - target) <= 1e-14
 
 
+def amplitude_vector(reference, dim):
+    vec = np.zeros(dim, dtype=complex)
+    for bits, amplitude in reference.items():
+        vec[bits] = amplitude
+    return vec
+
+
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
 def test_vacuum_expansion_closed_form(scenario):
     for coeffs in seeded_sets(scenario, 15, seed=59):
-        expansion = sq.in_state_expansion(coeffs, 0)
-        reference = expansions.vacuum_expansion(coeffs)
-        vec = np.zeros_like(expansion.amplitudes)
-        for bits, amplitude in reference.items():
-            vec[bits] = amplitude
-        assert np.max(np.abs(expansion.amplitudes - vec)) <= 1e-10
-        assert abs(expansion.norm - 1.0) <= 1e-12
+        evolved = sq.unitary_for(coeffs)[:, 0]
+        vec = amplitude_vector(expansions.vacuum_expansion(coeffs), evolved.shape[0])
+        assert np.max(np.abs(evolved - vec)) <= 1e-10
+        assert abs(np.linalg.norm(evolved) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
 def test_excited_expansions_closed_form(scenario):
     for coeffs in seeded_sets(scenario, 15, seed=61):
+        unitary = sq.unitary_for(coeffs)
         for occupation in expansions.cataloged_occupations(scenario):
-            expansion = sq.in_state_expansion(coeffs, occupation)
             reference = expansions.closed_form_expansion(coeffs, occupation)
-            vec = np.zeros_like(expansion.amplitudes)
-            for bits, amplitude in reference.items():
-                vec[bits] = amplitude
-            assert np.max(np.abs(expansion.amplitudes - vec)) <= 1e-10
+            vec = amplitude_vector(reference, unitary.shape[0])
+            assert np.max(np.abs(unitary[:, occupation] - vec)) <= 1e-10
 
 
 def test_transparent_states_pass_through():
     # double occupancy on one side evolves into itself in both spinful scenarios
     for scenario in (Scenario.CHARGE_ONLY, Scenario.CHARGE_AND_ANGULAR_MOMENTUM):
         for coeffs in seeded_sets(scenario, 5, seed=67):
-            expansion = sq.in_state_expansion(coeffs, 0b0011)
-            assert abs(expansion.coefficient(0b0011) - 1.0) <= 1e-12
+            assert abs(sq.unitary_for(coeffs)[0b0011, 0b0011] - 1.0) <= 1e-12
     for coeffs in seeded_sets(Scenario.SPINLESS, 5, seed=67):
-        assert abs(sq.in_state_expansion(coeffs, 0b01).coefficient(0b01) - 1.0) <= 1e-12
+        assert abs(sq.unitary_for(coeffs)[0b01, 0b01] - 1.0) <= 1e-12
 
 
 def test_full_state_momentum_conserving_expansion():
@@ -250,9 +251,3 @@ def test_angular_momentum_conservation_only_when_required():
     assert abs(violating.beta[UP, UP]) >= 0.3
     unitary = sq.unitary_for(violating)
     assert np.max(np.abs(unitary @ jz - jz @ unitary)) > 1e-3
-
-
-def test_in_state_expansion_rejects_bad_occupation():
-    coeffs = from_density(DensityParameters(n=1.0), Scenario.SPINLESS)
-    with pytest.raises(ValueError):
-        sq.in_state_expansion(coeffs, 4)
