@@ -77,14 +77,6 @@ class Scenario(enum.Enum):
     def antiparticle_modes(self) -> tuple[int, ...]:
         return (1,) if self is Scenario.SPINLESS else (2, 3)
 
-    @classmethod
-    def from_token(cls, token: str) -> "Scenario":
-        for member in cls:
-            if member.value == token:
-                return member
-        tokens = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown scenario {token!r} (expected one of: {tokens})")
-
 
 @dataclass(frozen=True)
 class DensityParameters:
@@ -250,34 +242,18 @@ def _angle_over_sine(a: float) -> float:
 def theta_from_coefficients(coeffs: BogolyubovCoefficients) -> np.ndarray:
     """Antisymmetric generator matrix of the squeezing unitary.
 
-    Entry (i, j) couples modes i and j through a pair-creation term; the
-    block pattern links each particle mode to both antiparticle modes
-    with amplitudes -arccos(a)/sin(arccos(a)) times conj(beta) entries.
-    The validation gate ``THETA_CHECK_TOLERANCE`` is loose so that
-    numerically dressed coefficient sets (constraints satisfied to
-    integration accuracy) are accepted; exact sets pass the tight check
-    in :func:`validate`.
+    theta = -(arccos a / sin arccos a) * nu, with nu from
+    :func:`expected_pair_mixing`, the one home of the beta -> mode-pair
+    layout: entry (i, j) couples particle mode i to antiparticle mode j
+    through a pair-creation term.  The validation gate
+    ``THETA_CHECK_TOLERANCE`` is loose so that numerically dressed
+    coefficient sets (constraints satisfied to integration accuracy) are
+    accepted; exact sets pass the tight check in :func:`validate`.
     """
-    if coeffs.a < 0.0:
-        raise ValueError("amplitude a must be nonnegative")
     report = validate(coeffs, tolerance=THETA_CHECK_TOLERANCE)
     if not report.passed:
         raise ValueError(f"invalid coefficients, failing constraints: {report.failing()}")
-    phi = _angle_over_sine(min(coeffs.a, 1.0))
-    b = coeffs.beta
-    if coeffs.scenario is Scenario.SPINLESS:
-        th = -phi * np.conj(b[UP, DOWN])
-        return np.array([[0.0, th], [-th, 0.0]], dtype=complex)
-    t_uu = -phi * np.conj(b[UP, UP])
-    t_ud = -phi * np.conj(b[UP, DOWN])
-    t_dd = -phi * np.conj(b[DOWN, DOWN])
-    t_du = -phi * np.conj(b[DOWN, UP])
-    theta = np.zeros((4, 4), dtype=complex)
-    theta[0, 2], theta[0, 3] = t_uu, t_ud
-    theta[1, 2], theta[1, 3] = t_du, t_dd
-    theta[2, 0], theta[2, 1] = -t_uu, -t_du
-    theta[3, 0], theta[3, 1] = -t_ud, -t_dd
-    return theta
+    return -_angle_over_sine(min(coeffs.a, 1.0)) * expected_pair_mixing(coeffs)[1]
 
 
 def check_theta(theta: np.ndarray) -> np.ndarray:
@@ -326,8 +302,12 @@ def mu_nu_from_theta(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def expected_pair_mixing(coeffs: BogolyubovCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (mu, nu) pair for a coefficient set.
 
-    mu is a times the identity; nu carries conj(beta) in the
-    particle-antiparticle block and minus its transpose below.
+    This is the one home of the beta -> mode-pair layout.  mu is a times
+    the identity; nu carries conj(beta) in the particle-antiparticle
+    block (rows particle modes, columns antiparticle modes) and minus its
+    transpose below; the spinless case keeps only conj(beta[up, down]).
+    :func:`theta_from_coefficients` returns
+    theta = -(arccos a / sin arccos a) * nu.
     """
     n = coeffs.n_modes
     mu = coeffs.a * np.eye(n, dtype=complex)

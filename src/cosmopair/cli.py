@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import Scenario
@@ -39,18 +38,24 @@ DYNAMICS_COLUMNS = ("p", "A", "beta_uu", "beta_ud", "beta_du", "beta_dd",
                     "discrepancy", "norm_residual", "self_convergence", "status")
 
 
+def _finite(values: list[float], text: str) -> list[float]:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid {text!r} holds a non-finite value")
+    return values
+
+
 def parse_grid(text: str) -> list[float]:
-    """Inclusive numeric grid from ``start:stop:step``, a comma list or one value."""
+    """Inclusive finite grid from ``start:stop:step``, a comma list or one value."""
     text = text.strip()
     if not text:
         raise ValueError("empty grid specification")
     if "," in text:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return _finite([float(tok) for tok in text.split(",") if tok.strip()], text)
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _finite([float(p) for p in parts], text)
         if step <= 0:
             raise ValueError("grid step must be positive")
         if stop < start:
@@ -62,7 +67,7 @@ def parse_grid(text: str) -> list[float]:
         if abs(points[-1] - stop) <= 1e-12 * max(1.0, abs(stop)):
             points[-1] = stop
         return points
-    return [float(text)]
+    return _finite([float(text)], text)
 
 
 def parse_momentum_grid(text: str) -> list[float]:
@@ -72,7 +77,8 @@ def parse_momentum_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 4:
             raise ValueError(f"log grid {text!r} must be log:start:stop:count")
-        start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
+        start, stop = _finite([float(parts[1]), float(parts[2])], text)
+        count = int(parts[3])
         if start <= 0 or stop <= start or count < 2:
             raise ValueError("log grid needs 0 < start < stop and count >= 2")
         ratio = (stop / start) ** (1.0 / (count - 1))
@@ -151,26 +157,23 @@ def _json_value(value):
     return float(f"{value:.15g}")
 
 
-@dataclass
-class _SweepRow:
-    result: EntropyResult
-
-    def as_mapping(self, scenario: Scenario) -> dict:
-        r = self.result
-        return {
-            "scenario": scenario.value,
-            "input_state": occupation_to_state_token(r.input_occupation, scenario),
-            "n": r.n,
-            "lambda": r.lam,
-            "S_numeric": r.s_numeric,
-            "S_closed": r.s_closed,
-            "discrepancy": r.discrepancy,
-        }
+def _sweep_row(r: EntropyResult) -> dict:
+    return {
+        "scenario": r.scenario.value,
+        "input_state": occupation_to_state_token(r.input_occupation, r.scenario),
+        "n": r.n,
+        "lambda": r.lam,
+        "S_numeric": r.s_numeric,
+        "S_closed": r.s_closed,
+        "discrepancy": r.discrepancy,
+    }
 
 
 def _cmd_sweep(args, parser) -> int:
-    scenario = Scenario.from_token(args.scenario)
+    scenario = Scenario(args.scenario)
     try:
+        if not args.tolerance >= 0:
+            raise ValueError(f"tolerance {args.tolerance} must be a number >= 0")
         occupation = state_token_to_occupation(args.state, scenario)
         n_grid = parse_grid(args.n)
         lambda_grid = parse_grid(args.lam) if args.lam else None
@@ -180,7 +183,7 @@ def _cmd_sweep(args, parser) -> int:
         results = sweep(scenario, occupation, n_grid, lambda_grid)
     except ValueError as err:
         parser.error(str(err))
-    rows = [_SweepRow(r).as_mapping(scenario) for r in results]
+    rows = [_sweep_row(r) for r in results]
     breaches = [row for row in rows
                 if row["discrepancy"] is not None and row["discrepancy"] > args.tolerance]
     if args.format == "json":
@@ -204,19 +207,13 @@ def _cmd_sweep(args, parser) -> int:
     return 0
 
 
-def _dynamics_row(p: float, direction, args) -> dict:
-    profile = (ScaleFactorProfile.constant(args.a0) if args.profile == "constant"
-               else ScaleFactorProfile.smooth_step(args.epsilon, args.rho))
+def _dynamics_row(p: float, direction, profile: ScaleFactorProfile, args) -> dict:
     p_vec = tuple(p * c for c in direction)
     try:
         point = momentum_point(p_vec, args.mass, profile, tol=args.tol)
     except (IntegrationError, ValueError) as err:
         reason = str(err).replace(",", ";").replace("\n", " ")
-        return {"p": p, "A": None, "beta_uu": None, "beta_ud": None, "beta_du": None,
-                "beta_dd": None, "n_created": None, "lambda_effective": None,
-                "S_numeric": None, "S_closed": None, "discrepancy": None,
-                "norm_residual": None, "self_convergence": None,
-                "status": f"error: {reason}"}
+        return dict.fromkeys(DYNAMICS_COLUMNS) | {"p": p, "status": f"error: {reason}"}
     return {
         "p": point.p,
         "A": point.a,
@@ -242,21 +239,20 @@ def _cmd_dynamics(args, parser) -> int:
         if len(direction) != 3:
             raise ValueError("direction needs three comma-separated components")
         norm = math.sqrt(sum(c * c for c in direction))
-        if norm == 0:
-            raise ValueError("direction must be nonzero")
+        if not 0 < norm < math.inf:
+            raise ValueError("direction must be nonzero with a finite norm")
         direction = tuple(c / norm for c in direction)
-        if args.profile == "tanh" and (args.epsilon <= 0 or args.rho <= 0):
-            raise ValueError("tanh profile needs epsilon > 0 and rho > 0")
+        profile = (ScaleFactorProfile.constant(args.a0) if args.profile == "constant"
+                   else ScaleFactorProfile.smooth_step(args.epsilon, args.rho))
     except ValueError as err:
         parser.error(str(err))
-    rows = [_dynamics_row(p, direction, args) for p in grid]
+    rows = [_dynamics_row(p, direction, profile, args) for p in grid]
     if args.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": "dynamics",
             "profile": args.profile,
-            "rows": [{k: (v if k == "status" else _json_value(v))
-                      for k, v in row.items()} for row in rows],
+            "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
         }
         _write_json(args.output, payload)
     else:

@@ -85,9 +85,10 @@ class ScaleFactorProfile:
     def __post_init__(self):
         if self.kind not in ("constant", "tanh"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "constant" and self.a0 <= 0:
+        # Written as "not > 0" so that NaN fails too.
+        if self.kind == "constant" and not self.a0 > 0:
             raise ValueError("constant profile needs a0 > 0")
-        if self.kind == "tanh" and (self.epsilon <= 0 or self.rho <= 0):
+        if self.kind == "tanh" and not (self.epsilon > 0 and self.rho > 0):
             raise ValueError("tanh profile needs epsilon > 0 and rho > 0")
 
     @classmethod
@@ -305,19 +306,16 @@ def extract_scalar_coefficients(sol: ModeSolution) -> ScalarBogolyubov:
     return ScalarBogolyubov(a_minus=a, b_minus=b, shift_residual=shift_residual)
 
 
-def spinor_contraction(p_vec) -> tuple[np.ndarray, bool]:
-    """Flat-spinor matrix element matrix C[d, d'] and a zero-momentum flag.
+def spinor_contraction(p_vec) -> np.ndarray:
+    """Flat-spinor matrix element matrix C[d, d'].
 
     C equals the transpose of sigma . p in the fixed representation, so
     each row has squared norm |p|**2 and C is odd under p -> -p.  At
-    p = 0 the matrix vanishes identically (no creation channel) and the
-    flag is set.
+    p = 0 the matrix vanishes identically (no creation channel).
     """
     px, py, pz = (float(c) for c in p_vec)
-    contraction = np.array([[pz, px + 1j * py],
-                            [px - 1j * py, -pz]], dtype=complex)
-    is_zero = (px == 0.0 and py == 0.0 and pz == 0.0)
-    return contraction, is_zero
+    return np.array([[pz, px + 1j * py],
+                     [px - 1j * py, -pz]], dtype=complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -408,7 +406,7 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
     from cosmopair.entanglement import entropy_numeric, entropy_vacuum_closed_form
 
     params = ModeParameters(p_vec=tuple(p_vec), m=m)
-    contraction, _ = spinor_contraction(params.p_vec)
+    contraction = spinor_contraction(params.p_vec)
     span = default_tau_span(profile, tol / 2.0)
 
     def run(run_tol: float) -> ScalarBogolyubov:

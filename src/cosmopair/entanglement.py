@@ -46,11 +46,17 @@ __all__ = [
 ]
 
 
+def _within(x: float, upper: float, what: str) -> float:
+    """x clamped into [0, upper]; raises unless x lies within 1e-12 of it."""
+    if not -1e-12 <= x <= upper + 1e-12:
+        raise ValueError(f"{what} {x} outside [0, {upper}]")
+    return min(max(x, 0.0), upper)
+
+
 def binary_entropy(x: float) -> float:
     """-x log2 x - (1-x) log2(1-x) with the 0 log 0 = 0 rule."""
-    if not -1e-12 <= x <= 1.0 + 1e-12:
-        raise ValueError(f"binary entropy argument {x} outside [0, 1]")
-    return fock.entropy_of_eigenvalues((min(max(x, 0.0), 1.0), min(max(1.0 - x, 0.0), 1.0)))
+    x = _within(x, 1.0, "binary entropy argument")
+    return fock.entropy_of_eigenvalues((x, 1.0 - x))
 
 
 def pair_state_entropy(q: float) -> float:
@@ -60,19 +66,14 @@ def pair_state_entropy(q: float) -> float:
     logarithmic grouping 2 - (1+s) log2(1+s) - (1-s) log2(1-s), which
     stays finite at q = 0 where the naive -log2(q) form degenerates.
     """
-    if not -1e-12 <= q <= 0.25 + 1e-12:
-        raise ValueError(f"pair entropy argument {q} outside [0, 1/4]")
-    q = min(max(q, 0.0), 0.25)
+    q = _within(q, 0.25, "pair entropy argument")
     s = math.sqrt(max(1.0 - 4.0 * q, 0.0))
     return fock.entropy_of_eigenvalues((q, q, ((1 + s) / 2) ** 2, ((1 - s) / 2) ** 2))
 
 
 def entropy_vacuum_closed_form(n: float, scenario: Scenario) -> float:
     """Closed-form vacuum entanglement entropy at created density n."""
-    n_max = scenario.n_max
-    if not -1e-12 <= n <= n_max + 1e-12:
-        raise ValueError(f"density {n} outside [0, {n_max}]")
-    n = min(max(n, 0.0), n_max)
+    n = _within(n, scenario.n_max, "density")
     if scenario is Scenario.SPINLESS:
         return binary_entropy(n / 2.0)
     return 2.0 * binary_entropy(n / 4.0)
@@ -109,9 +110,7 @@ def entropy_excited_closed_form(occupation: int, n: float, lam: float,
     if not 0 <= occupation < dim:
         raise ValueError(f"occupation {occupation} out of range")
     n_max = scenario.n_max
-    if not -1e-12 <= n <= n_max + 1e-12:
-        raise ValueError(f"density {n} outside [0, {n_max}]")
-    n = min(max(n, 0.0), n_max)
+    n = _within(n, n_max, "density")
     if scenario is Scenario.SPINLESS:
         particle, antiparticle = occupation & 1, occupation >> 1 & 1
         if particle == antiparticle:
@@ -136,11 +135,12 @@ def entropy_excited_closed_form(occupation: int, n: float, lam: float,
 
 
 def spin_spinless_relation(n: float) -> tuple[float, float, float]:
-    """(spinful vacuum entropy at n, twice the spinless one at n/2, residual)."""
-    if not -1e-12 <= n <= 4.0 + 1e-12:
-        raise ValueError(f"density {n} outside [0, 4]")
-    lhs = entropy_vacuum_closed_form(min(max(n, 0.0), 4.0), Scenario.CHARGE_ONLY)
-    rhs = 2.0 * entropy_vacuum_closed_form(min(max(n, 0.0), 4.0) / 2.0, Scenario.SPINLESS)
+    """(spinful vacuum entropy at n, twice the spinless one at n/2, residual).
+
+    The spinful closed form checks n against [0, 4] and clamps it.
+    """
+    lhs = entropy_vacuum_closed_form(n, Scenario.CHARGE_ONLY)
+    rhs = 2.0 * entropy_vacuum_closed_form(n / 2.0, Scenario.SPINLESS)
     return lhs, rhs, abs(lhs - rhs)
 
 
@@ -157,9 +157,9 @@ class EntropyResult:
     discrepancy: float | None
 
 
-def _evaluate_point(scenario: Scenario, occupation: int, n: float, lam: float,
-                    phases: tuple[float, float, float, float]) -> EntropyResult:
-    coeffs = from_density(DensityParameters(n=n, lam=lam, phases=phases), scenario)
+def _evaluate_point(scenario: Scenario, occupation: int, n: float,
+                    lam: float) -> EntropyResult:
+    coeffs = from_density(DensityParameters(n=n, lam=lam), scenario)
     numeric = entropy_numeric(coeffs, occupation)
     closed = entropy_excited_closed_form(occupation, n, lam, scenario)
     gap = None if closed is None else abs(numeric - closed)
@@ -169,9 +169,8 @@ def _evaluate_point(scenario: Scenario, occupation: int, n: float, lam: float,
                          discrepancy=gap)
 
 
-def sweep(scenario: Scenario, occupation: int, n_grid, lambda_grid=None,
-          phases: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-          ) -> list[EntropyResult]:
+def sweep(scenario: Scenario, occupation: int, n_grid,
+          lambda_grid=None) -> list[EntropyResult]:
     """Entropy results over a density (and lambda) grid, grid-ordered.
 
     The lambda grid is required (nonempty) for the charge-only scenario
@@ -193,5 +192,5 @@ def sweep(scenario: Scenario, occupation: int, n_grid, lambda_grid=None,
                 raise ValueError(f"lambda {lam} outside [0, 1]")
     else:
         lam_values = [1.0]
-    return [_evaluate_point(scenario, occupation, n, lam, phases)
+    return [_evaluate_point(scenario, occupation, n, lam)
             for n in n_values for lam in lam_values]

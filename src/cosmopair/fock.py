@@ -102,6 +102,13 @@ def basis_state(bits: int, n_modes: int) -> np.ndarray:
     return state
 
 
+def _weighted_occupation(weights) -> np.ndarray:
+    """Diagonal operator sum_i weights[i] * n_i over len(weights) modes."""
+    n_modes = len(weights)
+    bits = np.arange(dimension(n_modes))[:, None] >> np.arange(n_modes) & 1
+    return np.diag(bits @ np.asarray(weights, dtype=float)).astype(complex)
+
+
 def charge_operator(n_modes: int) -> np.ndarray:
     """Particle number minus antiparticle number.
 
@@ -112,14 +119,7 @@ def charge_operator(n_modes: int) -> np.ndarray:
     if n_modes % 2:
         raise ValueError("charge operator needs an even mode count")
     half = n_modes // 2
-    diag = np.zeros(dimension(n_modes))
-    for bits in range(dimension(n_modes)):
-        q = 0
-        for mode in range(n_modes):
-            if bits >> mode & 1:
-                q += 1 if mode < half else -1
-        diag[bits] = q
-    return np.diag(diag).astype(complex)
+    return _weighted_occupation((1.0,) * half + (-1.0,) * half)
 
 
 def spin_z_operator() -> np.ndarray:
@@ -128,11 +128,7 @@ def spin_z_operator() -> np.ndarray:
     Spin-up modes weigh +1/2 and spin-down modes -1/2 for particles and
     antiparticles alike.
     """
-    weights = (0.5, -0.5, 0.5, -0.5)
-    diag = np.zeros(16)
-    for bits in range(16):
-        diag[bits] = sum(w for mode, w in enumerate(weights) if bits >> mode & 1)
-    return np.diag(diag).astype(complex)
+    return _weighted_occupation((0.5, -0.5, 0.5, -0.5))
 
 
 def outer_product(state: np.ndarray) -> np.ndarray:
@@ -209,15 +205,12 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     The validated spectrum is clipped into [0, 1], so rounding (an
     eigenvalue of 1 + 1e-15, say) cannot make the entropy negative, and
     the result is capped at log2(dim), the entropy of the maximally mixed
-    state, which rounding would otherwise exceed by an ulp.  Eigenvalues
-    below 1e-14 count as exact zeros, implementing the 0 log 0 = 0
+    state, which rounding would otherwise exceed by an ulp.  The sum is
+    :func:`entropy_of_eigenvalues`, whose floor implements the 0 log 0 = 0
     convention in floating point.
     """
     eigs = np.clip(validate_density_operator(rho), 0.0, 1.0)
-    bound = math.log2(len(eigs))
-    eigs = eigs[eigs > EIGENVALUE_FLOOR]
-    entropy = min(float(-np.sum(eigs * np.log2(eigs))), bound)
-    return entropy + 0.0  # +0.0 folds -0.0 into 0.0
+    return min(entropy_of_eigenvalues(eigs), math.log2(len(eigs)))
 
 
 def subsystem_entropy(state: np.ndarray, keep, n_modes: int) -> float:
@@ -230,9 +223,12 @@ def subsystem_entropy(state: np.ndarray, keep, n_modes: int) -> float:
 
 
 def entropy_of_eigenvalues(eigenvalues) -> float:
-    """Entropy in bits of a probability vector, with the 0 log 0 = 0 rule."""
+    """Entropy in bits of a probability vector, with the 0 log 0 = 0 rule.
+
+    Entries at or below ``EIGENVALUE_FLOOR`` count as exact zeros.
+    """
     total = 0.0
     for lam in eigenvalues:
         if lam > EIGENVALUE_FLOOR:
-            total -= lam * math.log2(lam)
-    return total + 0.0
+            total -= lam * np.log2(lam)
+    return float(total) + 0.0  # +0.0 folds -0.0 into 0.0

@@ -208,8 +208,8 @@ def test_mu_nu_rejects_non_antisymmetric():
 
 
 def test_scenario_tokens():
-    assert Scenario.from_token("charge") is Scenario.CHARGE_ONLY
-    assert Scenario.from_token("spin-am") is Scenario.CHARGE_AND_ANGULAR_MOMENTUM
-    assert Scenario.from_token("spinless") is Scenario.SPINLESS
+    assert Scenario("charge") is Scenario.CHARGE_ONLY
+    assert Scenario("spin-am") is Scenario.CHARGE_AND_ANGULAR_MOMENTUM
+    assert Scenario("spinless") is Scenario.SPINLESS
     with pytest.raises(ValueError):
-        Scenario.from_token("nope")
+        Scenario("nope")

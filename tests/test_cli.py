@@ -182,14 +182,50 @@ def test_verify_rejects_nonpositive_batch(tmp_path, capsys):
 
 def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     # massless zero-momentum mode has no out-region frequency to match
+    argv = ["dynamics", "--profile", "tanh", "--mass", "0", "--p-grid", "0,1", "--tol", "1e-9"]
     out = tmp_path / "dyn.csv"
-    code = cli.main(["dynamics", "--profile", "tanh", "--mass", "0",
-                     "--p-grid", "0,1", "--tol", "1e-9", "--output", str(out)])
+    code = cli.main(argv + ["--output", str(out)])
     assert code == 1
     lines = out.read_text().strip().split("\n")
     assert any("error" in line for line in lines[1:])
     assert any(line.endswith("ok") for line in lines[1:])
     assert "failed" in capsys.readouterr().err
+
+    out = tmp_path / "dyn.json"
+    assert cli.main(argv + ["--format", "json", "--output", str(out)]) == 1
+    failed, ok = json.loads(out.read_text())["rows"]
+    assert list(failed) == list(ok) == list(cli.DYNAMICS_COLUMNS)
+    assert failed["p"] == 0.0 and failed["status"].startswith("error: ")
+    assert all(failed[k] is None for k in cli.DYNAMICS_COLUMNS if k not in ("p", "status"))
+    assert ok["status"] == "ok"
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenario", "spinless", "--n", "0:inf:1"],
+    ["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "nan"],
+    ["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "-1"],
+    ["dynamics", "--p-grid", "nan"],
+    ["dynamics", "--p-grid", "log:0.1:inf:3"],
+    ["dynamics", "--p-grid", "1", "--direction", "nan,1,1"],
+], ids=["n-inf", "tolerance-nan", "tolerance-negative", "p-nan", "log-p-inf",
+        "direction-nan"])
+def test_non_finite_input_is_a_usage_error(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--output", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--profile", "constant", "--a0", "0"], "constant profile needs a0 > 0"),
+    (["--rho", "0"], "tanh profile needs epsilon > 0 and rho > 0"),
+], ids=["a0-zero", "rho-zero"])
+def test_dynamics_profile_errors_are_usage_errors(flags, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["dynamics", "--p-grid", "1", "--output", str(tmp_path / "x.csv")] + flags)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_charge_sweep_entropy_nonnegative_at_full_density(capsys):

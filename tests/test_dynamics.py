@@ -116,24 +116,22 @@ def test_small_expansion_limit():
 
 
 def test_spinor_contraction_structure():
-    matrix, flag = dyn.spinor_contraction((0.0, 0.0, 2.5))
-    assert not flag
+    matrix = dyn.spinor_contraction((0.0, 0.0, 2.5))
     assert abs(matrix[0, 0] - 2.5) <= 1e-15 and abs(matrix[1, 1] + 2.5) <= 1e-15
     assert matrix[0, 1] == 0.0 and matrix[1, 0] == 0.0
     rng = np.random.default_rng(5)
     for _ in range(10):
         p_vec = rng.normal(size=3)
-        matrix, _ = dyn.spinor_contraction(p_vec)
+        matrix = dyn.spinor_contraction(p_vec)
         p2 = float(np.dot(p_vec, p_vec))
         for row in range(2):
             assert abs(np.sum(np.abs(matrix[row]) ** 2) - p2) <= 1e-12 * max(1.0, p2)
-        flipped, _ = dyn.spinor_contraction(-p_vec)
+        flipped = dyn.spinor_contraction(-p_vec)
         assert np.max(np.abs(flipped + matrix)) <= 1e-15
 
 
 def test_spinor_contraction_zero_momentum():
-    matrix, flag = dyn.spinor_contraction((0.0, 0.0, 0.0))
-    assert flag
+    matrix = dyn.spinor_contraction((0.0, 0.0, 0.0))
     assert np.all(matrix == 0.0)
 
 
@@ -141,7 +139,7 @@ def test_dress_constant_profile_is_trivial():
     params = dyn.ModeParameters(p_vec=(0.5, 0.5, 0.5), m=1.0)
     sol = dyn.integrate_mode(params, FLAT, tau_span=(-8.0, 8.0), tol=1e-10)
     scalar = dyn.extract_scalar_coefficients(sol)
-    contraction, _ = dyn.spinor_contraction(params.p_vec)
+    contraction = dyn.spinor_contraction(params.p_vec)
     dressed = dyn.dress_coefficients(scalar, params, contraction, FLAT, tol=1e-10)
     assert abs(dressed.coefficients.a - 1.0) <= 1e-8
     assert np.max(np.abs(dressed.coefficients.beta)) <= 1e-8
@@ -153,7 +151,7 @@ def test_dress_tanh_profile_normalization_and_lambda():
     tol = 1e-9
     sol = dyn.integrate_mode(params, TANH, tol=tol)
     scalar = dyn.extract_scalar_coefficients(sol)
-    contraction, _ = dyn.spinor_contraction(params.p_vec)
+    contraction = dyn.spinor_contraction(params.p_vec)
     dressed = dyn.dress_coefficients(scalar, params, contraction, TANH, tol=tol)
     assert dressed.normalization_residual <= 10 * tol
     assert validate(dressed.coefficients, tolerance=10 * tol).passed

@@ -207,3 +207,13 @@ def test_charge_and_spin_operators_are_diagonal():
     assert jz[0b0001, 0b0001] == 0.5
     assert jz[0b0101, 0b0101] == 1.0
     assert jz[0b1001, 0b1001] == 0.0
+
+    def bit_loop(weights):
+        dim = fock.dimension(len(weights))
+        return np.diag([sum(w for mode, w in enumerate(weights) if bits >> mode & 1)
+                        for bits in range(dim)]).astype(complex)
+
+    for half in (1, 2, 3):
+        assert np.array_equal(fock.charge_operator(2 * half),
+                              bit_loop((1,) * half + (-1,) * half))
+    assert np.array_equal(jz, bit_loop((0.5, -0.5, 0.5, -0.5)))
