@@ -27,6 +27,7 @@ __all__ = [
     "DensityParameters",
     "Scenario",
     "ValidationReport",
+    "check_density",
     "check_theta",
     "cross_term_identity",
     "determinant_combination",
@@ -138,6 +139,14 @@ class ValidationReport:
         return [name for name, r in self.residuals.items() if r > self.tolerance]
 
 
+def check_density(n: float, lam: float, scenario: Scenario) -> None:
+    """Raise ValueError unless 0 <= n <= n_max and 0 <= lam <= 1 (NaN fails)."""
+    if not 0.0 <= n <= scenario.n_max:
+        raise ValueError(f"density {n} outside [0, {scenario.n_max}] for {scenario.value}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda {lam} outside [0, 1]")
+
+
 def from_density(params: DensityParameters, scenario: Scenario) -> BogolyubovCoefficients:
     """Coefficient set realizing a given created-particle density.
 
@@ -152,10 +161,7 @@ def from_density(params: DensityParameters, scenario: Scenario) -> BogolyubovCoe
     n_max = scenario.n_max
     n = float(params.n)
     lam = float(params.lam)
-    if not 0.0 <= n <= n_max:
-        raise ValueError(f"density n={n} outside [0, {n_max}] for {scenario.value}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda={lam} outside [0, 1]")
+    check_density(n, lam, scenario)
     if len(params.phases) != 4:
         raise ValueError("phases must supply four angles")
     p1, p2, p3, p4 = (float(p) for p in params.phases)

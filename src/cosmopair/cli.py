@@ -22,7 +22,9 @@ from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import Scenario
 from cosmopair.dynamics import (
     IntegrationError,
+    ModeParameters,
     ScaleFactorProfile,
+    check_tolerance,
     momentum_point,
 )
 from cosmopair.entanglement import EntropyResult, sweep
@@ -242,6 +244,9 @@ def _cmd_dynamics(args, parser) -> int:
         if not 0 < norm < math.inf:
             raise ValueError("direction must be nonzero with a finite norm")
         direction = tuple(c / norm for c in direction)
+        # Run-wide values fail here, once, through the checks that own them.
+        ModeParameters(p_vec=direction, m=args.mass)
+        check_tolerance(args.tol)
         profile = (ScaleFactorProfile.constant(args.a0) if args.profile == "constant"
                    else ScaleFactorProfile.smooth_step(args.epsilon, args.rho))
     except ValueError as err:
@@ -317,6 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep_p = sub.add_parser("sweep", help="entropy sweep over density (and lambda)")
+    sweep_p.set_defaults(run=_cmd_sweep, command_parser=sweep_p)
     sweep_p.add_argument("--scenario", required=True,
                          choices=[s.value for s in Scenario])
     sweep_p.add_argument("--state", default="vac",
@@ -330,6 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     dyn_p = sub.add_parser("dynamics", help="mode-equation pipeline over momenta")
+    dyn_p.set_defaults(run=_cmd_dynamics, command_parser=dyn_p)
     dyn_p.add_argument("--profile", choices=("constant", "tanh"), default="tanh")
     dyn_p.add_argument("--epsilon", type=float, default=1.0)
     dyn_p.add_argument("--rho", type=float, default=1.0)
@@ -342,6 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dyn_p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     ver_p = sub.add_parser("verify", help="run the full identity suite")
+    ver_p.set_defaults(run=_cmd_verify, command_parser=ver_p)
     ver_p.add_argument("--seed", type=int, default=verify_mod.DEFAULT_SEED)
     ver_p.add_argument("--batch", type=int, default=100,
                        help="random draws per scenario for oracle checks")
@@ -355,11 +363,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     argv = _load_config_args(argv, parser)
     args = parser.parse_args(argv)
-    if args.command == "sweep":
-        return _cmd_sweep(args, parser)
-    if args.command == "dynamics":
-        return _cmd_dynamics(args, parser)
-    return _cmd_verify(args, parser)
+    # Value errors print the subcommand's usage line, not the root one.
+    return args.run(args, args.command_parser)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from cosmopair.bogoliubov import (
     DOWN,
@@ -47,6 +46,7 @@ __all__ = [
     "ScalarBogolyubov",
     "ScaleFactorProfile",
     "asymptotic_energies",
+    "check_tolerance",
     "default_tau_span",
     "dress_coefficients",
     "extract_scalar_coefficients",
@@ -74,7 +74,10 @@ class ScaleFactorProfile:
 
     The smooth-step family has a(tau)**2 = 1 + epsilon (1 + tanh(rho
     tau)), interpolating between 1 and 1 + 2 epsilon; the constant
-    family a(tau) = a0 is the no-creation control.
+    family a(tau) = a0 is the no-creation control.  The parameters of
+    the chosen family must be finite and positive.  The methods take a
+    float tau and return Python floats (``math``, not numpy: the
+    mode-equation right-hand side calls them at every solver stage).
     """
 
     kind: str
@@ -85,11 +88,12 @@ class ScaleFactorProfile:
     def __post_init__(self):
         if self.kind not in ("constant", "tanh"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        # Written as "not > 0" so that NaN fails too.
-        if self.kind == "constant" and not self.a0 > 0:
-            raise ValueError("constant profile needs a0 > 0")
-        if self.kind == "tanh" and not (self.epsilon > 0 and self.rho > 0):
-            raise ValueError("tanh profile needs epsilon > 0 and rho > 0")
+        # Written as "not 0 < x < inf" so that NaN and inf fail too.
+        if self.kind == "constant" and not 0 < self.a0 < math.inf:
+            raise ValueError(f"constant profile needs a0 > 0 and finite, got {self.a0}")
+        if self.kind == "tanh" and not (0 < self.epsilon < math.inf and 0 < self.rho < math.inf):
+            raise ValueError("tanh profile needs epsilon > 0 and rho > 0, both finite, "
+                             f"got {self.epsilon} and {self.rho}")
 
     @classmethod
     def constant(cls, a0: float = 1.0) -> "ScaleFactorProfile":
@@ -99,13 +103,10 @@ class ScaleFactorProfile:
     def smooth_step(cls, epsilon: float, rho: float) -> "ScaleFactorProfile":
         return cls(kind="tanh", epsilon=epsilon, rho=rho)
 
-    def a_squared(self, tau):
+    def a(self, tau: float) -> float:
         if self.kind == "constant":
-            return self.a0 ** 2 * np.ones_like(np.asarray(tau, dtype=float))
-        return 1.0 + self.epsilon * (1.0 + np.tanh(self.rho * np.asarray(tau, dtype=float)))
-
-    def a(self, tau):
-        return np.sqrt(self.a_squared(tau))
+            return self.a0
+        return math.sqrt(1.0 + self.epsilon * (1.0 + math.tanh(self.rho * tau)))
 
     @property
     def a_in(self) -> float:
@@ -115,17 +116,17 @@ class ScaleFactorProfile:
     def a_out(self) -> float:
         return self.a0 if self.kind == "constant" else math.sqrt(1.0 + 2.0 * self.epsilon)
 
-    def mass(self, tau, m: float):
-        return m * self.a(tau)
+    def mass_and_rate(self, tau: float, m: float) -> tuple[float, float]:
+        """(M, dM/dtau) with M = m a(tau), from one evaluation of a(tau).
 
-    def mass_dot(self, tau, m: float):
-        """d(m a)/dtau, overflow-safe for large |rho tau|."""
+        The rate is overflow-safe for large |rho tau|.
+        """
+        a = self.a(tau)
         if self.kind == "constant":
-            return np.zeros_like(np.asarray(tau, dtype=float))
-        x = self.rho * np.asarray(tau, dtype=float)
-        expo = np.exp(-2.0 * np.abs(x))
+            return m * a, 0.0
+        expo = math.exp(-2.0 * abs(self.rho * tau))
         sech2 = 4.0 * expo / (1.0 + expo) ** 2
-        return m * self.epsilon * self.rho * sech2 / (2.0 * self.a(tau))
+        return m * a, m * self.epsilon * self.rho * sech2 / (2.0 * a)
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,9 @@ class ModeParameters:
         if len(vec) != 3:
             raise ValueError("p_vec must have three components")
         object.__setattr__(self, "p_vec", vec)
-        if self.m < 0:
-            raise ValueError("mass must be nonnegative")
+        # Written as "not 0 <= m < inf" so that NaN and inf fail too.
+        if not 0 <= self.m < math.inf:
+            raise ValueError(f"mass {self.m} must be finite and nonnegative")
 
     @property
     def p(self) -> float:
@@ -217,6 +219,12 @@ class ModeSolution:
         return float(max(np.max(np.abs(self.f) ** 2) - bound, 0.0))
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ValueError unless tol lies in [TOL_MIN, TOL_MAX] (NaN fails)."""
+    if not TOL_MIN <= tol <= TOL_MAX:
+        raise ValueError(f"tol {tol} outside [{TOL_MIN}, {TOL_MAX}]")
+
+
 def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
                    tau_span: tuple[float, float] | None = None,
                    tol: float = 1e-9) -> ModeSolution:
@@ -227,24 +235,29 @@ def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
     period-shifted time that ``extract_scalar_coefficients`` matches
     against.  Raises a configuration error when the span does not reach
     the flat asymptotics to within tol on the scale factor.
+
+    ``scipy.integrate`` is imported here, on the first integration, so
+    the commands that never integrate do not pay for loading it.
     """
-    if not TOL_MIN <= tol <= TOL_MAX:
-        raise ValueError(f"tol {tol} outside [{TOL_MIN}, {TOL_MAX}]")
+    from scipy.integrate import solve_ivp
+
+    check_tolerance(tol)
     if tau_span is None:
         tau_span = default_tau_span(profile, tol)
     tau0, tau1 = float(tau_span[0]), float(tau_span[1])
     if not tau0 < tau1:
         raise ValueError("tau_span must be increasing")
-    if abs(float(profile.a(tau0)) - profile.a_in) > tol:
+    if abs(profile.a(tau0) - profile.a_in) > tol:
         raise ValueError(f"tau_span start {tau0} does not reach the early flat region")
-    if abs(float(profile.a(tau1)) - profile.a_out) > tol:
+    if abs(profile.a(tau1) - profile.a_out) > tol:
         raise ValueError(f"tau_span end {tau1} does not reach the late flat region")
     en = asymptotic_energies(params, profile)
     p2 = params.p ** 2
     m = params.m
 
     def rhs(tau, y):
-        coeff = p2 + profile.mass(tau, m) ** 2 - 1j * profile.mass_dot(tau, m)
+        mass, rate = profile.mass_and_rate(tau, m)
+        coeff = p2 + mass ** 2 - 1j * rate
         return [y[1], -coeff * y[0], y[3], -coeff * y[2]]
 
     f0 = np.exp(-1j * en.e_in * tau0)

@@ -30,6 +30,7 @@ from cosmopair.bogoliubov import (
     BogolyubovCoefficients,
     DensityParameters,
     Scenario,
+    check_density,
     from_density,
 )
 from cosmopair.squeezing import unitary_for
@@ -128,8 +129,7 @@ def entropy_excited_closed_form(occupation: int, n: float, lam: float,
     parallel = particle_bits == anti_bits
     if scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
         return 0.0 if parallel else entropy_vacuum_closed_form(n, scenario)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda={lam} outside [0, 1]")
+    check_density(n, lam, scenario)
     fraction = (1.0 - lam) if parallel else lam
     return pair_state_entropy(fraction * n * (n_max - n) / 16.0)
 
@@ -180,17 +180,15 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
     n_values = [float(v) for v in n_grid]
     if not n_values:
         raise ValueError("empty density grid")
-    for n in n_values:
-        if not 0.0 <= n <= scenario.n_max:
-            raise ValueError(f"density {n} outside [0, {scenario.n_max}]")
     if scenario is Scenario.CHARGE_ONLY:
         lam_values = [float(v) for v in (lambda_grid or [])]
         if not lam_values:
             raise ValueError("charge-only sweep needs a nonempty lambda grid")
-        for lam in lam_values:
-            if not 0.0 <= lam <= 1.0:
-                raise ValueError(f"lambda {lam} outside [0, 1]")
     else:
         lam_values = [1.0]
+    # Check the whole grid before computing any point.
+    for n in n_values:
+        for lam in lam_values:
+            check_density(n, lam, scenario)
     return [_evaluate_point(scenario, occupation, n, lam)
             for n in n_values for lam in lam_values]

@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from cosmopair import fock
 from cosmopair.bogoliubov import (
@@ -166,7 +167,7 @@ def _check_generator_structure() -> list[CheckResult]:
 
 def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
     results = []
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     worst_unitarity = 0.0
     worst_conjugation = 0.0
     for scenario in Scenario:
@@ -197,7 +198,7 @@ def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
 
 
 def _check_nilpotency(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed + 1)
+    rng = default_rng(seed + 1)
     worst = 0.0
     for scenario in Scenario:
         coeffs = random_coefficients(scenario, rng)
@@ -215,7 +216,7 @@ def _check_nilpotency(seed: int) -> CheckResult:
 
 
 def _check_expansions(seed: int) -> list[CheckResult]:
-    rng = np.random.default_rng(seed + 2)
+    rng = default_rng(seed + 2)
     results = []
     for scenario in Scenario:
         worst_vac = 0.0
@@ -329,7 +330,7 @@ def _check_concavity() -> CheckResult:
 
 
 def _check_complementary_reductions(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed + 3)
+    rng = default_rng(seed + 3)
     worst = 0.0
     for scenario in Scenario:
         for _ in range(10):

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -207,8 +211,15 @@ def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     ["dynamics", "--p-grid", "nan"],
     ["dynamics", "--p-grid", "log:0.1:inf:3"],
     ["dynamics", "--p-grid", "1", "--direction", "nan,1,1"],
+    ["dynamics", "--p-grid", "1", "--mass", "nan"],
+    ["dynamics", "--p-grid", "1", "--mass", "inf"],
+    ["dynamics", "--p-grid", "1", "--tol", "nan"],
+    ["dynamics", "--p-grid", "1", "--epsilon", "inf"],
+    ["dynamics", "--p-grid", "1", "--rho", "inf"],
+    ["dynamics", "--p-grid", "1", "--profile", "constant", "--a0", "inf"],
 ], ids=["n-inf", "tolerance-nan", "tolerance-negative", "p-nan", "log-p-inf",
-        "direction-nan"])
+        "direction-nan", "mass-nan", "mass-inf", "tol-nan", "epsilon-inf", "rho-inf",
+        "a0-inf"])
 def test_non_finite_input_is_a_usage_error(argv, tmp_path):
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as err:
@@ -226,6 +237,52 @@ def test_dynamics_profile_errors_are_usage_errors(flags, message, tmp_path, caps
         cli.main(["dynamics", "--p-grid", "1", "--output", str(tmp_path / "x.csv")] + flags)
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mass", "-1"], "mass -1.0 must be finite and nonnegative"),
+    (["--tol", "1e-3"], "tol 0.001 outside [1e-12, 1e-06]"),
+    (["--tol", "1e-13"], "tol 1e-13 outside [1e-12, 1e-06]"),
+], ids=["mass-negative", "tol-too-loose", "tol-too-tight"])
+def test_dynamics_run_wide_errors_are_usage_errors(flags, message, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["dynamics", "--p-grid", "1", "--output", str(out)] + flags)
+    assert err.value.code == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenario", "spinless", "--n", "0:inf:1"],
+    ["dynamics", "--p-grid", "1", "--mass", "nan"],
+    ["verify", "--batch", "0"],
+], ids=["sweep", "dynamics", "verify"])
+def test_value_errors_print_the_subcommand_usage(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: cosmopair {argv[0]} ")
+
+
+def test_scipy_integrate_loads_only_for_dynamics(tmp_path):
+    script = """
+import sys
+from cosmopair import cli
+out = sys.argv[1]
+cli.main(["verify", "--batch", "2", "--output", out + "/verify.txt"])
+cli.main(["sweep", "--scenario", "spinless", "--n", "0:2:0.5", "--output", out + "/sweep.csv"])
+print("scipy.integrate" in sys.modules)
+cli.main(["dynamics", "--profile", "constant", "--p-grid", "1", "--output", out + "/dyn.csv"])
+print("scipy.integrate" in sys.modules)
+"""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
 
 
 def test_charge_sweep_entropy_nonnegative_at_full_density(capsys):

@@ -19,21 +19,51 @@ def test_profile_asymptotics():
     assert abs(float(TANH.a(-40.0)) - 1.0) <= 1e-14
     assert abs(float(TANH.a(40.0)) - TANH.a_out) <= 1e-14
     assert FLAT.a_in == FLAT.a_out == 1.0
-    assert float(FLAT.mass_dot(0.3, 2.0)) == 0.0
+    assert FLAT.mass_and_rate(0.3, 2.0) == (2.0, 0.0)
 
 
 def test_profile_validation():
     with pytest.raises(ValueError):
         dyn.ScaleFactorProfile(kind="exp")
-    with pytest.raises(ValueError):
-        dyn.ScaleFactorProfile.smooth_step(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        dyn.ScaleFactorProfile.constant(0.0)
+    for epsilon, rho in ((-1.0, 1.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            dyn.ScaleFactorProfile.smooth_step(epsilon, rho)
+    for a0 in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            dyn.ScaleFactorProfile.constant(a0)
 
 
 def test_mass_dot_overflow_safe():
-    value = float(TANH.mass_dot(1e6, 1.0))
+    value = TANH.mass_and_rate(1e6, 1.0)[1]
     assert value == 0.0 or value < 1e-300
+
+
+@pytest.mark.parametrize("profile", [TANH, dyn.ScaleFactorProfile.smooth_step(0.3, 2.5),
+                                     dyn.ScaleFactorProfile.constant(1.7)],
+                         ids=["tanh", "tanh-steep", "constant"])
+def test_profile_methods_are_floats_matching_numpy_forms(profile):
+    m = 1.3
+    taus = np.concatenate([[-1e6, -40.0], np.linspace(-6.0, 6.0, 49), [40.0, 1e6]])
+    if profile.kind == "tanh":
+        x = profile.rho * taus
+        a_ref = np.sqrt(1.0 + profile.epsilon * (1.0 + np.tanh(x)))
+        expo = np.exp(-2.0 * np.abs(x))
+        rate_ref = m * profile.epsilon * profile.rho * 4.0 * expo / (1.0 + expo) ** 2 \
+            / (2.0 * a_ref)
+    else:
+        a_ref = np.full_like(taus, profile.a0)
+        rate_ref = np.zeros_like(taus)
+    for tau, a, rate in zip(taus.tolist(), a_ref, rate_ref):
+        values = (profile.a(tau), *profile.mass_and_rate(tau, m))
+        assert all(type(v) is float for v in values)
+        for value, ref in zip(values, (a, m * a, rate)):
+            assert abs(value - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("m", [-1.0, math.nan, math.inf])
+def test_mode_parameters_reject_bad_mass(m):
+    with pytest.raises(ValueError):
+        dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=m)
 
 
 def test_asymptotic_energies():
@@ -78,6 +108,8 @@ def test_tolerance_range_enforced():
         dyn.integrate_mode(params, TANH, tol=1e-3)
     with pytest.raises(ValueError):
         dyn.integrate_mode(params, TANH, tol=1e-13)
+    with pytest.raises(ValueError):
+        dyn.integrate_mode(params, TANH, tol=math.nan)
 
 
 def test_wronskian_conserved_and_amplitude_bounded():

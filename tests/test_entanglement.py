@@ -222,6 +222,16 @@ def test_sweep_rejects_bad_grids():
         ent.sweep(Scenario.SPINLESS, 0, [3.0])
 
 
+@pytest.mark.parametrize("n, lam", [(5.0, 0.5), (-0.5, 0.5), (math.nan, 0.5),
+                                    (1.0, 1.5), (1.0, math.nan)])
+def test_sweep_and_from_density_share_the_range_rule(n, lam):
+    with pytest.raises(ValueError) as swept:
+        ent.sweep(Scenario.CHARGE_ONLY, 0, [n], [lam])
+    with pytest.raises(ValueError) as built:
+        from_density(DensityParameters(n=n, lam=lam), Scenario.CHARGE_ONLY)
+    assert str(swept.value) == str(built.value)
+
+
 def test_entropy_numeric_bad_occupation():
     with pytest.raises(ValueError):
         ent.entropy_numeric(coeffs(1.0, scenario=Scenario.SPINLESS), 7)
