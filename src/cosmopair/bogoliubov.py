@@ -12,6 +12,11 @@ particle modes with antiparticle modes.  For every valid coefficient set
 its polar modulus |theta| = sqrt(theta^dag theta) is a multiple r of the
 identity with cos r = a, which is what makes the closed-form
 factorization of the squeezing unitary possible.
+
+``check_theta``, ``squeezing_angle`` and ``mu_nu_from_theta`` also take
+a stack of theta matrices with leading batch axes, shape (..., n, n),
+and check every item as they would check it alone; the coefficient-set
+functions work on one set at a time.
 """
 
 from __future__ import annotations
@@ -263,29 +268,39 @@ def theta_from_coefficients(coeffs: BogolyubovCoefficients) -> np.ndarray:
 
 
 def check_theta(theta: np.ndarray) -> np.ndarray:
-    """theta as a complex array; raises unless it is an antisymmetric 2x2 or 4x4 matrix."""
+    """theta as a complex array; raises unless it is an antisymmetric 2x2 or 4x4 matrix.
+
+    A stack of shape (..., n, n) passes only if every item does; the
+    antisymmetry tolerance scales with each item's own largest entry.
+    """
     theta = np.asarray(theta, dtype=complex)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1] or theta.shape[0] not in (2, 4):
+    if theta.ndim < 2 or theta.shape[-1] != theta.shape[-2] or theta.shape[-1] not in (2, 4):
         raise ValueError(f"theta must be a 2x2 or 4x4 matrix, got {theta.shape}")
-    scale = max(1.0, float(np.max(np.abs(theta))))
-    if float(np.max(np.abs(theta + theta.T))) > 1e-12 * scale:
+    scale = np.maximum(1.0, np.abs(theta).max(axis=(-2, -1)))
+    asymmetry = np.abs(theta + theta.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (asymmetry > 1e-12 * scale).any():
         raise ValueError("theta must be antisymmetric")
     return theta
 
 
-def squeezing_angle(theta: np.ndarray) -> float:
+def squeezing_angle(theta: np.ndarray) -> float | np.ndarray:
     """Scalar polar radius r with |theta| = r * identity.
 
     Raises if theta^dag theta is not a multiple of the identity, which
-    would invalidate the closed-form factorization downstream.
+    would invalidate the closed-form factorization downstream.  A stack
+    of shape (..., n, n) gives an array of radii of shape (...), and
+    raises if any item is not scalar.
     """
     theta = np.asarray(theta, dtype=complex)
-    gram = theta.conj().T @ theta
-    r2 = float(np.mean(np.diag(gram).real))
-    deviation = float(np.max(np.abs(gram - r2 * np.eye(theta.shape[0]))))
-    if deviation > SCALAR_MODULUS_TOLERANCE * max(1.0, r2):
-        raise ValueError(f"|theta| is not scalar: deviation {deviation}")
-    return math.sqrt(max(r2, 0.0))
+    gram = theta.conj().swapaxes(-1, -2) @ theta
+    r2 = gram.diagonal(axis1=-2, axis2=-1).real.mean(axis=-1)
+    deviation = np.abs(gram - r2[..., np.newaxis, np.newaxis] * np.eye(theta.shape[-1])).max(
+        axis=(-2, -1))
+    bad = deviation > SCALAR_MODULUS_TOLERANCE * np.maximum(1.0, r2)
+    if bad.any():
+        raise ValueError(f"|theta| is not scalar: deviation {float(deviation[bad].max())}")
+    radius = np.sqrt(np.maximum(r2, 0.0))
+    return float(radius) if radius.ndim == 0 else radius
 
 
 def mu_nu_from_theta(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,15 +308,15 @@ def mu_nu_from_theta(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     mu = cos|theta| and nu = -sin|theta| |theta|^-1 theta, evaluated
     through the Hermitian eigendecomposition of theta^dag theta; the
-    sin(x)/x factor extends analytically through singular |theta|.
+    sin(x)/x factor extends analytically through singular |theta|.  A
+    stack of shape (..., n, n) gives stacks of mu and nu.
     """
     theta = check_theta(theta)
-    gram = theta.conj().T @ theta
-    eigs, vecs = np.linalg.eigh(gram)
-    radii = np.sqrt(np.clip(eigs, 0.0, None))
-    mu = (vecs * np.cos(radii)) @ vecs.conj().T
+    eigs, vecs = np.linalg.eigh(theta.conj().swapaxes(-1, -2) @ theta)
+    radii = np.sqrt(np.clip(eigs, 0.0, None))[..., np.newaxis, :]
+    mu = (vecs * np.cos(radii)) @ vecs.conj().swapaxes(-1, -2)
     sinc = np.sinc(radii / math.pi)  # sin(r)/r with the r = 0 limit built in
-    nu = -((vecs * sinc) @ vecs.conj().T) @ theta
+    nu = -((vecs * sinc) @ vecs.conj().swapaxes(-1, -2)) @ theta
     return mu, nu
 
 

@@ -24,7 +24,7 @@ from cosmopair.dynamics import (
     IntegrationError,
     ModeParameters,
     ScaleFactorProfile,
-    check_tolerance,
+    check_point_tolerance,
     momentum_point,
 )
 from cosmopair.entanglement import EntropyResult, sweep
@@ -246,7 +246,7 @@ def _cmd_dynamics(args, parser) -> int:
         direction = tuple(c / norm for c in direction)
         # Run-wide values fail here, once, through the checks that own them.
         ModeParameters(p_vec=direction, m=args.mass)
-        check_tolerance(args.tol)
+        check_point_tolerance(args.tol)
         profile = (ScaleFactorProfile.constant(args.a0) if args.profile == "constant"
                    else ScaleFactorProfile.smooth_step(args.epsilon, args.rho))
     except ValueError as err:

@@ -46,6 +46,7 @@ __all__ = [
     "ScalarBogolyubov",
     "ScaleFactorProfile",
     "asymptotic_energies",
+    "check_point_tolerance",
     "check_tolerance",
     "default_tau_span",
     "dress_coefficients",
@@ -58,6 +59,9 @@ __all__ = [
 ]
 
 TOL_MIN, TOL_MAX = 1e-12, 1e-6
+# momentum_point repeats each integration at tol / REFINEMENT for its
+# self-convergence diagnostic.
+REFINEMENT = 2.0
 # Evenly spaced samples of an integrated mode across its span.
 N_SAMPLES = 241
 # Out-region energies below this make a mode degenerate: no plane waves to match.
@@ -75,9 +79,11 @@ class ScaleFactorProfile:
     The smooth-step family has a(tau)**2 = 1 + epsilon (1 + tanh(rho
     tau)), interpolating between 1 and 1 + 2 epsilon; the constant
     family a(tau) = a0 is the no-creation control.  The parameters of
-    the chosen family must be finite and positive.  The methods take a
-    float tau and return Python floats (``math``, not numpy: the
-    mode-equation right-hand side calls them at every solver stage).
+    the chosen family must be positive and finite, and for the smooth
+    step 2 epsilon (in a_out) and 2 rho (in the span) must be finite
+    too.  The methods take a float tau and return Python floats
+    (``math``, not numpy: the mode-equation right-hand side calls them
+    at every solver stage).
     """
 
     kind: str
@@ -91,9 +97,10 @@ class ScaleFactorProfile:
         # Written as "not 0 < x < inf" so that NaN and inf fail too.
         if self.kind == "constant" and not 0 < self.a0 < math.inf:
             raise ValueError(f"constant profile needs a0 > 0 and finite, got {self.a0}")
-        if self.kind == "tanh" and not (0 < self.epsilon < math.inf and 0 < self.rho < math.inf):
-            raise ValueError("tanh profile needs epsilon > 0 and rho > 0, both finite, "
-                             f"got {self.epsilon} and {self.rho}")
+        if self.kind == "tanh" and not (0 < 2.0 * self.epsilon < math.inf
+                                        and 0 < 2.0 * self.rho < math.inf):
+            raise ValueError("tanh profile needs epsilon > 0 and rho > 0, with 2 epsilon "
+                             f"and 2 rho finite, got {self.epsilon} and {self.rho}")
 
     @classmethod
     def constant(cls, a0: float = 1.0) -> "ScaleFactorProfile":
@@ -223,6 +230,18 @@ def check_tolerance(tol: float) -> None:
     """Raise ValueError unless tol lies in [TOL_MIN, TOL_MAX] (NaN fails)."""
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol {tol} outside [{TOL_MIN}, {TOL_MAX}]")
+
+
+def check_point_tolerance(tol: float) -> None:
+    """Raise ValueError unless both integrations of momentum_point are in range.
+
+    Those run at tol and tol / REFINEMENT, so the effective floor is
+    TOL_MIN * REFINEMENT.
+    """
+    check_tolerance(tol)
+    if not tol / REFINEMENT >= TOL_MIN:
+        raise ValueError(f"tol {tol} below {TOL_MIN * REFINEMENT}: the self-convergence "
+                         f"run at tol/{REFINEMENT:g} needs at least {TOL_MIN}")
 
 
 def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
@@ -412,22 +431,23 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
                    tol: float = 1e-9) -> MomentumPointResult:
     """Integrate, dress and score one momentum point.
 
-    Runs the integration at tol and tol/2 over a common span (sized for
-    the finer tolerance) and reports the coefficient difference as the
-    self-convergence diagnostic.
+    Runs the integration at tol and tol / REFINEMENT over a common span
+    (sized for the finer tolerance) and reports the coefficient
+    difference as the self-convergence diagnostic.
     """
     from cosmopair.entanglement import entropy_numeric, entropy_vacuum_closed_form
 
+    check_point_tolerance(tol)
     params = ModeParameters(p_vec=tuple(p_vec), m=m)
     contraction = spinor_contraction(params.p_vec)
-    span = default_tau_span(profile, tol / 2.0)
+    span = default_tau_span(profile, tol / REFINEMENT)
 
     def run(run_tol: float) -> ScalarBogolyubov:
         sol = integrate_mode(params, profile, tau_span=span, tol=run_tol)
         return extract_scalar_coefficients(sol)
 
     scalar = run(tol)
-    scalar_fine = run(tol / 2.0)
+    scalar_fine = run(tol / REFINEMENT)
     self_conv = max(abs(scalar.a_minus - scalar_fine.a_minus),
                     abs(scalar.b_minus - scalar_fine.b_minus))
     dressed = dress_coefficients(scalar, params, contraction, profile, tol=tol)

@@ -83,7 +83,8 @@ def ladder_operators(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """Cached (annihilators, creators) for all modes; read-only stacks.
 
     Each stack has shape (n_modes, 2**n, 2**n), so ``lowering[i]`` is the
-    annihilator of mode i and the stack contracts in one ``einsum``.
+    annihilator of mode i, and reshaped to (n_modes, 4**n) the stack
+    contracts with a flattened matrix in one matrix product.
     """
     lowering = np.stack([annihilation_operator(mode, n_modes) for mode in range(n_modes)])
     raising = lowering.conj().transpose(0, 2, 1).copy()

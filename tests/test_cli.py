@@ -243,14 +243,21 @@ def test_dynamics_profile_errors_are_usage_errors(flags, message, tmp_path, caps
     (["--mass", "-1"], "mass -1.0 must be finite and nonnegative"),
     (["--tol", "1e-3"], "tol 0.001 outside [1e-12, 1e-06]"),
     (["--tol", "1e-13"], "tol 1e-13 outside [1e-12, 1e-06]"),
-], ids=["mass-negative", "tol-too-loose", "tol-too-tight"])
+    # values that passed up front but failed every row inside the run
+    (["--tol", "1e-12"], "tol 1e-12 below 2e-12"),
+    (["--epsilon", "1e308"], "with 2 epsilon and 2 rho finite"),
+    (["--rho", "1e308"], "with 2 epsilon and 2 rho finite"),
+], ids=["mass-negative", "tol-too-loose", "tol-too-tight", "tol-below-refined-floor",
+        "epsilon-overflows", "rho-overflows"])
 def test_dynamics_run_wide_errors_are_usage_errors(flags, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
     with pytest.raises(SystemExit) as err:
         cli.main(["dynamics", "--p-grid", "1", "--output", str(out)] + flags)
     assert err.value.code == 2
     assert not out.exists()
-    assert message in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: cosmopair dynamics ")
+    assert message in stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -25,12 +25,25 @@ def test_profile_asymptotics():
 def test_profile_validation():
     with pytest.raises(ValueError):
         dyn.ScaleFactorProfile(kind="exp")
-    for epsilon, rho in ((-1.0, 1.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)):
+    # 2 epsilon overflows a_out at 1e308, 2 rho the span's half width
+    for epsilon, rho in ((-1.0, 1.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                         (1e308, 1.0), (1.0, 1e308)):
         with pytest.raises(ValueError):
             dyn.ScaleFactorProfile.smooth_step(epsilon, rho)
     for a0 in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             dyn.ScaleFactorProfile.constant(a0)
+
+
+def test_point_tolerance_covers_the_refined_run():
+    floor = dyn.TOL_MIN * dyn.REFINEMENT
+    dyn.check_point_tolerance(floor)
+    dyn.check_point_tolerance(dyn.TOL_MAX)
+    for tol in (dyn.TOL_MIN, 0.5 * (dyn.TOL_MIN + floor), 2.0 * dyn.TOL_MAX, math.nan):
+        with pytest.raises(ValueError):
+            dyn.check_point_tolerance(tol)
+    with pytest.raises(ValueError):
+        dyn.momentum_point((1.0, 0.0, 0.0), 1.0, FLAT, tol=dyn.TOL_MIN)
 
 
 def test_mass_dot_overflow_safe():

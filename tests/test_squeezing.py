@@ -13,9 +13,12 @@ from cosmopair.bogoliubov import (
     UP,
     DensityParameters,
     Scenario,
+    check_theta,
     expected_pair_mixing,
     from_density,
+    mu_nu_from_theta,
     random_coefficients,
+    squeezing_angle,
     theta_from_coefficients,
 )
 
@@ -150,6 +153,96 @@ def test_decoupled_rejects_mismatched_shapes(scenario):
     for shape in ((dim + 1,), (dim + 1, 2), (dim, 2, 2)):
         with pytest.raises(ValueError):
             sq.apply_decoupled(theta, np.zeros(shape))
+
+
+def theta_stack(scenario, size, seed):
+    return np.array([theta_from_coefficients(c) for c in seeded_sets(scenario, size, seed)])
+
+
+def full_density_theta(scenario):
+    """theta at n = n_max, where cos(r) = a = 0: the dense route only."""
+    return theta_from_coefficients(
+        from_density(DensityParameters(n=scenario.n_max, lam=0.5), scenario))
+
+
+def assert_stack_matches_items(fn, stack, *args):
+    """fn on a stack equals fn on each item, output by output, within 1e-14."""
+    stacked = fn(stack, *args)
+    per_item = [fn(item, *args) for item in stack]
+    if not isinstance(stacked, tuple):
+        stacked, per_item = (stacked,), [(out,) for out in per_item]
+    for k, out in enumerate(stacked):
+        expected = np.array([item[k] for item in per_item])
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@given(size=st.sampled_from([1, 3, 16]), seed=st.integers(0, 2**31))
+@settings(max_examples=12, deadline=None)
+def test_stacked_calls_equal_per_item_calls(scenario, size, seed):
+    thetas = theta_stack(scenario, size, seed)
+    dense_thetas = np.concatenate([thetas, full_density_theta(scenario)[np.newaxis]])
+    dim = fock.dimension(scenario.n_modes)
+    for fn in (check_theta, squeezing_angle, mu_nu_from_theta, sq.pair_creation_sum,
+               sq.build_generator):
+        assert_stack_matches_items(fn, dense_thetas)
+    generators = sq.build_generator(dense_thetas)
+    assert_stack_matches_items(sq.unitary_dense, generators)
+    unitaries = sq.unitary_dense(generators)
+    assert sq.unitarity_residual(unitaries) == max(map(sq.unitarity_residual, unitaries))
+    for mode in range(scenario.n_modes):
+        assert_stack_matches_items(sq.conjugate_mode, unitaries, mode)
+    states = np.random.default_rng(seed).normal(size=(dim, 3))
+    for state in (np.eye(dim), states, states[:, 0]):
+        assert_stack_matches_items(sq.apply_decoupled, thetas, state)
+
+
+def bad_thetas(scenario):
+    """Invalid theta items, each with the functions it must break."""
+    n = scenario.n_modes
+    symmetric = np.ones((n, n), dtype=complex)
+    bad = {"not antisymmetric": (symmetric, (check_theta, mu_nu_from_theta,
+                                             sq.pair_creation_sum, sq.build_generator)),
+           "cos r ~ 0": (full_density_theta(scenario), ())}
+    if n == 4:  # every antisymmetric 2x2 matrix has a scalar modulus
+        single_pair = np.zeros((4, 4), dtype=complex)
+        single_pair[0, 2], single_pair[2, 0] = 0.3, -0.3
+        bad["non-scalar modulus"] = (single_pair, (squeezing_angle,))
+    return bad
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@pytest.mark.parametrize("size", [1, 3, 16])
+def test_bad_item_anywhere_in_a_stack_raises_like_alone(scenario, size):
+    good = theta_stack(scenario, size, seed=83)
+    eye = np.eye(fock.dimension(scenario.n_modes))
+
+    def decoupled(theta):
+        return sq.apply_decoupled(theta, eye)
+
+    for item, breaks in bad_thetas(scenario).values():
+        for position in sorted({0, size // 2, size - 1}):
+            stack = good.copy()
+            stack[position] = item
+            for fn in breaks + (decoupled,):
+                with pytest.raises(Exception) as alone:
+                    fn(item)
+                with pytest.raises(type(alone.value)):
+                    fn(stack)
+    generators = sq.build_generator(good)
+    unitaries = sq.unitary_dense(generators)
+    hermitian = 1j * generators[0]
+    scrambled = np.random.default_rng(89).normal(size=unitaries.shape[1:])
+    for fn, stack, item in ((sq.unitary_dense, generators, hermitian),
+                            (lambda u: sq.conjugate_mode(u, 0), unitaries, scrambled)):
+        for position in sorted({0, size // 2, size - 1}):
+            broken = stack.copy()
+            broken[position] = item
+            with pytest.raises(Exception) as alone:
+                fn(item)
+            with pytest.raises(type(alone.value)):
+                fn(broken)
 
 
 def test_decoupled_rejects_non_scalar_modulus():

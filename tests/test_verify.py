@@ -1,6 +1,17 @@
 import json
 
-from cosmopair import verify
+import numpy as np
+import pytest
+from numpy.random import default_rng
+
+from cosmopair import fock, verify
+from cosmopair.bogoliubov import (
+    Scenario,
+    expected_pair_mixing,
+    random_coefficients,
+    theta_from_coefficients,
+)
+from cosmopair.squeezing import apply_decoupled, build_generator, conjugate_mode, unitary_dense
 
 
 def test_suite_passes_with_unique_names():
@@ -24,3 +35,46 @@ def test_reports_are_deterministic_and_well_formed():
                      if c["name"].startswith("vacuum_expansion")]
     assert vacuum_checks and all("momentum-reflected" in c["detail"]
                                  for c in vacuum_checks)
+
+
+def factorization_one_draw_at_a_time(seed, batch):
+    """Reference for verify._check_factorization: every oracle on one draw per call."""
+    results = []
+    rng = default_rng(seed)
+    worst_unitarity = 0.0
+    worst_conjugation = 0.0
+    for scenario in Scenario:
+        dim = fock.dimension(scenario.n_modes)
+        eye = np.eye(dim)
+        worst = 0.0
+        for _ in range(batch):
+            coeffs = random_coefficients(scenario, rng)
+            theta = theta_from_coefficients(coeffs)
+            unitary = unitary_dense(build_generator(theta))
+            worst_unitarity = max(worst_unitarity, float(np.max(np.abs(
+                unitary @ unitary.conj().T - eye))))
+            direct = apply_decoupled(theta, eye)
+            worst = max(worst, float(np.max(np.abs(direct - unitary))))
+            mu_ref, nu_ref = expected_pair_mixing(coeffs)
+            for mode in range(scenario.n_modes):
+                mu_row, nu_row = conjugate_mode(unitary, mode)
+                worst_conjugation = max(
+                    worst_conjugation,
+                    float(np.max(np.abs(mu_row - mu_ref[mode]))),
+                    float(np.max(np.abs(nu_row - nu_ref[mode]))))
+        results.append(verify._result(f"factorized_vs_dense_{scenario.value}", worst, 1e-10,
+                                      detail=f"{batch} seeded draws x {dim} basis inputs"))
+    results.append(verify._result("unitarity_random_batch", worst_unitarity, 1e-12))
+    results.append(verify._result("ladder_conjugation_recovery", worst_conjugation, 1e-10))
+    return results
+
+
+@pytest.mark.parametrize("batch", [1, 16, 37])  # 37 ends on a partial block
+def test_stacked_factorization_check_matches_one_draw_at_a_time(batch):
+    stacked = verify._check_factorization(7, batch)
+    reference = factorization_one_draw_at_a_time(7, batch)
+    assert len(stacked) == len(reference) == 5
+    for got, want in zip(stacked, reference):
+        assert (got.name, got.tolerance, got.detail, got.passed) == \
+            (want.name, want.tolerance, want.detail, want.passed)
+        assert abs(got.residual - want.residual) <= 1e-15
