@@ -141,7 +141,7 @@ class ValidationReport:
         return max(self.residuals.values())
 
     def failing(self) -> list[str]:
-        return [name for name, r in self.residuals.items() if r > self.tolerance]
+        return [name for name, r in self.residuals.items() if not r <= self.tolerance]
 
 
 def check_density(n: float, lam: float, scenario: Scenario) -> None:
@@ -278,7 +278,8 @@ def check_theta(theta: np.ndarray) -> np.ndarray:
         raise ValueError(f"theta must be a 2x2 or 4x4 matrix, got {theta.shape}")
     scale = np.maximum(1.0, np.abs(theta).max(axis=(-2, -1)))
     asymmetry = np.abs(theta + theta.swapaxes(-1, -2)).max(axis=(-2, -1))
-    if (asymmetry > 1e-12 * scale).any():
+    # Written as "not within" so that a NaN entry fails the gate.
+    if not (asymmetry <= 1e-12 * scale).all():
         raise ValueError("theta must be antisymmetric")
     return theta
 
@@ -296,7 +297,7 @@ def squeezing_angle(theta: np.ndarray) -> float | np.ndarray:
     r2 = gram.diagonal(axis1=-2, axis2=-1).real.mean(axis=-1)
     deviation = np.abs(gram - r2[..., np.newaxis, np.newaxis] * np.eye(theta.shape[-1])).max(
         axis=(-2, -1))
-    bad = deviation > SCALAR_MODULUS_TOLERANCE * np.maximum(1.0, r2)
+    bad = ~(deviation <= SCALAR_MODULUS_TOLERANCE * np.maximum(1.0, r2))
     if bad.any():
         raise ValueError(f"|theta| is not scalar: deviation {float(deviation[bad].max())}")
     radius = np.sqrt(np.maximum(r2, 0.0))

