@@ -29,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "BogolyubovCoefficients",
-    "DensityParameters",
     "Scenario",
     "ValidationReport",
     "check_density",
@@ -83,20 +82,20 @@ class Scenario(enum.Enum):
     def antiparticle_modes(self) -> tuple[int, ...]:
         return (1,) if self is Scenario.SPINLESS else (2, 3)
 
+    def split_occupation(self, occupation: int) -> tuple[int, int]:
+        """(particle bits, antiparticle bits) of a basis index.
 
-@dataclass(frozen=True)
-class DensityParameters:
-    """Parameters generating a coefficient set from a target density.
+        Particle modes come first, so the particle bits are the low
+        ``len(particle_modes)`` bits of the index.
+        """
+        if not 0 <= occupation < 1 << self.n_modes:
+            raise ValueError(f"occupation {occupation} out of range for {self.n_modes} modes")
+        width = len(self.particle_modes)
+        return occupation & ((1 << width) - 1), occupation >> width
 
-    n is the total created-particle density in [0, n_max]; lam in [0, 1]
-    splits pair creation between the spin-preserving and spin-flip
-    channels (charge-only scenario); phases supplies four angles, three
-    free entry phases plus one overall phase (see ``from_density``).
-    """
-
-    n: float
-    lam: float = 0.5
-    phases: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    def join_occupation(self, particle_bits: int, antiparticle_bits: int) -> int:
+        """Basis index of the given particle and antiparticle bits."""
+        return particle_bits | antiparticle_bits << len(self.particle_modes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,10 +118,6 @@ class BogolyubovCoefficients:
         object.__setattr__(self, "beta", beta)
         if not 0.0 <= self.a <= 1.0 + 1e-12:
             raise ValueError(f"amplitude a={self.a} outside [0, 1]")
-
-    @property
-    def n_modes(self) -> int:
-        return self.scenario.n_modes
 
 
 @dataclass(frozen=True)
@@ -152,24 +147,31 @@ def check_density(n: float, lam: float, scenario: Scenario) -> None:
         raise ValueError(f"lambda {lam} outside [0, 1]")
 
 
-def from_density(params: DensityParameters, scenario: Scenario) -> BogolyubovCoefficients:
+def from_density(scenario: Scenario, n: float, lam: float = 0.5,
+                 phases: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
+                 ) -> BogolyubovCoefficients:
     """Coefficient set realizing a given created-particle density.
+
+    n is the total created-particle density in [0, n_max]; lam in [0, 1]
+    splits pair creation between the spin-preserving and spin-flip
+    channels and is read by the charge-only scenario alone; phases
+    supplies four angles, three free entry phases plus one overall phase.
 
     a**2 = (n_max - n)/n_max in every scenario.  Charge-only splits the
     per-channel moduli as |beta_uu|**2 = |beta_dd|**2 = (1-lam) n/4 and
     |beta_ud|**2 = |beta_du|**2 = lam n/4; the up-up, up-down and
-    down-down phases come from ``params.phases[:3]`` (all shifted by the
+    down-down phases come from ``phases[:3]`` (all shifted by the
     overall ``phases[3]``) and the down-up phase is solved from the
     orthogonality constraint.  When a channel modulus vanishes the same
     formula is kept, which satisfies the then-vacuous constraint.
     """
     n_max = scenario.n_max
-    n = float(params.n)
-    lam = float(params.lam)
+    n = float(n)
+    lam = float(lam)
     check_density(n, lam, scenario)
-    if len(params.phases) != 4:
+    if len(phases) != 4:
         raise ValueError("phases must supply four angles")
-    p1, p2, p3, p4 = (float(p) for p in params.phases)
+    p1, p2, p3, p4 = (float(p) for p in phases)
     a = math.sqrt((n_max - n) / n_max)
     beta = np.zeros((2, 2), dtype=complex)
     if scenario is Scenario.CHARGE_ONLY:
@@ -310,10 +312,14 @@ def mu_nu_from_theta(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = cos|theta| and nu = -sin|theta| |theta|^-1 theta, evaluated
     through the Hermitian eigendecomposition of theta^dag theta; the
     sin(x)/x factor extends analytically through singular |theta|.  A
-    stack of shape (..., n, n) gives stacks of mu and nu.
+    stack of shape (..., n, n) gives stacks of mu and nu.  Raises when
+    theta^dag theta overflows, which a finite but huge theta can do.
     """
     theta = check_theta(theta)
-    eigs, vecs = np.linalg.eigh(theta.conj().swapaxes(-1, -2) @ theta)
+    gram = theta.conj().swapaxes(-1, -2) @ theta
+    if not np.isfinite(gram).all():
+        raise ValueError("theta^dag theta overflows")
+    eigs, vecs = np.linalg.eigh(gram)
     radii = np.sqrt(np.clip(eigs, 0.0, None))[..., np.newaxis, :]
     mu = (vecs * np.cos(radii)) @ vecs.conj().swapaxes(-1, -2)
     sinc = np.sinc(radii / math.pi)  # sin(r)/r with the r = 0 limit built in
@@ -331,7 +337,7 @@ def expected_pair_mixing(coeffs: BogolyubovCoefficients) -> tuple[np.ndarray, np
     :func:`theta_from_coefficients` returns
     theta = -(arccos a / sin arccos a) * nu.
     """
-    n = coeffs.n_modes
+    n = coeffs.scenario.n_modes
     mu = coeffs.a * np.eye(n, dtype=complex)
     nu = np.zeros((n, n), dtype=complex)
     b = coeffs.beta
@@ -356,4 +362,4 @@ def random_coefficients(scenario: Scenario,
     n = float(rng.uniform(0.0, RANDOM_DENSITY_FRACTION_MAX * scenario.n_max))
     lam = float(rng.uniform(0.0, 1.0))
     phases = tuple(float(p) for p in rng.uniform(0.0, 2.0 * math.pi, size=4))
-    return from_density(DensityParameters(n=n, lam=lam, phases=phases), scenario)
+    return from_density(scenario, n, lam, phases)

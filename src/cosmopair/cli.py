@@ -111,16 +111,14 @@ def state_token_to_occupation(token: str, scenario: Scenario) -> int:
         allowed = ", ".join(sorted(table))
         raise ValueError(f"state token {token!r} invalid for {scenario.value} "
                          f"(parts: {allowed})") from None
-    shift = 1 if scenario is Scenario.SPINLESS else 2
-    return particle | (anti << shift)
+    return scenario.join_occupation(particle, anti)
 
 
 def occupation_to_state_token(occupation: int, scenario: Scenario) -> str:
-    shift = 1 if scenario is Scenario.SPINLESS else 2
-    mask = (1 << shift) - 1
     table = _SPINLESS_PARTS if scenario is Scenario.SPINLESS else _SPINFUL_PARTS
     reverse = {v: k for k, v in table.items()}
-    return f"{reverse[occupation & mask]}.{reverse[occupation >> shift & mask]}"
+    particle, anti = scenario.split_occupation(occupation)
+    return f"{reverse[particle]}.{reverse[anti]}"
 
 
 def _fmt(value) -> str:

@@ -204,7 +204,6 @@ class ModeSolution:
     g_dot: np.ndarray
     params: ModeParameters
     profile: ScaleFactorProfile
-    tol: float
     n_rhs_evaluations: int
     shifted: tuple[float, complex, complex] | None
 
@@ -297,7 +296,7 @@ def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
     samples = np.isin(sol.t, grid)
     y = sol.y[:, samples]
     return ModeSolution(tau=sol.t[samples], f=y[0], f_dot=y[1], g=y[2], g_dot=y[3],
-                        params=params, profile=profile, tol=tol,
+                        params=params, profile=profile,
                         n_rhs_evaluations=int(sol.nfev), shifted=shifted)
 
 
@@ -361,22 +360,25 @@ class DressingResult:
 
 
 def dress_coefficients(scalar: ScalarBogolyubov, params: ModeParameters,
-                       contraction: np.ndarray, profile: ScaleFactorProfile,
-                       tol: float = 1e-9) -> DressingResult:
+                       profile: ScaleFactorProfile, tol: float = 1e-9) -> DressingResult:
     """Dress scalar amplitudes into a validated coefficient set.
 
+    beta is the flat-spinor contraction of ``params.p_vec`` times a
+    scalar, so lambda_effective, the spin-flip share of |beta|**2, is read
+    from the contraction; it is 0 where the contraction vanishes (p = 0).
     The amplitude is made real by stripping (and recording) its global
     phase, which rotates operator phases but none of the mixing moduli.
     Raises when the resulting set violates the normalization constraints
     beyond 10 * tol, signalling an integration or matching bug.
     """
+    contraction = spinor_contraction(params.p_vec)
     en = asymptotic_energies(params, profile)
     raw_a = math.sqrt(en.e_out / en.e_in * (en.e_out + en.m_out) / (en.e_in + en.m_in)) \
         * scalar.a_minus
     magnitude = abs(raw_a)
     phase = raw_a / magnitude if magnitude > 0 else complex(1.0)
     denom = math.sqrt((en.e_in / en.e_out) * (en.e_out + en.m_out) * (en.e_in + en.m_in))
-    beta = -1j * np.asarray(contraction, dtype=complex) * scalar.b_minus / denom
+    beta = -1j * contraction * scalar.b_minus / denom
     coeffs = BogolyubovCoefficients(scenario=Scenario.CHARGE_ONLY,
                                     a=min(magnitude, 1.0), beta=beta)
     report = validate(coeffs, tolerance=10.0 * tol)
@@ -384,15 +386,8 @@ def dress_coefficients(scalar: ScalarBogolyubov, params: ModeParameters,
         raise IntegrationError(
             f"dressed coefficients violate constraints beyond {10 * tol}: "
             f"{report.failing()} (worst {report.worst:.3e})")
-    flip2 = abs(beta[UP, DOWN]) ** 2
-    keep2 = abs(beta[UP, UP]) ** 2
     denom_lambda = abs(contraction[UP, DOWN]) ** 2 + abs(contraction[UP, UP]) ** 2
-    if denom_lambda > 0:
-        lambda_eff = abs(contraction[UP, DOWN]) ** 2 / denom_lambda
-    elif flip2 + keep2 > 0:
-        lambda_eff = flip2 / (flip2 + keep2)
-    else:
-        lambda_eff = 0.0
+    lambda_eff = abs(contraction[UP, DOWN]) ** 2 / denom_lambda if denom_lambda > 0 else 0.0
     return DressingResult(coefficients=coeffs, stripped_phase=phase,
                           lambda_effective=float(lambda_eff),
                           normalization_residual=report.worst)
@@ -439,7 +434,6 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
 
     check_point_tolerance(tol)
     params = ModeParameters(p_vec=tuple(p_vec), m=m)
-    contraction = spinor_contraction(params.p_vec)
     span = default_tau_span(profile, tol / REFINEMENT)
 
     def run(run_tol: float) -> ScalarBogolyubov:
@@ -450,7 +444,7 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
     scalar_fine = run(tol / REFINEMENT)
     self_conv = max(abs(scalar.a_minus - scalar_fine.a_minus),
                     abs(scalar.b_minus - scalar_fine.b_minus))
-    dressed = dress_coefficients(scalar, params, contraction, profile, tol=tol)
+    dressed = dress_coefficients(scalar, params, profile, tol=tol)
     coeffs = dressed.coefficients
     n_created = particle_density(coeffs)
     s_num = entropy_numeric(coeffs, occupation=0)

@@ -38,7 +38,6 @@ import numpy as np
 from cosmopair import fock, squeezing
 from cosmopair.bogoliubov import (
     BogolyubovCoefficients,
-    DensityParameters,
     Scenario,
     check_density,
     from_density,
@@ -119,13 +118,8 @@ def entropy_numeric(coeffs: BogolyubovCoefficients | Sequence[BogolyubovCoeffici
         raise ValueError(f"occupation {occupation} out of range for {n_modes} modes")
     thetas = np.array([theta_from_coefficients(c) for c in sets])
     evolved = unitary_dense(build_generator(thetas))[:, :, occupation]
-    entropies = [fock.subsystem_entropy(state, scenario.particle_modes, n_modes)
-                 for state in evolved]
+    entropies = [fock.subsystem_entropy(state, scenario.particle_modes) for state in evolved]
     return entropies[0] if single else entropies
-
-
-def _spin_pattern(occupation: int) -> tuple[int, int]:
-    return occupation & 0b11, (occupation >> 2) & 0b11
 
 
 def entropy_excited_closed_form(occupation: int, n: float, lam: float,
@@ -136,17 +130,13 @@ def entropy_excited_closed_form(occupation: int, n: float, lam: float,
     (extended across spin flips and particle/antiparticle mirrors, each
     variant verified against the numeric route in the test suite).
     """
-    dim = fock.dimension(scenario.n_modes)
-    if not 0 <= occupation < dim:
-        raise ValueError(f"occupation {occupation} out of range")
+    particle_bits, anti_bits = scenario.split_occupation(occupation)
     n_max = scenario.n_max
     n = _within(n, n_max, "density")
     if scenario is Scenario.SPINLESS:
-        particle, antiparticle = occupation & 1, occupation >> 1 & 1
-        if particle == antiparticle:
+        if particle_bits == anti_bits:
             return entropy_vacuum_closed_form(n, scenario)
         return 0.0
-    particle_bits, anti_bits = _spin_pattern(occupation)
     p_count, a_count = fock.occupancy(particle_bits), fock.occupancy(anti_bits)
     charge = p_count - a_count
     if abs(charge) == 2:
@@ -222,7 +212,7 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
     results = []
     for start in range(0, len(points), squeezing.STACK_BLOCK):
         block = points[start:start + squeezing.STACK_BLOCK]
-        sets = [from_density(DensityParameters(n=n, lam=lam), scenario) for n, lam in block]
+        sets = [from_density(scenario, n, lam) for n, lam in block]
         numerics = entropy_numeric(sets, occupation)
         results.extend(_point_result(scenario, occupation, n, lam, numeric)
                        for (n, lam), numeric in zip(block, numerics))

@@ -141,13 +141,14 @@ def outer_product(state: np.ndarray) -> np.ndarray:
     return np.outer(state, state.conj())
 
 
-def partial_trace(rho: np.ndarray, keep, n_modes: int) -> np.ndarray:
+def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     """Reduced density operator on a subset of modes.
 
-    Pairs row/column indices through the little-endian bit encoding, so
-    the reduced basis index packs the kept modes in increasing mode
-    order.  Trace and Hermiticity are preserved; diagonal occupation
-    probabilities are exact sums of the input diagonal.
+    rho must be a (2**n, 2**n) operator with n >= 1; n is read from its
+    shape.  Pairs row/column indices through the little-endian bit
+    encoding, so the reduced basis index packs the kept modes in
+    increasing mode order.  Trace and Hermiticity are preserved; diagonal
+    occupation probabilities are exact sums of the input diagonal.
 
     rho is reshaped to a tensor of 2n binary axes, n row axes then n
     column axes.  The reshape is row-major, so bit i of a basis index
@@ -155,15 +156,16 @@ def partial_trace(rho: np.ndarray, keep, n_modes: int) -> np.ndarray:
     modes share a label between their row and column axes and are summed
     in one ``einsum``.
     """
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0] if rho.ndim == 2 else 0
+    n_modes = dim.bit_length() - 1
+    if rho.shape != (dim, dim) or n_modes < 1 or dimension(n_modes) != dim:
+        raise ValueError(f"operator shape {rho.shape} is not (2**n, 2**n) with n >= 1")
     keep = sorted(set(int(m) for m in keep))
     if not keep:
         raise ValueError("keep must be a nonempty set of modes")
     if keep[0] < 0 or keep[-1] >= n_modes:
         raise ValueError(f"keep {keep} is not a subset of range({n_modes})")
-    rho = np.asarray(rho, dtype=complex)
-    dim = dimension(n_modes)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"operator shape {rho.shape} does not match {n_modes} modes")
     if len(keep) == n_modes:
         return rho.copy()
     # Bit i of an index maps to tensor axis n-1-i (row half) and 2n-1-i
@@ -216,22 +218,27 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return min(entropy_of_eigenvalues(eigs), math.log2(len(eigs)))
 
 
-def subsystem_entropy(state: np.ndarray, keep, n_modes: int) -> float:
+def subsystem_entropy(state: np.ndarray, keep) -> float:
     """Entropy in bits of the modes ``keep`` of a normalized pure state.
 
-    Forms |psi><psi|, traces out every other mode and diagonalizes the
-    reduced operator; both halves of a pure state share this entropy.
+    The state has length 2**n with n >= 1.  Forms |psi><psi|, traces out
+    every other mode and diagonalizes the reduced operator; both halves
+    of a pure state share this entropy.
     """
-    return von_neumann_entropy(partial_trace(outer_product(state), keep, n_modes))
+    return von_neumann_entropy(partial_trace(outer_product(state), keep))
 
 
 def entropy_of_eigenvalues(eigenvalues) -> float:
     """Entropy in bits of a probability vector, with the 0 log 0 = 0 rule.
 
     Entries at or below ``EIGENVALUE_FLOOR`` count as exact zeros.
+    Raises ValueError for an entry that is NaN or outside [0, 1].
     """
     total = 0.0
     for lam in eigenvalues:
+        # Written as "not within" so that a NaN entry fails the gate.
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"eigenvalue {lam} outside [0, 1]")
         if lam > EIGENVALUE_FLOOR:
             total -= lam * np.log2(lam)
     return float(total) + 0.0  # +0.0 folds -0.0 into 0.0

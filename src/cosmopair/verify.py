@@ -19,7 +19,6 @@ from cosmopair.bogoliubov import (
     DOWN,
     UP,
     BogolyubovCoefficients,
-    DensityParameters,
     Scenario,
     cross_term_identity,
     determinant_combination,
@@ -92,10 +91,9 @@ def _grid_sets(scenario: Scenario) -> list[BogolyubovCoefficients]:
         n = n_raw * scenario.n_max / 4.0
         if scenario is Scenario.CHARGE_ONLY:
             for lam in _LAMBDA_GRID:
-                sets.append(from_density(DensityParameters(n=n, lam=lam, phases=phases),
-                                         scenario))
+                sets.append(from_density(scenario, n, lam, phases))
         else:
-            sets.append(from_density(DensityParameters(n=n, phases=phases), scenario))
+            sets.append(from_density(scenario, n, phases=phases))
     return sets
 
 
@@ -258,7 +256,7 @@ def _check_entropy_curves() -> list[CheckResult]:
     for scenario in Scenario:
         densities = [n_raw * scenario.n_max / 4.0 for n_raw in _ENTROPY_GRID]
         numerics = entropy_numeric(
-            [from_density(DensityParameters(n=n, lam=0.5), scenario) for n in densities],
+            [from_density(scenario, n, lam=0.5) for n in densities],
             occupation=0)
         worst = max(abs(numeric - entropy_vacuum_closed_form(n, scenario))
                     for n, numeric in zip(densities, numerics))
@@ -266,8 +264,7 @@ def _check_entropy_curves() -> list[CheckResult]:
                                detail="41-point density grid"))
     worst_lam = 0.0
     for n in (0.5, 1.0, 2.0, 3.0, 3.5):
-        values = entropy_numeric([from_density(DensityParameters(n=n, lam=lam),
-                                               Scenario.CHARGE_ONLY)
+        values = entropy_numeric([from_density(Scenario.CHARGE_ONLY, n, lam)
                                   for lam in (0.0, 0.25, 0.5, 0.75, 1.0)], 0)
         worst_lam = max(worst_lam, max(values) - min(values))
     results.append(_result("vacuum_entropy_lambda_independence", worst_lam, 1e-10))
@@ -285,11 +282,11 @@ def _check_excited_catalogue() -> list[CheckResult]:
         densities = [d for d in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0) if d <= scenario.n_max]
         for n in densities:
             for lam in lambdas:
-                coeffs = from_density(DensityParameters(n=n, lam=lam), scenario)
+                coeffs = from_density(scenario, n, lam)
                 unitary = unitary_for(coeffs)
                 for occupation in range(fock.dimension(n_modes)):
                     numeric = fock.subsystem_entropy(unitary[:, occupation],
-                                                     scenario.particle_modes, n_modes)
+                                                     scenario.particle_modes)
                     closed = entropy_excited_closed_form(occupation, n, lam, scenario)
                     worst = max(worst, abs(numeric - closed))
         results.append(_result(f"excited_entropy_catalogue_{scenario.value}", worst, 1e-10,
@@ -304,19 +301,17 @@ def _check_conservation() -> list[CheckResult]:
         charge = fock.charge_operator(scenario.n_modes)
         for n in (0.5, 1.5, 2.5):
             n_scaled = n * scenario.n_max / 4.0
-            coeffs = from_density(DensityParameters(n=n_scaled, lam=0.4,
-                                                    phases=(0.2, 1.0, -0.5, 0.0)), scenario)
+            coeffs = from_density(scenario, n_scaled, 0.4, (0.2, 1.0, -0.5, 0.0))
             unitary = unitary_for(coeffs)
             worst_charge = max(worst_charge, float(np.max(np.abs(
                 unitary @ charge - charge @ unitary))))
     results.append(_result("charge_commutation", worst_charge, 1e-12,
                            detail="all scenarios"))
     jz = fock.spin_z_operator()
-    cam = from_density(DensityParameters(n=2.0), Scenario.CHARGE_AND_ANGULAR_MOMENTUM)
+    cam = from_density(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 2.0)
     u_cam = unitary_for(cam)
     residual_cam = float(np.max(np.abs(u_cam @ jz - jz @ u_cam)))
-    witness_set = from_density(DensityParameters(n=2.0, lam=0.2),
-                               Scenario.CHARGE_ONLY)
+    witness_set = from_density(Scenario.CHARGE_ONLY, 2.0, lam=0.2)
     u_witness = unitary_for(witness_set)
     witness = float(np.max(np.abs(u_witness @ jz - jz @ u_witness)))
     ok = residual_cam <= 1e-12 and witness > 1e-3
@@ -348,10 +343,8 @@ def _check_complementary_reductions(seed: int) -> CheckResult:
             unitary = unitary_for(coeffs)
             occupation = int(rng.integers(fock.dimension(scenario.n_modes)))
             evolved = unitary[:, occupation]
-            s_particle = fock.subsystem_entropy(evolved, scenario.particle_modes,
-                                                scenario.n_modes)
-            s_anti = fock.subsystem_entropy(evolved, scenario.antiparticle_modes,
-                                            scenario.n_modes)
+            s_particle = fock.subsystem_entropy(evolved, scenario.particle_modes)
+            s_anti = fock.subsystem_entropy(evolved, scenario.antiparticle_modes)
             worst = max(worst, abs(s_particle - s_anti))
     return _result("complementary_reduction_entropy", worst, 1e-10)
 

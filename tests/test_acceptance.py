@@ -14,7 +14,6 @@ from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import (
     DOWN,
     UP,
-    DensityParameters,
     Scenario,
     cross_term_identity,
     determinant_combination,
@@ -56,15 +55,13 @@ def test_criterion_01_vacuum_entropy_spinful():
     for scenario in SPINFUL:
         for k in range(41):
             n = 0.1 * k
-            numeric = entropy_numeric(from_density(DensityParameters(n=n, lam=0.5),
-                                                   scenario), 0)
+            numeric = entropy_numeric(from_density(scenario, n, lam=0.5), 0)
             closed = -2 * ((4 - n) / 4) * math.log2((4 - n) / 4) if n < 4 else 0.0
             if 0.0 < n:
                 closed += -2 * (n / 4) * math.log2(n / 4)
             worst = max(worst, abs(numeric - closed))
         for n, target in ((0.0, 0.0), (4.0, 0.0), (2.0, 2.0)):
-            numeric = entropy_numeric(from_density(DensityParameters(n=n, lam=0.5),
-                                                   scenario), 0)
+            numeric = entropy_numeric(from_density(scenario, n, lam=0.5), 0)
             worst = max(worst, abs(numeric - target))
     _report(1, "vacuum entropy, spinful", worst, 1e-10)
 
@@ -73,15 +70,14 @@ def test_criterion_02_vacuum_entropy_spinless():
     worst = 0.0
     for k in range(41):
         n = 0.05 * k
-        numeric = entropy_numeric(from_density(DensityParameters(n=n),
-                                               Scenario.SPINLESS), 0)
+        numeric = entropy_numeric(from_density(Scenario.SPINLESS, n), 0)
         closed = 0.0
         if 0.0 < n:
             closed += -(n / 2) * math.log2(n / 2)
         if n < 2.0:
             closed += -(1 - n / 2) * math.log2(1 - n / 2)
         worst = max(worst, abs(numeric - closed))
-    one = entropy_numeric(from_density(DensityParameters(n=1.0), Scenario.SPINLESS), 0)
+    one = entropy_numeric(from_density(Scenario.SPINLESS, 1.0), 0)
     worst = max(worst, abs(one - 1.0))
     _report(2, "vacuum entropy, spinless", worst, 1e-10)
 
@@ -94,8 +90,7 @@ def test_criterion_03_scaling_relation():
 def test_criterion_04_lambda_independence_and_vacuum_expansion():
     worst = 0.0
     for n in (0.5, 1.0, 2.0, 3.0, 3.5):
-        values = [entropy_numeric(from_density(DensityParameters(n=n, lam=lam),
-                                               Scenario.CHARGE_ONLY), 0)
+        values = [entropy_numeric(from_density(Scenario.CHARGE_ONLY, n, lam=lam), 0)
                   for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
         worst = max(worst, max(values) - min(values))
     rng = np.random.default_rng(2025)
@@ -146,8 +141,7 @@ def test_criterion_06_constraint_relations():
     for k in range(17):
         n = 0.25 * k
         for lam in [0.1 * j for j in range(11)]:
-            coeffs = from_density(DensityParameters(n=n, lam=lam, phases=phases),
-                                  Scenario.CHARGE_ONLY)
+            coeffs = from_density(Scenario.CHARGE_ONLY, n, lam=lam, phases=phases)
             worst = max(worst, validate(coeffs).worst)
             first, second = cross_term_identity(coeffs)
             worst = max(worst, abs(first), abs(second))
@@ -164,7 +158,7 @@ def test_criterion_07_excited_state_catalogue():
     charge_one = (0b0001, 0b0010, 0b0100, 0b1000, 0b0111, 0b1011, 0b1101, 0b1110)
     for scenario in SPINFUL:
         for n in grid:
-            coeffs = from_density(DensityParameters(n=n, lam=0.5), scenario)
+            coeffs = from_density(scenario, n, lam=0.5)
             for occupation in charge_two:
                 worst = max(worst, abs(entropy_numeric(coeffs, occupation)))
             target = -((4 - n) / 4) * math.log2((4 - n) / 4) \
@@ -172,26 +166,22 @@ def test_criterion_07_excited_state_catalogue():
             for occupation in charge_one:
                 worst = max(worst, abs(entropy_numeric(coeffs, occupation) - target))
     for n in grid:
-        cam = from_density(DensityParameters(n=n),
-                           Scenario.CHARGE_AND_ANGULAR_MOMENTUM)
+        cam = from_density(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, n)
         worst = max(worst, abs(entropy_numeric(cam, 0b0101)))
         vacuum_value = entropy_vacuum_closed_form(n, Scenario.CHARGE_AND_ANGULAR_MOMENTUM)
         worst = max(worst, abs(entropy_numeric(cam, 0b0110) - vacuum_value))
     # lambda-dependent pair inputs: closed form tracks the numeric oracle
     for n in grid:
         for lam in (0.1, 0.5, 0.9):
-            coeffs = from_density(DensityParameters(n=n, lam=lam),
-                                  Scenario.CHARGE_ONLY)
+            coeffs = from_density(Scenario.CHARGE_ONLY, n, lam=lam)
             for occupation in (0b0101, 0b0110):
                 numeric = entropy_numeric(coeffs, occupation)
                 closed = entropy_excited_closed_form(occupation, n, lam,
                                                      Scenario.CHARGE_ONLY)
                 worst = max(worst, abs(numeric - closed))
     spread = abs(
-        entropy_numeric(from_density(DensityParameters(n=2.0, lam=0.1),
-                                     Scenario.CHARGE_ONLY), 0b0101)
-        - entropy_numeric(from_density(DensityParameters(n=2.0, lam=0.9),
-                                       Scenario.CHARGE_ONLY), 0b0101))
+        entropy_numeric(from_density(Scenario.CHARGE_ONLY, 2.0, lam=0.1), 0b0101)
+        - entropy_numeric(from_density(Scenario.CHARGE_ONLY, 2.0, lam=0.9), 0b0101))
     _report(7, "excited-state entropy catalogue", worst, 1e-10,
             passed=(worst <= 1e-10 and spread > 0.01))
 
@@ -201,18 +191,15 @@ def test_criterion_08_conservation_laws():
     for scenario in Scenario:
         charge = fock.charge_operator(scenario.n_modes)
         for n in (0.8, 2.0):
-            coeffs = from_density(
-                DensityParameters(n=n * scenario.n_max / 4.0, lam=0.4,
-                                  phases=(0.2, 1.2, -0.7, 0.1)), scenario)
+            coeffs = from_density(scenario, n * scenario.n_max / 4.0, lam=0.4,
+                                  phases=(0.2, 1.2, -0.7, 0.1))
             unitary = unitary_for(coeffs)
             worst_charge = max(worst_charge, float(np.max(np.abs(
                 unitary @ charge - charge @ unitary))))
     jz = fock.spin_z_operator()
-    cam = unitary_for(from_density(DensityParameters(n=2.0),
-                                   Scenario.CHARGE_AND_ANGULAR_MOMENTUM))
+    cam = unitary_for(from_density(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 2.0))
     cam_residual = float(np.max(np.abs(cam @ jz - jz @ cam)))
-    witness_coeffs = from_density(DensityParameters(n=2.0, lam=0.2),
-                                  Scenario.CHARGE_ONLY)
+    witness_coeffs = from_density(Scenario.CHARGE_ONLY, 2.0, lam=0.2)
     assert abs(witness_coeffs.beta[UP, UP]) >= 0.3
     witness_unitary = unitary_for(witness_coeffs)
     witness = float(np.max(np.abs(witness_unitary @ jz - jz @ witness_unitary)))

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from conftest import ALL_SCENARIOS, seeded_sets
 from cosmopair import bogoliubov as bg
-from cosmopair.bogoliubov import DOWN, UP, DensityParameters, Scenario
+from cosmopair.bogoliubov import DOWN, UP, Scenario
 
 
 def coeffs(n, lam=0.5, scenario=Scenario.CHARGE_ONLY, phases=(0.0, 0.0, 0.0, 0.0)):
-    return bg.from_density(DensityParameters(n=n, lam=lam, phases=phases), scenario)
+    return bg.from_density(scenario, n, lam=lam, phases=phases)
 
 
 densities = st.floats(min_value=0.0, max_value=4.0, allow_nan=False)
@@ -48,6 +48,8 @@ def test_from_density_argument_errors():
         coeffs(2.5, scenario=Scenario.SPINLESS)
     with pytest.raises(ValueError):
         coeffs(1.0, lam=1.5)
+    with pytest.raises(ValueError):
+        coeffs(1.0, phases=(0.0, 0.0, 0.0))
 
 
 @given(n=densities, lam=lambdas, p=st.tuples(angles, angles, angles, angles))
@@ -166,7 +168,7 @@ def test_theta_scalar_modulus_and_pattern(scenario):
         r = bg.squeezing_angle(theta)
         assert abs(r - math.acos(min(c.a, 1.0))) <= 1e-12
         gram = theta.conj().T @ theta
-        assert np.max(np.abs(gram - r**2 * np.eye(c.n_modes))) <= 1e-12
+        assert np.max(np.abs(gram - r**2 * np.eye(c.scenario.n_modes))) <= 1e-12
         if scenario is not Scenario.SPINLESS:
             assert np.max(np.abs(theta[:2, :2])) == 0.0
             assert np.max(np.abs(theta[2:, 2:])) == 0.0
@@ -216,6 +218,17 @@ def test_mu_nu_round_trip_and_constraints(scenario):
 def test_mu_nu_rejects_non_antisymmetric():
     with pytest.raises(ValueError):
         bg.mu_nu_from_theta(np.eye(4, dtype=complex))
+
+
+def test_occupation_bit_layout():
+    assert Scenario.CHARGE_ONLY.split_occupation(0b0110) == (0b10, 0b01)
+    assert Scenario.SPINLESS.split_occupation(0b10) == (0, 1)
+    for scenario in ALL_SCENARIOS:
+        for occupation in range(1 << scenario.n_modes):
+            assert scenario.join_occupation(*scenario.split_occupation(occupation)) == occupation
+        for bad in (-1, 1 << scenario.n_modes):
+            with pytest.raises(ValueError):
+                scenario.split_occupation(bad)
 
 
 def test_scenario_tokens():

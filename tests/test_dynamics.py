@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_SCENARIOS
 from cosmopair import dynamics as dyn
-from cosmopair.bogoliubov import DensityParameters, Scenario, from_density, validate
+from cosmopair.bogoliubov import Scenario, from_density, validate
 
 TANH = dyn.ScaleFactorProfile.smooth_step(1.0, 1.0)
 FLAT = dyn.ScaleFactorProfile.constant(1.0)
@@ -184,8 +184,7 @@ def test_dress_constant_profile_is_trivial():
     params = dyn.ModeParameters(p_vec=(0.5, 0.5, 0.5), m=1.0)
     sol = dyn.integrate_mode(params, FLAT, tau_span=(-8.0, 8.0), tol=1e-10)
     scalar = dyn.extract_scalar_coefficients(sol)
-    contraction = dyn.spinor_contraction(params.p_vec)
-    dressed = dyn.dress_coefficients(scalar, params, contraction, FLAT, tol=1e-10)
+    dressed = dyn.dress_coefficients(scalar, params, FLAT, tol=1e-10)
     assert abs(dressed.coefficients.a - 1.0) <= 1e-8
     assert np.max(np.abs(dressed.coefficients.beta)) <= 1e-8
     assert dyn.particle_density(dressed.coefficients) <= 1e-8
@@ -196,8 +195,7 @@ def test_dress_tanh_profile_normalization_and_lambda():
     tol = 1e-9
     sol = dyn.integrate_mode(params, TANH, tol=tol)
     scalar = dyn.extract_scalar_coefficients(sol)
-    contraction = dyn.spinor_contraction(params.p_vec)
-    dressed = dyn.dress_coefficients(scalar, params, contraction, TANH, tol=tol)
+    dressed = dyn.dress_coefficients(scalar, params, TANH, tol=tol)
     assert dressed.normalization_residual <= 10 * tol
     assert validate(dressed.coefficients, tolerance=10 * tol).passed
     # direction (1,1,1): flip fraction is (px^2+py^2)/|p|^2 = 2/3
@@ -209,9 +207,9 @@ def test_particle_density_round_trip():
     for scenario, n in ((Scenario.CHARGE_ONLY, 2.0),
                         (Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 2.0),
                         (Scenario.SPINLESS, 1.2)):
-        coeffs = from_density(DensityParameters(n=n, lam=0.35), scenario)
+        coeffs = from_density(scenario, n, lam=0.35)
         assert abs(dyn.particle_density(coeffs) - n) <= 1e-12
-    zero = from_density(DensityParameters(n=0.0), Scenario.CHARGE_ONLY)
+    zero = from_density(Scenario.CHARGE_ONLY, 0.0)
     assert dyn.particle_density(zero) == 0.0
 
 
@@ -227,7 +225,7 @@ _PHASE = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 @example(fraction=1.0, lam=0.5, phases=(0.0, 0.0, 0.0, 0.0))
 def test_particle_density_round_trip_within_bounds(scenario, fraction, lam, phases):
     n = min(fraction * scenario.n_max, scenario.n_max)
-    coeffs = from_density(DensityParameters(n=n, lam=lam, phases=phases), scenario)
+    coeffs = from_density(scenario, n, lam=lam, phases=phases)
     density = dyn.particle_density(coeffs)
     assert abs(density - n) <= 1e-12
     assert 0.0 <= density <= scenario.n_max
@@ -239,6 +237,15 @@ def test_momentum_point_end_to_end():
     assert point.self_convergence <= 1e-8
     assert abs(point.s_numeric - point.s_closed) <= 1e-6
     assert 0.0 < point.n_created < 4.0
+
+
+def test_zero_momentum_point_creates_nothing():
+    # The one input where the spinor contraction, and with it beta, vanishes.
+    point = dyn.momentum_point((0.0, 0.0, 0.0), 1.0, TANH)
+    assert point.beta_moduli == (0.0, 0.0, 0.0, 0.0)
+    assert point.lambda_effective == 0.0
+    assert point.n_created == 0.0
+    assert point.s_numeric == 0.0 and point.s_closed == 0.0
 
 
 def test_density_falls_off_at_large_momentum():

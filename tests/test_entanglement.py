@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import ALL_SCENARIOS
 from cosmopair import entanglement as ent
 from cosmopair import fock, squeezing
-from cosmopair.bogoliubov import DensityParameters, Scenario, from_density
+from cosmopair.bogoliubov import Scenario, from_density
 from cosmopair.squeezing import unitary_for
 
 # Frozen oracle values, evaluated from the defining formulas in extended
@@ -23,7 +23,7 @@ SPINFUL = (Scenario.CHARGE_ONLY, Scenario.CHARGE_AND_ANGULAR_MOMENTUM)
 
 
 def coeffs(n, lam=0.5, scenario=Scenario.CHARGE_ONLY):
-    return from_density(DensityParameters(n=n, lam=lam), scenario)
+    return from_density(scenario, n, lam=lam)
 
 
 def test_vacuum_closed_form_values():
@@ -161,8 +161,7 @@ _PHASE = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 @example(scenario=Scenario.CHARGE_ONLY, fraction=0.5, lam=0.0, phases=(0.0, 0.0, 0.0, 0.0))
 def test_entropy_numeric_within_subsystem_bounds(scenario, fraction, lam, phases):
     n = min(fraction * scenario.n_max, scenario.n_max)
-    params = DensityParameters(n=n, lam=lam, phases=phases)
-    coefficients = from_density(params, scenario)
+    coefficients = from_density(scenario, n, lam=lam, phases=phases)
     bound = len(scenario.particle_modes)
     for occupation in range(fock.dimension(scenario.n_modes)):
         entropy = ent.entropy_numeric(coefficients, occupation)
@@ -187,11 +186,9 @@ def test_complementary_reductions_for_evolved_states(scenario):
         evolved = unitary_for(coeffs(n, 0.3, scenario))[:, occupation]
         rho = fock.outer_product(evolved)
         explicit = fock.von_neumann_entropy(
-            fock.partial_trace(rho, scenario.particle_modes, scenario.n_modes))
-        s_particle = fock.subsystem_entropy(evolved, scenario.particle_modes,
-                                            scenario.n_modes)
-        s_anti = fock.subsystem_entropy(evolved, scenario.antiparticle_modes,
-                                        scenario.n_modes)
+            fock.partial_trace(rho, scenario.particle_modes))
+        s_particle = fock.subsystem_entropy(evolved, scenario.particle_modes)
+        s_anti = fock.subsystem_entropy(evolved, scenario.antiparticle_modes)
         assert s_particle == explicit
         assert abs(s_particle - s_anti) <= 1e-10
 
@@ -228,7 +225,7 @@ def test_sweep_and_from_density_share_the_range_rule(n, lam):
     with pytest.raises(ValueError) as swept:
         ent.sweep(Scenario.CHARGE_ONLY, 0, [n], [lam])
     with pytest.raises(ValueError) as built:
-        from_density(DensityParameters(n=n, lam=lam), Scenario.CHARGE_ONLY)
+        from_density(Scenario.CHARGE_ONLY, n, lam=lam)
     assert str(swept.value) == str(built.value)
 
 
@@ -248,10 +245,9 @@ def density_sets(scenario, size, seed, edge):
     fractions = rng.uniform(0.0, 1.0, size)
     positions = rng.permutation(size)[:2]
     fractions[positions] = (edge, 1.0 - edge)[:len(positions)]
-    return [from_density(DensityParameters(n=min(f * scenario.n_max, scenario.n_max),
-                                           lam=float(rng.uniform(0.0, 1.0)),
-                                           phases=tuple(rng.uniform(-math.pi, math.pi, 4))),
-                         scenario)
+    return [from_density(scenario, min(f * scenario.n_max, scenario.n_max),
+                         lam=float(rng.uniform(0.0, 1.0)),
+                         phases=tuple(rng.uniform(-math.pi, math.pi, 4)))
             for f in fractions]
 
 

@@ -74,14 +74,14 @@ def test_outer_product_random_state_properties(seed):
 def test_partial_trace_product_state():
     # |1>_p x |0>_a : tracing the second mode leaves a pure occupied mode
     rho = fock.outer_product(fock.basis_state(0b01, 2))
-    reduced = fock.partial_trace(rho, [0], 2)
+    reduced = fock.partial_trace(rho, [0])
     assert np.allclose(reduced, np.diag([0, 1]))
 
 
 def test_partial_trace_maximally_entangled():
     state = np.zeros(4, dtype=complex)
     state[0b00] = state[0b11] = 1 / np.sqrt(2)
-    reduced = fock.partial_trace(fock.outer_product(state), [0], 2)
+    reduced = fock.partial_trace(fock.outer_product(state), [0])
     assert np.allclose(reduced, np.diag([0.5, 0.5]))
 
 
@@ -90,7 +90,7 @@ def test_partial_trace_two_mode_squeezed_half_half():
     a = 1 / np.sqrt(2)
     state = np.zeros(4, dtype=complex)
     state[0b00], state[0b11] = a, -a
-    reduced = fock.partial_trace(fock.outer_product(state), [0], 2)
+    reduced = fock.partial_trace(fock.outer_product(state), [0])
     eigs = np.linalg.eigvalsh(reduced)
     assert np.allclose(eigs, [0.5, 0.5], atol=1e-12)
 
@@ -106,7 +106,7 @@ def test_partial_trace_of_product_states(seed):
     for hi in range(4):
         for lo in range(4):
             joint[lo | hi << 2] = left[lo] * right[hi]
-    reduced = fock.partial_trace(fock.outer_product(joint), [0, 1], 4)
+    reduced = fock.partial_trace(fock.outer_product(joint), [0, 1])
     assert np.max(np.abs(reduced - fock.outer_product(left))) <= 1e-12
 
 
@@ -115,8 +115,8 @@ def test_partial_trace_of_product_states(seed):
 def test_complementary_reductions_share_entropy(seed):
     state = random_state(16, np.random.default_rng(seed))
     rho = fock.outer_product(state)
-    s_low = fock.von_neumann_entropy(fock.partial_trace(rho, [0, 1], 4))
-    s_high = fock.von_neumann_entropy(fock.partial_trace(rho, [2, 3], 4))
+    s_low = fock.von_neumann_entropy(fock.partial_trace(rho, [0, 1]))
+    s_high = fock.von_neumann_entropy(fock.partial_trace(rho, [2, 3]))
     assert abs(s_low - s_high) <= 1e-10
 
 
@@ -150,7 +150,7 @@ def test_partial_trace_matches_block_sum_reference(n_modes):
         rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         for size in range(1, n_modes + 1):
             for keep in itertools.combinations(range(n_modes), size):
-                reduced = fock.partial_trace(rho, keep, n_modes)
+                reduced = fock.partial_trace(rho, keep)
                 reference = partial_trace_block_sum(rho, keep, n_modes)
                 assert reduced.shape == reference.shape
                 assert np.max(np.abs(reduced - reference)) <= 1e-14
@@ -158,7 +158,7 @@ def test_partial_trace_matches_block_sum_reference(n_modes):
 
 def test_partial_trace_keeping_every_mode_copies():
     rho = fock.outer_product(fock.basis_state(1, 2))
-    reduced = fock.partial_trace(rho, [1, 0], 2)
+    reduced = fock.partial_trace(rho, [1, 0])
     assert np.array_equal(reduced, rho)
     assert not np.shares_memory(reduced, rho)
 
@@ -166,9 +166,15 @@ def test_partial_trace_keeping_every_mode_copies():
 def test_partial_trace_argument_errors():
     rho = fock.outer_product(fock.basis_state(0, 2))
     with pytest.raises(ValueError):
-        fock.partial_trace(rho, [], 2)
+        fock.partial_trace(rho, [])
     with pytest.raises(ValueError):
-        fock.partial_trace(rho, [2], 2)
+        fock.partial_trace(rho, [2])
+    # The mode count is read from the shape: only (2**n, 2**n) with n >= 1 passes.
+    for bad in (np.eye(3) / 3, np.array([1.0, 0.0]), np.ones((1, 1))):
+        with pytest.raises(ValueError):
+            fock.partial_trace(bad, [0])
+    with pytest.raises(ValueError):
+        fock.subsystem_entropy(np.full(6, 1 / np.sqrt(6)), [0])
 
 
 def test_entropy_pure_and_mixed():
@@ -188,12 +194,19 @@ def test_entropy_validates_input():
         fock.von_neumann_entropy(np.diag([0.7, 0.7]))
 
 
+def test_entropy_of_eigenvalues_rejects_entries_outside_unit_interval():
+    assert fock.entropy_of_eigenvalues([0.5, 0.5]) == 1.0
+    for bad in ([np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf], [1.5, 0.5], [-1e-3, 1.0]):
+        with pytest.raises(ValueError):
+            fock.entropy_of_eigenvalues(bad)
+
+
 @given(seed=st.integers(0, 2**31), keep_mask=st.integers(1, 14))
 @settings(max_examples=25, deadline=None)
 def test_entropy_bounds(seed, keep_mask):
     keep = [m for m in range(4) if keep_mask >> m & 1]
     state = random_state(16, np.random.default_rng(seed))
-    reduced = fock.partial_trace(fock.outer_product(state), keep, 4)
+    reduced = fock.partial_trace(fock.outer_product(state), keep)
     entropy = fock.von_neumann_entropy(reduced)
     assert -1e-12 <= entropy <= len(keep) + 1e-12
 
