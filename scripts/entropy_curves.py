@@ -35,11 +35,11 @@ def main():
         grid = [k * scenario.n_max / (args.points - 1) for k in range(args.points)]
         for occupation in states:
             token = occupation_to_state_token(occupation, scenario)
-            results = sweep(scenario, occupation, grid, [args.lam])
-            for r in results:
-                rows.append(f"{token},{r.n:.15g},{r.lam:.15g},{r.s_numeric:.15g},"
-                            f"{r.s_closed:.15g},{r.discrepancy:.3e}")
-                worst = max(worst, r.discrepancy)
+            for n, lam, s_numeric, s_closed, gap in sweep(scenario, occupation, grid,
+                                                          [args.lam]):
+                rows.append(f"{token},{n:.15g},{lam:.15g},{s_numeric:.15g},"
+                            f"{s_closed:.15g},{gap:.3e}")
+                worst = max(worst, gap)
         path = outdir / f"entropy_{scenario.value.replace('-', '_')}.csv"
         path.write_text("\n".join(rows) + "\n")
         print(f"wrote {path} ({len(rows) - 1} rows)")

@@ -292,11 +292,16 @@ def squeezing_angle(theta: np.ndarray) -> float | np.ndarray:
     Raises if theta^dag theta is not a multiple of the identity, which
     would invalidate the closed-form factorization downstream.  A stack
     of shape (..., n, n) gives an array of radii of shape (...), and
-    raises if any item is not scalar.
+    raises if any item is not scalar.  Raises when theta^dag theta is not
+    finite, which a NaN or a finite but huge theta gives.
     """
     theta = np.asarray(theta, dtype=complex)
-    gram = theta.conj().swapaxes(-1, -2) @ theta
-    r2 = gram.diagonal(axis1=-2, axis2=-1).real.mean(axis=-1)
+    # The non-finite check below reports an overflow; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = theta.conj().swapaxes(-1, -2) @ theta
+        r2 = gram.diagonal(axis1=-2, axis2=-1).real.mean(axis=-1)
+    if not np.isfinite(r2).all():
+        raise ValueError("theta^dag theta is not finite")
     deviation = np.abs(gram - r2[..., np.newaxis, np.newaxis] * np.eye(theta.shape[-1])).max(
         axis=(-2, -1))
     bad = ~(deviation <= SCALAR_MODULUS_TOLERANCE * np.maximum(1.0, r2))
@@ -316,7 +321,8 @@ def mu_nu_from_theta(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     theta^dag theta overflows, which a finite but huge theta can do.
     """
     theta = check_theta(theta)
-    gram = theta.conj().swapaxes(-1, -2) @ theta
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = theta.conj().swapaxes(-1, -2) @ theta
     if not np.isfinite(gram).all():
         raise ValueError("theta^dag theta overflows")
     eigs, vecs = np.linalg.eigh(gram)

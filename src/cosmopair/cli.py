@@ -5,7 +5,8 @@ snapped within 1e-12), comma lists, or a single value; momentum grids
 additionally accept ``log:start:stop:count``.  Outputs are CSV or JSON
 (schema_version field) with 15-significant-digit decimals; identical
 configuration and seed produce byte-identical files.  Grid points are
-evaluated serially, in grid order.
+evaluated serially, in grid order.  An ``@file`` argument is replaced by
+the file's lines, one argument each (``--key=value``); later flags win.
 
 Exit codes: 0 all rows within tolerance, 1 tolerance breach or pipeline
 failure, 2 usage errors.
@@ -27,7 +28,7 @@ from cosmopair.dynamics import (
     check_point_tolerance,
     momentum_point,
 )
-from cosmopair.entanglement import EntropyResult, sweep
+from cosmopair.entanglement import sweep
 
 __all__ = ["main", "parse_grid", "parse_momentum_grid",
            "state_token_to_occupation", "occupation_to_state_token"]
@@ -129,18 +130,6 @@ def _fmt(value) -> str:
     return f"{value:.15g}"
 
 
-def _write_table(path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    text = "\n".join(lines) + "\n"
-    _write_text(path, text)
-
-
-def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
 def _write_text(path, text: str) -> None:
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -157,16 +146,16 @@ def _json_value(value):
     return float(f"{value:.15g}")
 
 
-def _sweep_row(r: EntropyResult) -> dict:
-    return {
-        "scenario": r.scenario.value,
-        "input_state": occupation_to_state_token(r.input_occupation, r.scenario),
-        "n": r.n,
-        "lambda": r.lam,
-        "S_numeric": r.s_numeric,
-        "S_closed": r.s_closed,
-        "discrepancy": r.discrepancy,
-    }
+def _write_rows(args, columns, rows, head: dict, tail: dict | None = None) -> None:
+    """Rows (tuples in column order) as CSV, or as JSON between head and tail fields."""
+    if args.format == "json":
+        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **head,
+                   "rows": [dict(zip(columns, map(_json_value, row))) for row in rows],
+                   **(tail or {})}
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = "\n".join([",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
+    _write_text(args.output, text)
 
 
 def _cmd_sweep(args, parser) -> int:
@@ -183,53 +172,30 @@ def _cmd_sweep(args, parser) -> int:
         results = sweep(scenario, occupation, n_grid, lambda_grid)
     except ValueError as err:
         parser.error(str(err))
-    rows = [_sweep_row(r) for r in results]
-    breaches = [row for row in rows
-                if row["discrepancy"] is not None and row["discrepancy"] > args.tolerance]
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "sweep",
-            "tolerance": args.tolerance,
-            "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
-            "all_within_tolerance": not breaches,
-        }
-        _write_json(args.output, payload)
-    else:
-        _write_table(args.output, SWEEP_COLUMNS, rows)
+    token = occupation_to_state_token(occupation, scenario)
+    breaches = [r for r in results if r[-1] > args.tolerance]
+    _write_rows(args, SWEEP_COLUMNS, [(scenario.value, token, *r) for r in results],
+                head={"tolerance": args.tolerance},
+                tail={"all_within_tolerance": not breaches})
     if breaches:
         sys.stderr.write(f"{len(breaches)} rows exceed tolerance {args.tolerance}:\n")
-        for row in breaches[:20]:
-            sys.stderr.write(
-                f"  state {row['input_state']} n={_fmt(row['n'])} "
-                f"lambda={_fmt(row['lambda'])} discrepancy={_fmt(row['discrepancy'])}\n")
+        for n, lam, _, _, gap in breaches[:20]:
+            sys.stderr.write(f"  state {token} n={_fmt(n)} lambda={_fmt(lam)} "
+                             f"discrepancy={_fmt(gap)}\n")
         return 1
     return 0
 
 
-def _dynamics_row(p: float, direction, profile: ScaleFactorProfile, args) -> dict:
+def _dynamics_row(p: float, direction, profile: ScaleFactorProfile, args) -> tuple:
     p_vec = tuple(p * c for c in direction)
     try:
         point = momentum_point(p_vec, args.mass, profile, tol=args.tol)
     except (IntegrationError, ValueError) as err:
         reason = str(err).replace(",", ";").replace("\n", " ")
-        return dict.fromkeys(DYNAMICS_COLUMNS) | {"p": p, "status": f"error: {reason}"}
-    return {
-        "p": point.p,
-        "A": point.a,
-        "beta_uu": point.beta_moduli[0],
-        "beta_ud": point.beta_moduli[1],
-        "beta_du": point.beta_moduli[2],
-        "beta_dd": point.beta_moduli[3],
-        "n_created": point.n_created,
-        "lambda_effective": point.lambda_effective,
-        "S_numeric": point.s_numeric,
-        "S_closed": point.s_closed,
-        "discrepancy": abs(point.s_numeric - point.s_closed),
-        "norm_residual": point.normalization_residual,
-        "self_convergence": point.self_convergence,
-        "status": "ok",
-    }
+        return (p, *[None] * (len(DYNAMICS_COLUMNS) - 2), f"error: {reason}")
+    return (point.p, point.a, *point.beta_moduli, point.n_created, point.lambda_effective,
+            point.s_numeric, point.s_closed, point.discrepancy,
+            point.normalization_residual, point.self_convergence, "ok")
 
 
 def _cmd_dynamics(args, parser) -> int:
@@ -250,17 +216,8 @@ def _cmd_dynamics(args, parser) -> int:
     except ValueError as err:
         parser.error(str(err))
     rows = [_dynamics_row(p, direction, profile, args) for p in grid]
-    if args.format == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "dynamics",
-            "profile": args.profile,
-            "rows": [{k: _json_value(v) for k, v in row.items()} for row in rows],
-        }
-        _write_json(args.output, payload)
-    else:
-        _write_table(args.output, DYNAMICS_COLUMNS, rows)
-    failed = [row for row in rows if row["status"] != "ok"]
+    _write_rows(args, DYNAMICS_COLUMNS, rows, head={"profile": args.profile})
+    failed = [row for row in rows if row[-1] != "ok"]
     if failed:
         sys.stderr.write(f"{len(failed)} momentum points failed\n")
         return 1
@@ -279,44 +236,11 @@ def _cmd_verify(args, parser) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _load_config_args(argv: list[str], parser) -> list[str]:
-    """Expand ``--config file`` of key=value lines into leading arguments."""
-    path = None
-    remaining = argv
-    for idx, token in enumerate(argv):
-        if token == "--config":
-            if idx + 1 >= len(argv):
-                parser.error("--config needs a file path")
-            path = argv[idx + 1]
-            remaining = argv[:idx] + argv[idx + 2:]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            remaining = argv[:idx] + argv[idx + 1:]
-            break
-    if path is None:
-        return argv
-    injected: list[str] = []
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    parser.error(f"config line {line!r} is not key=value")
-                key, value = line.split("=", 1)
-                injected.extend([f"--{key.strip()}", value.strip()])
-    except OSError as err:
-        parser.error(f"cannot read config file: {err}")
-    # Command-line flags appear after the injected pairs and win.
-    return remaining[:1] + injected + remaining[1:]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosmopair",
-        description="Pair-creation entanglement sweeps, mode dynamics and verification")
+        description="Pair-creation entanglement sweeps, mode dynamics and verification",
+        fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep_p = sub.add_parser("sweep", help="entropy sweep over density (and lambda)")
@@ -357,10 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _load_config_args(argv, parser)
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     # Value errors print the subcommand's usage line, not the root one.
     return args.run(args, args.command_parser)
 

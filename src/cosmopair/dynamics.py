@@ -418,6 +418,7 @@ class MomentumPointResult:
     lambda_effective: float
     s_numeric: float
     s_closed: float
+    discrepancy: float
     normalization_residual: float
     self_convergence: float
 
@@ -428,9 +429,10 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
 
     Runs the integration at tol and tol / REFINEMENT over a common span
     (sized for the finer tolerance) and reports the coefficient
-    difference as the self-convergence diagnostic.
+    difference as the self-convergence diagnostic.  The vacuum is scored
+    by ``entanglement.score`` at (n_created, lambda_effective).
     """
-    from cosmopair.entanglement import entropy_numeric, entropy_vacuum_closed_form
+    from cosmopair.entanglement import score
 
     check_point_tolerance(tol)
     params = ModeParameters(p_vec=tuple(p_vec), m=m)
@@ -447,14 +449,13 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
     dressed = dress_coefficients(scalar, params, profile, tol=tol)
     coeffs = dressed.coefficients
     n_created = particle_density(coeffs)
-    s_num = entropy_numeric(coeffs, occupation=0)
-    s_closed = entropy_vacuum_closed_form(n_created, Scenario.CHARGE_ONLY)
+    [(s_num, s_closed, gap)] = score([coeffs], 0, [(n_created, dressed.lambda_effective)])
     b = np.abs(coeffs.beta)
     return MomentumPointResult(
         p_vec=params.p_vec, p=params.p, a=coeffs.a,
         beta_moduli=(float(b[UP, UP]), float(b[UP, DOWN]),
                      float(b[DOWN, UP]), float(b[DOWN, DOWN])),
         n_created=n_created, lambda_effective=dressed.lambda_effective,
-        s_numeric=s_num, s_closed=s_closed,
+        s_numeric=s_num, s_closed=s_closed, discrepancy=gap,
         normalization_residual=dressed.normalization_residual,
         self_convergence=self_conv)

@@ -9,9 +9,11 @@ authoritative and the sweep records the discrepancy.
 ``entropy_numeric`` takes one coefficient set or a sequence of sets from
 one scenario.  A sequence shares one stacked generator and one stacked
 eigendecomposition; the partial trace and the reduced spectrum still run
-once per set.  ``sweep`` walks its grid in grid order and hands the
-numeric route blocks of ``squeezing.STACK_BLOCK`` points; the closed
-forms are evaluated point by point.
+once per set.  ``score`` is the one place that scores coefficient sets:
+it walks any iterable of sets in blocks of ``squeezing.STACK_BLOCK``,
+hands each block to the numeric route, and sets each entropy against the
+catalogue at the caller's (n, lambda).  ``sweep`` and
+``dynamics.momentum_point`` both end in it.
 
 All entropies are in bits.  The excited catalogue for four modes hinges
 on the particle-antiparticle charge of the input:
@@ -29,9 +31,9 @@ on the particle-antiparticle charge of the input:
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -46,12 +48,12 @@ from cosmopair.bogoliubov import (
 from cosmopair.squeezing import build_generator, unitary_dense
 
 __all__ = [
-    "EntropyResult",
     "binary_entropy",
     "entropy_excited_closed_form",
     "entropy_numeric",
     "entropy_vacuum_closed_form",
     "pair_state_entropy",
+    "score",
     "spin_spinless_relation",
     "sweep",
 ]
@@ -123,12 +125,15 @@ def entropy_numeric(coeffs: BogolyubovCoefficients | Sequence[BogolyubovCoeffici
 
 
 def entropy_excited_closed_form(occupation: int, n: float, lam: float,
-                                scenario: Scenario) -> float | None:
-    """Cataloged closed-form entropy for an input occupation, else None.
+                                scenario: Scenario) -> float:
+    """Cataloged closed-form entropy for an input occupation at (n, lam).
 
     The catalogue covers every occupation of the supported scenarios
     (extended across spin flips and particle/antiparticle mirrors, each
-    variant verified against the numeric route in the test suite).
+    variant verified against the numeric route in the test suite).  lam
+    is read, and checked with n, only for a one-particle, one-antiparticle
+    input under charge conservation alone; n outside [0, n_max] or an
+    occupation out of range raise ValueError.
     """
     particle_bits, anti_bits = scenario.split_occupation(occupation)
     n_max = scenario.n_max
@@ -163,38 +168,43 @@ def spin_spinless_relation(n: float) -> tuple[float, float, float]:
     return lhs, rhs, abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class EntropyResult:
-    """One sweep point: numeric entropy, closed form when cataloged, gap."""
+def score(sets: Iterable[BogolyubovCoefficients], occupation: int,
+          points: Iterable[tuple[float, float]]) -> list[tuple[float, float, float]]:
+    """(S_numeric, S_closed, discrepancy) for each coefficient set, in order.
 
-    scenario: Scenario
-    input_occupation: int
-    n: float
-    lam: float
-    s_numeric: float
-    s_closed: float | None
-    discrepancy: float | None
-
-
-def _point_result(scenario: Scenario, occupation: int, n: float, lam: float,
-                  numeric: float) -> EntropyResult:
-    closed = entropy_excited_closed_form(occupation, n, lam, scenario)
-    gap = None if closed is None else abs(numeric - closed)
-    recorded_lam = lam if scenario is Scenario.CHARGE_ONLY else 1.0
-    return EntropyResult(scenario=scenario, input_occupation=occupation, n=n,
-                         lam=recorded_lam, s_numeric=numeric, s_closed=closed,
-                         discrepancy=gap)
+    S_numeric is ``entropy_numeric`` of the evolved ``occupation``.
+    S_closed is ``entropy_excited_closed_form`` at the (n, lambda) that
+    ``points`` pairs with the set; the caller supplies it rather than
+    reading it back from the set, so the catalogue stays an independent
+    check of how the set was built.  discrepancy is |S_numeric - S_closed|.
+    The sets are drawn in blocks of ``squeezing.STACK_BLOCK``, one
+    ``entropy_numeric`` call per block, so a generator of sets keeps one
+    block alive.  Sets and points that do not pair up one to one raise
+    ValueError.
+    """
+    sets, points = iter(sets), iter(points)
+    scores = []
+    while block := list(itertools.islice(sets, squeezing.STACK_BLOCK)):
+        numerics = entropy_numeric(block, occupation)
+        for coeffs, numeric, (n, lam) in zip(block, numerics,
+                                             itertools.islice(points, len(block)),
+                                             strict=True):
+            closed = entropy_excited_closed_form(occupation, n, lam, coeffs.scenario)
+            scores.append((numeric, closed, abs(numeric - closed)))
+    if next(points, None) is not None:
+        raise ValueError("more (n, lambda) points than coefficient sets")
+    return scores
 
 
 def sweep(scenario: Scenario, occupation: int, n_grid,
-          lambda_grid=None) -> list[EntropyResult]:
-    """Entropy results over a density (and lambda) grid, grid-ordered.
+          lambda_grid=None) -> list[tuple[float, float, float, float, float]]:
+    """(n, lambda, S_numeric, S_closed, discrepancy) rows over a density grid.
 
-    The lambda grid is required (nonempty) for the charge-only scenario
-    and forced to the single value 1 otherwise, keeping result records
-    uniform.  The numeric entropies are computed in blocks of
-    ``squeezing.STACK_BLOCK`` consecutive grid points, one
-    ``entropy_numeric`` call per block.
+    Rows run in grid order, lambda fastest.  The lambda grid is required
+    (nonempty) for the charge-only scenario and forced to the single
+    value 1 otherwise, keeping the rows uniform.  The whole grid is
+    checked before any point is computed; the coefficient sets are then
+    built one block at a time as ``score`` draws them.
     """
     n_values = [float(v) for v in n_grid]
     if not n_values:
@@ -205,15 +215,8 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
             raise ValueError("charge-only sweep needs a nonempty lambda grid")
     else:
         lam_values = [1.0]
-    # Check the whole grid before computing any point.
     points = [(n, lam) for n in n_values for lam in lam_values]
     for n, lam in points:
         check_density(n, lam, scenario)
-    results = []
-    for start in range(0, len(points), squeezing.STACK_BLOCK):
-        block = points[start:start + squeezing.STACK_BLOCK]
-        sets = [from_density(scenario, n, lam) for n, lam in block]
-        numerics = entropy_numeric(sets, occupation)
-        results.extend(_point_result(scenario, occupation, n, lam, numeric)
-                       for (n, lam), numeric in zip(block, numerics))
-    return results
+    sets = (from_density(scenario, n, lam) for n, lam in points)
+    return [point + result for point, result in zip(points, score(sets, occupation, points))]

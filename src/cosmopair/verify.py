@@ -34,6 +34,7 @@ from cosmopair.entanglement import (
     entropy_excited_closed_form,
     entropy_numeric,
     entropy_vacuum_closed_form,
+    score,
     spin_spinless_relation,
 )
 from cosmopair.expansions import cataloged_occupations, closed_form_expansion
@@ -254,12 +255,9 @@ def _check_expansions(seed: int) -> list[CheckResult]:
 def _check_entropy_curves() -> list[CheckResult]:
     results = []
     for scenario in Scenario:
-        densities = [n_raw * scenario.n_max / 4.0 for n_raw in _ENTROPY_GRID]
-        numerics = entropy_numeric(
-            [from_density(scenario, n, lam=0.5) for n in densities],
-            occupation=0)
-        worst = max(abs(numeric - entropy_vacuum_closed_form(n, scenario))
-                    for n, numeric in zip(densities, numerics))
+        points = [(n_raw * scenario.n_max / 4.0, 0.5) for n_raw in _ENTROPY_GRID]
+        scores = score((from_density(scenario, n, lam) for n, lam in points), 0, points)
+        worst = max(gap for _, _, gap in scores)
         results.append(_result(f"vacuum_entropy_curve_{scenario.value}", worst, 1e-10,
                                detail="41-point density grid"))
     worst_lam = 0.0

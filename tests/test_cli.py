@@ -111,20 +111,37 @@ def test_sweep_missing_lambda_for_charge_only():
 
 def test_config_file_expansion(tmp_path):
     config = tmp_path / "run.cfg"
-    config.write_text("scenario=spinless\nstate=vac\nn=1\n")
+    config.write_text("--scenario=spinless\n--state=vac\n--n=1\n")
     out = tmp_path / "out.csv"
-    code = cli.main(["sweep", "--config", str(config), "--output", str(out)])
+    code = cli.main(["sweep", f"@{config}", "--output", str(out)])
     assert code == 0
     assert "spinless" in out.read_text()
+    for argv in (["sweep", f"@{tmp_path / 'missing.cfg'}"], ["sweep", "--config", str(config)]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
 
 
 def test_config_file_overridden_by_flags(tmp_path):
     config = tmp_path / "run.cfg"
-    config.write_text("scenario=spinless\nstate=vac\nn=1\n")
+    config.write_text("--scenario=spinless\n--state=vac\n--n=1\n")
     out = tmp_path / "out.csv"
-    code = cli.main(["sweep", "--config", str(config), "--n", "2", "--output", str(out)])
+    code = cli.main(["sweep", f"@{config}", "--n", "2", "--output", str(out)])
     assert code == 0
     assert out.read_text().strip().split("\n")[1].split(",")[2] == "2"
+
+
+def test_json_top_level_key_order(tmp_path):
+    out = tmp_path / "out.json"
+    for argv, keys in (
+            (["sweep", "--scenario", "spinless", "--n", "1"],
+             ["schema_version", "command", "tolerance", "rows", "all_within_tolerance"]),
+            (["dynamics", "--profile", "constant", "--p-grid", "1"],
+             ["schema_version", "command", "profile", "rows"])):
+        assert cli.main(argv + ["--format", "json", "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload) == keys
+        assert payload["command"] == argv[0]
 
 
 def test_dynamics_constant_profile(tmp_path):

@@ -197,17 +197,18 @@ def test_sweep_shapes_and_discrepancies():
     results = ent.sweep(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 0,
                         [k * 0.1 for k in range(41)])
     assert len(results) == 41
-    assert max(r.discrepancy for r in results) <= 1e-10
-    assert all(r.lam == 1.0 for r in results)
+    assert all(len(row) == 5 for row in results)
+    assert max(gap for *_, gap in results) <= 1e-10
+    assert all(lam == 1.0 for _, lam, *_ in results)
     results = ent.sweep(Scenario.CHARGE_ONLY, 0b0101, [2.0], [0.25, 0.75])
-    assert [r.lam for r in results] == [0.25, 0.75]
-    assert all(0.0 <= r.s_numeric <= 2.0 + 1e-12 for r in results)
+    assert [(n, lam) for n, lam, *_ in results] == [(2.0, 0.25), (2.0, 0.75)]
+    assert all(0.0 <= s <= 2.0 + 1e-12 for _, _, s, _, _ in results)
     # parallel-spin pair under angular-momentum conservation never entangles
     transparent = ent.sweep(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 0b0101,
                             [0.0, 1.0, 2.0, 3.0, 4.0])
-    assert max(r.s_numeric for r in transparent) <= 1e-10
+    assert max(s for _, _, s, _, _ in transparent) <= 1e-10
     spinless = ent.sweep(Scenario.SPINLESS, 0b11, [0.0, 0.5, 1.0, 1.5, 2.0])
-    assert all(0.0 <= r.s_numeric <= 1.0 + 1e-12 for r in spinless)
+    assert all(0.0 <= s <= 1.0 + 1e-12 for _, _, s, _, _ in spinless)
 
 
 def test_sweep_rejects_bad_grids():
@@ -274,19 +275,39 @@ def test_entropy_numeric_on_a_sequence_equals_the_per_set_calls(scenario, size, 
 ])
 def test_sweep_does_not_depend_on_the_block_size(block, scenario, occupation, lambdas,
                                                   monkeypatch):
+    """``sweep`` and ``score`` give the same rows for every block size.
+
+    Each block is one ``entropy_numeric`` call, made when the generator
+    of sets has been drawn exactly to the end of that block.
+    """
     densities = [k * scenario.n_max / 16 for k in range(17)]
     expected = ent.sweep(scenario, occupation, densities, lambdas)
-    one_at_a_time = [ent.entropy_numeric(coeffs(r.n, r.lam, scenario), occupation)
-                     for r in expected]
-    assert [r.s_numeric for r in expected] == one_at_a_time
-    calls = []
+    points = [(n, lam) for n, lam, *_ in expected]
+    one_at_a_time = [ent.entropy_numeric(coeffs(n, lam, scenario), occupation)
+                     for n, lam in points]
+    assert [s for _, _, s, _, _ in expected] == one_at_a_time
+    calls, drawn = [], []
     numeric = ent.entropy_numeric
     monkeypatch.setattr(ent, "entropy_numeric",
-                        lambda sets, occ: calls.append(len(sets)) or numeric(sets, occ))
+                        lambda sets, occ: calls.append((len(sets), len(drawn)))
+                        or numeric(sets, occ))
     monkeypatch.setattr(squeezing, "STACK_BLOCK", block)
     assert ent.sweep(scenario, occupation, densities, lambdas) == expected
-    assert calls == [min(block, len(expected) - start)
-                     for start in range(0, len(expected), block)]
+    starts = range(0, len(expected), block)
+    sizes = [min(block, len(expected) - start) for start in starts]
+    assert [size for size, _ in calls] == sizes
+    calls.clear()
+
+    def sets():
+        for n, lam in points:
+            drawn.append(n)
+            yield coeffs(n, lam, scenario)
+
+    assert ent.score(sets(), occupation, points) == [row[2:] for row in expected]
+    assert calls == [(size, start + size) for start, size in zip(starts, sizes)]
+    for unpaired in (points[:-1], points + points[:1]):
+        with pytest.raises(ValueError):
+            ent.score((coeffs(n, lam, scenario) for n, lam in points), occupation, unpaired)
 
 
 def test_entropy_numeric_rejects_bad_sequences_before_building_a_unitary(monkeypatch):

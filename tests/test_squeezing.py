@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,12 +228,10 @@ def test_bad_item_anywhere_in_a_stack_raises_like_alone(scenario, size):
             stack = good.copy()
             stack[position] = item
             for fn in breaks + (decoupled,):
-                # The overflowing item makes numpy warn before the gate raises.
-                with np.errstate(over="ignore", invalid="ignore"):
-                    with pytest.raises(Exception) as alone:
-                        fn(item)
-                    with pytest.raises(type(alone.value)):
-                        fn(stack)
+                with pytest.raises(Exception) as alone:
+                    fn(item)
+                with pytest.raises(type(alone.value)):
+                    fn(stack)
     generators = sq.build_generator(good)
     unitaries = sq.unitary_dense(generators)
     hermitian = 1j * generators[0]
@@ -292,6 +291,20 @@ def test_nan_fails_each_gate_like_a_finite_breach(name):
         with pytest.raises(Exception) as caught:
             fn(bad)
         assert type(caught.value) is type(finite.value)
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_overflowing_theta_raises_without_numpy_warnings(scenario):
+    huge = 1e200 * full_density_theta(scenario)
+    stack = theta_stack(scenario, 3, seed=97)
+    stack[1] = huge
+    eye = np.eye(fock.dimension(scenario.n_modes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (huge, stack):
+            for fn in (squeezing_angle, mu_nu_from_theta, lambda t: sq.apply_decoupled(t, eye)):
+                with pytest.raises(ValueError, match="not finite|overflows"):
+                    fn(theta)
 
 
 def test_decoupled_rejects_non_scalar_modulus():
