@@ -22,10 +22,13 @@ import sys
 from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import Scenario
 from cosmopair.dynamics import (
+    REFINEMENT,
     IntegrationError,
     ModeParameters,
     ScaleFactorProfile,
+    check_phase,
     check_point_tolerance,
+    default_tau_span,
     momentum_point,
 )
 from cosmopair.entanglement import sweep
@@ -209,10 +212,13 @@ def _cmd_dynamics(args, parser) -> int:
             raise ValueError("direction must be nonzero with a finite norm")
         direction = tuple(c / norm for c in direction)
         # Run-wide values fail here, once, through the checks that own them.
-        ModeParameters(p_vec=direction, m=args.mass)
+        # The grid's largest |p| sweeps the most phase over momentum_point's span.
+        p_max = max(abs(p) for p in grid)
+        params = ModeParameters(p_vec=tuple(p_max * c for c in direction), m=args.mass)
         check_point_tolerance(args.tol)
         profile = (ScaleFactorProfile.constant(args.a0) if args.profile == "constant"
                    else ScaleFactorProfile.smooth_step(args.epsilon, args.rho))
+        check_phase(params, profile, default_tau_span(profile, args.tol / REFINEMENT))
     except ValueError as err:
         parser.error(str(err))
     rows = [_dynamics_row(p, direction, profile, args) for p in grid]

@@ -256,6 +256,15 @@ def test_dynamics_profile_errors_are_usage_errors(flags, message, tmp_path, caps
     assert message in capsys.readouterr().err
 
 
+def _run_cli(argv, timeout: float) -> subprocess.CompletedProcess:
+    """Python with argv in a child process over this checkout's ``src/``, killed after timeout."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--mass", "-1"], "mass -1.0 must be finite and nonnegative"),
     (["--tol", "1e-3"], "tol 0.001 outside [1e-12, 1e-06]"),
@@ -264,17 +273,20 @@ def test_dynamics_profile_errors_are_usage_errors(flags, message, tmp_path, caps
     (["--tol", "1e-12"], "tol 1e-12 below 2e-12"),
     (["--epsilon", "1e308"], "with 2 epsilon and 2 rho finite"),
     (["--rho", "1e308"], "with 2 epsilon and 2 rho finite"),
+    # values that passed up front and then ran for minutes
+    (["--epsilon", "1e14"], "exceeds the 100000 rad budget"),
+    (["--epsilon", "1e200", "--rho", "1e200"], "needs epsilon * rho finite"),
 ], ids=["mass-negative", "tol-too-loose", "tol-too-tight", "tol-below-refined-floor",
-        "epsilon-overflows", "rho-overflows"])
-def test_dynamics_run_wide_errors_are_usage_errors(flags, message, tmp_path, capsys):
+        "epsilon-overflows", "rho-overflows", "phase-over-budget", "rate-overflows"])
+def test_dynamics_run_wide_errors_are_usage_errors(flags, message, tmp_path):
+    # A child process with a timeout, so that a run that hangs fails the test.
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as err:
-        cli.main(["dynamics", "--p-grid", "1", "--output", str(out)] + flags)
-    assert err.value.code == 2
+    done = _run_cli(["-m", "cosmopair.cli", "dynamics", "--p-grid", "1",
+                     "--output", str(out), *flags], timeout=60)
+    assert done.returncode == 2
     assert not out.exists()
-    stderr = capsys.readouterr().err
-    assert stderr.startswith("usage: cosmopair dynamics ")
-    assert message in stderr
+    assert done.stderr.startswith("usage: cosmopair dynamics ")
+    assert message in done.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -289,24 +301,21 @@ def test_value_errors_print_the_subcommand_usage(argv, capsys):
     assert capsys.readouterr().err.startswith(f"usage: cosmopair {argv[0]} ")
 
 
-def test_scipy_integrate_loads_only_for_dynamics(tmp_path):
+def test_every_command_runs_without_scipy(tmp_path):
+    # sys.modules[name] = None makes any import of scipy raise ImportError.
     script = """
 import sys
+sys.modules["scipy"] = None
 from cosmopair import cli
 out = sys.argv[1]
-cli.main(["verify", "--batch", "2", "--output", out + "/verify.txt"])
-cli.main(["sweep", "--scenario", "spinless", "--n", "0:2:0.5", "--output", out + "/sweep.csv"])
-print("scipy.integrate" in sys.modules)
-cli.main(["dynamics", "--profile", "constant", "--p-grid", "1", "--output", out + "/dyn.csv"])
-print("scipy.integrate" in sys.modules)
+print(cli.main(["verify", "--batch", "2", "--output", out + "/verify.txt"]))
+print(cli.main(["sweep", "--scenario", "spinless", "--n", "0:2:0.5", "--output", out + "/sweep.csv"]))
+print(cli.main(["dynamics", "--p-grid", "1", "--output", out + "/dyn.csv"]))
 """
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    done = _run_cli(["-c", script, str(tmp_path)], timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["0", "0", "0"]
+    assert (tmp_path / "dyn.csv").read_text().splitlines()[1].endswith(",ok")
 
 
 def test_charge_sweep_entropy_nonnegative_at_full_density(capsys):

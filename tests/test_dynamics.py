@@ -26,8 +26,9 @@ def test_profile_validation():
     with pytest.raises(ValueError):
         dyn.ScaleFactorProfile(kind="exp")
     # 2 epsilon overflows a_out at 1e308, 2 rho the span's half width
+    # epsilon * rho overflows the mass rate at (1e200, 1e200)
     for epsilon, rho in ((-1.0, 1.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
-                         (1e308, 1.0), (1.0, 1e308)):
+                         (1e308, 1.0), (1.0, 1e308), (1e200, 1e200)):
         with pytest.raises(ValueError):
             dyn.ScaleFactorProfile.smooth_step(epsilon, rho)
     for a0 in (0.0, math.inf, math.nan):
@@ -44,6 +45,38 @@ def test_point_tolerance_covers_the_refined_run():
             dyn.check_point_tolerance(tol)
     with pytest.raises(ValueError):
         dyn.momentum_point((1.0, 0.0, 0.0), 1.0, FLAT, tol=dyn.TOL_MIN)
+
+
+def test_phase_budget_admits_the_documented_runs_and_rejects_a_hang():
+    def phase(p, profile, tol=1e-9):
+        params = dyn.ModeParameters(p_vec=(p, 0.0, 0.0), m=1.0)
+        en = dyn.asymptotic_energies(params, profile)
+        tau0, tau1 = dyn.default_tau_span(profile, tol / dyn.REFINEMENT)
+        return max(en.e_in, en.e_out) * (tau1 - tau0)
+
+    # |p| = 40 is the widest run of the README, CI, tests and benchmark.
+    assert 50.0 * phase(40.0, TANH) <= dyn.MAX_PHASE
+    assert phase(300.0, dyn.ScaleFactorProfile.smooth_step(1.0, 0.1)) <= dyn.MAX_PHASE
+    huge = dyn.ScaleFactorProfile.smooth_step(1e14, 1.0)
+    assert phase(1.0, huge) > dyn.MAX_PHASE
+    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
+    with pytest.raises(ValueError, match="rad budget"):
+        dyn.integrate_mode(params, huge)
+
+
+def test_non_finite_frequency_fails_the_integration_instead_of_hanging():
+    class NanRate:
+        kind, epsilon, rho, a_in, a_out = "nan-rate", 1.0, 1.0, 1.0, 1.0
+
+        def a(self, tau):
+            return 1.0
+
+        def mass_and_rate(self, tau, m):
+            return m, math.nan
+
+    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
+    with pytest.raises(dyn.IntegrationError, match="step size below"):
+        dyn.integrate_mode(params, NanRate(), tau_span=(-5.0, 5.0))
 
 
 def test_mass_dot_overflow_safe():
@@ -318,3 +351,57 @@ def test_production_profile_passes_the_normalization_gate_at_large_momentum():
                                tol=tol)
     assert point.normalization_residual <= 10.0 * tol
     assert 0.0 <= point.n_created <= 1e-10
+
+
+def test_dop853_tableau_matches_scipy_digit_for_digit():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    assert dyn._C == tuple(ref.C[:12])
+    assert dyn._A == tuple(tuple(ref.A[s, :s]) for s in range(1, 12))
+    assert dyn._B == tuple(ref.B)
+    # The estimators' thirteenth entry, on the derivative at the new point, is zero.
+    assert dyn._E3 == tuple(ref.E3[:12]) and ref.E3[12] == 0.0
+    assert dyn._E5 == tuple(ref.E5[:12]) and ref.E5[12] == 0.0
+
+
+@pytest.mark.parametrize("tol", [1e-9, 5e-10])
+@pytest.mark.parametrize("p", [0.1, 1.0, 12.0, 40.0])
+def test_stepper_matches_scipy_dop853(p, tol):
+    # scipy's solve_ivp is the oracle: the same method and step-size controller.
+    from scipy.integrate import solve_ivp
+
+    params = dyn.ModeParameters(p_vec=(p, 0.0, 0.0), m=1.0)
+    span = dyn.default_tau_span(TANH, tol)
+    sol = dyn.integrate_mode(params, TANH, tau_span=span, tol=tol)
+    e_in = dyn.asymptotic_energies(params, TANH).e_in
+
+    def rhs(tau, y):
+        mass, rate = TANH.mass_and_rate(tau, params.m)
+        k = p * p + mass ** 2 - 1j * rate
+        return [y[1], -k * y[0], y[3], -k * y[2]]
+
+    f0, g0 = np.exp(-1j * e_in * span[0]), np.exp(1j * e_in * span[0])
+    y0 = np.array([f0, -1j * e_in * f0, g0, 1j * e_in * g0])
+    ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=tol, atol=tol * 1e-2,
+                    dense_output=True)
+    assert ref.success
+    assert len(sol.tau) == len(ref.t)
+    end = np.array([sol.f[-1], sol.f_dot[-1], sol.g[-1], sol.g_dot[-1]])
+    assert np.max(np.abs(end - ref.y[:, -1])) <= 1e-11
+    tau_shift, f_shift, f_dot_shift = sol.shifted
+    f_ref, f_dot_ref = ref.sol(tau_shift)[:2]
+    assert max(abs(f_shift - f_ref), abs(f_dot_shift - f_dot_ref)) <= 50.0 * tol
+
+
+@pytest.mark.parametrize("p", [0.3, 1.0, 3.0])
+def test_momentum_point_approaches_the_sudden_mass_quench(p):
+    # As rho grows the created density tends to the instantaneous quench
+    # with error ~ rho**-2, so two rhos Richardson-extrapolate to the limit.
+    m, epsilon = 1.0, 1.0
+    n80, n320 = (dyn.momentum_point((p, 0.0, 0.0), m, dyn.ScaleFactorProfile.smooth_step(
+        epsilon, rho)).n_created for rho in (80.0, 320.0))
+    extrapolated = (16.0 * n320 - n80) / 15.0
+    m_in, m_out = m, m * math.sqrt(1.0 + 2.0 * epsilon)
+    e_in, e_out = math.hypot(p, m_in), math.hypot(p, m_out)
+    quench = 2.0 * (1.0 - (p * p + m_in * m_out) / (e_in * e_out))
+    assert abs(extrapolated - quench) <= 1e-5 * quench
