@@ -218,6 +218,7 @@ def _cmd_dynamics(args, parser) -> int:
         check_point_tolerance(args.tol)
         profile = (ScaleFactorProfile.constant(args.a0) if args.profile == "constant"
                    else ScaleFactorProfile.smooth_step(args.epsilon, args.rho))
+        profile.check_mass(args.mass)
         check_phase(params, profile, default_tau_span(profile, args.tol / REFINEMENT))
     except ValueError as err:
         parser.error(str(err))

@@ -28,7 +28,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -133,6 +132,16 @@ class ScaleFactorProfile:
     def a_out(self) -> float:
         return self.a0 if self.kind == "constant" else math.sqrt(1.0 + 2.0 * self.epsilon)
 
+    def check_mass(self, m: float) -> None:
+        """Raise ValueError when m * epsilon * rho, the scale of the mass rate, overflows.
+
+        The rate is then inf at its peak and NaN in the flat regions, so no
+        integration could succeed.
+        """
+        if self.kind == "tanh" and not m * self.epsilon * self.rho < math.inf:
+            raise ValueError("tanh profile needs m * epsilon * rho finite (it scales the mass "
+                             f"rate), got m = {m}, epsilon = {self.epsilon} and rho = {self.rho}")
+
     def mass_and_rate(self, tau: float, m: float) -> tuple[float, float]:
         """(M, dM/dtau) with M = m a(tau), from one evaluation of a(tau).
 
@@ -176,12 +185,20 @@ class AsymptoticEnergies:
 
 
 def asymptotic_energies(params: ModeParameters, profile: ScaleFactorProfile) -> AsymptoticEnergies:
+    """Masses m a and energies sqrt(|p|**2 + (m a)**2) at both ends of the profile.
+
+    Raises ValueError when a square overflows, which float ``**`` reports
+    as OverflowError.
+    """
     m_in = params.m * profile.a_in
     m_out = params.m * profile.a_out
-    p2 = params.p ** 2
-    return AsymptoticEnergies(m_in=m_in, m_out=m_out,
-                              e_in=math.sqrt(p2 + m_in ** 2),
-                              e_out=math.sqrt(p2 + m_out ** 2))
+    try:
+        p2 = params.p ** 2
+        e_in, e_out = math.sqrt(p2 + m_in ** 2), math.sqrt(p2 + m_out ** 2)
+    except OverflowError:
+        raise ValueError(f"mode energy overflows: |p| = {params.p:g} or m a = "
+                         f"{max(m_in, m_out):g} squared is not a finite double") from None
+    return AsymptoticEnergies(m_in=m_in, m_out=m_out, e_in=e_in, e_out=e_out)
 
 
 def default_tau_span(profile: ScaleFactorProfile, tol: float) -> tuple[float, float]:
@@ -321,7 +338,9 @@ def _dense(row: dict[int, float], width: int) -> tuple[float, ...]:
     return tuple(row.get(j, 0.0) for j in range(width))
 
 
-# Stage s combines the s earlier stages; weights and estimators use all 12.
+# Dense rows, the one source of the tableau: the tests check them against
+# scipy's, and _compile_step generates the step from them.  Stage s
+# combines the s earlier stages; weights and estimators use all 12.
 _A = tuple(_dense(row, s) for s, row in enumerate(_A_ROWS, start=1))
 _B, _E5 = _dense(_B_ROW, 12), _dense(_E5_ROW, 12)
 # E3: the weights minus those of the embedded third-order formula.
@@ -340,38 +359,49 @@ def _derivative(y: _State, k: complex) -> _State:
     return y[1], -k * y[0], y[3], -k * y[2]
 
 
-def _rk_step(k_of, t: float, y: _State, dy: _State, h: float):
-    """One DOP853 step of length h: (y_new, k(t + h), stage derivatives per component).
+def _compile_step(c, a, b, e5, e3):
+    """One DOP853 step for the tableau (c, a, b, e5, e3), compiled as straight-line code.
 
-    The last stage sits at t + h, so its k serves the derivative at y_new.
-    Components are written out: this loop is the integrator's hot path.
+    The compiled ``step(k_of, t, y, dy, h, rtol, atol)`` returns (y_new,
+    k(t + h), error) for the step of length h from state y with derivative
+    dy at t.  The last stage sits at t + h, so its k serves the derivative
+    at y_new.  The error is DOP853's blend of its fifth- and third-order
+    estimates, RMS over the state scaled by atol + max(|y|, |y_new|) rtol.
+    Each stage derivative is a local and zero entries are left out, but
+    every weighted sum runs in the tableau's index order, so the step
+    rounds exactly as a loop over the dense rows does; the tests keep that
+    loop as the reference.  This is the integrator's hot path.
     """
-    f, f_dot, g, g_dot = y
-    df, df_dot, dg, dg_dot = stages = tuple([d] for d in dy)
-    for c, row in zip(_C[1:], _A):
-        k = k_of(t + c * h)
-        sf = f + h * sum(map(mul, row, df))
-        sf_dot = f_dot + h * sum(map(mul, row, df_dot))
-        sg = g + h * sum(map(mul, row, dg))
-        sg_dot = g_dot + h * sum(map(mul, row, dg_dot))
-        df.append(sf_dot)
-        df_dot.append(-k * sf)
-        dg.append(sg_dot)
-        dg_dot.append(-k * sg)
-    y_new = tuple(yi + h * sum(map(mul, _B, si)) for yi, si in zip(y, stages))
-    return y_new, k, stages
+    comps = ("f", "fd", "g", "gd")
+
+    def weighted(row, comp: str) -> str:
+        return " + ".join(f"{w!r} * d{comp}{j}" for j, w in enumerate(row) if w)
+
+    lines = ["def step(k_of, t, y, dy, h, rtol, atol):",
+             "    f, fd, g, gd = y",
+             "    df0, dfd0, dg0, dgd0 = dy"]
+    for s, (node, row) in enumerate(zip(c[1:], a), start=1):
+        lines += [f"    k = k_of(t + {node!r} * h)",
+                  f"    df{s} = fd + h * ({weighted(row, 'fd')})",
+                  f"    dfd{s} = -k * (f + h * ({weighted(row, 'f')}))",
+                  f"    dg{s} = gd + h * ({weighted(row, 'gd')})",
+                  f"    dgd{s} = -k * (g + h * ({weighted(row, 'g')}))"]
+    for comp in comps:
+        lines += [f"    {comp}_new = {comp} + h * ({weighted(b, comp)})",
+                  f"    {comp}_scale = atol + max(abs({comp}), abs({comp}_new)) * rtol"]
+    for name, row in (("e5", e5), ("e3", e3)):
+        lines.append(f"    {name} = " + " + ".join(
+            f"abs(({weighted(row, comp)}) / {comp}_scale) ** 2" for comp in comps))
+    lines += ["    y_new = f_new, fd_new, g_new, gd_new",
+              "    if e5 == 0.0 and e3 == 0.0:",
+              "        return y_new, k, 0.0",
+              f"    return y_new, k, abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {len(comps)})"]
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(lines), "<dop853 step>", "exec"), namespace)
+    return namespace["step"]
 
 
-def _error_norm(stages, y: _State, y_new: _State, h: float, rtol: float, atol: float) -> float:
-    """DOP853's blend of its fifth- and third-order estimates, RMS over the scaled state."""
-    e5 = e3 = 0.0
-    for si, a, b in zip(stages, y, y_new):
-        scale = atol + max(abs(a), abs(b)) * rtol
-        e5 += abs(sum(map(mul, _E5, si)) / scale) ** 2
-        e3 += abs(sum(map(mul, _E3, si)) / scale) ** 2
-    if e5 == 0.0 and e3 == 0.0:
-        return 0.0
-    return abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+_step = _compile_step(_C, _A, _B, _E5, _E3)
 
 
 def _initial_step(k_of, t0: float, t1: float, y0: _State, dy0: _State,
@@ -419,8 +449,7 @@ def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, t_extra: float):
                                        f"at tau = {t}")
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
-            y_new, k_new, stages = _rk_step(k_of, t, y, dy, h)
-            error = _error_norm(stages, y, y_new, h, rtol, atol)
+            y_new, k_new, error = _step(k_of, t, y, dy, h, rtol, atol)
             if error < 1.0:
                 factor = _MAX_FACTOR if error == 0.0 else \
                     min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT)
@@ -429,7 +458,7 @@ def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, t_extra: float):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
             rejected = True
         if t < t_extra <= t_new:
-            extra = _rk_step(k_of, t, y, dy, t_extra - t)[0]
+            extra = _step(k_of, t, y, dy, t_extra - t, rtol, atol)[0]
         t, y, dy = t_new, y_new, _derivative(y_new, k_new)
         times.append(t)
         states.append(y)
@@ -445,12 +474,15 @@ def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
     module's own adaptive DOP853 stepper (rtol = tol, atol = tol / 100,
     with the step-size controller of scipy's ``solve_ivp``; scipy is not
     imported, and the tests use it as the oracle) samples the solution
-    at its accepted steps; no dense output is built.  The period-shifted
-    state that ``extract_scalar_coefficients`` matches against comes
-    from one extra step, from the last accepted time before it, no
-    longer than the accepted step there.  Raises a configuration error when the span does
-    not reach the flat asymptotics to within tol on the scale factor, or
-    when the mode would sweep more than ``MAX_PHASE`` radians.
+    at its accepted steps; no dense output is built.  Its step is
+    straight-line code generated at import from the tableau; the tests
+    keep the loop over the tableau rows as its bit-for-bit reference.
+    The period-shifted state that ``extract_scalar_coefficients``
+    matches against comes from one extra step, from the last accepted
+    time before it, no longer than the accepted step there.  Raises a
+    configuration error when the span does not reach the flat
+    asymptotics to within tol on the scale factor, or when the mode
+    would sweep more than ``MAX_PHASE`` radians.
     """
     check_tolerance(tol)
     if tau_span is None:

@@ -276,8 +276,12 @@ def _run_cli(argv, timeout: float) -> subprocess.CompletedProcess:
     # values that passed up front and then ran for minutes
     (["--epsilon", "1e14"], "exceeds the 100000 rad budget"),
     (["--epsilon", "1e200", "--rho", "1e200"], "needs epsilon * rho finite"),
+    # values that gave a traceback (float ** overflowing) or an inf mass rate
+    (["--mass", "1e200"], "squared is not a finite double"),
+    (["--rho", "1e300", "--mass", "1e10"], "needs m * epsilon * rho finite"),
 ], ids=["mass-negative", "tol-too-loose", "tol-too-tight", "tol-below-refined-floor",
-        "epsilon-overflows", "rho-overflows", "phase-over-budget", "rate-overflows"])
+        "epsilon-overflows", "rho-overflows", "phase-over-budget", "rate-overflows",
+        "mass-squared-overflows", "mass-rate-overflows"])
 def test_dynamics_run_wide_errors_are_usage_errors(flags, message, tmp_path):
     # A child process with a timeout, so that a run that hangs fails the test.
     out = tmp_path / "x.csv"
