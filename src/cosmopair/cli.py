@@ -21,16 +21,7 @@ import sys
 
 from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import Scenario
-from cosmopair.dynamics import (
-    REFINEMENT,
-    IntegrationError,
-    ModeParameters,
-    ScaleFactorProfile,
-    check_phase,
-    check_point_tolerance,
-    default_tau_span,
-    momentum_point,
-)
+from cosmopair.dynamics import IntegrationError, ScaleFactorProfile, check_point, momentum_point
 from cosmopair.entanglement import sweep
 
 __all__ = ["main", "parse_grid", "parse_momentum_grid",
@@ -53,7 +44,8 @@ def _finite(values: list[float], text: str) -> list[float]:
 def parse_grid(text: str) -> list[float]:
     """Inclusive finite grid from ``start:stop:step``, a comma list or one value."""
     text = text.strip()
-    if not text:
+    # A comma list with no values is empty too.
+    if not text.strip(", "):
         raise ValueError("empty grid specification")
     if "," in text:
         return _finite([float(tok) for tok in text.split(",") if tok.strip()], text)
@@ -211,15 +203,12 @@ def _cmd_dynamics(args, parser) -> int:
         if not 0 < norm < math.inf:
             raise ValueError("direction must be nonzero with a finite norm")
         direction = tuple(c / norm for c in direction)
-        # Run-wide values fail here, once, through the checks that own them.
-        # The grid's largest |p| sweeps the most phase over momentum_point's span.
-        p_max = max(abs(p) for p in grid)
-        params = ModeParameters(p_vec=tuple(p_max * c for c in direction), m=args.mass)
-        check_point_tolerance(args.tol)
         profile = (ScaleFactorProfile.constant(args.a0) if args.profile == "constant"
                    else ScaleFactorProfile.smooth_step(args.epsilon, args.rho))
-        profile.check_mass(args.mass)
-        check_phase(params, profile, default_tau_span(profile, args.tol / REFINEMENT))
+        # Run-wide values fail here, once, through momentum_point's own check,
+        # at the grid's largest |p|: it sweeps the most phase.
+        p_max = max(abs(p) for p in grid)
+        check_point(tuple(p_max * c for c in direction), args.mass, profile, args.tol)
     except ValueError as err:
         parser.error(str(err))
     rows = [_dynamics_row(p, direction, profile, args) for p in grid]

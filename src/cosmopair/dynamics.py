@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from cosmopair.bogoliubov import (
     DOWN,
+    THETA_CHECK_TOLERANCE,
     UP,
     BogolyubovCoefficients,
     Scenario,
@@ -42,13 +43,12 @@ from cosmopair.bogoliubov import (
 __all__ = [
     "DressingResult",
     "IntegrationError",
-    "ModeParameters",
+    "Mode",
     "ModeSolution",
     "ScalarBogolyubov",
     "ScaleFactorProfile",
-    "asymptotic_energies",
     "check_phase",
-    "check_point_tolerance",
+    "check_point",
     "check_tolerance",
     "default_tau_span",
     "dress_coefficients",
@@ -60,7 +60,11 @@ __all__ = [
     "spinor_contraction",
 ]
 
-TOL_MIN, TOL_MAX = 1e-12, 1e-6
+# dress_coefficients accepts a coefficient set within DRESSING_GATE * tol of
+# its constraints, and scoring re-checks the set at THETA_CHECK_TOLERANCE;
+# TOL_MAX keeps the first gate inside the second, so only the first fails.
+DRESSING_GATE = 10.0
+TOL_MIN, TOL_MAX = 1e-12, THETA_CHECK_TOLERANCE / DRESSING_GATE
 # momentum_point repeats each integration at tol / REFINEMENT for its
 # self-convergence diagnostic.
 REFINEMENT = 2.0
@@ -156,49 +160,48 @@ class ScaleFactorProfile:
 
 
 @dataclass(frozen=True)
-class ModeParameters:
-    """Momentum vector (conformal units) and mass of one field mode."""
+class Mode:
+    """One field mode: momentum vector (conformal units), mass and scale-factor profile.
+
+    The constructor owns every rule on these inputs: three components, a
+    finite nonnegative mass, ``profile.check_mass(m)`` and finite squares
+    |p|**2 and (m a)**2 (float ``**`` raises OverflowError where ``*``
+    gives inf; both become ValueError).  It computes, once, |p| (with
+    ``math.hypot``, which does not underflow below 1.5e-154), the masses
+    m a and the energies sqrt(|p|**2 + (m a)**2) at both ends of the
+    profile.
+    """
 
     p_vec: tuple[float, float, float]
     m: float
+    profile: ScaleFactorProfile
+    p: float = field(init=False)
+    m_in: float = field(init=False)
+    m_out: float = field(init=False)
+    e_in: float = field(init=False)
+    e_out: float = field(init=False)
 
     def __post_init__(self):
         vec = tuple(float(c) for c in self.p_vec)
         if len(vec) != 3:
             raise ValueError("p_vec must have three components")
-        object.__setattr__(self, "p_vec", vec)
         # Written as "not 0 <= m < inf" so that NaN and inf fail too.
         if not 0 <= self.m < math.inf:
             raise ValueError(f"mass {self.m} must be finite and nonnegative")
-
-    @property
-    def p(self) -> float:
-        return math.sqrt(sum(c * c for c in self.p_vec))
-
-
-@dataclass(frozen=True)
-class AsymptoticEnergies:
-    m_in: float
-    m_out: float
-    e_in: float
-    e_out: float
-
-
-def asymptotic_energies(params: ModeParameters, profile: ScaleFactorProfile) -> AsymptoticEnergies:
-    """Masses m a and energies sqrt(|p|**2 + (m a)**2) at both ends of the profile.
-
-    Raises ValueError when a square overflows, which float ``**`` reports
-    as OverflowError.
-    """
-    m_in = params.m * profile.a_in
-    m_out = params.m * profile.a_out
-    try:
-        p2 = params.p ** 2
-        e_in, e_out = math.sqrt(p2 + m_in ** 2), math.sqrt(p2 + m_out ** 2)
-    except OverflowError:
-        raise ValueError(f"mode energy overflows: |p| = {params.p:g} or m a = "
-                         f"{max(m_in, m_out):g} squared is not a finite double") from None
-    return AsymptoticEnergies(m_in=m_in, m_out=m_out, e_in=e_in, e_out=e_out)
+        self.profile.check_mass(self.m)
+        p = math.hypot(*vec)
+        m_in, m_out = self.m * self.profile.a_in, self.m * self.profile.a_out
+        try:
+            p2 = p ** 2
+            e_in, e_out = math.sqrt(p2 + m_in ** 2), math.sqrt(p2 + m_out ** 2)
+        except OverflowError:
+            e_in = e_out = math.inf
+        if not (e_in < math.inf and e_out < math.inf):
+            raise ValueError(f"mode energy overflows: |p| = {p:g} or m a = "
+                             f"{max(m_in, m_out):g} squared is not a finite double")
+        for name, value in (("p_vec", vec), ("p", p), ("m_in", m_in), ("m_out", m_out),
+                            ("e_in", e_in), ("e_out", e_out)):
+            object.__setattr__(self, name, value)
 
 
 def default_tau_span(profile: ScaleFactorProfile, tol: float) -> tuple[float, float]:
@@ -231,8 +234,7 @@ class ModeSolution:
     f_dot: np.ndarray
     g: np.ndarray
     g_dot: np.ndarray
-    params: ModeParameters
-    profile: ScaleFactorProfile
+    mode: Mode
     n_rhs_evaluations: int
     shifted: tuple[float, complex, complex] | None
 
@@ -246,11 +248,10 @@ class ModeSolution:
 
     def amplitude_bound_excess(self) -> float:
         """max |f|^2 above the conserved-quantity bound (should be ~0)."""
-        en = asymptotic_energies(self.params, self.profile)
-        p = self.params.p
-        if p == 0.0:
+        mode = self.mode
+        if mode.p == 0.0:
             return 0.0
-        bound = 1.0 + (en.e_in + en.m_in) ** 2 / p ** 2
+        bound = 1.0 + (mode.e_in + mode.m_in) ** 2 / mode.p ** 2
         return float(max(np.max(np.abs(self.f) ** 2) - bound, 0.0))
 
 
@@ -260,30 +261,37 @@ def check_tolerance(tol: float) -> None:
         raise ValueError(f"tol {tol} outside [{TOL_MIN}, {TOL_MAX}]")
 
 
-def check_point_tolerance(tol: float) -> None:
-    """Raise ValueError unless both integrations of momentum_point are in range.
-
-    Those run at tol and tol / REFINEMENT, so the effective floor is
-    TOL_MIN * REFINEMENT.
-    """
-    check_tolerance(tol)
-    if not tol / REFINEMENT >= TOL_MIN:
-        raise ValueError(f"tol {tol} below {TOL_MIN * REFINEMENT}: the self-convergence "
-                         f"run at tol/{REFINEMENT:g} needs at least {TOL_MIN}")
-
-
-def check_phase(params: ModeParameters, profile: ScaleFactorProfile,
-                tau_span: tuple[float, float]) -> None:
+def check_phase(mode: Mode, tau_span: tuple[float, float]) -> None:
     """Raise ValueError when the mode would sweep more than MAX_PHASE radians.
 
     The integrator needs a fixed number of steps per radian, so this bounds
     the run time of one integration instead of letting it hang.
     """
-    en = asymptotic_energies(params, profile)
-    phase = max(en.e_in, en.e_out) * (tau_span[1] - tau_span[0])
+    phase = max(mode.e_in, mode.e_out) * (tau_span[1] - tau_span[0])
     if not phase <= MAX_PHASE:
         raise ValueError(f"mode phase {phase:.3g} rad across the span exceeds the "
                          f"{MAX_PHASE:g} rad budget")
+
+
+def check_point(p_vec, m: float, profile: ScaleFactorProfile,
+                tol: float) -> tuple[Mode, tuple[float, float]]:
+    """``momentum_point``'s inputs checked, as (mode, integration span).
+
+    Raises ValueError unless tol lies in [TOL_MIN * REFINEMENT, TOL_MAX]
+    (the self-convergence run at tol / REFINEMENT needs at least TOL_MIN),
+    unless ``Mode`` accepts (p_vec, m, profile), or when the mode would
+    sweep more than MAX_PHASE radians over the span, which is sized for
+    tol / REFINEMENT.  Only the phase grows with |p|, so a grid of
+    momenta along one direction passes when its largest |p| does.
+    """
+    check_tolerance(tol)
+    if not tol / REFINEMENT >= TOL_MIN:
+        raise ValueError(f"tol {tol} below {TOL_MIN * REFINEMENT}: the self-convergence "
+                         f"run at tol/{REFINEMENT:g} needs at least {TOL_MIN}")
+    mode = Mode(tuple(p_vec), m, profile)
+    span = default_tau_span(profile, tol / REFINEMENT)
+    check_phase(mode, span)
+    return mode, span
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10): the nodes
@@ -465,8 +473,7 @@ def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, t_extra: float):
     return times, states, extra
 
 
-def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
-                   tau_span: tuple[float, float] | None = None,
+def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
                    tol: float = 1e-9) -> ModeSolution:
     """Integrate the mode equation across the expansion epoch.
 
@@ -485,6 +492,7 @@ def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
     would sweep more than ``MAX_PHASE`` radians.
     """
     check_tolerance(tol)
+    profile = mode.profile
     if tau_span is None:
         tau_span = default_tau_span(profile, tol)
     tau0, tau1 = float(tau_span[0]), float(tau_span[1])
@@ -494,10 +502,9 @@ def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
         raise ValueError(f"tau_span start {tau0} does not reach the early flat region")
     if abs(profile.a(tau1) - profile.a_out) > tol:
         raise ValueError(f"tau_span end {tau1} does not reach the late flat region")
-    check_phase(params, profile, (tau0, tau1))
-    en = asymptotic_energies(params, profile)
-    p2 = params.p ** 2
-    m = params.m
+    check_phase(mode, (tau0, tau1))
+    p2 = mode.p ** 2
+    m = mode.m
     evaluations = 0
 
     def k_of(tau: float) -> complex:
@@ -506,15 +513,16 @@ def integrate_mode(params: ModeParameters, profile: ScaleFactorProfile,
         mass, rate = profile.mass_and_rate(tau, m)
         return p2 + mass ** 2 - 1j * rate
 
-    f0 = cmath.exp(-1j * en.e_in * tau0)
-    g0 = cmath.exp(+1j * en.e_in * tau0)
-    y0 = (f0, -1j * en.e_in * f0, g0, +1j * en.e_in * g0)
+    e_in, e_out = mode.e_in, mode.e_out
+    f0 = cmath.exp(-1j * e_in * tau0)
+    g0 = cmath.exp(+1j * e_in * tau0)
+    y0 = (f0, -1j * e_in * f0, g0, +1j * e_in * g0)
     # No shifted sample for a degenerate mode or a span shorter than a period.
-    tau_shift = tau1 - 2.0 * math.pi / en.e_out if en.e_out >= MIN_OUT_ENERGY else -math.inf
+    tau_shift = tau1 - 2.0 * math.pi / e_out if e_out >= MIN_OUT_ENERGY else -math.inf
     times, states, at_shift = _dop853(k_of, tau0, tau1, y0, tol, tau_shift)
     y = np.array(states).T
     return ModeSolution(tau=np.array(times), f=y[0], f_dot=y[1], g=y[2], g_dot=y[3],
-                        params=params, profile=profile, n_rhs_evaluations=evaluations,
+                        mode=mode, n_rhs_evaluations=evaluations,
                         shifted=None if at_shift is None else (tau_shift, *at_shift[:2]))
 
 
@@ -541,14 +549,14 @@ def _match_plane_waves(f: complex, f_dot: complex, e_out: float,
 
 def extract_scalar_coefficients(sol: ModeSolution) -> ScalarBogolyubov:
     """Match the late-time solution onto in/out plane waves."""
-    en = asymptotic_energies(sol.params, sol.profile)
-    if en.e_out < MIN_OUT_ENERGY:
+    e_out = sol.mode.e_out
+    if e_out < MIN_OUT_ENERGY:
         raise IntegrationError("degenerate mode: out-region energy is zero")
     tau_end = float(sol.tau[-1])
-    a, b = _match_plane_waves(sol.f[-1], sol.f_dot[-1], en.e_out, tau_end)
+    a, b = _match_plane_waves(sol.f[-1], sol.f_dot[-1], e_out, tau_end)
     if sol.shifted is not None:
         tau_shift, f_shift, f_dot_shift = sol.shifted
-        a2, b2 = _match_plane_waves(f_shift, f_dot_shift, en.e_out, tau_shift)
+        a2, b2 = _match_plane_waves(f_shift, f_dot_shift, e_out, tau_shift)
         shift_residual = max(abs(a - a2), abs(b - b2))
     else:
         shift_residual = math.nan
@@ -577,32 +585,31 @@ class DressingResult:
     normalization_residual: float
 
 
-def dress_coefficients(scalar: ScalarBogolyubov, params: ModeParameters,
-                       profile: ScaleFactorProfile, tol: float = 1e-9) -> DressingResult:
+def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode,
+                       tol: float = 1e-9) -> DressingResult:
     """Dress scalar amplitudes into a validated coefficient set.
 
-    beta is the flat-spinor contraction of ``params.p_vec`` times a
+    beta is the flat-spinor contraction of ``mode.p_vec`` times a
     scalar, so lambda_effective, the spin-flip share of |beta|**2, is read
     from the contraction; it is 0 where the contraction vanishes (p = 0).
     The amplitude is made real by stripping (and recording) its global
     phase, which rotates operator phases but none of the mixing moduli.
     Raises when the resulting set violates the normalization constraints
-    beyond 10 * tol, signalling an integration or matching bug.
+    beyond DRESSING_GATE * tol, signalling an integration or matching bug.
     """
-    contraction = spinor_contraction(params.p_vec)
-    en = asymptotic_energies(params, profile)
-    raw_a = math.sqrt(en.e_out / en.e_in * (en.e_out + en.m_out) / (en.e_in + en.m_in)) \
-        * scalar.a_minus
+    contraction = spinor_contraction(mode.p_vec)
+    e_in, e_out, m_in, m_out = mode.e_in, mode.e_out, mode.m_in, mode.m_out
+    raw_a = math.sqrt(e_out / e_in * (e_out + m_out) / (e_in + m_in)) * scalar.a_minus
     magnitude = abs(raw_a)
     phase = raw_a / magnitude if magnitude > 0 else complex(1.0)
-    denom = math.sqrt((en.e_in / en.e_out) * (en.e_out + en.m_out) * (en.e_in + en.m_in))
+    denom = math.sqrt((e_in / e_out) * (e_out + m_out) * (e_in + m_in))
     beta = -1j * contraction * scalar.b_minus / denom
     coeffs = BogolyubovCoefficients(scenario=Scenario.CHARGE_ONLY,
                                     a=min(magnitude, 1.0), beta=beta)
-    report = validate(coeffs, tolerance=10.0 * tol)
+    report = validate(coeffs, tolerance=DRESSING_GATE * tol)
     if not report.passed:
         raise IntegrationError(
-            f"dressed coefficients violate constraints beyond {10 * tol}: "
+            f"dressed coefficients violate constraints beyond {DRESSING_GATE * tol}: "
             f"{report.failing()} (worst {report.worst:.3e})")
     denom_lambda = abs(contraction[UP, DOWN]) ** 2 + abs(contraction[UP, UP]) ** 2
     lambda_eff = abs(contraction[UP, DOWN]) ** 2 / denom_lambda if denom_lambda > 0 else 0.0
@@ -648,29 +655,27 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
     Runs the integration at tol and tol / REFINEMENT over a common span
     (sized for the finer tolerance) and reports the coefficient
     difference as the self-convergence diagnostic.  The vacuum is scored
-    by ``entanglement.score`` at (n_created, lambda_effective).
+    by ``entanglement.score`` at (n_created, lambda_effective).  Invalid
+    inputs raise ValueError from ``check_point`` before any integration.
     """
     from cosmopair.entanglement import score
 
-    check_point_tolerance(tol)
-    params = ModeParameters(p_vec=tuple(p_vec), m=m)
-    span = default_tau_span(profile, tol / REFINEMENT)
+    mode, span = check_point(p_vec, m, profile, tol)
 
     def run(run_tol: float) -> ScalarBogolyubov:
-        sol = integrate_mode(params, profile, tau_span=span, tol=run_tol)
-        return extract_scalar_coefficients(sol)
+        return extract_scalar_coefficients(integrate_mode(mode, tau_span=span, tol=run_tol))
 
     scalar = run(tol)
     scalar_fine = run(tol / REFINEMENT)
     self_conv = max(abs(scalar.a_minus - scalar_fine.a_minus),
                     abs(scalar.b_minus - scalar_fine.b_minus))
-    dressed = dress_coefficients(scalar, params, profile, tol=tol)
+    dressed = dress_coefficients(scalar, mode, tol=tol)
     coeffs = dressed.coefficients
     n_created = particle_density(coeffs)
     [(s_num, s_closed, gap)] = score([coeffs], 0, [(n_created, dressed.lambda_effective)])
     b = np.abs(coeffs.beta)
     return MomentumPointResult(
-        p_vec=params.p_vec, p=params.p, a=coeffs.a,
+        p_vec=mode.p_vec, p=mode.p, a=coeffs.a,
         beta_moduli=(float(b[UP, UP]), float(b[UP, DOWN]),
                      float(b[DOWN, UP]), float(b[DOWN, DOWN])),
         n_created=n_created, lambda_effective=dressed.lambda_effective,

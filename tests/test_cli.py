@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from cosmopair import cli
+from cosmopair import dynamics as dyn
 from cosmopair.bogoliubov import Scenario
 
 
@@ -26,6 +27,9 @@ def test_parse_grid_errors():
     for bad in ("", "1:2", "1:2:-1", "3:1:0.5"):
         with pytest.raises(ValueError):
             cli.parse_grid(bad)
+    for empty in (",", " , ,"):
+        with pytest.raises(ValueError, match="empty grid specification"):
+            cli.parse_grid(empty)
 
 
 def test_parse_momentum_grid_log():
@@ -265,10 +269,12 @@ def _run_cli(argv, timeout: float) -> subprocess.CompletedProcess:
                           timeout=timeout)
 
 
-@pytest.mark.parametrize("flags, message", [
+RUN_WIDE_ERRORS = pytest.mark.parametrize("flags, message", [
     (["--mass", "-1"], "mass -1.0 must be finite and nonnegative"),
-    (["--tol", "1e-3"], "tol 0.001 outside [1e-12, 1e-06]"),
-    (["--tol", "1e-13"], "tol 1e-13 outside [1e-12, 1e-06]"),
+    (["--tol", "1e-3"], "tol 0.001 outside [1e-12, 1e-07]"),
+    (["--tol", "1e-13"], "tol 1e-13 outside [1e-12, 1e-07]"),
+    # a tol whose rows passed the dressing gate and then failed in scoring
+    (["--tol", "1e-6"], "tol 1e-06 outside [1e-12, 1e-07]"),
     # values that passed up front but failed every row inside the run
     (["--tol", "1e-12"], "tol 1e-12 below 2e-12"),
     (["--epsilon", "1e308"], "with 2 epsilon and 2 rho finite"),
@@ -279,9 +285,12 @@ def _run_cli(argv, timeout: float) -> subprocess.CompletedProcess:
     # values that gave a traceback (float ** overflowing) or an inf mass rate
     (["--mass", "1e200"], "squared is not a finite double"),
     (["--rho", "1e300", "--mass", "1e10"], "needs m * epsilon * rho finite"),
-], ids=["mass-negative", "tol-too-loose", "tol-too-tight", "tol-below-refined-floor",
-        "epsilon-overflows", "rho-overflows", "phase-over-budget", "rate-overflows",
-        "mass-squared-overflows", "mass-rate-overflows"])
+], ids=["mass-negative", "tol-too-loose", "tol-too-tight", "tol-above-the-scoring-gate",
+        "tol-below-refined-floor", "epsilon-overflows", "rho-overflows", "phase-over-budget",
+        "rate-overflows", "mass-squared-overflows", "mass-rate-overflows"])
+
+
+@RUN_WIDE_ERRORS
 def test_dynamics_run_wide_errors_are_usage_errors(flags, message, tmp_path):
     # A child process with a timeout, so that a run that hangs fails the test.
     out = tmp_path / "x.csv"
@@ -291,6 +300,29 @@ def test_dynamics_run_wide_errors_are_usage_errors(flags, message, tmp_path):
     assert not out.exists()
     assert done.stderr.startswith("usage: cosmopair dynamics ")
     assert message in done.stderr
+
+
+@RUN_WIDE_ERRORS
+def test_the_library_refuses_the_same_run_wide_inputs(flags, message):
+    # The CLI's defaults and --p-grid 1, passed to momentum_point.
+    values = {"--epsilon": 1.0, "--rho": 1.0, "--mass": 1.0, "--tol": 1e-9,
+              **{flag: float(value) for flag, value in zip(flags[::2], flags[1::2])}}
+    with pytest.raises(ValueError) as err:
+        profile = dyn.ScaleFactorProfile.smooth_step(values["--epsilon"], values["--rho"])
+        dyn.momentum_point((1.0, 0.0, 0.0), values["--mass"], profile, tol=values["--tol"])
+    assert message in str(err.value)
+
+
+def test_rows_at_the_loosest_tol_fail_only_through_the_dressing_gate(tmp_path):
+    # Above TOL_MAX a row could pass the dressing gate, 10 * tol, and then
+    # fail the fixed gate of theta_from_coefficients while being scored.
+    out = tmp_path / "dyn.json"
+    cli.main(["dynamics", "--tol", repr(dyn.TOL_MAX), "--p-grid", "log:0.1:40:12",
+              "--format", "json", "--output", str(out)])
+    statuses = [row["status"] for row in json.loads(out.read_text())["rows"]]
+    assert "ok" in statuses
+    assert all(status == "ok" or status.startswith("error: dressed coefficients violate")
+               for status in statuses), statuses
 
 
 @pytest.mark.parametrize("argv", [

@@ -45,30 +45,28 @@ def test_profile_validation():
 
 def test_point_tolerance_covers_the_refined_run():
     floor = dyn.TOL_MIN * dyn.REFINEMENT
-    dyn.check_point_tolerance(floor)
-    dyn.check_point_tolerance(dyn.TOL_MAX)
+    dyn.check_point((1.0, 0.0, 0.0), 1.0, FLAT, floor)
+    dyn.check_point((1.0, 0.0, 0.0), 1.0, FLAT, dyn.TOL_MAX)
     for tol in (dyn.TOL_MIN, 0.5 * (dyn.TOL_MIN + floor), 2.0 * dyn.TOL_MAX, math.nan):
         with pytest.raises(ValueError):
-            dyn.check_point_tolerance(tol)
+            dyn.check_point((1.0, 0.0, 0.0), 1.0, FLAT, tol)
     with pytest.raises(ValueError):
         dyn.momentum_point((1.0, 0.0, 0.0), 1.0, FLAT, tol=dyn.TOL_MIN)
 
 
 def test_phase_budget_admits_the_documented_runs_and_rejects_a_hang():
     def phase(p, profile, tol=1e-9):
-        params = dyn.ModeParameters(p_vec=(p, 0.0, 0.0), m=1.0)
-        en = dyn.asymptotic_energies(params, profile)
+        mode = dyn.Mode((p, 0.0, 0.0), 1.0, profile)
         tau0, tau1 = dyn.default_tau_span(profile, tol / dyn.REFINEMENT)
-        return max(en.e_in, en.e_out) * (tau1 - tau0)
+        return max(mode.e_in, mode.e_out) * (tau1 - tau0)
 
     # |p| = 40 is the widest run of the README, CI, tests and benchmark.
     assert 50.0 * phase(40.0, TANH) <= dyn.MAX_PHASE
     assert phase(300.0, dyn.ScaleFactorProfile.smooth_step(1.0, 0.1)) <= dyn.MAX_PHASE
     huge = dyn.ScaleFactorProfile.smooth_step(1e14, 1.0)
     assert phase(1.0, huge) > dyn.MAX_PHASE
-    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
     with pytest.raises(ValueError, match="rad budget"):
-        dyn.integrate_mode(params, huge)
+        dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, huge))
 
 
 def test_non_finite_frequency_fails_the_integration_instead_of_hanging():
@@ -81,9 +79,12 @@ def test_non_finite_frequency_fails_the_integration_instead_of_hanging():
         def mass_and_rate(self, tau, m):
             return m, math.nan
 
-    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
+        def check_mass(self, m):
+            """Accepts every mass, so that the NaN reaches the stepper."""
+
+    mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, NanRate())
     with pytest.raises(dyn.IntegrationError, match="step size below"):
-        dyn.integrate_mode(params, NanRate(), tau_span=(-5.0, 5.0))
+        dyn.integrate_mode(mode, tau_span=(-5.0, 5.0))
 
 
 def test_mass_dot_overflow_safe():
@@ -116,26 +117,37 @@ def test_profile_methods_are_floats_matching_numpy_forms(profile):
 @pytest.mark.parametrize("m", [-1.0, math.nan, math.inf])
 def test_mode_parameters_reject_bad_mass(m):
     with pytest.raises(ValueError):
-        dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=m)
+        dyn.Mode((1.0, 0.0, 0.0), m, TANH)
 
 
 def test_asymptotic_energies():
-    params = dyn.ModeParameters(p_vec=(0.0, 0.0, 1.0), m=1.0)
-    en = dyn.asymptotic_energies(params, TANH)
-    assert abs(en.m_in - 1.0) <= 1e-15
-    assert abs(en.m_out - math.sqrt(3.0)) <= 1e-15
-    assert abs(en.e_in - math.sqrt(2.0)) <= 1e-15
-    assert abs(en.e_out - 2.0) <= 1e-15
-    assert en.e_in >= params.p and en.e_out >= en.m_out
+    mode = dyn.Mode((0.0, 0.0, 1.0), 1.0, TANH)
+    assert abs(mode.m_in - 1.0) <= 1e-15
+    assert abs(mode.m_out - math.sqrt(3.0)) <= 1e-15
+    assert abs(mode.e_in - math.sqrt(2.0)) <= 1e-15
+    assert abs(mode.e_out - 2.0) <= 1e-15
+    assert mode.e_in >= mode.p and mode.e_out >= mode.m_out
     # float ** raises OverflowError where * would give inf
-    with pytest.raises(ValueError, match="squared is not a finite double"):
-        dyn.asymptotic_energies(dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1e200), TANH)
+    for p, m in ((1.0, 1e200), (1e200, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="squared is not a finite double"):
+            dyn.Mode((p, 0.0, 0.0), m, TANH)
+    with pytest.raises(ValueError, match="three components"):
+        dyn.Mode((1.0, 0.0), 1.0, TANH)
+    with pytest.raises(ValueError, match="m \\* epsilon \\* rho"):
+        dyn.Mode((1.0, 0.0, 0.0), 1e10, dyn.ScaleFactorProfile.smooth_step(1.0, 1e300))
+
+
+def test_momentum_below_the_square_root_underflow_is_reported():
+    # sqrt(sum(c * c)) reads 0 below |p| ~ 1.5e-154; beta comes from the nonzero p_vec.
+    assert dyn.Mode((0.0, 1e-300, 0.0), 1.0, TANH).p == 1e-300
+    point = dyn.momentum_point((1e-300, 0.0, 0.0), 1.0, TANH)
+    assert point.p == 1e-300 and 0.0 < max(point.beta_moduli) < 1e-299
 
 
 def test_constant_profile_plane_wave():
-    params = dyn.ModeParameters(p_vec=(0.3, 0.0, 0.4), m=1.0)
-    sol = dyn.integrate_mode(params, FLAT, tau_span=(-8.0, 8.0), tol=1e-10)
-    energy = dyn.asymptotic_energies(params, FLAT).e_in
+    mode = dyn.Mode((0.3, 0.0, 0.4), 1.0, FLAT)
+    sol = dyn.integrate_mode(mode, tau_span=(-8.0, 8.0), tol=1e-10)
+    energy = mode.e_in
     expected = np.exp(-1j * energy * sol.tau)
     assert np.max(np.abs(sol.f - expected)) <= 1e-8
     scalar = dyn.extract_scalar_coefficients(sol)
@@ -144,62 +156,60 @@ def test_constant_profile_plane_wave():
 
 
 def test_positive_frequency_initial_condition():
-    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
-    sol = dyn.integrate_mode(params, TANH, tol=1e-10)
-    energy = dyn.asymptotic_energies(params, TANH).e_in
+    mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
+    sol = dyn.integrate_mode(mode, tol=1e-10)
+    energy = mode.e_in
     early = slice(0, 5)
     ratio = sol.f_dot[early] / sol.f[early]
     assert np.max(np.abs(ratio + 1j * energy)) <= 1e-7
 
 
 def test_span_too_narrow_is_configuration_error():
-    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
     with pytest.raises(ValueError):
-        dyn.integrate_mode(params, TANH, tau_span=(-3.0, 3.0), tol=1e-10)
+        dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH), tau_span=(-3.0, 3.0),
+                           tol=1e-10)
 
 
 def test_tolerance_range_enforced():
-    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
+    mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
     with pytest.raises(ValueError):
-        dyn.integrate_mode(params, TANH, tol=1e-3)
+        dyn.integrate_mode(mode, tol=1e-3)
     with pytest.raises(ValueError):
-        dyn.integrate_mode(params, TANH, tol=1e-13)
+        dyn.integrate_mode(mode, tol=1e-13)
     with pytest.raises(ValueError):
-        dyn.integrate_mode(params, TANH, tol=math.nan)
+        dyn.integrate_mode(mode, tol=math.nan)
 
 
 def test_wronskian_conserved_and_amplitude_bounded():
-    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
     tol = 1e-9
-    sol = dyn.integrate_mode(params, TANH, tol=tol)
+    sol = dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH), tol=tol)
     assert sol.wronskian_drift() <= 100 * tol
     assert sol.amplitude_bound_excess() <= 100 * tol
 
 
 def test_extraction_stable_under_period_shift():
-    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
     tol = 1e-9
-    scalar = dyn.extract_scalar_coefficients(dyn.integrate_mode(params, TANH, tol=tol))
+    scalar = dyn.extract_scalar_coefficients(
+        dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH), tol=tol))
     assert scalar.shift_residual <= 10 * tol
 
 
 def test_self_convergence_under_tolerance_refinement():
-    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
+    mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
     tol = 1e-9
     span = dyn.default_tau_span(TANH, tol / 10.0)
     coarse = dyn.extract_scalar_coefficients(
-        dyn.integrate_mode(params, TANH, tau_span=span, tol=tol))
+        dyn.integrate_mode(mode, tau_span=span, tol=tol))
     fine = dyn.extract_scalar_coefficients(
-        dyn.integrate_mode(params, TANH, tau_span=span, tol=tol / 10.0))
+        dyn.integrate_mode(mode, tau_span=span, tol=tol / 10.0))
     drift = max(abs(coarse.a_minus - fine.a_minus), abs(coarse.b_minus - fine.b_minus))
     assert drift <= 10 * tol
 
 
 def test_small_expansion_limit():
-    params = dyn.ModeParameters(p_vec=(1.0, 0.0, 0.0), m=1.0)
     gentle = dyn.ScaleFactorProfile.smooth_step(1e-4, 1.0)
     scalar = dyn.extract_scalar_coefficients(
-        dyn.integrate_mode(params, gentle, tol=1e-10))
+        dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, gentle), tol=1e-10))
     assert abs(scalar.b_minus) < 1e-4
 
 
@@ -224,21 +234,21 @@ def test_spinor_contraction_zero_momentum():
 
 
 def test_dress_constant_profile_is_trivial():
-    params = dyn.ModeParameters(p_vec=(0.5, 0.5, 0.5), m=1.0)
-    sol = dyn.integrate_mode(params, FLAT, tau_span=(-8.0, 8.0), tol=1e-10)
+    mode = dyn.Mode((0.5, 0.5, 0.5), 1.0, FLAT)
+    sol = dyn.integrate_mode(mode, tau_span=(-8.0, 8.0), tol=1e-10)
     scalar = dyn.extract_scalar_coefficients(sol)
-    dressed = dyn.dress_coefficients(scalar, params, FLAT, tol=1e-10)
+    dressed = dyn.dress_coefficients(scalar, mode, tol=1e-10)
     assert abs(dressed.coefficients.a - 1.0) <= 1e-8
     assert np.max(np.abs(dressed.coefficients.beta)) <= 1e-8
     assert dyn.particle_density(dressed.coefficients) <= 1e-8
 
 
 def test_dress_tanh_profile_normalization_and_lambda():
-    params = dyn.ModeParameters(p_vec=(1.0, 1.0, 1.0), m=1.0)
+    mode = dyn.Mode((1.0, 1.0, 1.0), 1.0, TANH)
     tol = 1e-9
-    sol = dyn.integrate_mode(params, TANH, tol=tol)
+    sol = dyn.integrate_mode(mode, tol=tol)
     scalar = dyn.extract_scalar_coefficients(sol)
-    dressed = dyn.dress_coefficients(scalar, params, TANH, tol=tol)
+    dressed = dyn.dress_coefficients(scalar, mode, tol=tol)
     assert dressed.normalization_residual <= 10 * tol
     assert validate(dressed.coefficients, tolerance=10 * tol).passed
     # direction (1,1,1): flip fraction is (px^2+py^2)/|p|^2 = 2/3
@@ -305,9 +315,9 @@ def test_density_falls_off_at_large_momentum():
 
 
 def test_degenerate_mode_rejected():
-    params = dyn.ModeParameters(p_vec=(0.0, 0.0, 0.0), m=0.0)
+    mode = dyn.Mode((0.0, 0.0, 0.0), 0.0, FLAT)
     with pytest.raises((dyn.IntegrationError, ValueError)):
-        sol = dyn.integrate_mode(params, FLAT, tau_span=(-5.0, 5.0), tol=1e-9)
+        sol = dyn.integrate_mode(mode, tau_span=(-5.0, 5.0), tol=1e-9)
         dyn.extract_scalar_coefficients(sol)
 
 
@@ -332,6 +342,9 @@ class TanhLinearMass:
         expo = math.exp(-2.0 * abs(self.rho * tau))
         sech2 = 4.0 * expo / (1.0 + expo) ** 2
         return m * self.a(tau), m * self.epsilon * self.rho * sech2
+
+    def check_mass(self, m: float) -> None:
+        """Accepts every mass: the tests' masses and rates are all moderate."""
 
 
 def exact_tanh_linear_density(p: float, m: float, delta: float, rho: float) -> float:
@@ -453,7 +466,7 @@ def test_compiled_step_equals_the_loop_form_inside_an_integration(monkeypatch):
 
     step = dyn._step
     monkeypatch.setattr(dyn, "_step", recording_step)
-    sol = dyn.integrate_mode(dyn.ModeParameters(p_vec=(0.1, 0.0, 0.0), m=1.0), TANH)
+    sol = dyn.integrate_mode(dyn.Mode((0.1, 0.0, 0.0), 1.0, TANH))
     monkeypatch.undo()
     accepted = len(sol.tau) - 1
     assert len(calls) > accepted + 1, "no rejected step to compare"
@@ -487,13 +500,13 @@ def test_stepper_matches_scipy_dop853(p, tol):
     # scipy's solve_ivp is the oracle: the same method and step-size controller.
     from scipy.integrate import solve_ivp
 
-    params = dyn.ModeParameters(p_vec=(p, 0.0, 0.0), m=1.0)
+    mode = dyn.Mode((p, 0.0, 0.0), 1.0, TANH)
     span = dyn.default_tau_span(TANH, tol)
-    sol = dyn.integrate_mode(params, TANH, tau_span=span, tol=tol)
-    e_in = dyn.asymptotic_energies(params, TANH).e_in
+    sol = dyn.integrate_mode(mode, tau_span=span, tol=tol)
+    e_in = mode.e_in
 
     def rhs(tau, y):
-        mass, rate = TANH.mass_and_rate(tau, params.m)
+        mass, rate = TANH.mass_and_rate(tau, mode.m)
         k = p * p + mass ** 2 - 1j * rate
         return [y[1], -k * y[0], y[3], -k * y[2]]
 
