@@ -199,7 +199,7 @@ def _cmd_dynamics(args, parser) -> int:
         direction = tuple(float(c) for c in args.direction.split(","))
         if len(direction) != 3:
             raise ValueError("direction needs three comma-separated components")
-        norm = math.sqrt(sum(c * c for c in direction))
+        norm = math.hypot(*direction)
         if not 0 < norm < math.inf:
             raise ValueError("direction must be nonzero with a finite norm")
         direction = tuple(c / norm for c in direction)

@@ -2,18 +2,22 @@
 
 The numeric route evolves an occupation state with the dense squeezing
 unitary, traces out the antiparticle modes and diagonalizes the reduced
-operator.  The closed forms cover the vacuum in all scenarios and the
-full excited-state catalogue; wherever both exist the numeric value is
-authoritative and the sweep records the discrepancy.
+operator.  Every pair term of the generator pairs a particle mode with
+an antiparticle mode, so the evolved state stays in the charge sector
+of its input, and only the generator's block on that sector is
+exponentiated.  The closed forms cover the vacuum in all scenarios and
+the full excited-state catalogue; wherever both exist the numeric value
+is authoritative and the sweep records the discrepancy.
 
 ``entropy_numeric`` takes one coefficient set or a sequence of sets from
-one scenario.  A sequence shares one stacked generator and one stacked
-eigendecomposition; the partial trace and the reduced spectrum still run
-once per set.  ``score`` is the one place that scores coefficient sets:
-it walks any iterable of sets in blocks of ``squeezing.STACK_BLOCK``,
-hands each block to the numeric route, and sets each entropy against the
-catalogue at the caller's (n, lambda).  ``sweep`` and
-``dynamics.momentum_point`` both end in it.
+one scenario.  A sequence shares one stacked generator, one stacked
+sector exponential, one stack of density operators and one stacked
+reduced spectrum; theta and the partial trace still run once per set.
+``score`` is the one place that scores coefficient sets: it walks any
+iterable of sets in blocks of ``squeezing.STACK_BLOCK``, hands each
+block to the numeric route, and sets each entropy against the catalogue
+at the caller's (n, lambda).  ``sweep`` and ``dynamics.momentum_point``
+both end in it.
 
 All entropies are in bits.  The excited catalogue for four modes hinges
 on the particle-antiparticle charge of the input:
@@ -31,6 +35,7 @@ on the particle-antiparticle charge of the input:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Sequence
@@ -92,21 +97,56 @@ def entropy_vacuum_closed_form(n: float, scenario: Scenario) -> float:
     return 2.0 * binary_entropy(n / 4.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _charge_sector(n_modes: int, occupation: int) -> tuple[np.ndarray, int, int]:
+    """Cached read-only (order, size, position) of an occupation's charge sector.
+
+    order lists every basis index, first the ``size`` indices whose
+    charge, read from the diagonal of ``fock.charge_operator``, equals the
+    occupation's, then the rest; position is the occupation's place among
+    the first ``size``.
+    """
+    charges = np.diag(fock.charge_operator(n_modes)).real.tolist()
+    sector = [k for k, q in enumerate(charges) if q == charges[occupation]]
+    order = np.array(sector + [k for k, q in enumerate(charges) if q != charges[occupation]])
+    order.flags.writeable = False
+    return order, len(sector), sector.index(occupation)
+
+
+def _evolve_in_sector(generators: np.ndarray, occupation: int) -> np.ndarray:
+    """exp(L) applied to a basis state, through L's block on the state's charge sector.
+
+    generators is a stack (..., 2**n, 2**n); the result is the stack of
+    evolved states (..., 2**n), zero off the sector.  A generator entry
+    that joins the sector to another charge raises ValueError, since the
+    block alone would then no longer give the evolution.
+    """
+    n_modes = generators.shape[-1].bit_length() - 1
+    order, size, position = _charge_sector(n_modes, occupation)
+    ordered = generators[..., order[:, np.newaxis], order]
+    if not ((ordered[..., :size, size:] == 0).all() and (ordered[..., size:, :size] == 0).all()):
+        raise ValueError(f"generator couples the charge sector of occupation {occupation} "
+                         "to other charges")
+    evolved = np.zeros(generators.shape[:-1], dtype=complex)
+    evolved[..., order[:size]] = unitary_dense(ordered[..., :size, :size])[..., :, position]
+    return evolved
+
+
 def entropy_numeric(coeffs: BogolyubovCoefficients | Sequence[BogolyubovCoefficients],
                     occupation: int) -> float | list[float]:
     """Partial-trace entropy of an evolved occupation state.
 
-    Evolves through the dense unitary (exact for every amplitude
-    including a = 0), forms the pure density operator and traces out the
-    antiparticle modes.
+    Evolves through the dense unitary on the input's charge sector (exact
+    for every amplitude including a = 0), forms the pure density operator
+    and traces out the antiparticle modes.
 
     One coefficient set gives one float.  A nonempty sequence of sets
     from one scenario gives one entropy per set, in order, each equal to
-    the single-set call: the generators and unitaries are built as one
-    stack, and each evolved column then goes through
-    ``fock.subsystem_entropy`` on its own.  An empty sequence, mixed
-    scenarios or an out-of-range occupation raise ValueError before any
-    unitary is built.
+    the single-set call: the generators, sector unitaries, density
+    operators and reduced spectra are built as stacks, and only the
+    partial trace runs once per set.  An empty sequence, mixed scenarios
+    or an out-of-range occupation raise ValueError before any unitary is
+    built.
     """
     single = isinstance(coeffs, BogolyubovCoefficients)
     sets = [coeffs] if single else list(coeffs)
@@ -119,8 +159,10 @@ def entropy_numeric(coeffs: BogolyubovCoefficients | Sequence[BogolyubovCoeffici
     if not 0 <= occupation < fock.dimension(n_modes):
         raise ValueError(f"occupation {occupation} out of range for {n_modes} modes")
     thetas = np.array([theta_from_coefficients(c) for c in sets])
-    evolved = unitary_dense(build_generator(thetas))[:, :, occupation]
-    entropies = [fock.subsystem_entropy(state, scenario.particle_modes) for state in evolved]
+    evolved = _evolve_in_sector(build_generator(thetas), occupation)
+    reduced = np.array([fock.partial_trace(rho, scenario.particle_modes)
+                        for rho in fock.outer_product(evolved)])
+    entropies = fock.von_neumann_entropy(reduced).tolist()
     return entropies[0] if single else entropies
 
 

@@ -225,6 +225,20 @@ def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     assert ok["status"] == "ok"
 
 
+@pytest.mark.parametrize("direction, plain", [("1e-200,0,0", "1,0,0"),
+                                               ("1e300,1e300,0", "1,1,0")],
+                         ids=["square-underflows", "square-overflows"])
+def test_direction_scale_does_not_change_the_rows(direction, plain, tmp_path):
+    """A direction whose squared norm leaves the double range still normalizes."""
+    def rows(components):
+        out = tmp_path / "dyn.csv"
+        assert cli.main(["dynamics", "--p-grid", "0.5,2", "--direction", components,
+                         "--output", str(out)]) == 0
+        return out.read_text()
+
+    assert rows(direction) == rows(plain)
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--scenario", "spinless", "--n", "0:inf:1"],
     ["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "nan"],
@@ -323,6 +337,20 @@ def test_rows_at_the_loosest_tol_fail_only_through_the_dressing_gate(tmp_path):
     assert "ok" in statuses
     assert all(status == "ok" or status.startswith("error: dressed coefficients violate")
                for status in statuses), statuses
+
+
+@pytest.mark.parametrize("direction, plain", [("1e-200,0,0", "1,0,0"),
+                                               ("1e300,1e300,0", "1,1,0")],
+                         ids=["square-underflows", "square-overflows"])
+def test_direction_scale_does_not_change_the_rows(direction, plain, tmp_path):
+    """A direction whose squared norm leaves the double range still normalizes."""
+    def rows(components):
+        out = tmp_path / "dyn.csv"
+        assert cli.main(["dynamics", "--p-grid", "0.5,2", "--direction", components,
+                         "--output", str(out)]) == 0
+        return out.read_text()
+
+    assert rows(direction) == rows(plain)
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ALL_SCENARIOS
+from conftest import ALL_SCENARIOS, seeded_sets
 from cosmopair import entanglement as ent
 from cosmopair import fock, squeezing
-from cosmopair.bogoliubov import Scenario, from_density
-from cosmopair.squeezing import unitary_for
+from cosmopair.bogoliubov import Scenario, from_density, theta_from_coefficients
+from cosmopair.squeezing import build_generator, unitary_dense, unitary_for
 
 # Frozen oracle values, evaluated from the defining formulas in extended
 # precision and pinned here.
@@ -324,3 +325,33 @@ def test_entropy_numeric_rejects_bad_sequences_before_building_a_unitary(monkeyp
                              (coeffs(1.0, scenario=Scenario.SPINLESS), 4)):
         with pytest.raises(ValueError):
             ent.entropy_numeric(sets, occupation)
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_sector_column_equals_the_full_dense_column(scenario):
+    """The evolved state from the charge-sector block is the full unitary's column.
+
+    Random sets plus n = n_max, where a = 0, for every input occupation.
+    An entry joining the sector to any state of another charge raises.
+    """
+    sets = seeded_sets(scenario, 8, seed=71) + [coeffs(scenario.n_max, 0.3, scenario)]
+    generators = build_generator(np.array([theta_from_coefficients(c) for c in sets]))
+    unitaries = unitary_dense(generators)
+    dim = fock.dimension(scenario.n_modes)
+    charges = np.diag(fock.charge_operator(scenario.n_modes)).real
+    sizes = []
+    for occupation in range(dim):
+        evolved = ent._evolve_in_sector(generators, occupation)
+        assert np.max(np.abs(evolved - unitaries[..., occupation])) <= 1e-12
+        sector = np.flatnonzero(charges == charges[occupation])
+        sizes.append(len(sector))
+        for other, member in zip(np.flatnonzero(charges != charges[occupation]),
+                                 itertools.cycle(sector)):
+            for row, col in ((other, member), (member, other)):
+                leaky = generators.copy()
+                leaky[len(sets) // 2, row, col] = 1e-3
+                with pytest.raises(ValueError, match="couples the charge sector"):
+                    ent._evolve_in_sector(leaky, occupation)
+    # The vacuum's sector, then the sizes of all the others.
+    assert sizes[0] == (6 if dim == 16 else 2)
+    assert set(sizes) == ({6, 4, 1} if dim == 16 else {2, 1})

@@ -230,3 +230,86 @@ def test_charge_and_spin_operators_are_diagonal():
         assert np.array_equal(fock.charge_operator(2 * half),
                               bit_loop((1,) * half + (-1,) * half))
     assert np.array_equal(jz, bit_loop((0.5, -0.5, 0.5, -0.5)))
+
+
+def reduced_stack(shape, rng):
+    """Reduced two-mode operators of random four-mode pure states, stacked to shape."""
+    states = [random_state(16, rng) for _ in range(int(np.prod(shape)))]
+    return np.array([fock.partial_trace(fock.outer_product(s), [0, 1])
+                     for s in states]).reshape(*shape, 4, 4)
+
+
+@given(seed=st.integers(0, 2**31), shape=st.sampled_from([(1,), (3,), (16,), (2, 3)]))
+@settings(max_examples=12, deadline=None)
+def test_stacked_density_functions_equal_per_item_calls(seed, shape):
+    rng = np.random.default_rng(seed)
+    states = np.array([random_state(16, rng) for _ in range(int(np.prod(shape)))])
+    states = states.reshape(*shape, 16)
+    rhos = reduced_stack(shape, rng)
+    # A pure and a maximally mixed item: the clip and the cap of each entropy.
+    rhos.reshape(-1, 4, 4)[0] = np.diag([1.0, 0.0, 0.0, 0.0])
+    rhos.reshape(-1, 4, 4)[-1] = np.eye(4) / 4
+    flat_states, flat_rhos = states.reshape(-1, 16), rhos.reshape(-1, 4, 4)
+    assert np.array_equal(fock.outer_product(states),
+                          np.array([fock.outer_product(s) for s in flat_states])
+                          .reshape(*shape, 16, 16))
+    eigs = fock.validate_density_operator(rhos)
+    assert eigs.shape == (*shape, 4)
+    assert np.array_equal(eigs.reshape(-1, 4),
+                          [fock.validate_density_operator(r) for r in flat_rhos])
+    clipped = np.clip(eigs, 0.0, 1.0)
+    entropies = fock.entropy_of_eigenvalues(clipped)
+    assert entropies.shape == shape
+    assert entropies.ravel().tolist() == [fock.entropy_of_eigenvalues(e)
+                                          for e in clipped.reshape(-1, 4)]
+    stacked = fock.von_neumann_entropy(rhos)
+    assert stacked.shape == shape
+    per_item = [fock.von_neumann_entropy(r) for r in flat_rhos]
+    assert all(isinstance(s, float) for s in per_item)
+    assert stacked.ravel().tolist() == per_item
+    assert per_item[-1] == 2.0 and (len(per_item) == 1 or per_item[0] == 0.0)
+
+
+def test_stacked_entropy_clips_and_caps_each_item():
+    # Rounding puts one eigenvalue above 1 in the first item, and the
+    # unclipped sum of the second above log2(2) = 1.
+    below_half = 0.5 - 1e-13
+    assert fock.entropy_of_eigenvalues([below_half, below_half]) > 1.0
+    rhos = np.array([np.diag([1 + 1e-15, -1e-15]), np.diag([below_half, below_half]),
+                     np.diag([0.3, 0.7])])
+    entropies = fock.von_neumann_entropy(rhos)
+    assert entropies[0] == 0.0 and entropies[1] == 1.0
+    assert entropies.tolist() == [fock.von_neumann_entropy(r) for r in rhos]
+
+
+BAD_OPERATORS = {
+    "nan entry": np.diag([0.5, 0.5, np.nan, 0.0]),
+    "not hermitian": np.diag([0.5, 0.5, 0.0, 0.0]) + np.triu(np.full((4, 4), 0.1), 1),
+    "trace 0.9": np.diag([0.5, 0.4, 0.0, 0.0]),
+    "negative eigenvalue": np.diag([0.6, 0.5, -0.1, 0.0]),
+}
+BAD_STATES = {"nan entry": np.full(16, np.nan), "norm 2": 2 * fock.basis_state(5, 4)}
+BAD_SPECTRA = {"nan entry": [0.5, np.nan, 0.5, 0.0], "negative": [0.6, 0.5, -0.1, 0.0],
+               "above one": [1.5, -0.5, 0.0, 0.0]}
+
+
+@pytest.mark.parametrize("size", [1, 3, 16])
+def test_one_bad_item_in_a_stack_raises_like_alone(size):
+    rng = np.random.default_rng(61)
+    good_rhos = reduced_stack((size,), rng)
+    good_states = np.array([random_state(16, rng) for _ in range(size)])
+    good_spectra = np.clip(fock.validate_density_operator(good_rhos), 0.0, 1.0)
+    cases = [(fn, good_rhos, bad) for fn in (fock.validate_density_operator,
+                                             fock.von_neumann_entropy)
+             for bad in BAD_OPERATORS.values()]
+    cases += [(fock.outer_product, good_states, bad) for bad in BAD_STATES.values()]
+    cases += [(fock.entropy_of_eigenvalues, good_spectra, bad) for bad in BAD_SPECTRA.values()]
+    for fn, good, bad in cases:
+        with pytest.raises(ValueError) as alone:
+            fn(bad)
+        for position in sorted({0, size // 2, size - 1}):
+            stack = good.copy()
+            stack[position] = bad
+            with pytest.raises(ValueError) as stacked:
+                fn(stack)
+            assert str(stacked.value) == str(alone.value)
