@@ -13,16 +13,23 @@ its polar modulus |theta| = sqrt(theta^dag theta) is a multiple r of the
 identity with cos r = a, which is what makes the closed-form
 factorization of the squeezing unitary possible.
 
-``check_theta``, ``squeezing_angle`` and ``mu_nu_from_theta`` also take
-a stack of theta matrices with leading batch axes, shape (..., n, n),
-and check every item as they would check it alone; the coefficient-set
-functions work on one set at a time.
+Stacks: a ``BogolyubovCoefficients`` may hold leading batch axes, ``a``
+of shape (...) and ``beta`` of shape (..., 2, 2), one scenario for all;
+``BogolyubovCoefficients.stack`` builds one from single sets.
+``validate``, ``cross_term_identity``, ``determinant_combination``,
+``expected_pair_mixing`` and ``theta_from_coefficients`` take such a
+stack, and ``check_theta``, ``squeezing_angle`` and ``mu_nu_from_theta``
+a stack of theta matrices (..., n, n).  Each item passes the checks it
+would pass alone, one bad item raises the error the unstacked call
+raises, and one set still gives the unstacked result.  ``from_density``
+and ``random_coefficients`` build one set.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,43 +107,80 @@ class Scenario(enum.Enum):
 
 @dataclass(frozen=True, eq=False)
 class BogolyubovCoefficients:
-    """Real amplitude ``a`` plus the 2x2 spin matrix ``beta``.
+    """Real amplitude ``a`` plus the 2x2 spin matrix ``beta``, or a stack of them.
 
-    The spinless case stores its single coefficient in the (up, down)
-    entry with all other entries zero.
+    One set holds a float ``a`` and a (2, 2) ``beta``; a stack holds an
+    array ``a`` of shape (...) and ``beta`` of shape (..., 2, 2), both
+    read-only.  The spinless case stores its single coefficient in the
+    (up, down) entry with all other entries zero.
     """
 
     scenario: Scenario
-    a: float
+    a: float | np.ndarray
     beta: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         beta = np.array(self.beta, dtype=complex)
-        if beta.shape != (2, 2):
+        if beta.shape[-2:] != (2, 2):
             raise ValueError(f"beta must be 2x2, got {beta.shape}")
+        a = np.array(self.a, dtype=float)
+        if a.shape != beta.shape[:-2]:
+            raise ValueError(f"a of shape {a.shape} does not match the beta stack {beta.shape}")
+        # Checked over Python floats: a numpy comparison costs more than the
+        # whole loop for the one set that from_density builds per point.
+        for value in a.reshape(-1).tolist():
+            if not 0.0 <= value <= 1.0 + 1e-12:
+                raise ValueError(f"amplitude a={value} outside [0, 1]")
         beta.flags.writeable = False
+        a.flags.writeable = False
         object.__setattr__(self, "beta", beta)
-        if not 0.0 <= self.a <= 1.0 + 1e-12:
-            raise ValueError(f"amplitude a={self.a} outside [0, 1]")
+        object.__setattr__(self, "a", float(a) if a.ndim == 0 else a)
+
+    @classmethod
+    def stack(cls, sets: Iterable[BogolyubovCoefficients]) -> BogolyubovCoefficients:
+        """One stack of shape (len(sets),) from a nonempty sequence of sets of one scenario."""
+        sets = list(sets)
+        if not sets:
+            raise ValueError("a stack needs at least one coefficient set")
+        scenario = sets[0].scenario
+        if any(c.scenario is not scenario for c in sets):
+            raise ValueError("coefficient sets of one stack must share a scenario")
+        return cls(scenario, np.array([c.a for c in sets]), np.array([c.beta for c in sets]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Named constraint residuals; passes iff all are within tolerance."""
+    """Constraint residuals of one set or a stack; passes iff all are within tolerance.
 
-    residuals: dict[str, float]
+    ``table`` has shape (..., len(names)): one row of residuals per set,
+    in the order of ``names``.  A NaN residual fails.
+    """
+
+    names: tuple[str, ...]
+    table: np.ndarray
     tolerance: float = CONSTRAINT_TOLERANCE
 
     @property
+    def residuals(self) -> dict[str, float | np.ndarray]:
+        """Residual per constraint name: a float for one set, an array (...) for a stack."""
+        columns = np.moveaxis(self.table, -1, 0)
+        return {name: float(c) if c.ndim == 0 else c for name, c in zip(self.names, columns)}
+
+    @property
     def passed(self) -> bool:
-        return all(r <= self.tolerance for r in self.residuals.values())
+        return bool((self.table <= self.tolerance).all())
 
     @property
     def worst(self) -> float:
-        return max(self.residuals.values())
+        return float(self.table.max())
 
     def failing(self) -> list[str]:
-        return [name for name, r in self.residuals.items() if not r <= self.tolerance]
+        """Constraints broken by the first set that breaks any; empty when all pass."""
+        bad = ~(self.table <= self.tolerance).reshape(-1, len(self.names))
+        broken = bad.any(axis=1)
+        if not broken.any():
+            return []
+        return [name for name, b in zip(self.names, bad[broken.argmax()]) if b]
 
 
 def check_density(n: float, lam: float, scenario: Scenario) -> None:
@@ -190,70 +234,95 @@ def from_density(scenario: Scenario, n: float, lam: float = 0.5,
     return BogolyubovCoefficients(scenario=scenario, a=a, beta=beta)
 
 
+_SPINLESS_RESIDUALS = ("normalization", "sparsity")
+_SPINFUL_RESIDUALS = ("norm_column_up", "norm_column_down", "norm_row_up", "norm_row_down",
+                      "modulus_pair_diagonal", "modulus_pair_offdiagonal",
+                      "orthogonality_rows", "orthogonality_columns")
+# Index pairs into beta flattened row-major to (uu, ud, du, dd), one column
+# per residual: the two squared moduli that each norm adds to a**2 (column
+# up, column down, row up, row down); the moduli of each pair (|uu| - |dd|,
+# |ud| - |du|); and the two products x conj(y) that each orthogonality sums,
+# rows (uu conj(ud), du conj(dd)) then columns (uu conj(du), ud conj(dd)).
+_NORM_TERMS = np.array([[0, 1, 0, 3], [2, 3, 1, 2]])
+_MODULUS_PAIRS = np.array([[0, 1], [3, 2]])
+_ORTHOGONALITY_FACTORS = np.array([[0, 2, 0, 1], [1, 3, 2, 3]])
+
+
 def validate(coeffs: BogolyubovCoefficients,
              tolerance: float = CONSTRAINT_TOLERANCE) -> ValidationReport:
-    """Residuals of every algebraic constraint on a coefficient set."""
-    a2 = coeffs.a ** 2
-    b = coeffs.beta
-    residuals: dict[str, float] = {}
+    """Residuals of every algebraic constraint on a coefficient set or stack."""
+    a2 = np.square(coeffs.a)[..., np.newaxis]
+    b = coeffs.beta.reshape(*coeffs.beta.shape[:-2], 4)
+    moduli = np.abs(b)
+    squares = moduli ** 2
     if coeffs.scenario is Scenario.SPINLESS:
-        residuals["normalization"] = abs(a2 + abs(b[UP, DOWN]) ** 2 - 1.0)
-        residuals["sparsity"] = float(
-            abs(b[UP, UP]) + abs(b[DOWN, UP]) + abs(b[DOWN, DOWN]))
-        return ValidationReport(residuals, tolerance)
-    residuals["norm_column_up"] = abs(a2 + abs(b[UP, UP]) ** 2 + abs(b[DOWN, UP]) ** 2 - 1.0)
-    residuals["norm_column_down"] = abs(a2 + abs(b[UP, DOWN]) ** 2 + abs(b[DOWN, DOWN]) ** 2 - 1.0)
-    residuals["norm_row_up"] = abs(a2 + abs(b[UP, UP]) ** 2 + abs(b[UP, DOWN]) ** 2 - 1.0)
-    residuals["norm_row_down"] = abs(a2 + abs(b[DOWN, DOWN]) ** 2 + abs(b[DOWN, UP]) ** 2 - 1.0)
-    residuals["modulus_pair_diagonal"] = abs(abs(b[UP, UP]) - abs(b[DOWN, DOWN]))
-    residuals["modulus_pair_offdiagonal"] = abs(abs(b[UP, DOWN]) - abs(b[DOWN, UP]))
-    residuals["orthogonality_rows"] = abs(
-        b[UP, UP] * np.conj(b[UP, DOWN]) + b[DOWN, UP] * np.conj(b[DOWN, DOWN]))
-    residuals["orthogonality_columns"] = abs(
-        b[UP, UP] * np.conj(b[DOWN, UP]) + b[UP, DOWN] * np.conj(b[DOWN, DOWN]))
+        columns = [np.abs(a2 + squares[..., 1:2] - 1.0),
+                   moduli[..., 0:1] + moduli[..., 2:3] + moduli[..., 3:4]]
+        return ValidationReport(_SPINLESS_RESIDUALS, np.concatenate(columns, axis=-1), tolerance)
+    norms = squares.take(_NORM_TERMS, axis=-1)
+    pairs = moduli.take(_MODULUS_PAIRS, axis=-1)
+    factors = b.take(_ORTHOGONALITY_FACTORS, axis=-1)
+    products = factors[..., 0, :] * factors[..., 1, :].conj()
+    columns = [np.abs(a2 + norms[..., 0, :] + norms[..., 1, :] - 1.0),
+               np.abs(pairs[..., 0, :] - pairs[..., 1, :]),
+               np.abs(products[..., 0::2] + products[..., 1::2])]
+    names = _SPINFUL_RESIDUALS
     if coeffs.scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
-        residuals["sparsity"] = float(abs(b[UP, UP]) + abs(b[DOWN, DOWN]))
-    return ValidationReport(residuals, tolerance)
+        names += ("sparsity",)
+        columns.append(moduli[..., 0:1] + moduli[..., 3:4])
+    return ValidationReport(names, np.concatenate(columns, axis=-1), tolerance)
 
 
-def cross_term_identity(coeffs: BogolyubovCoefficients) -> tuple[complex, complex]:
+def _unstacked(value: np.ndarray) -> complex | np.ndarray:
+    """A Python number for one set's 0-d result, the array itself for a stack."""
+    return value.item() if value.ndim == 0 else value
+
+
+def cross_term_identity(coeffs: BogolyubovCoefficients,
+                        ) -> tuple[complex | np.ndarray, complex | np.ndarray]:
     """The two conjugate cross sums that kill the off-diagonal reduced terms.
 
     Both must vanish for any valid charge-only coefficient set; they are
     the combinations multiplying the spin-coherence entries of the
-    reduced particle operator.
+    reduced particle operator.  A stack gives two arrays (...).
     """
     if coeffs.scenario is not Scenario.CHARGE_ONLY:
         raise ValueError("cross_term_identity applies to the charge-only scenario")
     b = coeffs.beta
-    first = np.conj(b[UP, UP]) * b[DOWN, UP] + np.conj(b[UP, DOWN]) * b[DOWN, DOWN]
-    second = np.conj(b[DOWN, UP]) * b[UP, UP] + b[UP, DOWN] * np.conj(b[DOWN, DOWN])
-    return complex(first), complex(second)
+    uu, ud, du, dd = b[..., UP, UP], b[..., UP, DOWN], b[..., DOWN, UP], b[..., DOWN, DOWN]
+    first = np.conj(uu) * du + np.conj(ud) * dd
+    second = np.conj(du) * uu + ud * np.conj(dd)
+    return _unstacked(first), _unstacked(second)
 
 
-def determinant_combination(coeffs: BogolyubovCoefficients) -> complex:
+def determinant_combination(coeffs: BogolyubovCoefficients) -> complex | np.ndarray:
     """Conjugated determinant-like combination of the beta entries.
 
     For valid charge-only coefficients its modulus equals
     |beta_ud|**2 + |beta_uu|**2; the overall phase is free and therefore
-    returned, never assumed.
+    returned, never assumed.  A stack gives an array (...).
     """
     if coeffs.scenario is not Scenario.CHARGE_ONLY:
         raise ValueError("determinant_combination applies to the charge-only scenario")
     b = coeffs.beta
-    return complex(np.conj(b[DOWN, UP]) * np.conj(b[UP, DOWN])
-                   - np.conj(b[DOWN, DOWN]) * np.conj(b[UP, UP]))
+    return _unstacked(np.conj(b[..., DOWN, UP]) * np.conj(b[..., UP, DOWN])
+                      - np.conj(b[..., DOWN, DOWN]) * np.conj(b[..., UP, UP]))
 
 
-def _angle_over_sine(a: float) -> float:
-    # arccos(a)/sin(arccos(a)); -> 1 as a -> 1, pi/2 at a = 0
-    if a >= 1.0 - 1e-9:
-        return 1.0 + (1.0 - a) / 3.0
-    return math.acos(a) / math.sqrt(1.0 - a * a)
+def _angle_over_sine(a) -> np.ndarray:
+    """arccos(a)/sin(arccos(a)) per item of a, capped at a = 1; -> 1 as a -> 1, pi/2 at a = 0.
+
+    Evaluated over Python floats: numpy's arccos and ``math.acos`` differ
+    in the last bit for about one argument in ten.
+    """
+    a = np.asarray(a, dtype=float)
+    values = [1.0 + (1.0 - x) / 3.0 if x >= 1.0 - 1e-9 else math.acos(x) / math.sqrt(1.0 - x * x)
+              for x in np.minimum(a, 1.0).reshape(-1).tolist()]
+    return np.array(values).reshape(a.shape)
 
 
 def theta_from_coefficients(coeffs: BogolyubovCoefficients) -> np.ndarray:
-    """Antisymmetric generator matrix of the squeezing unitary.
+    """Antisymmetric generator matrix of the squeezing unitary, (n, n) or (..., n, n).
 
     theta = -(arccos a / sin arccos a) * nu, with nu from
     :func:`expected_pair_mixing`, the one home of the beta -> mode-pair
@@ -261,12 +330,14 @@ def theta_from_coefficients(coeffs: BogolyubovCoefficients) -> np.ndarray:
     through a pair-creation term.  The validation gate
     ``THETA_CHECK_TOLERANCE`` is loose so that numerically dressed
     coefficient sets (constraints satisfied to integration accuracy) are
-    accepted; exact sets pass the tight check in :func:`validate`.
+    accepted; exact sets pass the tight check in :func:`validate`.  A
+    stack raises for its first invalid item, with that item's message.
     """
     report = validate(coeffs, tolerance=THETA_CHECK_TOLERANCE)
     if not report.passed:
         raise ValueError(f"invalid coefficients, failing constraints: {report.failing()}")
-    return -_angle_over_sine(min(coeffs.a, 1.0)) * expected_pair_mixing(coeffs)[1]
+    scale = _angle_over_sine(coeffs.a)
+    return -scale[..., np.newaxis, np.newaxis] * expected_pair_mixing(coeffs)[1]
 
 
 def check_theta(theta: np.ndarray) -> np.ndarray:
@@ -334,7 +405,7 @@ def mu_nu_from_theta(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expected_pair_mixing(coeffs: BogolyubovCoefficients) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (mu, nu) pair for a coefficient set.
+    """Closed-form (mu, nu) pair for a coefficient set: (n, n) each, or (..., n, n) for a stack.
 
     This is the one home of the beta -> mode-pair layout.  mu is a times
     the identity; nu carries conj(beta) in the particle-antiparticle
@@ -344,16 +415,16 @@ def expected_pair_mixing(coeffs: BogolyubovCoefficients) -> tuple[np.ndarray, np
     theta = -(arccos a / sin arccos a) * nu.
     """
     n = coeffs.scenario.n_modes
-    mu = coeffs.a * np.eye(n, dtype=complex)
-    nu = np.zeros((n, n), dtype=complex)
-    b = coeffs.beta
+    a = np.asarray(coeffs.a)
+    mu = a[..., np.newaxis, np.newaxis] * np.eye(n, dtype=complex)
+    nu = np.zeros((*a.shape, n, n), dtype=complex)
+    block = np.conj(coeffs.beta)
     if coeffs.scenario is Scenario.SPINLESS:
-        nu[0, 1] = np.conj(b[UP, DOWN])
-        nu[1, 0] = -np.conj(b[UP, DOWN])
+        nu[..., 0, 1] = block[..., UP, DOWN]
+        nu[..., 1, 0] = -block[..., UP, DOWN]
         return mu, nu
-    block = np.conj(b)
-    nu[0:2, 2:4] = block
-    nu[2:4, 0:2] = -block.T
+    nu[..., 0:2, 2:4] = block
+    nu[..., 2:4, 0:2] = -block.swapaxes(-1, -2)
     return mu, nu
 
 

@@ -26,7 +26,8 @@ take theta with leading batch axes, shape (..., n, n); ``unitary_dense``
 takes a generator stack (..., d, d), and ``unitarity_residual`` and
 ``conjugate_mode`` a unitary stack (..., d, d).  Each item passes the
 same checks it would pass alone, and one bad item raises the error the
-unstacked call raises.  ``unitary_for`` takes one coefficient set.
+unstacked call raises.  ``unitary_for`` takes one coefficient set or a
+stack of them.
 """
 
 from __future__ import annotations
@@ -63,13 +64,12 @@ MIN_COS_FACTORIZED = 5e-3
 # from single ladder operators.
 CONJUGATION_TOLERANCE = 1e-10
 
-# Coefficient sets stacked per call by the callers that batch the oracles
-# (the verify factorization check and the entropy sweep).  Blocks of 16
-# amortize the per-call numpy overhead as well as one stack of every set
-# does, while peak memory stays flat: stacking all 200 draws of
+# Seeded draws that the verify factorization check stacks per oracle call.
+# Peak memory grows with the block: stacking all 200 draws of
 # ``verify --batch 200`` raises its peak RSS by about 7 MB (17 %), blocks
-# of 16 by under 0.5 MB.  Each stacked 16 x 16 product stays small enough
-# that OpenBLAS starts no worker threads.
+# of 16 by under 0.5 MB, and each stacked 16 x 16 product stays small
+# enough that OpenBLAS starts no worker threads.  The sweep scores in
+# blocks of its own, ``entanglement.SCORE_BLOCK``.
 STACK_BLOCK = 16
 
 
@@ -160,7 +160,7 @@ def unitarity_residual(unitary: np.ndarray) -> float:
 
 
 def unitary_for(coeffs: BogolyubovCoefficients) -> np.ndarray:
-    """Dense squeezing unitary for a coefficient set.
+    """Dense squeezing unitary for a coefficient set, or a stack (..., d, d) for a stack.
 
     Column k is the evolved in-region occupation state k written over the
     out-region occupation basis.

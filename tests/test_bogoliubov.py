@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SCENARIOS, seeded_sets
@@ -237,3 +237,129 @@ def test_scenario_tokens():
     assert Scenario("spinless") is Scenario.SPINLESS
     with pytest.raises(ValueError):
         Scenario("nope")
+
+
+def random_sets(scenario, size, rng_seed):
+    rng = np.random.default_rng(rng_seed)
+    return [bg.random_coefficients(scenario, rng) for _ in range(size)]
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@given(rng_seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1, 3, 16]))
+@settings(max_examples=8, deadline=None)
+@seed(1616)
+def test_stacked_coefficient_layer_equals_per_item_calls(scenario, rng_seed, size):
+    sets = random_sets(scenario, size, rng_seed)
+    stack = bg.BogolyubovCoefficients.stack(sets)
+    assert stack.a.shape == (size,) and stack.beta.shape == (size, 2, 2)
+    report, alone = bg.validate(stack), [bg.validate(c) for c in sets]
+    assert report.passed and report.failing() == []
+    assert report.names == alone[0].names
+    assert np.array_equal(report.table, [r.table for r in alone])
+    assert report.worst == max(r.worst for r in alone)
+    for name, column in report.residuals.items():
+        assert column.tolist() == [r.residuals[name] for r in alone]
+    mu, nu = bg.expected_pair_mixing(stack)
+    assert np.array_equal(mu, [bg.expected_pair_mixing(c)[0] for c in sets])
+    assert np.array_equal(nu, [bg.expected_pair_mixing(c)[1] for c in sets])
+    assert np.array_equal(bg.theta_from_coefficients(stack),
+                          [bg.theta_from_coefficients(c) for c in sets])
+
+
+def _with_nan_entry(scenario, a, beta):
+    beta[DOWN, DOWN] = np.nan
+    return a, beta
+
+
+def _with_broken_modulus(scenario, a, beta):
+    """|dd| moves off |uu| (the spinless |ud| off its normalization) by 0.05."""
+    entry = (UP, DOWN) if scenario is Scenario.SPINLESS else (DOWN, DOWN)
+    value = beta[entry]
+    beta[entry] = value + 0.05 * (value / abs(value) if value else 1.0)
+    return a, beta
+
+
+def _with_amplitude_above_one(scenario, a, beta):
+    return 1.5, beta
+
+
+BREAKS = {"nan entry": _with_nan_entry, "broken modulus pair": _with_broken_modulus,
+          "a > 1": _with_amplitude_above_one}
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@pytest.mark.parametrize("kind", BREAKS)
+@given(rng_seed=st.integers(0, 2**32 - 1), size=st.sampled_from([1, 3, 16]), data=st.data())
+@settings(max_examples=6, deadline=None)
+@seed(1617)
+def test_one_bad_set_in_a_stack_raises_like_alone(scenario, kind, rng_seed, size, data):
+    """The stack raises the message of its first bad set called alone.
+
+    A second bad set after the first, broken the other constraint way
+    or with a = 2, must not change the message.
+    """
+    sets = random_sets(scenario, size, rng_seed)
+    a = np.array([c.a for c in sets])
+    beta = np.array([c.beta for c in sets])
+    first = data.draw(st.integers(0, size - 1), label="first")
+    a[first], beta[first] = BREAKS[kind](scenario, a[first], beta[first])
+    with pytest.raises(ValueError) as alone:
+        bg.theta_from_coefficients(bg.BogolyubovCoefficients(scenario, a[first], beta[first]))
+    if first < size - 1:
+        second = data.draw(st.integers(first + 1, size - 1), label="second")
+        if kind == "a > 1":
+            a[second] = 2.0
+        else:
+            other = "nan entry" if kind == "broken modulus pair" else "broken modulus pair"
+            a[second], beta[second] = BREAKS[other](scenario, a[second], beta[second])
+    with pytest.raises(ValueError) as stacked:
+        bg.theta_from_coefficients(bg.BogolyubovCoefficients(scenario, a, beta))
+    assert str(stacked.value) == str(alone.value)
+    if kind != "a > 1":
+        broken = bg.validate(bg.BogolyubovCoefficients(scenario, a, beta))
+        single = bg.validate(bg.BogolyubovCoefficients(scenario, a[first], beta[first]))
+        assert not broken.passed and broken.failing() == single.failing() != []
+
+
+def test_stack_rejects_empty_mixed_and_misshapen_input():
+    charge = coeffs(1.0)
+    for sets in ([], [charge, coeffs(1.0, scenario=Scenario.SPINLESS)]):
+        with pytest.raises(ValueError):
+            bg.BogolyubovCoefficients.stack(sets)
+    with pytest.raises(ValueError, match="does not match"):
+        bg.BogolyubovCoefficients(Scenario.CHARGE_ONLY, np.array([0.5, 0.5]), charge.beta)
+    with pytest.raises(ValueError, match="2x2"):
+        bg.BogolyubovCoefficients(Scenario.CHARGE_ONLY, 0.5, np.zeros(4))
+    stack = bg.BogolyubovCoefficients.stack([charge, charge])
+    assert not stack.a.flags.writeable and not stack.beta.flags.writeable
+    assert isinstance(charge.a, float)
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_validate_residuals_follow_their_names(scenario):
+    """Each named residual is its constraint, written entry by entry, on broken sets."""
+    rng = np.random.default_rng(83)
+    for _ in range(5):
+        a = float(rng.uniform(0.0, 1.0))
+        beta = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        residuals = bg.validate(bg.BogolyubovCoefficients(scenario, a, beta)).residuals
+        uu, ud, du, dd = beta[UP, UP], beta[UP, DOWN], beta[DOWN, UP], beta[DOWN, DOWN]
+        if scenario is Scenario.SPINLESS:
+            expected = {"normalization": abs(a**2 + abs(ud) ** 2 - 1.0),
+                        "sparsity": abs(uu) + abs(du) + abs(dd)}
+        else:
+            expected = {
+                "norm_column_up": abs(a**2 + abs(uu) ** 2 + abs(du) ** 2 - 1.0),
+                "norm_column_down": abs(a**2 + abs(ud) ** 2 + abs(dd) ** 2 - 1.0),
+                "norm_row_up": abs(a**2 + abs(uu) ** 2 + abs(ud) ** 2 - 1.0),
+                "norm_row_down": abs(a**2 + abs(dd) ** 2 + abs(du) ** 2 - 1.0),
+                "modulus_pair_diagonal": abs(abs(uu) - abs(dd)),
+                "modulus_pair_offdiagonal": abs(abs(ud) - abs(du)),
+                "orthogonality_rows": abs(uu * np.conj(ud) + du * np.conj(dd)),
+                "orthogonality_columns": abs(uu * np.conj(du) + ud * np.conj(dd)),
+            }
+            if scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
+                expected["sparsity"] = abs(uu) + abs(dd)
+        assert residuals.keys() == expected.keys()
+        for name, value in expected.items():
+            assert residuals[name] == pytest.approx(value, rel=1e-14, abs=1e-15), name

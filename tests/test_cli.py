@@ -403,3 +403,13 @@ def test_pool_and_sweep_seed_options_are_gone(tmp_path, monkeypatch):
         assert err.value.code == 2
     monkeypatch.setenv("COSMOPAIR_WORKERS", "x")
     assert cli.main(sweep_args) == 0
+
+
+def test_importing_the_cli_loads_no_more_of_numpy_random_than_numpy_does():
+    """verify reaches numpy.random only when a check runs, not when the CLI starts."""
+    loaded = ("import sys, {}; "
+              "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    done = [_run_cli(["-c", loaded.format(module)], timeout=60) for module in
+            ("numpy", "cosmopair.cli")]
+    assert all(d.returncode == 0 for d in done), [d.stderr for d in done]
+    assert done[1].stdout == done[0].stdout

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import ALL_SCENARIOS, seeded_sets
 from cosmopair import entanglement as ent
-from cosmopair import fock, squeezing
+from cosmopair import fock
 from cosmopair.bogoliubov import Scenario, from_density, theta_from_coefficients
 from cosmopair.squeezing import build_generator, unitary_dense, unitary_for
 
@@ -113,6 +113,88 @@ def test_excited_catalogue_matches_numeric_everywhere(scenario):
                 closed = ent.entropy_excited_closed_form(occupation, n, lam, scenario)
                 worst = max(worst, abs(numeric - closed))
     assert worst <= 1e-10
+
+
+def catalogue_branch(scenario, occupation):
+    """Which catalogue entry an occupation falls in, read from its bits alone."""
+    particle_bits, anti_bits = scenario.split_occupation(occupation)
+    if scenario is Scenario.SPINLESS:
+        return "pair" if particle_bits == anti_bits else "unpaired"
+    p_count, a_count = fock.occupancy(particle_bits), fock.occupancy(anti_bits)
+    if abs(p_count - a_count) in (1, 2):
+        return f"|charge| = {abs(p_count - a_count)}"
+    if p_count != 1:
+        return f"p_count {p_count}"
+    return "parallel" if particle_bits == anti_bits else "antiparallel"
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_array_closed_forms_equal_the_scalar_calls(scenario):
+    """Each item of an array call equals the scalar call at that point, on every branch."""
+    rng = np.random.default_rng(29)
+    n = np.concatenate([[0.0, scenario.n_max, 1e-13, scenario.n_max + 1e-13],
+                        rng.uniform(0.0, scenario.n_max, 40)])
+    lam = np.concatenate([[0.0, 1.0, 1.0, 0.0], rng.uniform(0.0, 1.0, 40)])
+    points = list(zip(n.tolist(), lam.tolist()))
+    branches = set()
+    for occupation in range(fock.dimension(scenario.n_modes)):
+        branches.add(catalogue_branch(scenario, occupation))
+        stacked = ent.entropy_excited_closed_form(occupation, n, lam, scenario)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == n.shape
+        assert stacked.tolist() == [ent.entropy_excited_closed_form(occupation, x, y, scenario)
+                                    for x, y in points]
+        # A scalar lambda broadcasts against an array of densities.
+        assert ent.entropy_excited_closed_form(occupation, n, 0.3, scenario).tolist() == [
+            ent.entropy_excited_closed_form(occupation, x, 0.3, scenario) for x in n.tolist()]
+    if scenario is Scenario.SPINLESS:
+        assert branches == {"pair", "unpaired"}
+    else:
+        assert branches == {"|charge| = 2", "|charge| = 1", "p_count 0", "p_count 2",
+                            "parallel", "antiparallel"}
+    assert ent.entropy_vacuum_closed_form(n, scenario).tolist() == [
+        ent.entropy_vacuum_closed_form(x, scenario) for x in n.tolist()]
+    x = rng.uniform(0.0, 1.0, 20)
+    assert ent.binary_entropy(x).tolist() == [ent.binary_entropy(v) for v in x.tolist()]
+    q = 0.25 * x
+    assert ent.pair_state_entropy(q).tolist() == [ent.pair_state_entropy(v) for v in q.tolist()]
+    n_spinful = 4.0 * x
+    per_point = [ent.spin_spinless_relation(v) for v in n_spinful.tolist()]
+    assert [column.tolist() for column in ent.spin_spinless_relation(n_spinful)] == [
+        list(column) for column in zip(*per_point)]
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@pytest.mark.parametrize("bad_n, bad_lam", [(None, 1.5), (None, -1e-13), (None, math.nan),
+                                            (4.5, None), (-0.1, None), (math.nan, None)])
+def test_array_closed_form_raises_like_the_scalar_call(scenario, bad_n, bad_lam):
+    """One out-of-range point in an array raises as that point alone does.
+
+    A bad lambda raises only where the catalogue reads it (a charge-only
+    one-particle, one-antiparticle input); elsewhere both calls succeed.
+    A second bad point later in the array must not change the message.
+    """
+    n = np.linspace(0.0, scenario.n_max, 9)
+    lam = np.linspace(0.0, 1.0, 9)
+    if bad_n is not None:
+        n[3], n[6] = bad_n * scenario.n_max / 4.0, 2.0 * scenario.n_max
+    if bad_lam is not None:
+        lam[3], lam[6] = bad_lam, 2.0
+    for occupation in range(fock.dimension(scenario.n_modes)):
+        try:
+            alone = ent.entropy_excited_closed_form(occupation, n[3], lam[3], scenario)
+        except ValueError as err:
+            with pytest.raises(ValueError) as stacked:
+                ent.entropy_excited_closed_form(occupation, n, lam, scenario)
+            assert str(stacked.value) == str(err)
+        else:
+            assert bad_n is None
+            assert ent.entropy_excited_closed_form(occupation, n, lam, scenario)[3] == alone
+    if bad_n is not None:
+        with pytest.raises(ValueError) as alone:
+            ent.entropy_vacuum_closed_form(n[3], scenario)
+        with pytest.raises(ValueError) as stacked:
+            ent.entropy_vacuum_closed_form(n, scenario)
+        assert str(stacked.value) == str(alone.value)
 
 
 def test_pair_entropy_matches_logarithmic_grouping():
@@ -268,7 +350,7 @@ def test_entropy_numeric_on_a_sequence_equals_the_per_set_calls(scenario, size, 
     assert isinstance(ent.entropy_numeric(sets[0], 0), float)
 
 
-@pytest.mark.parametrize("block", [1, 7, 16])
+@pytest.mark.parametrize("block", [1, 7, 16, 32, ent.SCORE_BLOCK])
 @pytest.mark.parametrize("scenario, occupation, lambdas", [
     (Scenario.CHARGE_ONLY, 0b0101, [0.0, 0.5, 1.0]),   # 51 points
     (Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 0b1001, None),
@@ -279,7 +361,9 @@ def test_sweep_does_not_depend_on_the_block_size(block, scenario, occupation, la
     """``sweep`` and ``score`` give the same rows for every block size.
 
     Each block is one ``entropy_numeric`` call, made when the generator
-    of sets has been drawn exactly to the end of that block.
+    of sets has been drawn exactly to the end of that block, and holds
+    one theta call and one catalogue call.  Every size but 1 leaves a
+    partial last block on one of the grids (51 = 32 + 19 points).
     """
     densities = [k * scenario.n_max / 16 for k in range(17)]
     expected = ent.sweep(scenario, occupation, densities, lambdas)
@@ -287,16 +371,31 @@ def test_sweep_does_not_depend_on_the_block_size(block, scenario, occupation, la
     one_at_a_time = [ent.entropy_numeric(coeffs(n, lam, scenario), occupation)
                      for n, lam in points]
     assert [s for _, _, s, _, _ in expected] == one_at_a_time
+    assert [s for _, _, _, s, _ in expected] == [
+        ent.entropy_excited_closed_form(occupation, n, lam, scenario) for n, lam in points]
     calls, drawn = [], []
     numeric = ent.entropy_numeric
     monkeypatch.setattr(ent, "entropy_numeric",
                         lambda sets, occ: calls.append((len(sets), len(drawn)))
                         or numeric(sets, occ))
-    monkeypatch.setattr(squeezing, "STACK_BLOCK", block)
+    counted = {"theta_from_coefficients": 0, "entropy_excited_closed_form": 0}
+
+    def counting(name):
+        original = getattr(ent, name)
+
+        def wrapper(*args):
+            counted[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in counted:
+        monkeypatch.setattr(ent, name, counting(name))
+    monkeypatch.setattr(ent, "SCORE_BLOCK", block)
     assert ent.sweep(scenario, occupation, densities, lambdas) == expected
     starts = range(0, len(expected), block)
     sizes = [min(block, len(expected) - start) for start in starts]
     assert [size for size, _ in calls] == sizes
+    assert counted == dict.fromkeys(counted, len(sizes))
     calls.clear()
 
     def sets():
