@@ -590,8 +590,9 @@ def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode,
     """Dress scalar amplitudes into a validated coefficient set.
 
     beta is the flat-spinor contraction of ``mode.p_vec`` times a
-    scalar, so lambda_effective, the spin-flip share of |beta|**2, is read
-    from the contraction; it is 0 where the contraction vanishes (p = 0).
+    scalar, so lambda_effective, the spin-flip share of |beta|**2, is the
+    contraction's (px**2 + py**2) / |p|**2, read from the direction so
+    that it does not underflow at tiny |p|; it is 0 at p = 0.
     The amplitude is made real by stripping (and recording) its global
     phase, which rotates operator phases but none of the mixing moduli.
     Raises when the resulting set violates the normalization constraints
@@ -611,10 +612,10 @@ def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode,
         raise IntegrationError(
             f"dressed coefficients violate constraints beyond {DRESSING_GATE * tol}: "
             f"{report.failing()} (worst {report.worst:.3e})")
-    denom_lambda = abs(contraction[UP, DOWN]) ** 2 + abs(contraction[UP, UP]) ** 2
-    lambda_eff = abs(contraction[UP, DOWN]) ** 2 / denom_lambda if denom_lambda > 0 else 0.0
+    px, py, _ = mode.p_vec
+    lambda_eff = (math.hypot(px, py) / mode.p) ** 2 if mode.p > 0 else 0.0
     return DressingResult(coefficients=coeffs, stripped_phase=phase,
-                          lambda_effective=float(lambda_eff),
+                          lambda_effective=lambda_eff,
                           normalization_residual=report.worst)
 
 
@@ -655,8 +656,9 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
     Runs the integration at tol and tol / REFINEMENT over a common span
     (sized for the finer tolerance) and reports the coefficient
     difference as the self-convergence diagnostic.  The vacuum is scored
-    by ``entanglement.score`` at (n_created, lambda_effective).  Invalid
-    inputs raise ValueError from ``check_point`` before any integration.
+    by ``entanglement.score``, as a stack of one set, at (n_created,
+    lambda_effective).  Invalid inputs raise ValueError from
+    ``check_point`` before any integration.
     """
     from cosmopair.entanglement import score
 
@@ -672,7 +674,8 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
     dressed = dress_coefficients(scalar, mode, tol=tol)
     coeffs = dressed.coefficients
     n_created = particle_density(coeffs)
-    [(s_num, s_closed, gap)] = score([coeffs], 0, [(n_created, dressed.lambda_effective)])
+    s_num, s_closed, gap = (column.item() for column in score(
+        BogolyubovCoefficients.stack([coeffs]), 0, [n_created], [dressed.lambda_effective]))
     b = np.abs(coeffs.beta)
     return MomentumPointResult(
         p_vec=mode.p_vec, p=mode.p, a=coeffs.a,

@@ -9,17 +9,16 @@ exponentiated.  The closed forms cover the vacuum in all scenarios and
 the full excited-state catalogue; wherever both exist the numeric value
 is authoritative and the sweep records the discrepancy.
 
-``entropy_numeric`` takes one coefficient set, a stack, or a sequence of
-sets from one scenario, which it stacks.  A stack makes one theta call,
-one stacked generator, one stacked sector exponential, one stack of
-density operators and one stacked reduced spectrum; only the partial
-trace runs once per set.  The closed forms take n (and lambda) as
-arrays as well as floats, with one entropy per item.  ``score`` is the
-one place that scores coefficient sets: it walks any iterable of sets
-in blocks of ``SCORE_BLOCK``, hands each block to the numeric route,
-and sets the block's entropies against one catalogue call at the
-caller's (n, lambda) points.  ``sweep`` and ``dynamics.momentum_point``
-both end in it.
+``entropy_numeric`` takes one coefficient set or a stack of them
+(``BogolyubovCoefficients.stack``).  A stack makes one theta call, one
+stacked generator, one stacked sector exponential and one
+``fock.subsystem_entropy`` call, inside which only the partial trace
+runs once per set.  The closed forms take n (and lambda) as arrays as
+well as floats, with one entropy per item.  ``score`` is the one place
+that scores coefficient sets: it sets the numeric entropies of a stack
+against one catalogue call at the caller's (n, lambda) arrays.
+``sweep`` builds its grid in stacks of ``SCORE_BLOCK`` sets and scores
+each; ``dynamics.momentum_point`` scores a stack of one.
 
 All entropies are in bits.  The excited catalogue for four modes hinges
 on the particle-antiparticle charge of the input:
@@ -38,8 +37,6 @@ on the particle-antiparticle charge of the input:
 from __future__ import annotations
 
 import functools
-import itertools
-from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -65,7 +62,7 @@ __all__ = [
 ]
 
 
-# Coefficient sets that ``score`` stacks per numeric and catalogue call.
+# Coefficient sets that ``sweep`` stacks per ``score`` call.
 # Each block costs a fixed number of numpy calls, so larger blocks pay
 # less per set.  On the 4411-point charge sweep (2-vCPU x86_64, numpy
 # 2.4) the in-process time is about 380 ms at 16, 265 ms at 64 and
@@ -157,34 +154,23 @@ def _evolve_in_sector(generators: np.ndarray, occupation: int) -> np.ndarray:
     return evolved
 
 
-def entropy_numeric(coeffs: BogolyubovCoefficients | Sequence[BogolyubovCoefficients],
-                    occupation: int) -> float | list[float]:
-    """Partial-trace entropy of an evolved occupation state.
+def entropy_numeric(coeffs: BogolyubovCoefficients, occupation: int):
+    """Partial-trace entropy of an evolved occupation state, per coefficient set.
 
     Evolves through the dense unitary on the input's charge sector (exact
     for every amplitude including a = 0), forms the pure density operator
     and traces out the antiparticle modes.
 
-    One coefficient set gives one float.  A stack of sets, or a nonempty
-    sequence of sets from one scenario, gives one entropy per set, in
-    order, each equal to the single-set call: theta, the generators,
-    sector unitaries, density operators and reduced spectra are built as
-    stacks, and only the partial trace runs once per set.  An empty
-    sequence, mixed scenarios or an out-of-range occupation raise
-    ValueError before any unitary is built.
+    One coefficient set gives a float; a stack of shape (...) gives an
+    array (...), each item equal to the single-set call.  An out-of-range
+    occupation raises ValueError before any unitary is built.
     """
-    if not isinstance(coeffs, BogolyubovCoefficients):
-        coeffs = BogolyubovCoefficients.stack(coeffs)
     scenario = coeffs.scenario
     n_modes = scenario.n_modes
     if not 0 <= occupation < fock.dimension(n_modes):
         raise ValueError(f"occupation {occupation} out of range for {n_modes} modes")
     evolved = _evolve_in_sector(build_generator(theta_from_coefficients(coeffs)), occupation)
-    rho = fock.outer_product(evolved)
-    reduced = np.array([fock.partial_trace(item, scenario.particle_modes)
-                        for item in rho.reshape(-1, *rho.shape[-2:])])
-    entropies = fock.von_neumann_entropy(reduced.reshape(*rho.shape[:-2], *reduced.shape[-2:]))
-    return entropies if isinstance(entropies, float) else entropies.tolist()
+    return fock.subsystem_entropy(evolved, scenario.particle_modes)
 
 
 def entropy_excited_closed_form(occupation: int, n, lam, scenario: Scenario):
@@ -233,34 +219,25 @@ def spin_spinless_relation(n):
     return lhs, rhs, abs(lhs - rhs)
 
 
-def score(sets: Iterable[BogolyubovCoefficients], occupation: int,
-          points: Iterable[tuple[float, float]]) -> list[tuple[float, float, float]]:
-    """(S_numeric, S_closed, discrepancy) for each coefficient set, in order.
+def score(coeffs: BogolyubovCoefficients, occupation: int, n, lam):
+    """(S_numeric, S_closed, discrepancy) arrays, one item per coefficient set of a stack.
 
     S_numeric is ``entropy_numeric`` of the evolved ``occupation``.
-    S_closed is ``entropy_excited_closed_form`` at the (n, lambda) that
-    ``points`` pairs with the set; the caller supplies it rather than
-    reading it back from the set, so the catalogue stays an independent
-    check of how the set was built.  discrepancy is |S_numeric - S_closed|.
-    The sets are drawn in blocks of ``SCORE_BLOCK``, with one
-    ``entropy_numeric`` call and one catalogue call per block, so a
-    generator of sets keeps one block alive.  Sets and points that do not
-    pair up one to one raise ValueError.
+    S_closed is ``entropy_excited_closed_form`` at the (n, lambda) each
+    set was built from; the caller supplies n and lam, arrays of the
+    stack's shape, rather than have them read back from the sets, so the
+    catalogue stays an independent check of how the sets were built.
+    discrepancy is |S_numeric - S_closed|.  n or lam of another shape
+    raises ValueError before any unitary is built.
     """
-    sets, points = iter(sets), iter(points)
-    scores = []
-    while block := list(itertools.islice(sets, SCORE_BLOCK)):
-        numerics = entropy_numeric(block, occupation)
-        pairs = list(itertools.islice(points, len(block)))
-        if len(pairs) < len(block):
-            raise ValueError("fewer (n, lambda) points than coefficient sets")
-        n, lam = np.array(pairs, dtype=float).T
-        closed = entropy_excited_closed_form(occupation, n, lam, block[0].scenario)
-        gaps = np.abs(np.subtract(numerics, closed))
-        scores.extend(zip(numerics, closed.tolist(), gaps.tolist()))
-    if next(points, None) is not None:
-        raise ValueError("more (n, lambda) points than coefficient sets")
-    return scores
+    n, lam = np.asarray(n, dtype=float), np.asarray(lam, dtype=float)
+    shape = np.shape(coeffs.a)
+    if n.shape != shape or lam.shape != shape:
+        raise ValueError(f"n of shape {n.shape} and lambda of shape {lam.shape} do not "
+                         f"match the coefficient stack {shape}")
+    numeric = entropy_numeric(coeffs, occupation)
+    closed = entropy_excited_closed_form(occupation, n, lam, coeffs.scenario)
+    return numeric, closed, np.abs(numeric - closed)
 
 
 def sweep(scenario: Scenario, occupation: int, n_grid,
@@ -271,7 +248,8 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
     (nonempty) for the charge-only scenario and forced to the single
     value 1 otherwise, keeping the rows uniform.  The whole grid is
     checked before any point is computed; the coefficient sets are then
-    built one block at a time as ``score`` draws them.
+    built and scored one stack of ``SCORE_BLOCK`` points at a time, so
+    one block of them is alive at once.
     """
     n_values = [float(v) for v in n_grid]
     if not n_values:
@@ -285,5 +263,11 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
     points = [(n, lam) for n in n_values for lam in lam_values]
     for n, lam in points:
         check_density(n, lam, scenario)
-    sets = (from_density(scenario, n, lam) for n, lam in points)
-    return [point + result for point, result in zip(points, score(sets, occupation, points))]
+    rows = []
+    for start in range(0, len(points), SCORE_BLOCK):
+        block = points[start:start + SCORE_BLOCK]
+        stack = BogolyubovCoefficients.stack(from_density(scenario, n, lam) for n, lam in block)
+        n, lam = np.array(block).T
+        scores = zip(*(column.tolist() for column in score(stack, occupation, n, lam)))
+        rows.extend(point + result for point, result in zip(block, scores))
+    return rows

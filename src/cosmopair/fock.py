@@ -16,11 +16,11 @@ phases of the kept-mode ordering.
 
 Stacks: ``outer_product`` takes states with leading batch axes, shape
 (..., d); ``validate_density_operator`` and ``von_neumann_entropy`` take
-operators (..., d, d), and ``entropy_of_eigenvalues`` probability vectors
-(..., d).  Each item passes the same checks it would pass alone, one bad
-item raises the error the unstacked call raises, and one operator or
-vector still gives one float.  ``partial_trace`` and ``subsystem_entropy``
-take one operator and one state.
+operators (..., d, d), ``entropy_of_eigenvalues`` probability vectors
+(..., d), and ``subsystem_entropy`` states (..., d).  Each item passes the
+same checks it would pass alone, one bad item raises the error the
+unstacked call raises, and one operator, vector or state still gives one
+float.  ``partial_trace`` takes one operator.
 """
 
 from __future__ import annotations
@@ -242,14 +242,17 @@ def von_neumann_entropy(rho: np.ndarray):
     return float(entropy) if entropy.ndim == 0 else entropy
 
 
-def subsystem_entropy(state: np.ndarray, keep) -> float:
-    """Entropy in bits of the modes ``keep`` of a normalized pure state.
+def subsystem_entropy(states: np.ndarray, keep):
+    """Entropy in bits of the modes ``keep`` of a normalized pure state, per state of a stack.
 
-    The state has length 2**n with n >= 1.  Forms |psi><psi|, traces out
-    every other mode and diagonalizes the reduced operator; both halves
-    of a pure state share this entropy.
+    A state of length 2**n (n >= 1) gives a float, a stack (..., 2**n) an
+    array (...).  Forms every |psi><psi| in one call, traces out every
+    other mode state by state, and diagonalizes the reduced operators in
+    one call; both halves of a pure state share this entropy.
     """
-    return von_neumann_entropy(partial_trace(outer_product(state), keep))
+    rho = outer_product(states)
+    reduced = np.array([partial_trace(item, keep) for item in rho.reshape(-1, *rho.shape[-2:])])
+    return von_neumann_entropy(reduced.reshape(*rho.shape[:-2], *reduced.shape[-2:]))
 
 
 def entropy_of_eigenvalues(eigenvalues):

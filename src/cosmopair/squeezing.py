@@ -64,15 +64,6 @@ MIN_COS_FACTORIZED = 5e-3
 # from single ladder operators.
 CONJUGATION_TOLERANCE = 1e-10
 
-# Seeded draws that the verify factorization check stacks per oracle call.
-# Peak memory grows with the block: stacking all 200 draws of
-# ``verify --batch 200`` raises its peak RSS by about 7 MB (17 %), blocks
-# of 16 by under 0.5 MB, and each stacked 16 x 16 product stays small
-# enough that OpenBLAS starts no worker threads.  The sweep scores in
-# blocks of its own, ``entanglement.SCORE_BLOCK``.
-STACK_BLOCK = 16
-
-
 class DecompositionError(RuntimeError):
     """A ladder-operator decomposition failed beyond tolerance."""
 

@@ -301,6 +301,15 @@ def test_zero_momentum_point_creates_nothing():
     assert point.s_numeric == 0.0 and point.s_closed == 0.0
 
 
+@pytest.mark.parametrize("direction, flip_share", [((1.0, 1.0, 1.0), 2.0 / 3.0),
+                                                   ((0.0, 0.0, 1.0), 0.0)])
+def test_lambda_effective_is_read_from_the_direction_at_tiny_momentum(direction, flip_share):
+    # At |p| = 1e-170 the squared spinor contraction underflows to zero.
+    norm = math.hypot(*direction)
+    point = dyn.momentum_point(tuple(1e-170 * c / norm for c in direction), 1.0, TANH)
+    assert abs(point.lambda_effective - flip_share) <= 1e-12
+
+
 def test_density_falls_off_at_large_momentum():
     # log-spaced moduli in [0.1, 10]: beyond the peak the created density
     # decreases monotonically toward zero

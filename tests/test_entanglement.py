@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from conftest import ALL_SCENARIOS, seeded_sets
 from cosmopair import entanglement as ent
 from cosmopair import fock
-from cosmopair.bogoliubov import Scenario, from_density, theta_from_coefficients
+from cosmopair.bogoliubov import (
+    BogolyubovCoefficients,
+    Scenario,
+    from_density,
+    theta_from_coefficients,
+)
 from cosmopair.squeezing import build_generator, unitary_dense, unitary_for
 
 # Frozen oracle values, evaluated from the defining formulas in extended
@@ -341,12 +346,16 @@ def density_sets(scenario, size, seed, edge):
 @settings(max_examples=6, deadline=None)
 @example(size=1, seed=0, edge=0.0)
 @example(size=1, seed=0, edge=1.0)
-def test_entropy_numeric_on_a_sequence_equals_the_per_set_calls(scenario, size, seed, edge):
+def test_entropy_numeric_on_a_stack_equals_the_per_set_calls(scenario, size, seed, edge):
     sets = density_sets(scenario, size, seed, edge)
+    stack = BogolyubovCoefficients.stack(sets)
+    # The same sets with one more leading axis, shape (1, size).
+    wide = BogolyubovCoefficients(scenario, stack.a[np.newaxis], stack.beta[np.newaxis])
     for occupation in range(fock.dimension(scenario.n_modes)):
-        stacked = ent.entropy_numeric(sets, occupation)
-        assert isinstance(stacked, list)
-        assert stacked == [ent.entropy_numeric(c, occupation) for c in sets]
+        stacked = ent.entropy_numeric(stack, occupation)
+        assert stacked.shape == (size,)
+        assert stacked.tolist() == [ent.entropy_numeric(c, occupation) for c in sets]
+        assert ent.entropy_numeric(wide, occupation).tolist() == [stacked.tolist()]
     assert isinstance(ent.entropy_numeric(sets[0], 0), float)
 
 
@@ -358,12 +367,12 @@ def test_entropy_numeric_on_a_sequence_equals_the_per_set_calls(scenario, size, 
 ])
 def test_sweep_does_not_depend_on_the_block_size(block, scenario, occupation, lambdas,
                                                   monkeypatch):
-    """``sweep`` and ``score`` give the same rows for every block size.
+    """``sweep`` gives the same rows for every block size.
 
-    Each block is one ``entropy_numeric`` call, made when the generator
-    of sets has been drawn exactly to the end of that block, and holds
-    one theta call and one catalogue call.  Every size but 1 leaves a
-    partial last block on one of the grids (51 = 32 + 19 points).
+    Each block is one stack and one ``score`` call, made once exactly that
+    block's sets have been built, and holds one theta call and one
+    catalogue call.  Every size but 1 leaves a partial last block on one
+    of the grids (51 = 32 + 19 points).
     """
     densities = [k * scenario.n_max / 16 for k in range(17)]
     expected = ent.sweep(scenario, occupation, densities, lambdas)
@@ -373,11 +382,11 @@ def test_sweep_does_not_depend_on_the_block_size(block, scenario, occupation, la
     assert [s for _, _, s, _, _ in expected] == one_at_a_time
     assert [s for _, _, _, s, _ in expected] == [
         ent.entropy_excited_closed_form(occupation, n, lam, scenario) for n, lam in points]
-    calls, drawn = [], []
-    numeric = ent.entropy_numeric
-    monkeypatch.setattr(ent, "entropy_numeric",
-                        lambda sets, occ: calls.append((len(sets), len(drawn)))
-                        or numeric(sets, occ))
+    calls, built = [], []
+    build, scoring = ent.from_density, ent.score
+    monkeypatch.setattr(ent, "from_density", lambda *args: built.append(args) or build(*args))
+    monkeypatch.setattr(ent, "score", lambda stack, *args: calls.append(
+        (stack.a.shape, len(built))) or scoring(stack, *args))
     counted = {"theta_from_coefficients": 0, "entropy_excited_closed_form": 0}
 
     def counting(name):
@@ -394,36 +403,26 @@ def test_sweep_does_not_depend_on_the_block_size(block, scenario, occupation, la
     assert ent.sweep(scenario, occupation, densities, lambdas) == expected
     starts = range(0, len(expected), block)
     sizes = [min(block, len(expected) - start) for start in starts]
-    assert [size for size, _ in calls] == sizes
+    assert calls == [((size,), start + size) for start, size in zip(starts, sizes)]
     assert counted == dict.fromkeys(counted, len(sizes))
-    calls.clear()
-
-    def sets():
-        for n, lam in points:
-            drawn.append(n)
-            yield coeffs(n, lam, scenario)
-
-    assert ent.score(sets(), occupation, points) == [row[2:] for row in expected]
-    assert calls == [(size, start + size) for start, size in zip(starts, sizes)]
-    for unpaired in (points[:-1], points + points[:1]):
-        with pytest.raises(ValueError):
-            ent.score((coeffs(n, lam, scenario) for n, lam in points), occupation, unpaired)
 
 
-def test_entropy_numeric_rejects_bad_sequences_before_building_a_unitary(monkeypatch):
+def test_bad_occupations_and_points_are_rejected_before_building_a_unitary(monkeypatch):
     def forbidden(*args):
         raise AssertionError("a unitary was built")
 
     for name in ("theta_from_coefficients", "build_generator", "unitary_dense"):
         monkeypatch.setattr(ent, name, forbidden)
-    charge = [coeffs(1.0), coeffs(2.0)]
-    for sets, occupation in (([], 0),
-                             (charge + [coeffs(1.0, scenario=Scenario.SPINLESS)], 0),
-                             (charge, 16),
-                             (charge, -1),
+    stack = BogolyubovCoefficients.stack([coeffs(1.0), coeffs(2.0)])
+    for sets, occupation in ((stack, 16), (stack, -1),
                              (coeffs(1.0, scenario=Scenario.SPINLESS), 4)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range"):
             ent.entropy_numeric(sets, occupation)
+    n, lam = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+    for bad_n, bad_lam in ((n[:1], lam), (n, np.append(lam, 0.5)), (n[:, np.newaxis], lam),
+                           (1.0, 0.5)):
+        with pytest.raises(ValueError, match="do not match the coefficient stack"):
+            ent.score(stack, 0, bad_n, bad_lam)
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)

@@ -268,6 +268,11 @@ def test_stacked_density_functions_equal_per_item_calls(seed, shape):
     assert all(isinstance(s, float) for s in per_item)
     assert stacked.ravel().tolist() == per_item
     assert per_item[-1] == 2.0 and (len(per_item) == 1 or per_item[0] == 0.0)
+    subsystem = fock.subsystem_entropy(states, [0, 1])
+    assert subsystem.shape == shape
+    per_state = [fock.subsystem_entropy(s, [0, 1]) for s in flat_states]
+    assert all(isinstance(s, float) for s in per_state)
+    assert subsystem.ravel().tolist() == per_state
 
 
 def test_stacked_entropy_clips_and_caps_each_item():
@@ -302,7 +307,9 @@ def test_one_bad_item_in_a_stack_raises_like_alone(size):
     cases = [(fn, good_rhos, bad) for fn in (fock.validate_density_operator,
                                              fock.von_neumann_entropy)
              for bad in BAD_OPERATORS.values()]
-    cases += [(fock.outer_product, good_states, bad) for bad in BAD_STATES.values()]
+    cases += [(fn, good_states, bad)
+              for fn in (fock.outer_product, lambda states: fock.subsystem_entropy(states, [0, 1]))
+              for bad in BAD_STATES.values()]
     cases += [(fock.entropy_of_eigenvalues, good_spectra, bad) for bad in BAD_SPECTRA.values()]
     for fn, good, bad in cases:
         with pytest.raises(ValueError) as alone:
