@@ -21,7 +21,8 @@ import sys
 
 from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import Scenario
-from cosmopair.dynamics import IntegrationError, ScaleFactorProfile, check_point, momentum_point
+from cosmopair.dynamics import (FLAT, IntegrationError, ScaleFactorProfile, check_point,
+                                momentum_point)
 from cosmopair.entanglement import sweep
 
 __all__ = ["main", "parse_grid", "parse_momentum_grid",
@@ -125,12 +126,16 @@ def _fmt(value) -> str:
     return f"{value:.15g}"
 
 
-def _write_text(path, text: str) -> None:
-    if path in (None, "-"):
+def _write_text(args, text: str) -> None:
+    """text to ``args.output``, or stdout; a path that cannot be written is a usage error."""
+    if args.output in (None, "-"):
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
+        return
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as err:
+        args.command_parser.error(f"cannot write --output {args.output}: {err.strerror}")
 
 
 def _json_value(value):
@@ -150,7 +155,7 @@ def _write_rows(args, columns, rows, head: dict, tail: dict | None = None) -> No
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = "\n".join([",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
-    _write_text(args.output, text)
+    _write_text(args, text)
 
 
 def _cmd_sweep(args, parser) -> int:
@@ -203,8 +208,8 @@ def _cmd_dynamics(args, parser) -> int:
         if not 0 < norm < math.inf:
             raise ValueError("direction must be nonzero with a finite norm")
         direction = tuple(c / norm for c in direction)
-        profile = (ScaleFactorProfile.constant(args.a0) if args.profile == "constant"
-                   else ScaleFactorProfile.smooth_step(args.epsilon, args.rho))
+        profile = (FLAT if args.profile == "constant"
+                   else ScaleFactorProfile(args.epsilon, args.rho))
         # Run-wide values fail here, once, through momentum_point's own check,
         # at the grid's largest |p|: it sweeps the most phase.
         p_max = max(abs(p) for p in grid)
@@ -225,10 +230,8 @@ def _cmd_verify(args, parser) -> int:
         results = verify_mod.run_all(seed=args.seed, batch=args.batch)
     except ValueError as err:
         parser.error(str(err))
-    if args.report == "json":
-        _write_text(args.output, verify_mod.render_json(results, seed=args.seed))
-    else:
-        _write_text(args.output, verify_mod.render_text(results, seed=args.seed))
+    render = verify_mod.render_json if args.report == "json" else verify_mod.render_text
+    _write_text(args, render(results, seed=args.seed))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -258,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dyn_p.add_argument("--profile", choices=("constant", "tanh"), default="tanh")
     dyn_p.add_argument("--epsilon", type=float, default=1.0)
     dyn_p.add_argument("--rho", type=float, default=1.0)
-    dyn_p.add_argument("--a0", type=float, default=1.0, help="constant profile value")
     dyn_p.add_argument("--mass", type=float, default=1.0)
     dyn_p.add_argument("--p-grid", dest="p_grid", default="log:0.1:10:30")
     dyn_p.add_argument("--direction", default="1,1,1", help="momentum direction")

@@ -42,6 +42,7 @@ from cosmopair.bogoliubov import (
 
 __all__ = [
     "DressingResult",
+    "FLAT",
     "IntegrationError",
     "Mode",
     "ModeSolution",
@@ -84,67 +85,35 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ScaleFactorProfile:
-    """Conformal scale factor with flat asymptotics.
+    """Conformal scale factor a(tau)**2 = 1 + epsilon (1 + tanh(rho tau)).
 
-    The smooth-step family has a(tau)**2 = 1 + epsilon (1 + tanh(rho
-    tau)), interpolating between 1 and 1 + 2 epsilon; the constant
-    family a(tau) = a0 is the no-creation control.  The parameters of
-    the chosen family must be positive and finite, and for the smooth
-    step 2 epsilon (in a_out), 2 rho (in the span) and epsilon * rho (in
-    the mass rate) must be finite too.  The methods take a float tau and
-    return Python floats (``math``, not numpy: the mode-equation
-    right-hand side calls them at every solver stage).
+    It rises smoothly from 1 to sqrt(1 + 2 epsilon); epsilon = 0 is the
+    flat no-creation control, ``FLAT``.  Its share of the domain that
+    ``check_point`` states: finite epsilon >= 0 and rho > 0, with
+    2 epsilon (in a_out), 2 rho (in the span) and epsilon * rho (in the
+    mass rate) finite.  The methods take a float tau and return Python
+    floats (``math``, not numpy: the mode-equation right-hand side calls
+    them at every solver stage).
     """
 
-    kind: str
-    a0: float = 1.0
     epsilon: float = 1.0
     rho: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "tanh"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        # Written as "not 0 < x < inf" so that NaN and inf fail too.
-        if self.kind == "constant" and not 0 < self.a0 < math.inf:
-            raise ValueError(f"constant profile needs a0 > 0 and finite, got {self.a0}")
-        if self.kind == "tanh" and not (0 < 2.0 * self.epsilon < math.inf
-                                        and 0 < 2.0 * self.rho < math.inf):
-            raise ValueError("tanh profile needs epsilon > 0 and rho > 0, with 2 epsilon "
+        # Written as "not 0 <= x < inf" so that NaN and inf fail too.
+        if not (0 <= 2.0 * self.epsilon < math.inf and 0 < 2.0 * self.rho < math.inf):
+            raise ValueError("profile needs epsilon >= 0 and rho > 0, with 2 epsilon "
                              f"and 2 rho finite, got {self.epsilon} and {self.rho}")
-        if self.kind == "tanh" and not self.epsilon * self.rho < math.inf:
-            raise ValueError("tanh profile needs epsilon * rho finite (it scales the mass "
+        if not self.epsilon * self.rho < math.inf:
+            raise ValueError("profile needs epsilon * rho finite (it scales the mass "
                              f"rate), got {self.epsilon} and {self.rho}")
 
-    @classmethod
-    def constant(cls, a0: float = 1.0) -> "ScaleFactorProfile":
-        return cls(kind="constant", a0=a0)
-
-    @classmethod
-    def smooth_step(cls, epsilon: float, rho: float) -> "ScaleFactorProfile":
-        return cls(kind="tanh", epsilon=epsilon, rho=rho)
-
     def a(self, tau: float) -> float:
-        if self.kind == "constant":
-            return self.a0
         return math.sqrt(1.0 + self.epsilon * (1.0 + math.tanh(self.rho * tau)))
 
     @property
-    def a_in(self) -> float:
-        return self.a0 if self.kind == "constant" else 1.0
-
-    @property
     def a_out(self) -> float:
-        return self.a0 if self.kind == "constant" else math.sqrt(1.0 + 2.0 * self.epsilon)
-
-    def check_mass(self, m: float) -> None:
-        """Raise ValueError when m * epsilon * rho, the scale of the mass rate, overflows.
-
-        The rate is then inf at its peak and NaN in the flat regions, so no
-        integration could succeed.
-        """
-        if self.kind == "tanh" and not m * self.epsilon * self.rho < math.inf:
-            raise ValueError("tanh profile needs m * epsilon * rho finite (it scales the mass "
-                             f"rate), got m = {m}, epsilon = {self.epsilon} and rho = {self.rho}")
+        return math.sqrt(1.0 + 2.0 * self.epsilon)
 
     def mass_and_rate(self, tau: float, m: float) -> tuple[float, float]:
         """(M, dM/dtau) with M = m a(tau), from one evaluation of a(tau).
@@ -152,31 +121,32 @@ class ScaleFactorProfile:
         The rate is overflow-safe for large |rho tau|.
         """
         a = self.a(tau)
-        if self.kind == "constant":
-            return m * a, 0.0
         expo = math.exp(-2.0 * abs(self.rho * tau))
         sech2 = 4.0 * expo / (1.0 + expo) ** 2
         return m * a, m * self.epsilon * self.rho * sech2 / (2.0 * a)
+
+
+FLAT = ScaleFactorProfile(epsilon=0.0)
 
 
 @dataclass(frozen=True)
 class Mode:
     """One field mode: momentum vector (conformal units), mass and scale-factor profile.
 
-    The constructor owns every rule on these inputs: three components, a
-    finite nonnegative mass, ``profile.check_mass(m)`` and finite squares
-    |p|**2 and (m a)**2 (float ``**`` raises OverflowError where ``*``
-    gives inf; both become ValueError).  It computes, once, |p| (with
-    ``math.hypot``, which does not underflow below 1.5e-154), the masses
-    m a and the energies sqrt(|p|**2 + (m a)**2) at both ends of the
-    profile.
+    The constructor owns every per-mode rule of the domain that
+    ``check_point`` states: three components, a finite m >= 0, and
+    m * epsilon * rho (the scale of the mass rate), |p|**2 and (m a)**2
+    finite (float ``**`` raises OverflowError where ``*`` gives inf; both
+    become ValueError).  It computes, once, |p| (with ``math.hypot``,
+    which does not underflow below 1.5e-154), the late mass m a_out and
+    the energies sqrt(|p|**2 + (m a)**2) at both ends of the profile,
+    where a is 1 early on.
     """
 
     p_vec: tuple[float, float, float]
     m: float
     profile: ScaleFactorProfile
     p: float = field(init=False)
-    m_in: float = field(init=False)
     m_out: float = field(init=False)
     e_in: float = field(init=False)
     e_out: float = field(init=False)
@@ -188,25 +158,30 @@ class Mode:
         # Written as "not 0 <= m < inf" so that NaN and inf fail too.
         if not 0 <= self.m < math.inf:
             raise ValueError(f"mass {self.m} must be finite and nonnegative")
-        self.profile.check_mass(self.m)
+        # Past that the mass rate is inf at its peak and NaN in the flat
+        # regions, so no integration could succeed.
+        if not self.m * self.profile.epsilon * self.profile.rho < math.inf:
+            raise ValueError("profile needs m * epsilon * rho finite (it scales the mass "
+                             f"rate), got m = {self.m}, epsilon = {self.profile.epsilon} "
+                             f"and rho = {self.profile.rho}")
         p = math.hypot(*vec)
-        m_in, m_out = self.m * self.profile.a_in, self.m * self.profile.a_out
+        m_out = self.m * self.profile.a_out
         try:
             p2 = p ** 2
-            e_in, e_out = math.sqrt(p2 + m_in ** 2), math.sqrt(p2 + m_out ** 2)
+            e_in, e_out = math.sqrt(p2 + self.m ** 2), math.sqrt(p2 + m_out ** 2)
         except OverflowError:
             e_in = e_out = math.inf
         if not (e_in < math.inf and e_out < math.inf):
             raise ValueError(f"mode energy overflows: |p| = {p:g} or m a = "
-                             f"{max(m_in, m_out):g} squared is not a finite double")
-        for name, value in (("p_vec", vec), ("p", p), ("m_in", m_in), ("m_out", m_out),
+                             f"{max(self.m, m_out):g} squared is not a finite double")
+        for name, value in (("p_vec", vec), ("p", p), ("m_out", m_out),
                             ("e_in", e_in), ("e_out", e_out)):
             object.__setattr__(self, name, value)
 
 
 def default_tau_span(profile: ScaleFactorProfile, tol: float) -> tuple[float, float]:
     """Span wide enough that the profile sits within tol of its limits."""
-    if profile.kind == "constant":
+    if profile.epsilon == 0.0:   # flat: every span reaches the limits
         return (-10.0, 10.0)
     # a - a_limit ~ epsilon exp(-2 rho |tau|); the +4 margin buys ~55x.
     half_width = (math.log(profile.epsilon / tol) + 4.0) / (2.0 * profile.rho)
@@ -251,7 +226,7 @@ class ModeSolution:
         mode = self.mode
         if mode.p == 0.0:
             return 0.0
-        bound = 1.0 + (mode.e_in + mode.m_in) ** 2 / mode.p ** 2
+        bound = 1.0 + (mode.e_in + mode.m) ** 2 / mode.p ** 2
         return float(max(np.max(np.abs(self.f) ** 2) - bound, 0.0))
 
 
@@ -277,6 +252,9 @@ def check_point(p_vec, m: float, profile: ScaleFactorProfile,
                 tol: float) -> tuple[Mode, tuple[float, float]]:
     """``momentum_point``'s inputs checked, as (mode, integration span).
 
+    The domain of one point: finite epsilon >= 0, with rho > 0 and m >= 0
+    finite, and 2 epsilon, 2 rho, epsilon * rho, m * epsilon * rho, |p|**2
+    and (m a)**2 finite; ``ScaleFactorProfile`` and ``Mode`` check these.
     Raises ValueError unless tol lies in [TOL_MIN * REFINEMENT, TOL_MAX]
     (the self-convergence run at tol / REFINEMENT needs at least TOL_MIN),
     unless ``Mode`` accepts (p_vec, m, profile), or when the mode would
@@ -498,7 +476,7 @@ def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
     tau0, tau1 = float(tau_span[0]), float(tau_span[1])
     if not tau0 < tau1:
         raise ValueError("tau_span must be increasing")
-    if abs(profile.a(tau0) - profile.a_in) > tol:
+    if abs(profile.a(tau0) - 1.0) > tol:
         raise ValueError(f"tau_span start {tau0} does not reach the early flat region")
     if abs(profile.a(tau1) - profile.a_out) > tol:
         raise ValueError(f"tau_span end {tau1} does not reach the late flat region")
@@ -599,11 +577,11 @@ def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode,
     beyond DRESSING_GATE * tol, signalling an integration or matching bug.
     """
     contraction = spinor_contraction(mode.p_vec)
-    e_in, e_out, m_in, m_out = mode.e_in, mode.e_out, mode.m_in, mode.m_out
-    raw_a = math.sqrt(e_out / e_in * (e_out + m_out) / (e_in + m_in)) * scalar.a_minus
+    e_in, e_out, m, m_out = mode.e_in, mode.e_out, mode.m, mode.m_out
+    raw_a = math.sqrt(e_out / e_in * (e_out + m_out) / (e_in + m)) * scalar.a_minus
     magnitude = abs(raw_a)
     phase = raw_a / magnitude if magnitude > 0 else complex(1.0)
-    denom = math.sqrt((e_in / e_out) * (e_out + m_out) * (e_in + m_in))
+    denom = math.sqrt((e_in / e_out) * (e_out + m_out) * (e_in + m))
     beta = -1j * contraction * scalar.b_minus / denom
     coeffs = BogolyubovCoefficients(scenario=Scenario.CHARGE_ONLY,
                                     a=min(magnitude, 1.0), beta=beta)

@@ -248,10 +248,15 @@ def subsystem_entropy(states: np.ndarray, keep):
     A state of length 2**n (n >= 1) gives a float, a stack (..., 2**n) an
     array (...).  Forms every |psi><psi| in one call, traces out every
     other mode state by state, and diagonalizes the reduced operators in
-    one call; both halves of a pure state share this entropy.
+    one call; both halves of a pure state share this entropy.  An empty
+    stack gives an empty array, with keep still checked.
     """
     rho = outer_product(states)
-    reduced = np.array([partial_trace(item, keep) for item in rho.reshape(-1, *rho.shape[-2:])])
+    items = rho.reshape(-1, *rho.shape[-2:])
+    # An empty stack traces one zero operator and keeps none of the result,
+    # so that keep is still checked and the reduced axes get their size.
+    reduced = np.array([partial_trace(item, keep) for item in items]
+                       or [partial_trace(np.zeros(rho.shape[-2:]), keep)])[:len(items)]
     return von_neumann_entropy(reduced.reshape(*rho.shape[:-2], *reduced.shape[-2:]))
 
 

@@ -145,9 +145,9 @@ def unitary_dense(gen: np.ndarray) -> np.ndarray:
 
 
 def unitarity_residual(unitary: np.ndarray) -> float:
-    """max |U U^dag - 1| over every entry of a unitary, or of every item of a stack."""
+    """max |U U^dag - 1| over every entry of a unitary or a stack; 0 for an empty stack."""
     gram = unitary @ unitary.conj().swapaxes(-1, -2)
-    return float(np.abs(gram - np.eye(unitary.shape[-1])).max())
+    return float(np.abs(gram - np.eye(unitary.shape[-1])).max(initial=0.0))
 
 
 def unitary_for(coeffs: BogolyubovCoefficients) -> np.ndarray:

@@ -23,7 +23,7 @@ from cosmopair.bogoliubov import (
     theta_from_coefficients,
     validate,
 )
-from cosmopair.dynamics import ScaleFactorProfile, momentum_point
+from cosmopair.dynamics import FLAT, ScaleFactorProfile, momentum_point
 from cosmopair.entanglement import (
     entropy_excited_closed_form,
     entropy_numeric,
@@ -212,14 +212,13 @@ def test_criterion_08_conservation_laws():
 def test_criterion_09_dynamics_pipeline():
     start = time.monotonic()
     tol = 1e-9
-    flat = ScaleFactorProfile.constant(1.0)
     worst_flat_n = 0.0
     worst_flat_s = 0.0
     for p in (0.3, 1.0, 3.0):
-        point = momentum_point((p, 0.0, 0.0), 1.0, flat, tol=tol)
+        point = momentum_point((p, 0.0, 0.0), 1.0, FLAT, tol=tol)
         worst_flat_n = max(worst_flat_n, point.n_created)
         worst_flat_s = max(worst_flat_s, point.s_numeric)
-    step = ScaleFactorProfile.smooth_step(1.0, 1.0)
+    step = ScaleFactorProfile(epsilon=1.0, rho=1.0)
     grid = [0.1 * (100.0 ** (k / 29.0)) for k in range(30)]
     worst_norm = 0.0
     worst_conv = 0.0

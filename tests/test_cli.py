@@ -251,10 +251,8 @@ def test_direction_scale_does_not_change_the_rows(direction, plain, tmp_path):
     ["dynamics", "--p-grid", "1", "--tol", "nan"],
     ["dynamics", "--p-grid", "1", "--epsilon", "inf"],
     ["dynamics", "--p-grid", "1", "--rho", "inf"],
-    ["dynamics", "--p-grid", "1", "--profile", "constant", "--a0", "inf"],
 ], ids=["n-inf", "tolerance-nan", "tolerance-negative", "p-nan", "log-p-inf",
-        "direction-nan", "mass-nan", "mass-inf", "tol-nan", "epsilon-inf", "rho-inf",
-        "a0-inf"])
+        "direction-nan", "mass-nan", "mass-inf", "tol-nan", "epsilon-inf", "rho-inf"])
 def test_non_finite_input_is_a_usage_error(argv, tmp_path):
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as err:
@@ -264,14 +262,41 @@ def test_non_finite_input_is_a_usage_error(argv, tmp_path):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--profile", "constant", "--a0", "0"], "constant profile needs a0 > 0"),
-    (["--rho", "0"], "tanh profile needs epsilon > 0 and rho > 0"),
-], ids=["a0-zero", "rho-zero"])
+    (["--rho", "0"], "profile needs epsilon >= 0 and rho > 0"),
+    (["--epsilon", "-1"], "profile needs epsilon >= 0 and rho > 0"),
+    # --a0 went with the constant family: a constant a0 only rescaled the mass.
+    (["--profile", "constant", "--a0", "2"], "unrecognized arguments: --a0 2"),
+], ids=["rho-zero", "epsilon-negative", "a0-is-gone"])
 def test_dynamics_profile_errors_are_usage_errors(flags, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["dynamics", "--p-grid", "1", "--output", str(tmp_path / "x.csv")] + flags)
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_epsilon_zero_runs_the_flat_profile(tmp_path):
+    def rows(*flags):
+        out = tmp_path / "dyn.csv"
+        assert cli.main(["dynamics", "--p-grid", "0,1,3", *flags, "--output", str(out)]) == 0
+        return out.read_text()
+
+    assert rows("--profile", "tanh", "--epsilon", "0") == rows("--profile", "constant")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenario", "spinless", "--n", "1"],
+    ["dynamics", "--profile", "constant", "--p-grid", "1"],
+    ["verify", "--batch", "2"],
+], ids=["sweep", "dynamics", "verify"])
+def test_an_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "out.txt"
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--output", str(path)])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"usage: cosmopair {argv[0]} ")
+    assert stderr.splitlines()[-1] == (f"cosmopair {argv[0]}: error: cannot write --output "
+                                       f"{path}: No such file or directory")
 
 
 def _run_cli(argv, timeout: float) -> subprocess.CompletedProcess:
@@ -322,7 +347,7 @@ def test_the_library_refuses_the_same_run_wide_inputs(flags, message):
     values = {"--epsilon": 1.0, "--rho": 1.0, "--mass": 1.0, "--tol": 1e-9,
               **{flag: float(value) for flag, value in zip(flags[::2], flags[1::2])}}
     with pytest.raises(ValueError) as err:
-        profile = dyn.ScaleFactorProfile.smooth_step(values["--epsilon"], values["--rho"])
+        profile = dyn.ScaleFactorProfile(values["--epsilon"], values["--rho"])
         dyn.momentum_point((1.0, 0.0, 0.0), values["--mass"], profile, tol=values["--tol"])
     assert message in str(err.value)
 

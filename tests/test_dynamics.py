@@ -11,36 +11,37 @@ from conftest import ALL_SCENARIOS
 from cosmopair import dynamics as dyn
 from cosmopair.bogoliubov import Scenario, from_density, validate
 
-TANH = dyn.ScaleFactorProfile.smooth_step(1.0, 1.0)
-FLAT = dyn.ScaleFactorProfile.constant(1.0)
+TANH = dyn.ScaleFactorProfile(epsilon=1.0, rho=1.0)
+FLAT = dyn.FLAT
 
 
 def test_profile_asymptotics():
-    assert TANH.a_in == 1.0
+    assert TANH == dyn.ScaleFactorProfile()
     assert abs(TANH.a_out - math.sqrt(3.0)) <= 1e-15
     assert abs(float(TANH.a(-40.0)) - 1.0) <= 1e-14
     assert abs(float(TANH.a(40.0)) - TANH.a_out) <= 1e-14
-    assert FLAT.a_in == FLAT.a_out == 1.0
+    # The flat profile is the smooth step at epsilon = 0.
+    assert FLAT == dyn.ScaleFactorProfile(epsilon=0.0, rho=1.0)
+    assert FLAT.a(-40.0) == FLAT.a(0.3) == FLAT.a_out == 1.0
     assert FLAT.mass_and_rate(0.3, 2.0) == (2.0, 0.0)
+    assert dyn.default_tau_span(FLAT, 1e-9) == (-10.0, 10.0)
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
-        dyn.ScaleFactorProfile(kind="exp")
+    dyn.ScaleFactorProfile(epsilon=0.0, rho=3.0)
     # 2 epsilon overflows a_out at 1e308, 2 rho the span's half width
     # epsilon * rho overflows the mass rate at (1e200, 1e200)
-    for epsilon, rho in ((-1.0, 1.0), (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
-                         (1e308, 1.0), (1.0, 1e308), (1e200, 1e200)):
+    for epsilon, rho in ((-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1e308, 1.0),
+                         (1.0, 0.0), (1.0, -1.0), (1.0, math.inf), (1.0, math.nan),
+                         (1.0, 1e308), (1e200, 1e200)):
         with pytest.raises(ValueError):
-            dyn.ScaleFactorProfile.smooth_step(epsilon, rho)
-    for a0 in (0.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            dyn.ScaleFactorProfile.constant(a0)
-    # m * epsilon * rho overflows the mass rate; a constant profile has no rate
-    TANH.check_mass(1e300)
-    FLAT.check_mass(1e308)
+            dyn.ScaleFactorProfile(epsilon, rho)
+    # Mode rejects an m * epsilon * rho that overflows the mass rate; at
+    # epsilon = 0 there is no rate
+    dyn.Mode((1.0, 0.0, 0.0), 1e150, dyn.ScaleFactorProfile(1.0, 1e150))
+    dyn.Mode((1.0, 0.0, 0.0), 1e150, dyn.ScaleFactorProfile(0.0, 1e300))
     with pytest.raises(ValueError, match="m \\* epsilon \\* rho"):
-        dyn.ScaleFactorProfile.smooth_step(1.0, 1e300).check_mass(1e10)
+        dyn.Mode((1.0, 0.0, 0.0), 1e10, dyn.ScaleFactorProfile(1.0, 1e300))
 
 
 def test_point_tolerance_covers_the_refined_run():
@@ -62,8 +63,8 @@ def test_phase_budget_admits_the_documented_runs_and_rejects_a_hang():
 
     # |p| = 40 is the widest run of the README, CI, tests and benchmark.
     assert 50.0 * phase(40.0, TANH) <= dyn.MAX_PHASE
-    assert phase(300.0, dyn.ScaleFactorProfile.smooth_step(1.0, 0.1)) <= dyn.MAX_PHASE
-    huge = dyn.ScaleFactorProfile.smooth_step(1e14, 1.0)
+    assert phase(300.0, dyn.ScaleFactorProfile(1.0, 0.1)) <= dyn.MAX_PHASE
+    huge = dyn.ScaleFactorProfile(1e14, 1.0)
     assert phase(1.0, huge) > dyn.MAX_PHASE
     with pytest.raises(ValueError, match="rad budget"):
         dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, huge))
@@ -71,16 +72,13 @@ def test_phase_budget_admits_the_documented_runs_and_rejects_a_hang():
 
 def test_non_finite_frequency_fails_the_integration_instead_of_hanging():
     class NanRate:
-        kind, epsilon, rho, a_in, a_out = "nan-rate", 1.0, 1.0, 1.0, 1.0
+        epsilon, rho, a_out = 1.0, 1.0, 1.0
 
         def a(self, tau):
             return 1.0
 
         def mass_and_rate(self, tau, m):
             return m, math.nan
-
-        def check_mass(self, m):
-            """Accepts every mass, so that the NaN reaches the stepper."""
 
     mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, NanRate())
     with pytest.raises(dyn.IntegrationError, match="step size below"):
@@ -92,21 +90,16 @@ def test_mass_dot_overflow_safe():
     assert value == 0.0 or value < 1e-300
 
 
-@pytest.mark.parametrize("profile", [TANH, dyn.ScaleFactorProfile.smooth_step(0.3, 2.5),
-                                     dyn.ScaleFactorProfile.constant(1.7)],
-                         ids=["tanh", "tanh-steep", "constant"])
+@pytest.mark.parametrize("profile", [TANH, dyn.ScaleFactorProfile(0.3, 2.5), FLAT],
+                         ids=["tanh", "tanh-steep", "flat"])
 def test_profile_methods_are_floats_matching_numpy_forms(profile):
     m = 1.3
     taus = np.concatenate([[-1e6, -40.0], np.linspace(-6.0, 6.0, 49), [40.0, 1e6]])
-    if profile.kind == "tanh":
-        x = profile.rho * taus
-        a_ref = np.sqrt(1.0 + profile.epsilon * (1.0 + np.tanh(x)))
-        expo = np.exp(-2.0 * np.abs(x))
-        rate_ref = m * profile.epsilon * profile.rho * 4.0 * expo / (1.0 + expo) ** 2 \
-            / (2.0 * a_ref)
-    else:
-        a_ref = np.full_like(taus, profile.a0)
-        rate_ref = np.zeros_like(taus)
+    x = profile.rho * taus
+    a_ref = np.sqrt(1.0 + profile.epsilon * (1.0 + np.tanh(x)))
+    expo = np.exp(-2.0 * np.abs(x))
+    rate_ref = m * profile.epsilon * profile.rho * 4.0 * expo / (1.0 + expo) ** 2 \
+        / (2.0 * a_ref)
     for tau, a, rate in zip(taus.tolist(), a_ref, rate_ref):
         values = (profile.a(tau), *profile.mass_and_rate(tau, m))
         assert all(type(v) is float for v in values)
@@ -122,7 +115,6 @@ def test_mode_parameters_reject_bad_mass(m):
 
 def test_asymptotic_energies():
     mode = dyn.Mode((0.0, 0.0, 1.0), 1.0, TANH)
-    assert abs(mode.m_in - 1.0) <= 1e-15
     assert abs(mode.m_out - math.sqrt(3.0)) <= 1e-15
     assert abs(mode.e_in - math.sqrt(2.0)) <= 1e-15
     assert abs(mode.e_out - 2.0) <= 1e-15
@@ -134,7 +126,7 @@ def test_asymptotic_energies():
     with pytest.raises(ValueError, match="three components"):
         dyn.Mode((1.0, 0.0), 1.0, TANH)
     with pytest.raises(ValueError, match="m \\* epsilon \\* rho"):
-        dyn.Mode((1.0, 0.0, 0.0), 1e10, dyn.ScaleFactorProfile.smooth_step(1.0, 1e300))
+        dyn.Mode((1.0, 0.0, 0.0), 1e10, dyn.ScaleFactorProfile(1.0, 1e300))
 
 
 def test_momentum_below_the_square_root_underflow_is_reported():
@@ -207,7 +199,7 @@ def test_self_convergence_under_tolerance_refinement():
 
 
 def test_small_expansion_limit():
-    gentle = dyn.ScaleFactorProfile.smooth_step(1e-4, 1.0)
+    gentle = dyn.ScaleFactorProfile(1e-4, 1.0)
     scalar = dyn.extract_scalar_coefficients(
         dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, gentle), tol=1e-10))
     assert abs(scalar.b_minus) < 1e-4
@@ -334,15 +326,13 @@ class TanhLinearMass:
     """a = 1 + delta (1 + tanh(rho tau)): the profile whose mode equation is hypergeometric.
 
     It has the interface ``momentum_point`` reads from ``ScaleFactorProfile``;
-    ``epsilon`` = delta sizes the default span, as a - a_in ~ 2 delta
+    ``epsilon`` = delta sizes the default span, as a - 1 ~ 2 delta
     exp(2 rho tau) early on.
     """
 
-    kind = "tanh-linear"
-
     def __init__(self, delta: float, rho: float):
         self.epsilon, self.rho = delta, rho
-        self.a_in, self.a_out = 1.0, 1.0 + 2.0 * delta
+        self.a_out = 1.0 + 2.0 * delta
 
     def a(self, tau: float) -> float:
         return 1.0 + self.epsilon * (1.0 + math.tanh(self.rho * tau))
@@ -351,9 +341,6 @@ class TanhLinearMass:
         expo = math.exp(-2.0 * abs(self.rho * tau))
         sech2 = 4.0 * expo / (1.0 + expo) ** 2
         return m * self.a(tau), m * self.epsilon * self.rho * sech2
-
-    def check_mass(self, m: float) -> None:
-        """Accepts every mass: the tests' masses and rates are all moderate."""
 
 
 def exact_tanh_linear_density(p: float, m: float, delta: float, rho: float) -> float:
@@ -537,7 +524,7 @@ def test_momentum_point_approaches_the_sudden_mass_quench(p):
     # As rho grows the created density tends to the instantaneous quench
     # with error ~ rho**-2, so two rhos Richardson-extrapolate to the limit.
     m, epsilon = 1.0, 1.0
-    n80, n320 = (dyn.momentum_point((p, 0.0, 0.0), m, dyn.ScaleFactorProfile.smooth_step(
+    n80, n320 = (dyn.momentum_point((p, 0.0, 0.0), m, dyn.ScaleFactorProfile(
         epsilon, rho)).n_created for rho in (80.0, 320.0))
     extrapolated = (16.0 * n320 - n80) / 15.0
     m_in, m_out = m, m * math.sqrt(1.0 + 2.0 * epsilon)

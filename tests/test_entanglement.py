@@ -349,13 +349,15 @@ def density_sets(scenario, size, seed, edge):
 def test_entropy_numeric_on_a_stack_equals_the_per_set_calls(scenario, size, seed, edge):
     sets = density_sets(scenario, size, seed, edge)
     stack = BogolyubovCoefficients.stack(sets)
-    # The same sets with one more leading axis, shape (1, size).
+    # The same sets with one more leading axis, shape (1, size), and none of them.
     wide = BogolyubovCoefficients(scenario, stack.a[np.newaxis], stack.beta[np.newaxis])
+    empty = BogolyubovCoefficients(scenario, stack.a[:0], stack.beta[:0])
     for occupation in range(fock.dimension(scenario.n_modes)):
         stacked = ent.entropy_numeric(stack, occupation)
         assert stacked.shape == (size,)
         assert stacked.tolist() == [ent.entropy_numeric(c, occupation) for c in sets]
         assert ent.entropy_numeric(wide, occupation).tolist() == [stacked.tolist()]
+        assert ent.entropy_numeric(empty, occupation).shape == (0,)
     assert isinstance(ent.entropy_numeric(sets[0], 0), float)
 
 

@@ -273,6 +273,13 @@ def test_stacked_density_functions_equal_per_item_calls(seed, shape):
     per_state = [fock.subsystem_entropy(s, [0, 1]) for s in flat_states]
     assert all(isinstance(s, float) for s in per_state)
     assert subsystem.ravel().tolist() == per_state
+    # An empty stack, with or without further leading axes, gives no entropies.
+    for empty_states in (flat_states[:0], states[..., :0, :]):
+        expected_shape = empty_states.shape[:-1]
+        assert fock.subsystem_entropy(empty_states, [0, 1]).shape == expected_shape
+        assert fock.von_neumann_entropy(fock.outer_product(empty_states)).shape == expected_shape
+    with pytest.raises(ValueError, match="not a subset"):
+        fock.subsystem_entropy(flat_states[:0], [4])
 
 
 def test_stacked_entropy_clips_and_caps_each_item():

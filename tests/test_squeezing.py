@@ -190,6 +190,9 @@ def test_stacked_calls_equal_per_item_calls(scenario, size, seed):
     assert_stack_matches_items(sq.unitary_dense, generators)
     unitaries = sq.unitary_dense(generators)
     assert sq.unitarity_residual(unitaries) == max(map(sq.unitarity_residual, unitaries))
+    # An empty stack: no items, so no residual.
+    assert sq.unitary_dense(generators[:0]).shape == (0, dim, dim)
+    assert sq.unitarity_residual(unitaries[:0]) == 0.0
     for mode in range(scenario.n_modes):
         assert_stack_matches_items(sq.conjugate_mode, unitaries, mode)
     states = np.random.default_rng(seed).normal(size=(dim, 3))
