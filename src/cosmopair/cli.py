@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from cosmopair import verify as verify_mod
@@ -29,6 +30,9 @@ __all__ = ["main", "parse_grid", "parse_momentum_grid",
            "state_token_to_occupation", "occupation_to_state_token"]
 
 SCHEMA_VERSION = 1
+# Bound on the points of a step or log grid and of a sweep's n x lambda
+# product; the largest documented grid holds 4411.
+MAX_GRID_POINTS = 10**6
 SWEEP_COLUMNS = ("scenario", "input_state", "n", "lambda",
                  "S_numeric", "S_closed", "discrepancy")
 DYNAMICS_COLUMNS = ("p", "A", "beta_uu", "beta_ud", "beta_du", "beta_dd",
@@ -60,6 +64,8 @@ def parse_grid(text: str) -> list[float]:
         if stop < start:
             raise ValueError("grid stop must be >= start")
         raw = (stop - start) / step
+        if not raw + 1 <= MAX_GRID_POINTS:   # an infinite count fails too
+            raise ValueError(f"grid {text!r} holds more than {MAX_GRID_POINTS} points")
         count = int(round(raw)) if abs(raw - round(raw)) <= 1e-9 * max(1.0, abs(raw)) \
             else int(math.floor(raw))
         points = [start + k * step for k in range(count + 1)]
@@ -78,8 +84,8 @@ def parse_momentum_grid(text: str) -> list[float]:
             raise ValueError(f"log grid {text!r} must be log:start:stop:count")
         start, stop = _finite([float(parts[1]), float(parts[2])], text)
         count = int(parts[3])
-        if start <= 0 or stop <= start or count < 2:
-            raise ValueError("log grid needs 0 < start < stop and count >= 2")
+        if start <= 0 or stop <= start or not 2 <= count <= MAX_GRID_POINTS:
+            raise ValueError(f"log grid needs 0 < start < stop and 2 <= count <= {MAX_GRID_POINTS}")
         ratio = (stop / start) ** (1.0 / (count - 1))
         return [start * ratio ** k for k in range(count)]
     return parse_grid(text)
@@ -126,6 +132,10 @@ def _fmt(value) -> str:
     return f"{value:.15g}"
 
 
+def _refuse_output(args, err: OSError):
+    args.command_parser.error(f"cannot write --output {args.output}: {err.strerror}")
+
+
 def _write_text(args, text: str) -> None:
     """text to ``args.output``, or stdout; a path that cannot be written is a usage error."""
     if args.output in (None, "-"):
@@ -135,15 +145,11 @@ def _write_text(args, text: str) -> None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as err:
-        args.command_parser.error(f"cannot write --output {args.output}: {err.strerror}")
+        _refuse_output(args, err)
 
 
 def _json_value(value):
-    if value is None:
-        return None
-    if isinstance(value, str):
-        return value
-    return float(f"{value:.15g}")
+    return value if value is None or isinstance(value, str) else float(_fmt(value))
 
 
 def _write_rows(args, columns, rows, head: dict, tail: dict | None = None) -> None:
@@ -158,20 +164,17 @@ def _write_rows(args, columns, rows, head: dict, tail: dict | None = None) -> No
     _write_text(args, text)
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args) -> int:
     scenario = Scenario(args.scenario)
-    try:
-        if not args.tolerance >= 0:
-            raise ValueError(f"tolerance {args.tolerance} must be a number >= 0")
-        occupation = state_token_to_occupation(args.state, scenario)
-        n_grid = parse_grid(args.n)
-        lambda_grid = parse_grid(args.lam) if args.lam else None
-    except ValueError as err:
-        parser.error(str(err))
-    try:
-        results = sweep(scenario, occupation, n_grid, lambda_grid)
-    except ValueError as err:
-        parser.error(str(err))
+    if not args.tolerance >= 0:
+        raise ValueError(f"tolerance {args.tolerance} must be a number >= 0")
+    occupation = state_token_to_occupation(args.state, scenario)
+    n_grid = parse_grid(args.n)
+    lambda_grid = parse_grid(args.lam) if args.lam else None
+    lam_count = len(lambda_grid) if lambda_grid and scenario is Scenario.CHARGE_ONLY else 1
+    if len(n_grid) * lam_count > MAX_GRID_POINTS:
+        raise ValueError(f"sweep of {len(n_grid)} x {lam_count} points exceeds {MAX_GRID_POINTS}")
+    results = sweep(scenario, occupation, n_grid, lambda_grid)
     token = occupation_to_state_token(occupation, scenario)
     breaches = [r for r in results if r[-1] > args.tolerance]
     _write_rows(args, SWEEP_COLUMNS, [(scenario.value, token, *r) for r in results],
@@ -198,24 +201,20 @@ def _dynamics_row(p: float, direction, profile: ScaleFactorProfile, args) -> tup
             point.normalization_residual, point.self_convergence, "ok")
 
 
-def _cmd_dynamics(args, parser) -> int:
-    try:
-        grid = parse_momentum_grid(args.p_grid)
-        direction = tuple(float(c) for c in args.direction.split(","))
-        if len(direction) != 3:
-            raise ValueError("direction needs three comma-separated components")
-        norm = math.hypot(*direction)
-        if not 0 < norm < math.inf:
-            raise ValueError("direction must be nonzero with a finite norm")
-        direction = tuple(c / norm for c in direction)
-        profile = (FLAT if args.profile == "constant"
-                   else ScaleFactorProfile(args.epsilon, args.rho))
-        # Run-wide values fail here, once, through momentum_point's own check,
-        # at the grid's largest |p|: it sweeps the most phase.
-        p_max = max(abs(p) for p in grid)
-        check_point(tuple(p_max * c for c in direction), args.mass, profile, args.tol)
-    except ValueError as err:
-        parser.error(str(err))
+def _cmd_dynamics(args) -> int:
+    grid = parse_momentum_grid(args.p_grid)
+    direction = tuple(float(c) for c in args.direction.split(","))
+    if len(direction) != 3:
+        raise ValueError("direction needs three comma-separated components")
+    norm = math.hypot(*direction)
+    if not 0 < norm < math.inf:
+        raise ValueError("direction must be nonzero with a finite norm")
+    direction = tuple(c / norm for c in direction)
+    profile = FLAT if args.profile == "constant" else ScaleFactorProfile(args.epsilon, args.rho)
+    # Run-wide values fail here, once, through momentum_point's own check,
+    # at the grid's largest |p|: it sweeps the most phase.
+    p_max = max(abs(p) for p in grid)
+    check_point(tuple(p_max * c for c in direction), args.mass, profile, args.tol)
     rows = [_dynamics_row(p, direction, profile, args) for p in grid]
     _write_rows(args, DYNAMICS_COLUMNS, rows, head={"profile": args.profile})
     failed = [row for row in rows if row[-1] != "ok"]
@@ -225,11 +224,8 @@ def _cmd_dynamics(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    try:
-        results = verify_mod.run_all(seed=args.seed, batch=args.batch)
-    except ValueError as err:
-        parser.error(str(err))
+def _cmd_verify(args) -> int:
+    results = verify_mod.run_all(seed=args.seed, batch=args.batch)
     render = verify_mod.render_json if args.report == "json" else verify_mod.render_text
     _write_text(args, render(results, seed=args.seed))
     return 0 if all(r.passed for r in results) else 1
@@ -280,8 +276,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    # Value errors print the subcommand's usage line, not the root one.
-    return args.run(args, args.command_parser)
+    if args.output not in (None, "-"):
+        # A missing --output directory is refused before any row is computed.
+        try:
+            os.stat(os.path.dirname(args.output) or ".")
+        except OSError as err:
+            _refuse_output(args, err)
+    # Value errors print the subcommand's usage line, not the root one.  Each
+    # failing dynamics point is caught in _dynamics_row and becomes an error row.
+    try:
+        return args.run(args)
+    except ValueError as err:
+        args.command_parser.error(str(err))
 
 
 if __name__ == "__main__":

@@ -73,22 +73,10 @@ __all__ = [
 SCORE_BLOCK = 128
 
 
-def _checked(x, low: float, high: float, message: str) -> np.ndarray:
-    """x as a float array; raises ValueError(message) naming the first item outside [low, high].
-
-    Written as "not within", so a NaN item fails.  The items are read as
-    Python floats, which for one value costs less than a numpy comparison.
-    """
-    x = np.asarray(x, dtype=float)
-    for item in x.reshape(-1).tolist():
-        if not low <= item <= high:
-            raise ValueError(message.format(item))
-    return x
-
-
 def _within(x, upper: float, what: str) -> np.ndarray:
     """x clamped into [0, upper]; raises unless every item lies within 1e-12 of it."""
-    x = _checked(x, -1e-12, upper + 1e-12, f"{what} {{}} outside [0, {upper}]")
+    x = np.asarray(x, dtype=float)
+    fock.require((x >= -1e-12) & (x <= upper + 1e-12), x, f"{what} {{}} outside [0, {upper}]")
     return np.minimum(np.maximum(x, 0.0), upper)
 
 
@@ -204,7 +192,8 @@ def entropy_excited_closed_form(occupation: int, n, lam, scenario: Scenario):
     parallel = particle_bits == anti_bits
     if scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
         return unentangled if parallel else entropy_vacuum_closed_form(n, scenario)
-    lam = _checked(lam, 0.0, 1.0, "lambda {} outside [0, 1]")
+    lam = np.asarray(lam, dtype=float)
+    fock.require((lam >= 0.0) & (lam <= 1.0), lam, "lambda {} outside [0, 1]")
     fraction = (1.0 - lam) if parallel else lam
     return pair_state_entropy(fraction * n * (n_max - n) / 16.0)
 

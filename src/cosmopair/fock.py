@@ -46,6 +46,7 @@ __all__ = [
     "occupancy",
     "outer_product",
     "partial_trace",
+    "require",
     "spin_z_operator",
     "subsystem_entropy",
     "von_neumann_entropy",
@@ -145,10 +146,10 @@ def spin_z_operator() -> np.ndarray:
     return _weighted_occupation((0.5, -0.5, 0.5, -0.5))
 
 
-def _check(ok, values, message: str) -> None:
+def require(ok, values, message: str) -> None:
     """Raise ValueError(message) naming the value of the first item where ok is False.
 
-    Each caller writes ``ok`` as "within", so a NaN value fails it.
+    ok is a numpy bool array or scalar written as "within", so a NaN value fails it.
     """
     # A single item's gate is a numpy scalar, whose .all() costs more than the gate.
     if not (ok.all() if ok.ndim else ok):
@@ -159,8 +160,8 @@ def outer_product(state: np.ndarray) -> np.ndarray:
     """Pure density operator |psi><psi| of a normalized state (d,), or (..., d, d) of a stack."""
     state = np.asarray(state, dtype=complex)
     norms = np.sqrt(np.sum(np.abs(state) ** 2, axis=-1))
-    _check(np.abs(norms - 1.0) <= STATE_TOLERANCE, norms,
-           f"state norm {{}} deviates from 1 beyond {STATE_TOLERANCE}")
+    require(np.abs(norms - 1.0) <= STATE_TOLERANCE, norms,
+            f"state norm {{}} deviates from 1 beyond {STATE_TOLERANCE}")
     return state[..., :, np.newaxis] * state.conj()[..., np.newaxis, :]
 
 
@@ -215,12 +216,12 @@ def validate_density_operator(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     adjoint = rho.conj().swapaxes(-1, -2)
     herm = np.abs(rho - adjoint).max(axis=(-2, -1))
-    _check(herm <= STATE_TOLERANCE, herm, "density operator not Hermitian: residual {}")
+    require(herm <= STATE_TOLERANCE, herm, "density operator not Hermitian: residual {}")
     tr = rho.diagonal(0, -2, -1).sum(axis=-1)
-    _check(np.abs(tr - 1.0) <= STATE_TOLERANCE, tr, "density operator trace {} deviates from 1")
+    require(np.abs(tr - 1.0) <= STATE_TOLERANCE, tr, "density operator trace {} deviates from 1")
     eigs = np.linalg.eigvalsh((rho + adjoint) / 2)
     lowest = eigs[..., 0]   # eigvalsh sorts ascending
-    _check(lowest >= -STATE_TOLERANCE, lowest, "density operator has negative eigenvalue {}")
+    require(lowest >= -STATE_TOLERANCE, lowest, "density operator has negative eigenvalue {}")
     return eigs
 
 

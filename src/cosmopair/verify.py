@@ -249,7 +249,7 @@ def _check_expansions(seed: int) -> list[CheckResult]:
     return results
 
 
-def _check_entropy_curves() -> list[CheckResult]:
+def _check_vacuum_curves() -> list[CheckResult]:
     results = []
     for scenario in Scenario:
         densities = [n_raw * scenario.n_max / 4.0 for n_raw in _ENTROPY_GRID]
@@ -345,9 +345,12 @@ def run_all(seed: int = DEFAULT_SEED, batch: int = 100) -> list[CheckResult]:
 
     ``batch`` is the number of seeded draws per scenario for the oracle
     checks and must be at least 1, so that no check passes vacuously.
+    ``seed`` must be nonnegative.
     """
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     results: list[CheckResult] = []
     results.append(_check_anticommutators(4))
     results.append(_check_anticommutators(2))
@@ -356,7 +359,7 @@ def run_all(seed: int = DEFAULT_SEED, batch: int = 100) -> list[CheckResult]:
     results.extend(_check_factorization(seed, batch))
     results.append(_check_nilpotency(seed))
     results.extend(_check_expansions(seed))
-    results.extend(_check_entropy_curves())
+    results.extend(_check_vacuum_curves())
     results.extend(_check_excited_catalogue())
     results.extend(_check_conservation())
     results.append(_check_concavity())

@@ -8,6 +8,7 @@ import pytest
 
 from cosmopair import cli
 from cosmopair import dynamics as dyn
+from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import Scenario
 
 
@@ -30,6 +31,29 @@ def test_parse_grid_errors():
     for empty in (",", " , ,"):
         with pytest.raises(ValueError, match="empty grid specification"):
             cli.parse_grid(empty)
+    # An overflowing point count, and one point above the bound; each is
+    # refused before any list is built.
+    for huge in ("0:1e308:1e-308", f"0:{cli.MAX_GRID_POINTS}:1"):
+        with pytest.raises(ValueError, match=f"more than {cli.MAX_GRID_POINTS} points"):
+            cli.parse_grid(huge)
+    assert len(cli.parse_grid(f"1:{cli.MAX_GRID_POINTS}:1")) == cli.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match=f"count <= {cli.MAX_GRID_POINTS}"):
+        cli.parse_momentum_grid(f"log:0.1:10:{cli.MAX_GRID_POINTS + 1}")
+
+
+def test_a_sweep_above_the_point_bound_is_refused_before_it_runs(monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("sweep ran")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    # 1001 x 1001 points: each grid is within the bound, their product is not.
+    with pytest.raises(SystemExit) as err:
+        cli.main(["sweep", "--scenario", "charge", "--n", "0:4:0.004",
+                  "--lambda", "0:1:0.001"])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: cosmopair sweep ")
+    assert f"1001 x 1001 points exceeds {cli.MAX_GRID_POINTS}" in stderr
 
 
 def test_parse_momentum_grid_log():
@@ -205,6 +229,17 @@ def test_verify_rejects_nonpositive_batch(tmp_path, capsys):
         assert "batch must be at least 1" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--seed", "-1", "--output", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: cosmopair verify ")
+    assert "seed must be nonnegative, got -1" in stderr
+
+
 def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     # massless zero-momentum mode has no out-region frequency to match
     argv = ["dynamics", "--profile", "tanh", "--mass", "0", "--p-grid", "0,1", "--tol", "1e-9"]
@@ -223,20 +258,6 @@ def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     assert failed["p"] == 0.0 and failed["status"].startswith("error: ")
     assert all(failed[k] is None for k in cli.DYNAMICS_COLUMNS if k not in ("p", "status"))
     assert ok["status"] == "ok"
-
-
-@pytest.mark.parametrize("direction, plain", [("1e-200,0,0", "1,0,0"),
-                                               ("1e300,1e300,0", "1,1,0")],
-                         ids=["square-underflows", "square-overflows"])
-def test_direction_scale_does_not_change_the_rows(direction, plain, tmp_path):
-    """A direction whose squared norm leaves the double range still normalizes."""
-    def rows(components):
-        out = tmp_path / "dyn.csv"
-        assert cli.main(["dynamics", "--p-grid", "0.5,2", "--direction", components,
-                         "--output", str(out)]) == 0
-        return out.read_text()
-
-    assert rows(direction) == rows(plain)
 
 
 @pytest.mark.parametrize("argv", [
@@ -288,7 +309,14 @@ def test_epsilon_zero_runs_the_flat_profile(tmp_path):
     ["dynamics", "--profile", "constant", "--p-grid", "1"],
     ["verify", "--batch", "2"],
 ], ids=["sweep", "dynamics", "verify"])
-def test_an_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+def test_an_unwritable_output_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
+    # The missing directory is found before any row is computed.
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows computed")
+
+    monkeypatch.setattr(cli, "sweep", no_rows)
+    monkeypatch.setattr(cli, "momentum_point", no_rows)
+    monkeypatch.setattr(verify_mod, "run_all", no_rows)
     path = tmp_path / "missing" / "out.txt"
     with pytest.raises(SystemExit) as err:
         cli.main(argv + ["--output", str(path)])
