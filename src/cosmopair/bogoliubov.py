@@ -16,13 +16,13 @@ factorization of the squeezing unitary possible.
 Stacks: a ``BogolyubovCoefficients`` may hold leading batch axes, ``a``
 of shape (...) and ``beta`` of shape (..., 2, 2), one scenario for all;
 ``BogolyubovCoefficients.stack`` builds one from single sets.
-``validate``, ``cross_term_identity``, ``determinant_combination``,
-``expected_pair_mixing`` and ``theta_from_coefficients`` take such a
-stack, and ``check_theta``, ``squeezing_angle`` and ``mu_nu_from_theta``
-a stack of theta matrices (..., n, n).  Each item passes the checks it
-would pass alone, one bad item raises the error the unstacked call
-raises, and one set still gives the unstacked result.  ``from_density``
-and ``random_coefficients`` build one set.
+``validate``, ``determinant_combination``, ``expected_pair_mixing``
+and ``theta_from_coefficients`` take such a stack, and ``check_theta``,
+``squeezing_angle`` and ``mu_nu_from_theta`` a stack of theta matrices
+(..., n, n).  Each item passes the checks it would pass alone, one bad
+item raises the error the unstacked call raises, and one set still gives
+the unstacked result.  ``from_density`` and ``random_coefficients``
+build one set.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "ValidationReport",
     "check_density",
     "check_theta",
-    "cross_term_identity",
     "determinant_combination",
     "expected_pair_mixing",
     "from_density",
@@ -273,28 +272,6 @@ def validate(coeffs: BogolyubovCoefficients,
     return ValidationReport(names, np.concatenate(columns, axis=-1), tolerance)
 
 
-def _unstacked(value: np.ndarray) -> complex | np.ndarray:
-    """A Python number for one set's 0-d result, the array itself for a stack."""
-    return value.item() if value.ndim == 0 else value
-
-
-def cross_term_identity(coeffs: BogolyubovCoefficients,
-                        ) -> tuple[complex | np.ndarray, complex | np.ndarray]:
-    """The two conjugate cross sums that kill the off-diagonal reduced terms.
-
-    Both must vanish for any valid charge-only coefficient set; they are
-    the combinations multiplying the spin-coherence entries of the
-    reduced particle operator.  A stack gives two arrays (...).
-    """
-    if coeffs.scenario is not Scenario.CHARGE_ONLY:
-        raise ValueError("cross_term_identity applies to the charge-only scenario")
-    b = coeffs.beta
-    uu, ud, du, dd = b[..., UP, UP], b[..., UP, DOWN], b[..., DOWN, UP], b[..., DOWN, DOWN]
-    first = np.conj(uu) * du + np.conj(ud) * dd
-    second = np.conj(du) * uu + ud * np.conj(dd)
-    return _unstacked(first), _unstacked(second)
-
-
 def determinant_combination(coeffs: BogolyubovCoefficients) -> complex | np.ndarray:
     """Conjugated determinant-like combination of the beta entries.
 
@@ -305,8 +282,9 @@ def determinant_combination(coeffs: BogolyubovCoefficients) -> complex | np.ndar
     if coeffs.scenario is not Scenario.CHARGE_ONLY:
         raise ValueError("determinant_combination applies to the charge-only scenario")
     b = coeffs.beta
-    return _unstacked(np.conj(b[..., DOWN, UP]) * np.conj(b[..., UP, DOWN])
-                      - np.conj(b[..., DOWN, DOWN]) * np.conj(b[..., UP, UP]))
+    value = (np.conj(b[..., DOWN, UP]) * np.conj(b[..., UP, DOWN])
+             - np.conj(b[..., DOWN, DOWN]) * np.conj(b[..., UP, UP]))
+    return value.item() if value.ndim == 0 else value
 
 
 def _angle_over_sine(a) -> np.ndarray:

@@ -15,6 +15,7 @@ failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -83,7 +84,10 @@ def parse_momentum_grid(text: str) -> list[float]:
         if len(parts) != 4:
             raise ValueError(f"log grid {text!r} must be log:start:stop:count")
         start, stop = _finite([float(parts[1]), float(parts[2])], text)
-        count = int(parts[3])
+        try:
+            count = int(parts[3])
+        except ValueError:
+            raise ValueError(f"log grid {text!r} needs an integer count") from None
         if start <= 0 or stop <= start or not 2 <= count <= MAX_GRID_POINTS:
             raise ValueError(f"log grid needs 0 < start < stop and 2 <= count <= {MAX_GRID_POINTS}")
         ratio = (stop / start) ** (1.0 / (count - 1))
@@ -134,6 +138,26 @@ def _fmt(value) -> str:
 
 def _refuse_output(args, err: OSError):
     args.command_parser.error(f"cannot write --output {args.output}: {err.strerror}")
+
+
+def _check_output(args) -> None:
+    """Refuse an --output that open() would refuse for its name alone, creating nothing.
+
+    The empty path, an existing directory, and a parent that is missing or
+    not a directory are refused with open()'s reason; a parent without
+    write permission is left to :func:`_write_text`.
+    """
+    path = args.output
+    if path in (None, "-"):
+        return
+    if not path or os.path.isdir(path):
+        code = errno.EISDIR if path else errno.ENOENT
+        _refuse_output(args, OSError(code, os.strerror(code)))
+    try:
+        # The trailing separator makes a parent that is a file fail too.
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
+    except OSError as err:
+        _refuse_output(args, err)
 
 
 def _write_text(args, text: str) -> None:
@@ -195,7 +219,7 @@ def _dynamics_row(p: float, direction, profile: ScaleFactorProfile, args) -> tup
         point = momentum_point(p_vec, args.mass, profile, tol=args.tol)
     except (IntegrationError, ValueError) as err:
         reason = str(err).replace(",", ";").replace("\n", " ")
-        return (p, *[None] * (len(DYNAMICS_COLUMNS) - 2), f"error: {reason}")
+        return (abs(p), *[None] * (len(DYNAMICS_COLUMNS) - 2), f"error: {reason}")
     return (point.p, point.a, *point.beta_moduli, point.n_created, point.lambda_effective,
             point.s_numeric, point.s_closed, point.discrepancy,
             point.normalization_residual, point.self_convergence, "ok")
@@ -276,12 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.output not in (None, "-"):
-        # A missing --output directory is refused before any row is computed.
-        try:
-            os.stat(os.path.dirname(args.output) or ".")
-        except OSError as err:
-            _refuse_output(args, err)
+    _check_output(args)   # before any row is computed
     # Value errors print the subcommand's usage line, not the root one.  Each
     # failing dynamics point is caught in _dynamics_row and becomes an error row.
     try:

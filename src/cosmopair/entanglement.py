@@ -57,7 +57,6 @@ __all__ = [
     "entropy_vacuum_closed_form",
     "pair_state_entropy",
     "score",
-    "spin_spinless_relation",
     "sweep",
 ]
 
@@ -196,16 +195,6 @@ def entropy_excited_closed_form(occupation: int, n, lam, scenario: Scenario):
     fock.require((lam >= 0.0) & (lam <= 1.0), lam, "lambda {} outside [0, 1]")
     fraction = (1.0 - lam) if parallel else lam
     return pair_state_entropy(fraction * n * (n_max - n) / 16.0)
-
-
-def spin_spinless_relation(n):
-    """(spinful vacuum entropy at n, twice the spinless one at n/2, residual), per item of n.
-
-    The spinful closed form checks n against [0, 4] and clamps it.
-    """
-    lhs = entropy_vacuum_closed_form(n, Scenario.CHARGE_ONLY)
-    rhs = 2.0 * entropy_vacuum_closed_form(np.divide(n, 2.0), Scenario.SPINLESS)
-    return lhs, rhs, abs(lhs - rhs)
 
 
 def score(coeffs: BogolyubovCoefficients, occupation: int, n, lam):

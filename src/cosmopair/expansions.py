@@ -19,7 +19,7 @@ import numpy as np
 
 from cosmopair.bogoliubov import DOWN, UP, BogolyubovCoefficients, Scenario
 
-__all__ = ["closed_form_expansion", "vacuum_expansion", "cataloged_occupations"]
+__all__ = ["closed_form_expansion", "cataloged_occupations"]
 
 # Spinful basis indices by occupied modes.
 VAC = 0b0000
@@ -36,7 +36,7 @@ DOWN_DOWN = P_DOWN | A_DOWN
 FULL = 0b1111
 
 
-def vacuum_expansion(coeffs: BogolyubovCoefficients) -> dict[int, complex]:
+def _vacuum_expansion(coeffs: BogolyubovCoefficients) -> dict[int, complex]:
     """Out-basis amplitudes of the evolved empty state."""
     a = coeffs.a
     b = coeffs.beta
@@ -67,7 +67,7 @@ def _charge_only_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int
     buu, bud = b[UP, UP], b[UP, DOWN]
     bdu, bdd = b[DOWN, UP], b[DOWN, DOWN]
     return {
-        VAC: vacuum_expansion(coeffs),
+        VAC: _vacuum_expansion(coeffs),
         FULL: {
             VAC: bud * bdu - buu * bdd,
             UP_DOWN: a * bdu,
@@ -105,7 +105,7 @@ def _momentum_conserving_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, 
     cb = np.conj
     bud, bdu = b[UP, DOWN], b[DOWN, UP]
     return {
-        VAC: vacuum_expansion(coeffs),
+        VAC: _vacuum_expansion(coeffs),
         FULL: {VAC: bud * bdu, UP_DOWN: a * bdu, DOWN_UP: a * bud, FULL: a ** 2},
         UP_UP: {UP_UP: 1.0},
         DOWN_UP: {
@@ -126,7 +126,7 @@ def _spinless_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int, c
     a = coeffs.a
     beta = coeffs.beta[UP, DOWN]
     return {
-        0b00: vacuum_expansion(coeffs),
+        0b00: _vacuum_expansion(coeffs),
         0b11: {0b00: beta, 0b11: a},
         0b01: {0b01: 1.0},
         0b10: {0b10: 1.0},

@@ -23,7 +23,6 @@ from cosmopair.bogoliubov import (
     UP,
     BogolyubovCoefficients,
     Scenario,
-    cross_term_identity,
     determinant_combination,
     expected_pair_mixing,
     from_density,
@@ -38,7 +37,6 @@ from cosmopair.entanglement import (
     entropy_numeric,
     entropy_vacuum_closed_form,
     score,
-    spin_spinless_relation,
 )
 from cosmopair.expansions import cataloged_occupations, closed_form_expansion
 from cosmopair.squeezing import (
@@ -124,13 +122,14 @@ def _check_constraints() -> list[CheckResult]:
                            detail="normalization, orthogonality and sparsity over the "
                                   "(n, lambda) grid, all scenarios"))
     sets = _grid_sets(Scenario.CHARGE_ONLY)
-    first, second = cross_term_identity(sets)
+    # The column orthogonality sum conj(du) uu + ud conj(dd) multiplies the
+    # spin-coherence entries of the reduced particle operator.
+    cross = validate(sets).residuals["orthogonality_columns"]
     b = sets.beta
     skipped = int(np.count_nonzero((b[:, UP, UP] == 0.0) | (b[:, DOWN, UP] == 0.0)))
     target = np.abs(b[:, UP, DOWN]) ** 2 + np.abs(b[:, UP, UP]) ** 2
     worst_det = _worst(np.abs(determinant_combination(sets)) - target)
-    results.append(_result("reduced_coherence_cross_terms",
-                           max(_worst(first), _worst(second)), 1e-12))
+    results.append(_result("reduced_coherence_cross_terms", _worst(cross), 1e-12))
     results.append(_result(
         "determinant_combination_modulus", worst_det, 1e-12,
         detail=f"phase left free; {skipped} grid points with a vanishing channel "
@@ -251,10 +250,11 @@ def _check_expansions(seed: int) -> list[CheckResult]:
 
 def _check_vacuum_curves() -> list[CheckResult]:
     results = []
+    numeric = {}
     for scenario in Scenario:
         densities = [n_raw * scenario.n_max / 4.0 for n_raw in _ENTROPY_GRID]
         sets = BogolyubovCoefficients.stack(from_density(scenario, n, 0.5) for n in densities)
-        _, _, gaps = score(sets, 0, densities, np.full(len(densities), 0.5))
+        numeric[scenario], _, gaps = score(sets, 0, densities, np.full(len(densities), 0.5))
         results.append(_result(f"vacuum_entropy_curve_{scenario.value}", gaps.max(), 1e-10,
                                detail="41-point density grid"))
     worst_lam = 0.0
@@ -263,7 +263,8 @@ def _check_vacuum_curves() -> list[CheckResult]:
             from_density(Scenario.CHARGE_ONLY, n, lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)), 0)
         worst_lam = max(worst_lam, values.max() - values.min())
     results.append(_result("vacuum_entropy_lambda_independence", worst_lam, 1e-10))
-    worst_rel = _worst(spin_spinless_relation(np.array(_ENTROPY_GRID))[2])
+    # The same grid point holds charge density n and spinless density n/2.
+    worst_rel = _worst(numeric[Scenario.CHARGE_ONLY] - 2.0 * numeric[Scenario.SPINLESS])
     results.append(_result("spinful_spinless_scaling", worst_rel, 1e-12))
     return results
 

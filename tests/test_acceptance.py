@@ -7,36 +7,16 @@ the failure report) and asserts the same condition.
 import math
 import time
 
-import numpy as np
+import pytest
 
-from cosmopair import cli, fock
+from cosmopair import cli
 from cosmopair import verify as verify_mod
-from cosmopair.bogoliubov import (
-    DOWN,
-    UP,
-    Scenario,
-    cross_term_identity,
-    determinant_combination,
-    expected_pair_mixing,
-    from_density,
-    random_coefficients,
-    theta_from_coefficients,
-    validate,
-)
+from cosmopair.bogoliubov import Scenario, from_density
 from cosmopair.dynamics import FLAT, ScaleFactorProfile, momentum_point
 from cosmopair.entanglement import (
     entropy_excited_closed_form,
     entropy_numeric,
     entropy_vacuum_closed_form,
-    spin_spinless_relation,
-)
-from cosmopair.expansions import vacuum_expansion
-from cosmopair.squeezing import (
-    apply_decoupled,
-    build_generator,
-    conjugate_mode,
-    unitary_dense,
-    unitary_for,
 )
 
 SPINFUL = (Scenario.CHARGE_ONLY, Scenario.CHARGE_AND_ANGULAR_MOMENTUM)
@@ -82,73 +62,39 @@ def test_criterion_02_vacuum_entropy_spinless():
     _report(2, "vacuum entropy, spinless", worst, 1e-10)
 
 
-def test_criterion_03_scaling_relation():
-    worst = max(spin_spinless_relation(0.1 * k)[2] for k in range(41))
-    _report(3, "spinful = 2x spinless scaling", worst, 1e-12)
+# Criteria that are checks of ``cosmopair verify``: number -> (title, {check
+# name: pinned tolerance}).  Each reads the check's own result, and a check
+# whose tolerance in ``verify`` moves off its pin fails here.
+VERIFY_CRITERIA = {
+    3: ("spinful = 2x spinless scaling on evolved states",
+        {"spinful_spinless_scaling": 1e-12}),
+    4: ("lambda independence + vacuum expansions",
+        {"vacuum_entropy_lambda_independence": 1e-10,
+         **{f"vacuum_expansion_{s.value}": 1e-10 for s in Scenario}}),
+    5: ("factorized vs dense oracle (100 draws/scenario)",
+        {**{f"factorized_vs_dense_{s.value}": 1e-10 for s in Scenario},
+         "unitarity_random_batch": 1e-12, "ladder_conjugation_recovery": 1e-10}),
+    6: ("coefficient constraint relations",
+        {"coefficient_constraints_grid": 1e-12, "reduced_coherence_cross_terms": 1e-12,
+         "determinant_combination_modulus": 1e-12}),
+    8: ("charge/angular-momentum conservation",
+        {"charge_commutation": 1e-12, "angular_momentum_commutation": 1e-12}),
+}
 
 
-def test_criterion_04_lambda_independence_and_vacuum_expansion():
-    worst = 0.0
-    for n in (0.5, 1.0, 2.0, 3.0, 3.5):
-        values = [entropy_numeric(from_density(Scenario.CHARGE_ONLY, n, lam=lam), 0)
-                  for lam in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        worst = max(worst, max(values) - min(values))
-    rng = np.random.default_rng(2025)
-    for _ in range(20):
-        coeffs = random_coefficients(Scenario.CHARGE_ONLY, rng)
-        evolved_vacuum = unitary_for(coeffs)[:, 0]
-        reference = vacuum_expansion(coeffs)
-        vec = np.zeros(16, dtype=complex)
-        for bits, amplitude in reference.items():
-            vec[bits] = amplitude
-        worst = max(worst, float(np.max(np.abs(evolved_vacuum - vec))))
-    _report(4, "lambda independence + six-coefficient vacuum expansion", worst, 1e-10)
+@pytest.fixture(scope="module")
+def verify_results():
+    """The default ``cosmopair verify`` run (seed 7, 100 draws), by check name."""
+    return {r.name: r for r in verify_mod.run_all()}
 
 
-def test_criterion_05_oracle_equivalence():
-    rng = np.random.default_rng(verify_mod.DEFAULT_SEED)
-    worst_apply = 0.0
-    worst_unitary = 0.0
-    worst_mixing = 0.0
-    for scenario in Scenario:
-        dim = fock.dimension(scenario.n_modes)
-        eye = np.eye(dim)
-        for _ in range(100):
-            coeffs = random_coefficients(scenario, rng)
-            theta = theta_from_coefficients(coeffs)
-            unitary = unitary_dense(build_generator(theta))
-            worst_unitary = max(worst_unitary, float(np.max(np.abs(
-                unitary @ unitary.conj().T - eye))))
-            for occupation in range(dim):
-                state = fock.basis_state(occupation, scenario.n_modes)
-                worst_apply = max(worst_apply, float(np.max(np.abs(
-                    apply_decoupled(theta, state) - unitary[:, occupation]))))
-            mu_ref, nu_ref = expected_pair_mixing(coeffs)
-            for mode in range(scenario.n_modes):
-                mu_row, nu_row = conjugate_mode(unitary, mode)
-                worst_mixing = max(worst_mixing,
-                                   float(np.max(np.abs(mu_row - mu_ref[mode]))),
-                                   float(np.max(np.abs(nu_row - nu_ref[mode]))))
-    _report(5, "factorized vs dense oracle (100 draws/scenario)",
-            max(worst_apply, worst_mixing), 1e-10,
-            passed=(worst_apply <= 1e-10 and worst_mixing <= 1e-10
-                    and worst_unitary <= 1e-12))
-
-
-def test_criterion_06_constraint_relations():
-    worst = 0.0
-    phases = (0.9, -0.3, 2.1, 0.5)
-    for k in range(17):
-        n = 0.25 * k
-        for lam in [0.1 * j for j in range(11)]:
-            coeffs = from_density(Scenario.CHARGE_ONLY, n, lam=lam, phases=phases)
-            worst = max(worst, validate(coeffs).worst)
-            first, second = cross_term_identity(coeffs)
-            worst = max(worst, abs(first), abs(second))
-            combo = determinant_combination(coeffs)
-            target = abs(coeffs.beta[UP, DOWN]) ** 2 + abs(coeffs.beta[UP, UP]) ** 2
-            worst = max(worst, abs(abs(combo) - target))
-    _report(6, "coefficient constraint relations", worst, 1e-12)
+@pytest.mark.parametrize("number", sorted(VERIFY_CRITERIA))
+def test_criterion_is_read_from_verify(number, verify_results):
+    title, pins = VERIFY_CRITERIA[number]
+    checks = [verify_results[name] for name in pins]
+    assert {c.name: c.tolerance for c in checks} == pins
+    _report(number, title, max(c.residual for c in checks), max(pins.values()),
+            passed=all(c.passed for c in checks))
 
 
 def test_criterion_07_excited_state_catalogue():
@@ -184,29 +130,6 @@ def test_criterion_07_excited_state_catalogue():
         - entropy_numeric(from_density(Scenario.CHARGE_ONLY, 2.0, lam=0.9), 0b0101))
     _report(7, "excited-state entropy catalogue", worst, 1e-10,
             passed=(worst <= 1e-10 and spread > 0.01))
-
-
-def test_criterion_08_conservation_laws():
-    worst_charge = 0.0
-    for scenario in Scenario:
-        charge = fock.charge_operator(scenario.n_modes)
-        for n in (0.8, 2.0):
-            coeffs = from_density(scenario, n * scenario.n_max / 4.0, lam=0.4,
-                                  phases=(0.2, 1.2, -0.7, 0.1))
-            unitary = unitary_for(coeffs)
-            worst_charge = max(worst_charge, float(np.max(np.abs(
-                unitary @ charge - charge @ unitary))))
-    jz = fock.spin_z_operator()
-    cam = unitary_for(from_density(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 2.0))
-    cam_residual = float(np.max(np.abs(cam @ jz - jz @ cam)))
-    witness_coeffs = from_density(Scenario.CHARGE_ONLY, 2.0, lam=0.2)
-    assert abs(witness_coeffs.beta[UP, UP]) >= 0.3
-    witness_unitary = unitary_for(witness_coeffs)
-    witness = float(np.max(np.abs(witness_unitary @ jz - jz @ witness_unitary)))
-    _report(8, "charge/angular-momentum conservation",
-            max(worst_charge, cam_residual), 1e-12,
-            passed=(worst_charge <= 1e-12 and cam_residual <= 1e-12
-                    and witness > 1e-3))
 
 
 def test_criterion_09_dynamics_pipeline():

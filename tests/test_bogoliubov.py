@@ -106,27 +106,18 @@ def test_validate_reports_orthogonality_residual():
     assert not report.passed
 
 
-def test_cross_term_identity_vanishes():
+def test_column_orthogonality_is_the_reduced_coherence_cross_term():
+    # conj(du) uu + ud conj(dd) multiplies the spin-coherence entries of the
+    # reduced particle operator: it vanishes on valid sets and on the empty one.
     for c in seeded_sets(Scenario.CHARGE_ONLY, 20):
-        first, second = bg.cross_term_identity(c)
-        assert abs(first) <= 1e-12
-        assert abs(second) <= 1e-12
-    zero = coeffs(0.0)
-    assert bg.cross_term_identity(zero) == (0.0, 0.0)
-
-
-def test_cross_term_identity_detects_broken_phases():
+        assert bg.validate(c).residuals["orthogonality_columns"] <= 1e-12
+    assert bg.validate(coeffs(0.0)).residuals["orthogonality_columns"] == 0.0
     c = coeffs(2.0, lam=0.5)
     beta = np.array(c.beta)
     beta[DOWN, UP] = abs(beta[DOWN, UP])  # drop the solved phase
-    broken = bg.BogolyubovCoefficients(scenario=Scenario.CHARGE_ONLY, a=c.a, beta=beta)
-    first, _ = bg.cross_term_identity(broken)
-    assert abs(first) > 1e-3
-
-
-def test_cross_term_identity_wrong_scenario():
-    with pytest.raises(ValueError):
-        bg.cross_term_identity(coeffs(1.0, scenario=Scenario.SPINLESS))
+    report = bg.validate(bg.BogolyubovCoefficients(Scenario.CHARGE_ONLY, c.a, beta))
+    assert report.residuals["orthogonality_columns"] > 1e-3
+    assert "orthogonality_columns" in report.failing()
 
 
 def test_determinant_combination_frozen_values():

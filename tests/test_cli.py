@@ -39,6 +39,10 @@ def test_parse_grid_errors():
     assert len(cli.parse_grid(f"1:{cli.MAX_GRID_POINTS}:1")) == cli.MAX_GRID_POINTS
     with pytest.raises(ValueError, match=f"count <= {cli.MAX_GRID_POINTS}"):
         cli.parse_momentum_grid(f"log:0.1:10:{cli.MAX_GRID_POINTS + 1}")
+    for count in ("1e1", "2.5", ""):
+        with pytest.raises(ValueError) as err:
+            cli.parse_momentum_grid(f"log:0.1:10:{count}")
+        assert str(err.value) == f"log grid 'log:0.1:10:{count}' needs an integer count"
 
 
 def test_a_sweep_above_the_point_bound_is_refused_before_it_runs(monkeypatch, capsys):
@@ -260,6 +264,23 @@ def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     assert ok["status"] == "ok"
 
 
+def test_dynamics_rows_report_the_momentum_modulus(tmp_path, monkeypatch):
+    # p is |p| on ok and error rows alike.
+    real_point = cli.momentum_point
+
+    def failing_above_10(p_vec, *args, **kwargs):
+        if max(map(abs, p_vec)) > 10:
+            raise dyn.IntegrationError("refused")
+        return real_point(p_vec, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "momentum_point", failing_above_10)
+    out = tmp_path / "dyn.csv"
+    assert cli.main(["dynamics", "--p-grid=-1,1,-40", "--output", str(out)]) == 1
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[-1] == "ok") for row in rows] == [("1", True), ("1", True),
+                                                           ("40", False)]
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--scenario", "spinless", "--n", "0:inf:1"],
     ["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "nan"],
@@ -309,22 +330,32 @@ def test_epsilon_zero_runs_the_flat_profile(tmp_path):
     ["dynamics", "--profile", "constant", "--p-grid", "1"],
     ["verify", "--batch", "2"],
 ], ids=["sweep", "dynamics", "verify"])
-def test_an_unwritable_output_is_a_usage_error(argv, tmp_path, capsys, monkeypatch):
-    # The missing directory is found before any row is computed.
+@pytest.mark.parametrize("where, reason", [
+    ("missing/out.txt", "No such file or directory"),
+    (".", "Is a directory"),
+    ("file/out.txt", "Not a directory"),
+    ("", "No such file or directory"),
+], ids=["missing-directory", "directory", "under-a-file", "empty"])
+def test_an_unwritable_output_is_a_usage_error(argv, where, reason, tmp_path, capsys,
+                                               monkeypatch):
+    # Each path is refused before any row is computed, and nothing is created.
     def no_rows(*args, **kwargs):
         raise AssertionError("rows computed")
 
     monkeypatch.setattr(cli, "sweep", no_rows)
     monkeypatch.setattr(cli, "momentum_point", no_rows)
     monkeypatch.setattr(verify_mod, "run_all", no_rows)
-    path = tmp_path / "missing" / "out.txt"
+    (tmp_path / "file").write_text("")
+    path = os.path.join(tmp_path, where) if where else ""
     with pytest.raises(SystemExit) as err:
-        cli.main(argv + ["--output", str(path)])
+        cli.main(argv + ["--output", path])
     assert err.value.code == 2
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == ""
     stderr = capsys.readouterr().err
     assert stderr.startswith(f"usage: cosmopair {argv[0]} ")
     assert stderr.splitlines()[-1] == (f"cosmopair {argv[0]}: error: cannot write --output "
-                                       f"{path}: No such file or directory")
+                                       f"{path}: {reason}")
 
 
 def _run_cli(argv, timeout: float) -> subprocess.CompletedProcess:

@@ -162,10 +162,6 @@ def test_array_closed_forms_equal_the_scalar_calls(scenario):
     assert ent.binary_entropy(x).tolist() == [ent.binary_entropy(v) for v in x.tolist()]
     q = 0.25 * x
     assert ent.pair_state_entropy(q).tolist() == [ent.pair_state_entropy(v) for v in q.tolist()]
-    n_spinful = 4.0 * x
-    per_point = [ent.spin_spinless_relation(v) for v in n_spinful.tolist()]
-    assert [column.tolist() for column in ent.spin_spinless_relation(n_spinful)] == [
-        list(column) for column in zip(*per_point)]
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
@@ -221,20 +217,18 @@ def test_lambda_dependence_of_pair_inputs():
     assert abs(anti_low - high) <= 1e-10
 
 
-def test_spin_spinless_relation():
-    lhs, rhs, residual = ent.spin_spinless_relation(2.0)
-    assert (lhs, rhs) == (2.0, 2.0)
-    assert residual <= 1e-12
-    assert ent.spin_spinless_relation(0.0)[2] <= 1e-15
-    lhs, rhs, residual = ent.spin_spinless_relation(3.0)
-    assert residual <= 1e-12
-    assert abs(lhs - rhs) <= 1e-12
-
-
-@given(n=st.floats(min_value=0.0, max_value=4.0, allow_nan=False))
+@given(n=st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+       lam=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+       scenario=st.sampled_from(SPINFUL))
+@example(n=0.0, lam=0.5, scenario=Scenario.CHARGE_ONLY)
+@example(n=4.0, lam=0.5, scenario=Scenario.CHARGE_ONLY)
+@example(n=1e-300, lam=0.0, scenario=Scenario.CHARGE_AND_ANGULAR_MOMENTUM)
 @settings(max_examples=60, deadline=None)
-def test_spin_spinless_relation_property(n):
-    assert ent.spin_spinless_relation(n)[2] <= 1e-12
+def test_spinful_vacuum_entropy_is_twice_the_spinless_one_at_half_the_density(n, lam, scenario):
+    """The paper's headline on evolved states: S_spinful(n) = 2 S_spinless(n/2)."""
+    spinful = ent.entropy_numeric(coeffs(n, lam, scenario), 0)
+    spinless = ent.entropy_numeric(coeffs(n / 2.0, scenario=Scenario.SPINLESS), 0)
+    assert abs(spinful - 2.0 * spinless) <= 1e-12
 
 
 _PHASE = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)

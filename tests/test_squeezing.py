@@ -351,15 +351,6 @@ def amplitude_vector(reference, dim):
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-def test_vacuum_expansion_closed_form(scenario):
-    for coeffs in seeded_sets(scenario, 15, seed=59):
-        evolved = sq.unitary_for(coeffs)[:, 0]
-        vec = amplitude_vector(expansions.vacuum_expansion(coeffs), evolved.shape[0])
-        assert np.max(np.abs(evolved - vec)) <= 1e-10
-        assert abs(np.linalg.norm(evolved) - 1.0) <= 1e-12
-
-
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
 def test_excited_expansions_closed_form(scenario):
     for coeffs in seeded_sets(scenario, 15, seed=61):
         unitary = sq.unitary_for(coeffs)

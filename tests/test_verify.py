@@ -6,6 +6,9 @@ from numpy.random import default_rng
 
 from cosmopair import fock, verify
 from cosmopair.bogoliubov import (
+    DOWN,
+    UP,
+    BogolyubovCoefficients,
     Scenario,
     expected_pair_mixing,
     random_coefficients,
@@ -32,7 +35,7 @@ def test_reports_are_deterministic_and_well_formed():
     assert len(payload["checks"]) == len(first)
     # the expansion-convention note travels with the report
     vacuum_checks = [c for c in payload["checks"]
-                     if c["name"].startswith("vacuum_expansion")]
+                     if c["name"].startswith("vacuum_expansion_")]
     assert vacuum_checks and all("momentum-reflected" in c["detail"]
                                  for c in vacuum_checks)
 
@@ -78,3 +81,36 @@ def test_stacked_factorization_check_matches_one_draw_at_a_time(batch):
         assert (got.name, got.tolerance, got.detail, got.passed) == \
             (want.name, want.tolerance, want.detail, want.passed)
         assert abs(got.residual - want.residual) <= 1e-15
+
+
+def test_spinful_spinless_scaling_fails_on_a_perturbed_spinless_route(monkeypatch):
+    # The check compares two evolved states: a spinless route off by 1e-11,
+    # which its own curve check at 1e-10 lets through, still fails it.
+    real_score = verify.score
+
+    def perturbed(coeffs, occupation, n, lam):
+        numeric, closed, gaps = real_score(coeffs, occupation, n, lam)
+        if coeffs.scenario is Scenario.SPINLESS:
+            numeric = numeric + 1e-11
+        return numeric, closed, gaps
+
+    monkeypatch.setattr(verify, "score", perturbed)
+    results = {r.name: r for r in verify._check_vacuum_curves()}
+    assert results["vacuum_entropy_curve_spinless"].passed
+    assert not results["spinful_spinless_scaling"].passed
+    assert results["spinful_spinless_scaling"].residual >= 1.9e-11
+
+
+def test_reduced_coherence_cross_terms_fails_without_the_down_up_phase(monkeypatch):
+    real_grid_sets = verify._grid_sets
+
+    def dropped_phase(scenario):
+        sets = real_grid_sets(scenario)
+        beta = np.array(sets.beta)
+        beta[:, DOWN, UP] = np.abs(beta[:, DOWN, UP])
+        return BogolyubovCoefficients(scenario, sets.a, beta)
+
+    monkeypatch.setattr(verify, "_grid_sets", dropped_phase)
+    results = {r.name: r for r in verify._check_constraints()}
+    assert not results["reduced_coherence_cross_terms"].passed
+    assert results["reduced_coherence_cross_terms"].residual > 1e-3
