@@ -41,9 +41,16 @@ DYNAMICS_COLUMNS = ("p", "A", "beta_uu", "beta_ud", "beta_du", "beta_dd",
                     "discrepancy", "norm_residual", "self_convergence", "status")
 
 
-def _finite(values: list[float], text: str) -> list[float]:
+def _numbers(tokens, text: str) -> list[float]:
+    """Finite floats of the tokens of a grid or direction spec; errors name the spec."""
+    values = []
+    for token in tokens:
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValueError(f"{token.strip()!r} in {text!r} is not a number") from None
     if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"grid {text!r} holds a non-finite value")
+        raise ValueError(f"{text!r} holds a non-finite value")
     return values
 
 
@@ -54,12 +61,12 @@ def parse_grid(text: str) -> list[float]:
     if not text.strip(", "):
         raise ValueError("empty grid specification")
     if "," in text:
-        return _finite([float(tok) for tok in text.split(",") if tok.strip()], text)
+        return _numbers([tok for tok in text.split(",") if tok.strip()], text)
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} must be start:stop:step")
-        start, stop, step = _finite([float(p) for p in parts], text)
+        start, stop, step = _numbers(parts, text)
         if step <= 0:
             raise ValueError("grid step must be positive")
         if stop < start:
@@ -73,7 +80,7 @@ def parse_grid(text: str) -> list[float]:
         if abs(points[-1] - stop) <= 1e-12 * max(1.0, abs(stop)):
             points[-1] = stop
         return points
-    return _finite([float(text)], text)
+    return _numbers([text], text)
 
 
 def parse_momentum_grid(text: str) -> list[float]:
@@ -83,7 +90,7 @@ def parse_momentum_grid(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 4:
             raise ValueError(f"log grid {text!r} must be log:start:stop:count")
-        start, stop = _finite([float(parts[1]), float(parts[2])], text)
+        start, stop = _numbers(parts[1:3], text)
         try:
             count = int(parts[3])
         except ValueError:
@@ -93,6 +100,27 @@ def parse_momentum_grid(text: str) -> list[float]:
         ratio = (stop / start) ** (1.0 / (count - 1))
         return [start * ratio ** k for k in range(count)]
     return parse_grid(text)
+
+
+def _parse_direction(text: str) -> tuple[float, float, float]:
+    """Unit vector along a nonzero ``x,y,z`` direction."""
+    direction = _numbers(text.split(","), text)
+    if len(direction) != 3:
+        raise ValueError("direction needs three comma-separated components")
+    norm = math.hypot(*direction)
+    if not 0 < norm < math.inf:
+        raise ValueError("direction must be nonzero with a finite norm")
+    return tuple(c / norm for c in direction)
+
+
+def _spec(parse):
+    """argparse type of a spec parser, so that its errors name the flag too."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return convert
 
 
 _SPINFUL_PARTS = {"0": 0, "up": 0b01, "down": 0b10, "updown": 0b11}
@@ -193,12 +221,10 @@ def _cmd_sweep(args) -> int:
     if not args.tolerance >= 0:
         raise ValueError(f"tolerance {args.tolerance} must be a number >= 0")
     occupation = state_token_to_occupation(args.state, scenario)
-    n_grid = parse_grid(args.n)
-    lambda_grid = parse_grid(args.lam) if args.lam else None
-    lam_count = len(lambda_grid) if lambda_grid and scenario is Scenario.CHARGE_ONLY else 1
-    if len(n_grid) * lam_count > MAX_GRID_POINTS:
-        raise ValueError(f"sweep of {len(n_grid)} x {lam_count} points exceeds {MAX_GRID_POINTS}")
-    results = sweep(scenario, occupation, n_grid, lambda_grid)
+    lam_count = len(args.lam) if args.lam else 1
+    if len(args.n) * lam_count > MAX_GRID_POINTS:
+        raise ValueError(f"sweep of {len(args.n)} x {lam_count} points exceeds {MAX_GRID_POINTS}")
+    results = sweep(scenario, occupation, args.n, args.lam)
     token = occupation_to_state_token(occupation, scenario)
     breaches = [r for r in results if r[-1] > args.tolerance]
     _write_rows(args, SWEEP_COLUMNS, [(scenario.value, token, *r) for r in results],
@@ -226,20 +252,15 @@ def _dynamics_row(p: float, direction, profile: ScaleFactorProfile, args) -> tup
 
 
 def _cmd_dynamics(args) -> int:
-    grid = parse_momentum_grid(args.p_grid)
-    direction = tuple(float(c) for c in args.direction.split(","))
-    if len(direction) != 3:
-        raise ValueError("direction needs three comma-separated components")
-    norm = math.hypot(*direction)
-    if not 0 < norm < math.inf:
-        raise ValueError("direction must be nonzero with a finite norm")
-    direction = tuple(c / norm for c in direction)
-    profile = FLAT if args.profile == "constant" else ScaleFactorProfile(args.epsilon, args.rho)
+    # --profile constant ignores --epsilon and --rho, but they are checked.
+    profile = ScaleFactorProfile(args.epsilon, args.rho)
+    if args.profile == "constant":
+        profile = FLAT
     # Run-wide values fail here, once, through momentum_point's own check,
     # at the grid's largest |p|: it sweeps the most phase.
-    p_max = max(abs(p) for p in grid)
-    check_point(tuple(p_max * c for c in direction), args.mass, profile, args.tol)
-    rows = [_dynamics_row(p, direction, profile, args) for p in grid]
+    p_max = max(abs(p) for p in args.p_grid)
+    check_point(tuple(p_max * c for c in args.direction), args.mass, profile, args.tol)
+    rows = [_dynamics_row(p, args.direction, profile, args) for p in args.p_grid]
     _write_rows(args, DYNAMICS_COLUMNS, rows, head={"profile": args.profile})
     failed = [row for row in rows if row[-1] != "ok"]
     if failed:
@@ -268,8 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=[s.value for s in Scenario])
     sweep_p.add_argument("--state", default="vac",
                          help="input state token, e.g. vac, up.up, updown.0, 1.1")
-    sweep_p.add_argument("--n", required=True, help="density grid spec")
-    sweep_p.add_argument("--lambda", dest="lam", default=None,
+    sweep_p.add_argument("--n", required=True, type=_spec(parse_grid), help="density grid spec")
+    sweep_p.add_argument("--lambda", dest="lam", type=_spec(parse_grid), default=None,
                          help="lambda grid spec (charge-only)")
     sweep_p.add_argument("--tolerance", type=float, default=1e-10,
                          help="closed-form agreement gate for the exit code")
@@ -282,8 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
     dyn_p.add_argument("--epsilon", type=float, default=1.0)
     dyn_p.add_argument("--rho", type=float, default=1.0)
     dyn_p.add_argument("--mass", type=float, default=1.0)
-    dyn_p.add_argument("--p-grid", dest="p_grid", default="log:0.1:10:30")
-    dyn_p.add_argument("--direction", default="1,1,1", help="momentum direction")
+    dyn_p.add_argument("--p-grid", dest="p_grid", type=_spec(parse_momentum_grid),
+                       default="log:0.1:10:30")
+    dyn_p.add_argument("--direction", type=_spec(_parse_direction), default="1,1,1",
+                       help="momentum direction")
     dyn_p.add_argument("--tol", type=float, default=1e-9)
     dyn_p.add_argument("--output", default=None)
     dyn_p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -223,11 +223,11 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
     """(n, lambda, S_numeric, S_closed, discrepancy) rows over a density grid.
 
     Rows run in grid order, lambda fastest.  The lambda grid is required
-    (nonempty) for the charge-only scenario and forced to the single
-    value 1 otherwise, keeping the rows uniform.  The whole grid is
-    checked before any point is computed; the coefficient sets are then
-    built and scored one stack of ``SCORE_BLOCK`` points at a time, so
-    one block of them is alive at once.
+    (nonempty) for the charge-only scenario; the other scenarios refuse
+    one and read lambda = 1 on every row, keeping the rows uniform.  The
+    whole grid is checked before any point is computed; the coefficient
+    sets are then built and scored one stack of ``SCORE_BLOCK`` points at
+    a time, so one block of them is alive at once.
     """
     n_values = [float(v) for v in n_grid]
     if not n_values:
@@ -236,6 +236,9 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
         lam_values = [float(v) for v in (lambda_grid or [])]
         if not lam_values:
             raise ValueError("charge-only sweep needs a nonempty lambda grid")
+    elif lambda_grid is not None:
+        raise ValueError(f"only a charge-only sweep takes a lambda grid; {scenario.value} "
+                         "rows read lambda = 1")
     else:
         lam_values = [1.0]
     points = [(n, lam) for n in n_values for lam in lam_values]

@@ -39,24 +39,23 @@ FULL = 0b1111
 def _vacuum_expansion(coeffs: BogolyubovCoefficients) -> dict[int, complex]:
     """Out-basis amplitudes of the evolved empty state."""
     a = coeffs.a
-    b = coeffs.beta
-    cb = np.conj
+    cb = np.conj(coeffs.beta)
     if coeffs.scenario is Scenario.SPINLESS:
-        return {0b00: a, 0b11: -cb(b[UP, DOWN])}
+        return {0b00: a, 0b11: -cb[..., UP, DOWN]}
     if coeffs.scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
         return {
             VAC: a ** 2,
-            UP_DOWN: -a * cb(b[UP, DOWN]),
-            DOWN_UP: -a * cb(b[DOWN, UP]),
-            FULL: cb(b[UP, DOWN]) * cb(b[DOWN, UP]),
+            UP_DOWN: -a * cb[..., UP, DOWN],
+            DOWN_UP: -a * cb[..., DOWN, UP],
+            FULL: cb[..., UP, DOWN] * cb[..., DOWN, UP],
         }
     return {
         VAC: a ** 2,
-        UP_DOWN: -a * cb(b[UP, DOWN]),
-        DOWN_UP: -a * cb(b[DOWN, UP]),
-        UP_UP: -a * cb(b[UP, UP]),
-        DOWN_DOWN: -a * cb(b[DOWN, DOWN]),
-        FULL: cb(b[DOWN, UP]) * cb(b[UP, DOWN]) - cb(b[UP, UP]) * cb(b[DOWN, DOWN]),
+        UP_DOWN: -a * cb[..., UP, DOWN],
+        DOWN_UP: -a * cb[..., DOWN, UP],
+        UP_UP: -a * cb[..., UP, UP],
+        DOWN_DOWN: -a * cb[..., DOWN, DOWN],
+        FULL: cb[..., DOWN, UP] * cb[..., UP, DOWN] - cb[..., UP, UP] * cb[..., DOWN, DOWN],
     }
 
 
@@ -64,8 +63,8 @@ def _charge_only_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int
     a = coeffs.a
     b = coeffs.beta
     cb = np.conj
-    buu, bud = b[UP, UP], b[UP, DOWN]
-    bdu, bdd = b[DOWN, UP], b[DOWN, DOWN]
+    buu, bud = b[..., UP, UP], b[..., UP, DOWN]
+    bdu, bdd = b[..., DOWN, UP], b[..., DOWN, DOWN]
     return {
         VAC: _vacuum_expansion(coeffs),
         FULL: {
@@ -84,13 +83,13 @@ def _charge_only_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int
             VAC: a * buu,
             UP_DOWN: -buu * cb(bud),
             DOWN_UP: bud * cb(bdd),
-            UP_UP: a ** 2 + abs(bud) ** 2,
+            UP_UP: a ** 2 + np.abs(bud) ** 2,
             DOWN_DOWN: -buu * cb(bdd),
             FULL: a * cb(bdd),
         },
         DOWN_UP: {
             VAC: a * bdu,
-            DOWN_UP: a ** 2 + abs(bdd) ** 2,
+            DOWN_UP: a ** 2 + np.abs(bdd) ** 2,
             UP_DOWN: -cb(bud) * bdu,
             UP_UP: bdd * cb(bud),
             DOWN_DOWN: -bdu * cb(bdd),
@@ -103,7 +102,7 @@ def _momentum_conserving_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, 
     a = coeffs.a
     b = coeffs.beta
     cb = np.conj
-    bud, bdu = b[UP, DOWN], b[DOWN, UP]
+    bud, bdu = b[..., UP, DOWN], b[..., DOWN, UP]
     return {
         VAC: _vacuum_expansion(coeffs),
         FULL: {VAC: bud * bdu, UP_DOWN: a * bdu, DOWN_UP: a * bud, FULL: a ** 2},
@@ -124,7 +123,7 @@ def _momentum_conserving_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, 
 
 def _spinless_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int, complex]]:
     a = coeffs.a
-    beta = coeffs.beta[UP, DOWN]
+    beta = coeffs.beta[..., UP, DOWN]
     return {
         0b00: _vacuum_expansion(coeffs),
         0b11: {0b00: beta, 0b11: a},

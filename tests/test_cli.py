@@ -308,12 +308,42 @@ def test_non_finite_input_is_a_usage_error(argv, tmp_path):
     (["--epsilon", "-1"], "profile needs epsilon >= 0 and rho > 0"),
     # --a0 went with the constant family: a constant a0 only rescaled the mass.
     (["--profile", "constant", "--a0", "2"], "unrecognized arguments: --a0 2"),
-], ids=["rho-zero", "epsilon-negative", "a0-is-gone"])
+    # The flat profile ignores epsilon and rho, but it does not skip their check.
+    (["--profile", "constant", "--epsilon", "-5"], "profile needs epsilon >= 0 and rho > 0"),
+    (["--profile", "constant", "--rho", "nan"], "profile needs epsilon >= 0 and rho > 0"),
+], ids=["rho-zero", "epsilon-negative", "a0-is-gone", "constant-epsilon-negative",
+        "constant-rho-nan"])
 def test_dynamics_profile_errors_are_usage_errors(flags, message, tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["dynamics", "--p-grid", "1", "--output", str(tmp_path / "x.csv")] + flags)
     assert err.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--scenario", "spinless", "--n", "a"], "argument --n: 'a' in 'a' is not a number"),
+    (["sweep", "--scenario", "spinless", "--n", "1,b"],
+     "argument --n: 'b' in '1,b' is not a number"),
+    (["dynamics", "--p-grid", "log:x:10:5"],
+     "argument --p-grid: 'x' in 'log:x:10:5' is not a number"),
+    (["dynamics", "--direction", "a,1,1"],
+     "argument --direction: 'a' in 'a,1,1' is not a number"),
+], ids=["n-word", "n-list", "log-start", "direction"])
+def test_parse_errors_name_the_flag_and_the_spec(argv, message, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"cosmopair {argv[0]}: error: {message}"
+
+
+def test_a_lambda_grid_outside_charge_only_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["sweep", "--scenario", "spinless", "--n", "1", "--lambda", "5",
+                  "--output", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+    assert "only a charge-only sweep takes a lambda grid" in capsys.readouterr().err
 
 
 def test_epsilon_zero_runs_the_flat_profile(tmp_path):

@@ -302,6 +302,14 @@ def test_sweep_rejects_bad_grids():
         ent.sweep(Scenario.SPINLESS, 0, [3.0])
 
 
+@pytest.mark.parametrize("scenario", [Scenario.CHARGE_AND_ANGULAR_MOMENTUM, Scenario.SPINLESS])
+def test_sweep_refuses_a_lambda_grid_outside_charge_only(scenario):
+    # Rows there read lambda = 1, so a given grid would be silently replaced.
+    for lambdas in ([5.0], [1.0], []):
+        with pytest.raises(ValueError, match="only a charge-only sweep takes a lambda grid"):
+            ent.sweep(scenario, 0, [1.0], lambdas)
+
+
 @pytest.mark.parametrize("n, lam", [(5.0, 0.5), (-0.5, 0.5), (math.nan, 0.5),
                                     (1.0, 1.5), (1.0, math.nan)])
 def test_sweep_and_from_density_share_the_range_rule(n, lam):

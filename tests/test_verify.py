@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.random import default_rng
 
-from cosmopair import fock, verify
+from cosmopair import cli, fock, verify
 from cosmopair.bogoliubov import (
     DOWN,
     UP,
@@ -14,7 +14,14 @@ from cosmopair.bogoliubov import (
     random_coefficients,
     theta_from_coefficients,
 )
-from cosmopair.squeezing import apply_decoupled, build_generator, conjugate_mode, unitary_dense
+from cosmopair.expansions import A_UP, P_BOTH, P_UP, cataloged_occupations, closed_form_expansion
+from cosmopair.squeezing import (
+    apply_decoupled,
+    build_generator,
+    conjugate_mode,
+    pair_creation_sum,
+    unitary_dense,
+)
 
 
 def test_suite_passes_with_unique_names():
@@ -41,22 +48,25 @@ def test_reports_are_deterministic_and_well_formed():
 
 
 def factorization_one_draw_at_a_time(seed, batch):
-    """Reference for verify._check_factorization: every oracle on one draw per call."""
-    results = []
+    """Reference for verify._check_factorization: every seeded oracle on one draw per call."""
+    factorized, expansions = [], []
     rng = default_rng(seed)
     worst_unitarity = 0.0
     worst_conjugation = 0.0
+    worst_nilpotency = 0.0
     for scenario in Scenario:
         dim = fock.dimension(scenario.n_modes)
         eye = np.eye(dim)
         worst = 0.0
+        worst_vacuum = 0.0
+        worst_excited = 0.0
         for _ in range(batch):
             coeffs = random_coefficients(scenario, rng)
             theta = theta_from_coefficients(coeffs)
             unitary = unitary_dense(build_generator(theta))
-            worst_unitarity = max(worst_unitarity, float(np.max(np.abs(
-                unitary @ unitary.conj().T - eye))))
             direct = apply_decoupled(theta, eye)
+            worst_unitarity = max(worst_unitarity, float(np.max(np.abs(
+                direct @ direct.conj().T - eye))))
             worst = max(worst, float(np.max(np.abs(direct - unitary))))
             mu_ref, nu_ref = expected_pair_mixing(coeffs)
             for mode in range(scenario.n_modes):
@@ -65,22 +75,80 @@ def factorization_one_draw_at_a_time(seed, batch):
                     worst_conjugation,
                     float(np.max(np.abs(mu_row - mu_ref[mode]))),
                     float(np.max(np.abs(nu_row - nu_ref[mode]))))
-        results.append(verify._result(f"factorized_vs_dense_{scenario.value}", worst, 1e-10,
-                                      detail=f"{batch} seeded draws x {dim} basis inputs"))
-    results.append(verify._result("unitarity_random_batch", worst_unitarity, 1e-12))
-    results.append(verify._result("ladder_conjugation_recovery", worst_conjugation, 1e-10))
-    return results
+            creation = pair_creation_sum(theta)
+            worst_nilpotency = max(worst_nilpotency, float(np.max(np.abs(
+                creation @ creation @ creation))))
+            if scenario is not Scenario.SPINLESS:
+                target = 2.0 * (theta[0, 3] * theta[1, 2] - theta[0, 2] * theta[1, 3])
+                worst_nilpotency = max(worst_nilpotency,
+                                       abs((creation @ creation)[dim - 1, 0] - target))
+            for occupation in cataloged_occupations(scenario):
+                vec = np.zeros(dim, dtype=complex)
+                for bits, amplitude in closed_form_expansion(coeffs, occupation).items():
+                    vec[bits] = amplitude
+                err = float(np.max(np.abs(unitary[:, occupation] - vec)))
+                if occupation == 0:
+                    worst_vacuum = max(worst_vacuum, err)
+                else:
+                    worst_excited = max(worst_excited, err)
+        factorized.append(verify._result(f"factorized_vs_dense_{scenario.value}", worst, 1e-10,
+                                         detail=f"{batch} seeded draws x {dim} basis inputs"))
+        expansions.append(verify._result(
+            f"vacuum_expansion_{scenario.value}", worst_vacuum, 1e-10,
+            detail="single-pair amplitudes carry -a conj(beta); the opposite sign "
+                   "variant is the momentum-reflected convention"))
+        expansions.append(verify._result(f"excited_expansions_{scenario.value}",
+                                         worst_excited, 1e-10))
+    return [*factorized,
+            verify._result("unitarity_random_batch", worst_unitarity, 1e-12),
+            verify._result("ladder_conjugation_recovery", worst_conjugation, 1e-10),
+            verify._result("pair_sum_nilpotency", worst_nilpotency, 1e-14,
+                           detail="cube vanishes exactly; square's top coefficient matches"),
+            *expansions]
 
 
 @pytest.mark.parametrize("batch", [1, 16, 37])  # 37 ends on a partial block
 def test_stacked_factorization_check_matches_one_draw_at_a_time(batch):
     stacked = verify._check_factorization(7, batch)
     reference = factorization_one_draw_at_a_time(7, batch)
-    assert len(stacked) == len(reference) == 5
+    assert len(stacked) == len(reference) == 12
     for got, want in zip(stacked, reference):
         assert (got.name, got.tolerance, got.detail, got.passed) == \
             (want.name, want.tolerance, want.detail, want.passed)
         assert abs(got.residual - want.residual) <= 1e-15
+
+
+def test_unitarity_random_batch_fails_on_a_perturbed_factorized_route(monkeypatch, capsys):
+    # The dense route refuses its own results above 1e-12, so unitarity is read
+    # from the factorized one: off by 1e-11, it is reported, not raised.
+    real_apply = verify.apply_decoupled
+    monkeypatch.setattr(verify, "apply_decoupled",
+                        lambda theta, state: real_apply(theta, state) * (1.0 + 1e-11))
+    assert cli.main(["verify", "--batch", "2"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL  unitarity_random_batch ")
+
+
+def test_pair_sum_nilpotency_fails_on_a_perturbed_pair_sum(monkeypatch):
+    real_sum = verify.pair_creation_sum
+    monkeypatch.setattr(verify, "pair_creation_sum",
+                        lambda theta: real_sum(theta) * (1.0 + 1e-12))
+    results = verify._check_factorization(7, 16)
+    assert [r.name for r in results if not r.passed] == ["pair_sum_nilpotency"]
+
+
+def test_excited_expansions_charge_fails_on_a_flipped_catalogue_sign(monkeypatch):
+    real_expansion = verify.closed_form_expansion
+
+    def flipped(coeffs, occupation):
+        reference = dict(real_expansion(coeffs, occupation))
+        if coeffs.scenario is Scenario.CHARGE_ONLY and occupation == P_UP:
+            reference[P_BOTH | A_UP] = -reference[P_BOTH | A_UP]
+        return reference
+
+    monkeypatch.setattr(verify, "closed_form_expansion", flipped)
+    results = verify._check_factorization(7, 16)
+    assert [r.name for r in results if not r.passed] == ["excited_expansions_charge"]
 
 
 def test_spinful_spinless_scaling_fails_on_a_perturbed_spinless_route(monkeypatch):
