@@ -256,10 +256,11 @@ def _cmd_dynamics(args) -> int:
     profile = ScaleFactorProfile(args.epsilon, args.rho)
     if args.profile == "constant":
         profile = FLAT
-    # Run-wide values fail here, once, through momentum_point's own check,
-    # at the grid's largest |p|: it sweeps the most phase.
-    p_max = max(abs(p) for p in args.p_grid)
-    check_point(tuple(p_max * c for c in args.direction), args.mass, profile, args.tol)
+    # Run-wide values fail here, once, through momentum_point's own check, at
+    # the grid's largest |p| (the most phase) and smallest nonzero |p|.
+    moduli = [abs(p) for p in args.p_grid if p] or [0.0]
+    for p in (max(moduli), min(moduli)):
+        check_point(tuple(p * c for c in args.direction), args.mass, profile, args.tol)
     rows = [_dynamics_row(p, args.direction, profile, args) for p in args.p_grid]
     _write_rows(args, DYNAMICS_COLUMNS, rows, head={"profile": args.profile})
     failed = [row for row in rows if row[-1] != "ok"]

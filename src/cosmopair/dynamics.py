@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +49,7 @@ __all__ = [
     "ModeSolution",
     "ScalarBogolyubov",
     "ScaleFactorProfile",
-    "check_phase",
     "check_point",
-    "check_tolerance",
     "default_tau_span",
     "dress_coefficients",
     "extract_scalar_coefficients",
@@ -134,13 +133,13 @@ class Mode:
     """One field mode: momentum vector (conformal units), mass and scale-factor profile.
 
     The constructor owns every per-mode rule of the domain that
-    ``check_point`` states: three components, a finite m >= 0, and
-    m * epsilon * rho (the scale of the mass rate), |p|**2 and (m a)**2
-    finite (float ``**`` raises OverflowError where ``*`` gives inf; both
-    become ValueError).  It computes, once, |p| (with ``math.hypot``,
-    which does not underflow below 1.5e-154), the late mass m a_out and
-    the energies sqrt(|p|**2 + (m a)**2) at both ends of the profile,
-    where a is 1 early on.
+    ``check_point`` states: three components, a finite m >= 0, |p| zero
+    or normal, and m * epsilon * rho (the scale of the mass rate), |p|**2
+    and (m a)**2 finite (float ``**`` raises OverflowError where ``*``
+    gives inf; both become ValueError).  It computes, once, |p| (with
+    ``math.hypot``, which does not underflow below 1.5e-154), the late
+    mass m a_out and the energies sqrt(|p|**2 + (m a)**2) at both ends of
+    the profile, where a is 1 early on.
     """
 
     p_vec: tuple[float, float, float]
@@ -165,6 +164,8 @@ class Mode:
                              f"rate), got m = {self.m}, epsilon = {self.profile.epsilon} "
                              f"and rho = {self.profile.rho}")
         p = math.hypot(*vec)
+        if 0.0 < p < sys.float_info.min:   # subnormal components have lost bits
+            raise ValueError(f"|p| = {p:g} is nonzero but below the smallest normal double")
         m_out = self.m * self.profile.a_out
         try:
             p2 = p ** 2
@@ -230,13 +231,13 @@ class ModeSolution:
         return float(max(np.max(np.abs(self.f) ** 2) - bound, 0.0))
 
 
-def check_tolerance(tol: float) -> None:
+def _check_tolerance(tol: float) -> None:
     """Raise ValueError unless tol lies in [TOL_MIN, TOL_MAX] (NaN fails)."""
     if not TOL_MIN <= tol <= TOL_MAX:
         raise ValueError(f"tol {tol} outside [{TOL_MIN}, {TOL_MAX}]")
 
 
-def check_phase(mode: Mode, tau_span: tuple[float, float]) -> None:
+def _check_phase(mode: Mode, tau_span: tuple[float, float]) -> None:
     """Raise ValueError when the mode would sweep more than MAX_PHASE radians.
 
     The integrator needs a fixed number of steps per radian, so this bounds
@@ -253,22 +254,24 @@ def check_point(p_vec, m: float, profile: ScaleFactorProfile,
     """``momentum_point``'s inputs checked, as (mode, integration span).
 
     The domain of one point: finite epsilon >= 0, with rho > 0 and m >= 0
-    finite, and 2 epsilon, 2 rho, epsilon * rho, m * epsilon * rho, |p|**2
-    and (m a)**2 finite; ``ScaleFactorProfile`` and ``Mode`` check these.
+    finite, |p| = 0 or |p| >= sys.float_info.min = 2.2250738585072014e-308
+    (below it the components are subnormal and lambda loses digits), and
+    2 epsilon, 2 rho, epsilon * rho, m * epsilon * rho, |p|**2 and (m a)**2
+    finite; ``ScaleFactorProfile`` and ``Mode`` check these.
     Raises ValueError unless tol lies in [TOL_MIN * REFINEMENT, TOL_MAX]
     (the self-convergence run at tol / REFINEMENT needs at least TOL_MIN),
     unless ``Mode`` accepts (p_vec, m, profile), or when the mode would
     sweep more than MAX_PHASE radians over the span, which is sized for
-    tol / REFINEMENT.  Only the phase grows with |p|, so a grid of
-    momenta along one direction passes when its largest |p| does.
+    tol / REFINEMENT.  A grid of momenta along one direction passes when
+    its largest |p| (the most phase) and its smallest nonzero |p| do.
     """
-    check_tolerance(tol)
+    _check_tolerance(tol)
     if not tol / REFINEMENT >= TOL_MIN:
         raise ValueError(f"tol {tol} below {TOL_MIN * REFINEMENT}: the self-convergence "
                          f"run at tol/{REFINEMENT:g} needs at least {TOL_MIN}")
     mode = Mode(tuple(p_vec), m, profile)
     span = default_tau_span(profile, tol / REFINEMENT)
-    check_phase(mode, span)
+    _check_phase(mode, span)
     return mode, span
 
 
@@ -469,7 +472,7 @@ def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
     asymptotics to within tol on the scale factor, or when the mode
     would sweep more than ``MAX_PHASE`` radians.
     """
-    check_tolerance(tol)
+    _check_tolerance(tol)
     profile = mode.profile
     if tau_span is None:
         tau_span = default_tau_span(profile, tol)
@@ -480,7 +483,7 @@ def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
         raise ValueError(f"tau_span start {tau0} does not reach the early flat region")
     if abs(profile.a(tau1) - profile.a_out) > tol:
         raise ValueError(f"tau_span end {tau1} does not reach the late flat region")
-    check_phase(mode, (tau0, tau1))
+    _check_phase(mode, (tau0, tau1))
     p2 = mode.p ** 2
     m = mode.m
     evaluations = 0

@@ -1,7 +1,9 @@
 """Closed-form out-basis expansions of evolved occupation states.
 
-Each function returns a map from out-basis occupation index to complex
-amplitude for the states whose evolution has a compact closed form; the
+``closed_form_expansion`` returns a scenario's whole catalogue in one
+call, for one coefficient set or a stack: each input occupation with a
+compact closed form maps to its expansion, a map from out-basis
+occupation index to complex amplitude (an array over a stack).  The
 numeric route in ``squeezing`` must reproduce these coefficient by
 coefficient.  Basis index convention: bit 0 = particle up, bit 1 =
 particle down, bit 2 = antiparticle up, bit 3 = antiparticle down
@@ -19,7 +21,7 @@ import numpy as np
 
 from cosmopair.bogoliubov import DOWN, UP, BogolyubovCoefficients, Scenario
 
-__all__ = ["closed_form_expansion", "cataloged_occupations"]
+__all__ = ["closed_form_expansion"]
 
 # Spinful basis indices by occupied modes.
 VAC = 0b0000
@@ -132,21 +134,10 @@ def _spinless_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int, c
     }
 
 
-def _catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int, complex]]:
+def closed_form_expansion(coeffs: BogolyubovCoefficients) -> dict[int, dict[int, complex]]:
+    """The scenario's catalogue: {input occupation: {out index: amplitude}}."""
     if coeffs.scenario is Scenario.SPINLESS:
         return _spinless_catalogue(coeffs)
     if coeffs.scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
         return _momentum_conserving_catalogue(coeffs)
     return _charge_only_catalogue(coeffs)
-
-
-def cataloged_occupations(scenario: Scenario) -> tuple[int, ...]:
-    """Input occupations with a closed-form expansion in this scenario."""
-    dummy = BogolyubovCoefficients(scenario=scenario, a=1.0, beta=np.zeros((2, 2)))
-    return tuple(sorted(_catalogue(dummy)))
-
-
-def closed_form_expansion(coeffs: BogolyubovCoefficients,
-                          occupation: int) -> dict[int, complex] | None:
-    """Closed-form out-basis amplitudes for a cataloged input, else None."""
-    return _catalogue(coeffs).get(occupation)

@@ -39,7 +39,7 @@ from cosmopair.entanglement import (
     entropy_vacuum_closed_form,
     score,
 )
-from cosmopair.expansions import cataloged_occupations, closed_form_expansion
+from cosmopair.expansions import closed_form_expansion
 from cosmopair.squeezing import (
     apply_decoupled,
     build_generator,
@@ -65,6 +65,8 @@ _ENTROPY_GRID = [0.1 * k for k in range(41)]      # 0 .. 4
 # of 16 by under 0.5 MB, and each stacked 16 x 16 product stays small
 # enough that OpenBLAS starts no worker threads.
 STACK_BLOCK = 16
+# The bound grids have: a draw costs about 0.5 ms, so 10**9 would take days.
+MAX_BATCH = 10**6
 
 
 @dataclass(frozen=True)
@@ -222,9 +224,9 @@ def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
                                 - thetas[:, 0, 2] * thetas[:, 1, 3])
                 worst_nilpotency = max(worst_nilpotency,
                                        _worst(squared[:, dim - 1, 0] - target))
-            for occupation in cataloged_occupations(scenario):
+            for occupation, expansion in closed_form_expansion(sets).items():
                 expected = np.zeros((len(thetas), dim), dtype=complex)
-                for bits, amplitude in closed_form_expansion(sets, occupation).items():
+                for bits, amplitude in expansion.items():
                     expected[:, bits] = amplitude
                 slot = 1 if occupation else 0
                 worst_expansion[slot] = max(worst_expansion[slot],
@@ -342,11 +344,12 @@ def run_all(seed: int = DEFAULT_SEED, batch: int = 100) -> list[CheckResult]:
     """Run the full identity suite; deterministic for a fixed seed.
 
     ``batch`` is the number of seeded draws per scenario for every
-    oracle check but the complementary reductions, and must be at least 1, so that no check passes vacuously.
+    oracle check but the complementary reductions.  It must be at least
+    1, so that no check passes vacuously, and at most MAX_BATCH.
     ``seed`` must be nonnegative.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
+    if not 1 <= batch <= MAX_BATCH:
+        raise ValueError(f"batch must be between 1 and {MAX_BATCH}, got {batch}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     results: list[CheckResult] = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cosmopair import verify
 from cosmopair.bogoliubov import Scenario, random_coefficients
 
 ALL_SCENARIOS = tuple(Scenario)
@@ -20,3 +21,9 @@ def random_state(dim, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(2024)
+
+
+@pytest.fixture(scope="session")
+def verify_results():
+    """The default ``cosmopair verify`` run (seed 7, 100 draws), by check name."""
+    return {r.name: r for r in verify.run_all()}

@@ -10,7 +10,6 @@ import time
 import pytest
 
 from cosmopair import cli
-from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import Scenario, from_density
 from cosmopair.dynamics import FLAT, ScaleFactorProfile, momentum_point
 from cosmopair.entanglement import (
@@ -80,12 +79,6 @@ VERIFY_CRITERIA = {
     8: ("charge/angular-momentum conservation",
         {"charge_commutation": 1e-12, "angular_momentum_commutation": 1e-12}),
 }
-
-
-@pytest.fixture(scope="module")
-def verify_results():
-    """The default ``cosmopair verify`` run (seed 7, 100 draws), by check name."""
-    return {r.name: r for r in verify_mod.run_all()}
 
 
 @pytest.mark.parametrize("number", sorted(VERIFY_CRITERIA))

@@ -67,14 +67,6 @@ def test_from_density_always_valid_other_scenarios(n, p):
     assert bg.validate(coeffs(n / 2.0, scenario=Scenario.SPINLESS, phases=p)).passed
 
 
-def test_validate_grid():
-    for scenario in ALL_SCENARIOS:
-        for k in range(17):
-            n = 0.25 * k * scenario.n_max / 4.0
-            for lam in [0.1 * j for j in range(11)]:
-                assert bg.validate(coeffs(n, lam, scenario=scenario)).passed
-
-
 def test_validate_flags_broken_modulus_pairing():
     c = coeffs(2.0, lam=0.3)
     beta = np.array(c.beta)

@@ -223,14 +223,14 @@ def test_verify_json_report(tmp_path):
     assert all("residual" in c for c in payload["checks"])
 
 
-def test_verify_rejects_nonpositive_batch(tmp_path, capsys):
-    for batch in ("0", "-3"):
+def test_verify_rejects_a_batch_out_of_range(tmp_path, capsys):
+    for batch in ("0", "-3", "1000001"):
         out = tmp_path / f"report{batch}.txt"
         with pytest.raises(SystemExit) as err:
             cli.main(["verify", "--batch", batch, "--output", str(out)])
         assert err.value.code == 2
         assert not out.exists()
-        assert "batch must be at least 1" in capsys.readouterr().err
+        assert f"batch must be between 1 and 1000000, got {batch}" in capsys.readouterr().err
 
 
 def test_verify_rejects_a_negative_seed(tmp_path, capsys):
@@ -344,6 +344,17 @@ def test_a_lambda_grid_outside_charge_only_is_a_usage_error(tmp_path, capsys):
     assert err.value.code == 2
     assert not out.exists()
     assert "only a charge-only sweep takes a lambda grid" in capsys.readouterr().err
+
+
+def test_a_subnormal_momentum_is_a_usage_error_before_any_row(tmp_path, capsys):
+    # The grid's first point is fine; its smallest nonzero |p| is checked up front.
+    out = tmp_path / "dyn.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["dynamics", "--p-grid", "1,1e-320", "--output", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+    assert "below the smallest normal double" in capsys.readouterr().err
+    assert cli.main(["dynamics", "--p-grid", "0", "--output", str(out)]) == 0
 
 
 def test_epsilon_zero_runs_the_flat_profile(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 from functools import reduce
 from operator import add, mul
 
@@ -134,6 +135,16 @@ def test_momentum_below_the_square_root_underflow_is_reported():
     assert dyn.Mode((0.0, 1e-300, 0.0), 1.0, TANH).p == 1e-300
     point = dyn.momentum_point((1e-300, 0.0, 0.0), 1.0, TANH)
     assert point.p == 1e-300 and 0.0 < max(point.beta_moduli) < 1e-299
+
+
+def test_a_nonzero_momentum_below_the_smallest_normal_double_is_rejected():
+    # Subnormal components have lost bits: |p| = 1e-320 along (1, 1, 1) read
+    # lambda_effective 0.666339643347051 for 2/3, and 1e-323 read 0.25.
+    for p_vec in ((1e-320,) * 3, (1e-323,) * 3, (1e-310, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="below the smallest normal double"):
+            dyn.Mode(p_vec, 1.0, TANH)
+    assert dyn.Mode((sys.float_info.min, 0.0, 0.0), 1.0, TANH).p == sys.float_info.min
+    assert dyn.Mode((0.0, 0.0, 0.0), 1.0, TANH).p == 0.0
 
 
 def test_constant_profile_plane_wave():

@@ -22,7 +22,8 @@ def test_annihilation_jordan_wigner_sign():
     assert f1[0b01, 0b11] == -1.0
 
 
-@pytest.mark.parametrize("n_modes", [2, 3, 4])
+# 2 and 4 modes are verify's ladder_anticommutators_{2,4}_modes checks.
+@pytest.mark.parametrize("n_modes", [3])
 def test_anticommutation_relations(n_modes):
     lowering, raising = fock.ladder_operators(n_modes)
     eye = np.eye(fock.dimension(n_modes))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SCENARIOS, seeded_sets
-from cosmopair import expansions, fock
+from cosmopair import fock
 from cosmopair import squeezing as sq
 from cosmopair.bogoliubov import (
     DOWN,
@@ -334,32 +334,6 @@ def test_pair_sum_nilpotency():
             assert np.max(np.abs(creation @ creation @ creation)) == 0.0
 
 
-def test_pair_sum_square_top_coefficient():
-    for coeffs in seeded_sets(Scenario.CHARGE_ONLY, 10, seed=43):
-        theta = theta_from_coefficients(coeffs)
-        creation = sq.pair_creation_sum(theta)
-        squared = creation @ creation
-        target = 2.0 * (theta[0, 3] * theta[1, 2] - theta[0, 2] * theta[1, 3])
-        assert abs(squared[0b1111, 0] - target) <= 1e-14
-
-
-def amplitude_vector(reference, dim):
-    vec = np.zeros(dim, dtype=complex)
-    for bits, amplitude in reference.items():
-        vec[bits] = amplitude
-    return vec
-
-
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-def test_excited_expansions_closed_form(scenario):
-    for coeffs in seeded_sets(scenario, 15, seed=61):
-        unitary = sq.unitary_for(coeffs)
-        for occupation in expansions.cataloged_occupations(scenario):
-            reference = expansions.closed_form_expansion(coeffs, occupation)
-            vec = amplitude_vector(reference, unitary.shape[0])
-            assert np.max(np.abs(unitary[:, occupation] - vec)) <= 1e-10
-
-
 def test_transparent_states_pass_through():
     # double occupancy on one side evolves into itself in both spinful scenarios
     for scenario in (Scenario.CHARGE_ONLY, Scenario.CHARGE_AND_ANGULAR_MOMENTUM):
@@ -387,15 +361,3 @@ def test_charge_conservation(scenario):
     for coeffs in seeded_sets(scenario, 8, seed=71):
         unitary = sq.unitary_for(coeffs)
         assert np.max(np.abs(unitary @ charge - charge @ unitary)) <= 1e-12
-
-
-def test_angular_momentum_conservation_only_when_required():
-    jz = fock.spin_z_operator()
-    conserving = from_density(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 2.0)
-    unitary = sq.unitary_for(conserving)
-    assert np.max(np.abs(unitary @ jz - jz @ unitary)) <= 1e-12
-    # spin-preserving channel with |beta_uu| >= 0.3 must break the symmetry
-    violating = from_density(Scenario.CHARGE_ONLY, 2.0, lam=0.2)
-    assert abs(violating.beta[UP, UP]) >= 0.3
-    unitary = sq.unitary_for(violating)
-    assert np.max(np.abs(unitary @ jz - jz @ unitary)) > 1e-3

@@ -14,7 +14,7 @@ from cosmopair.bogoliubov import (
     random_coefficients,
     theta_from_coefficients,
 )
-from cosmopair.expansions import A_UP, P_BOTH, P_UP, cataloged_occupations, closed_form_expansion
+from cosmopair.expansions import P_UP, closed_form_expansion
 from cosmopair.squeezing import (
     apply_decoupled,
     build_generator,
@@ -82,9 +82,9 @@ def factorization_one_draw_at_a_time(seed, batch):
                 target = 2.0 * (theta[0, 3] * theta[1, 2] - theta[0, 2] * theta[1, 3])
                 worst_nilpotency = max(worst_nilpotency,
                                        abs((creation @ creation)[dim - 1, 0] - target))
-            for occupation in cataloged_occupations(scenario):
+            for occupation, expansion in closed_form_expansion(coeffs).items():
                 vec = np.zeros(dim, dtype=complex)
-                for bits, amplitude in closed_form_expansion(coeffs, occupation).items():
+                for bits, amplitude in expansion.items():
                     vec[bits] = amplitude
                 err = float(np.max(np.abs(unitary[:, occupation] - vec)))
                 if occupation == 0:
@@ -137,18 +137,49 @@ def test_pair_sum_nilpotency_fails_on_a_perturbed_pair_sum(monkeypatch):
     assert [r.name for r in results if not r.passed] == ["pair_sum_nilpotency"]
 
 
-def test_excited_expansions_charge_fails_on_a_flipped_catalogue_sign(monkeypatch):
+@pytest.mark.parametrize("scenario", list(Scenario))
+@pytest.mark.parametrize("occupation, check", [(0, "vacuum_expansion"),
+                                               (P_UP, "excited_expansions")],
+                         ids=["vacuum", "excited"])
+def test_each_expansion_check_fails_on_a_flipped_catalogue_sign(scenario, occupation, check,
+                                                                 monkeypatch):
+    # The amplitude of the input itself: a**2 or a for the vacuum, a or 1 for
+    # one particle.
     real_expansion = verify.closed_form_expansion
 
-    def flipped(coeffs, occupation):
-        reference = dict(real_expansion(coeffs, occupation))
-        if coeffs.scenario is Scenario.CHARGE_ONLY and occupation == P_UP:
-            reference[P_BOTH | A_UP] = -reference[P_BOTH | A_UP]
-        return reference
+    def flipped(coeffs):
+        catalogue = real_expansion(coeffs)
+        if coeffs.scenario is scenario:
+            catalogue[occupation][occupation] = -catalogue[occupation][occupation]
+        return catalogue
 
     monkeypatch.setattr(verify, "closed_form_expansion", flipped)
     results = verify._check_factorization(7, 16)
-    assert [r.name for r in results if not r.passed] == ["excited_expansions_charge"]
+    assert [r.name for r in results if not r.passed] == [f"{check}_{scenario.value}"]
+
+
+# Identities the unit tests read from the shared default run instead of
+# recomputing them: check name -> pinned tolerance.  A tolerance moved off
+# its pin in ``verify``, or a failing check, fails here.
+UNIT_IDENTITIES = {
+    "ladder_anticommutators_2_modes": 1e-14,
+    "ladder_anticommutators_4_modes": 1e-14,
+    "coefficient_constraints_grid": 1e-12,
+    "pair_sum_nilpotency": 1e-14,
+    **{f"vacuum_expansion_{s.value}": 1e-10 for s in Scenario},
+    **{f"excited_expansions_{s.value}": 1e-10 for s in Scenario},
+    "angular_momentum_commutation": 1e-12,
+    **{f"vacuum_entropy_curve_{s.value}": 1e-10 for s in Scenario},
+    "vacuum_entropy_lambda_independence": 1e-10,
+    "closed_form_concavity": 1e-12,
+    "complementary_reduction_entropy": 1e-10,
+}
+
+
+def test_unit_identities_are_read_from_verify(verify_results):
+    checks = [verify_results[name] for name in UNIT_IDENTITIES]
+    assert {c.name: c.tolerance for c in checks} == UNIT_IDENTITIES
+    assert [c.name for c in checks if not c.passed] == []
 
 
 def test_spinful_spinless_scaling_fails_on_a_perturbed_spinless_route(monkeypatch):
