@@ -160,7 +160,7 @@ def test_each_expansion_check_fails_on_a_flipped_catalogue_sign(scenario, occupa
 
 # Identities the unit tests read from the shared default run instead of
 # recomputing them: check name -> pinned tolerance.  A tolerance moved off
-# its pin in ``verify``, or a failing check, fails here.
+# its pin in ``verify``, or a failing check, fails the case of that check.
 UNIT_IDENTITIES = {
     "ladder_anticommutators_2_modes": 1e-14,
     "ladder_anticommutators_4_modes": 1e-14,
@@ -176,10 +176,11 @@ UNIT_IDENTITIES = {
 }
 
 
-def test_unit_identities_are_read_from_verify(verify_results):
-    checks = [verify_results[name] for name in UNIT_IDENTITIES]
-    assert {c.name: c.tolerance for c in checks} == UNIT_IDENTITIES
-    assert [c.name for c in checks if not c.passed] == []
+@pytest.mark.parametrize("name", sorted(UNIT_IDENTITIES))
+def test_unit_identities_are_read_from_verify(name, verify_results):
+    check = verify_results[name]
+    assert check.tolerance == UNIT_IDENTITIES[name]
+    assert check.passed, f"{name}: residual {check.residual:.3e}"
 
 
 def test_spinful_spinless_scaling_fails_on_a_perturbed_spinless_route(monkeypatch):
