@@ -335,23 +335,28 @@ def check_theta(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
+def _finite_gram(theta: np.ndarray) -> np.ndarray:
+    """theta^dag theta; raises ValueError, not a warning, unless it and its trace are finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = theta.conj().swapaxes(-1, -2) @ theta
+        trace = gram.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1)
+    if not (np.isfinite(gram).all() and np.isfinite(trace).all()):
+        raise ValueError("theta^dag theta is not finite")
+    return gram
+
+
 def squeezing_angle(theta: np.ndarray) -> float | np.ndarray:
     """Scalar polar radius r with |theta| = r * identity.
 
     Raises if theta^dag theta is not a multiple of the identity, which
     would invalidate the closed-form factorization downstream.  A stack
     of shape (..., n, n) gives an array of radii of shape (...), and
-    raises if any item is not scalar.  Raises when theta^dag theta is not
-    finite, which a NaN or a finite but huge theta gives.
+    raises if any item is not scalar.  Raises when theta^dag theta or its
+    trace is not finite, which a NaN or a finite but huge theta gives.
     """
-    theta = np.asarray(theta, dtype=complex)
-    # The non-finite check below reports an overflow; numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = theta.conj().swapaxes(-1, -2) @ theta
-        r2 = gram.diagonal(axis1=-2, axis2=-1).real.mean(axis=-1)
-    if not np.isfinite(r2).all():
-        raise ValueError("theta^dag theta is not finite")
-    deviation = np.abs(gram - r2[..., np.newaxis, np.newaxis] * np.eye(theta.shape[-1])).max(
+    gram = _finite_gram(np.asarray(theta, dtype=complex))
+    r2 = gram.diagonal(axis1=-2, axis2=-1).real.mean(axis=-1)
+    deviation = np.abs(gram - r2[..., np.newaxis, np.newaxis] * np.eye(gram.shape[-1])).max(
         axis=(-2, -1))
     bad = ~(deviation <= SCALAR_MODULUS_TOLERANCE * np.maximum(1.0, r2))
     if bad.any():
@@ -367,14 +372,11 @@ def mu_nu_from_theta(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     through the Hermitian eigendecomposition of theta^dag theta; the
     sin(x)/x factor extends analytically through singular |theta|.  A
     stack of shape (..., n, n) gives stacks of mu and nu.  Raises when
-    theta^dag theta overflows, which a finite but huge theta can do.
+    theta^dag theta or its trace is not finite, which a finite but huge
+    theta can give.
     """
     theta = check_theta(theta)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = theta.conj().swapaxes(-1, -2) @ theta
-    if not np.isfinite(gram).all():
-        raise ValueError("theta^dag theta overflows")
-    eigs, vecs = np.linalg.eigh(gram)
+    eigs, vecs = np.linalg.eigh(_finite_gram(theta))
     radii = np.sqrt(np.clip(eigs, 0.0, None))[..., np.newaxis, :]
     mu = (vecs * np.cos(radii)) @ vecs.conj().swapaxes(-1, -2)
     sinc = np.sinc(radii / math.pi)  # sin(r)/r with the r = 0 limit built in

@@ -26,12 +26,12 @@ on the particle-antiparticle charge of the input:
 * |charge| = 2: no entanglement is generated.
 * |charge| = 1: a single binary entropy of n/4.
 * charge = 0 with zero, two-and-two occupation: the vacuum expression.
-* charge = 0 with one particle and one antiparticle: scenario dependent;
-  under angular-momentum conservation parallel spins give zero and
-  antiparallel spins the vacuum expression, while the charge-only case
-  depends on lambda through a two-pair spectrum {q, q, mu+, mu-} with
-  q = (1-lambda) n (4-n)/16 for parallel and q = lambda n (4-n)/16 for
-  antiparallel spins.
+* charge = 0 with one particle and one antiparticle: a two-pair
+  spectrum {q, q, mu+, mu-} with q = (1-lambda) n (4-n)/16 for parallel
+  and q = lambda n (4-n)/16 for antiparallel spins.  Angular-momentum
+  conservation = charge-only at lambda = 1 (beta_uu = beta_dd = 0):
+  parallel spins give q = 0, zero entropy, and antiparallel spins the
+  vacuum expression.
 """
 
 from __future__ import annotations
@@ -169,8 +169,9 @@ def entropy_excited_closed_form(occupation: int, n, lam, scenario: Scenario):
     particle/antiparticle mirrors, each variant verified against the
     numeric route in the test suite).  lam is read, and checked to lie in
     [0, 1], only for a one-particle, one-antiparticle input under charge
-    conservation alone; n outside [0, n_max] or an occupation out of
-    range raise ValueError, naming the first item out of range.
+    conservation alone; angular-momentum conservation = charge-only at
+    lam = 1 (beta_uu = beta_dd = 0).  n outside [0, n_max] or an
+    occupation out of range raise ValueError, naming the first item.
     """
     particle_bits, anti_bits = scenario.split_occupation(occupation)
     n_max = scenario.n_max
@@ -188,12 +189,9 @@ def entropy_excited_closed_form(occupation: int, n, lam, scenario: Scenario):
         return binary_entropy(n / 4.0)
     if p_count in (0, 2):
         return entropy_vacuum_closed_form(n, scenario)
-    parallel = particle_bits == anti_bits
-    if scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
-        return unentangled if parallel else entropy_vacuum_closed_form(n, scenario)
-    lam = np.asarray(lam, dtype=float)
+    lam = np.asarray(1.0 if scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM else lam, dtype=float)
     fock.require((lam >= 0.0) & (lam <= 1.0), lam, "lambda {} outside [0, 1]")
-    fraction = (1.0 - lam) if parallel else lam
+    fraction = (1.0 - lam) if particle_bits == anti_bits else lam
     return pair_state_entropy(fraction * n * (n_max - n) / 16.0)
 
 

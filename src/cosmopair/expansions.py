@@ -11,8 +11,10 @@ particle down, bit 2 = antiparticle up, bit 3 = antiparticle down
 
 The catalogue covers the vacuum in all scenarios plus the excited inputs
 with a listed closed form; other inputs evolve through the numeric path
-only.  Amplitude signs follow the state-expansion convention in which
-the vacuum's single-pair terms carry -a * conj(beta); see ``squeezing``.
+only.  Angular-momentum conservation = charge-only at lambda = 1
+(beta_uu = beta_dd = 0), so both spinful scenarios read one catalogue.
+Amplitude signs follow the state-expansion convention in which the
+vacuum's single-pair terms carry -a * conj(beta); see ``squeezing``.
 """
 
 from __future__ import annotations
@@ -38,37 +40,21 @@ DOWN_DOWN = P_DOWN | A_DOWN
 FULL = 0b1111
 
 
-def _vacuum_expansion(coeffs: BogolyubovCoefficients) -> dict[int, complex]:
-    """Out-basis amplitudes of the evolved empty state."""
-    a = coeffs.a
-    cb = np.conj(coeffs.beta)
-    if coeffs.scenario is Scenario.SPINLESS:
-        return {0b00: a, 0b11: -cb[..., UP, DOWN]}
-    if coeffs.scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
-        return {
-            VAC: a ** 2,
-            UP_DOWN: -a * cb[..., UP, DOWN],
-            DOWN_UP: -a * cb[..., DOWN, UP],
-            FULL: cb[..., UP, DOWN] * cb[..., DOWN, UP],
-        }
-    return {
-        VAC: a ** 2,
-        UP_DOWN: -a * cb[..., UP, DOWN],
-        DOWN_UP: -a * cb[..., DOWN, UP],
-        UP_UP: -a * cb[..., UP, UP],
-        DOWN_DOWN: -a * cb[..., DOWN, DOWN],
-        FULL: cb[..., DOWN, UP] * cb[..., UP, DOWN] - cb[..., UP, UP] * cb[..., DOWN, DOWN],
-    }
-
-
-def _charge_only_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int, complex]]:
+def _spinful_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int, complex]]:
     a = coeffs.a
     b = coeffs.beta
     cb = np.conj
     buu, bud = b[..., UP, UP], b[..., UP, DOWN]
     bdu, bdd = b[..., DOWN, UP], b[..., DOWN, DOWN]
     return {
-        VAC: _vacuum_expansion(coeffs),
+        VAC: {
+            VAC: a ** 2,
+            UP_DOWN: -a * cb(bud),
+            DOWN_UP: -a * cb(bdu),
+            UP_UP: -a * cb(buu),
+            DOWN_DOWN: -a * cb(bdd),
+            FULL: cb(bdu) * cb(bud) - cb(buu) * cb(bdd),
+        },
         FULL: {
             VAC: bud * bdu - buu * bdd,
             UP_DOWN: a * bdu,
@@ -80,6 +66,7 @@ def _charge_only_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int
         P_BOTH | A_UP: {P_UP: bdu, P_DOWN: -buu, P_BOTH | A_UP: a},
         P_UP: {P_UP: a, P_BOTH | A_UP: -cb(bdu), P_BOTH | A_DOWN: -cb(bdd)},
         A_UP: {A_UP: a, P_DOWN | A_BOTH: cb(bdd), P_UP | A_BOTH: cb(bud)},
+        A_DOWN: {A_DOWN: a, P_UP | A_BOTH: -cb(buu), P_DOWN | A_BOTH: -cb(bdu)},
         P_BOTH: {P_BOTH: 1.0},
         UP_UP: {
             VAC: a * buu,
@@ -100,34 +87,11 @@ def _charge_only_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int
     }
 
 
-def _momentum_conserving_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int, complex]]:
-    a = coeffs.a
-    b = coeffs.beta
-    cb = np.conj
-    bud, bdu = b[..., UP, DOWN], b[..., DOWN, UP]
-    return {
-        VAC: _vacuum_expansion(coeffs),
-        FULL: {VAC: bud * bdu, UP_DOWN: a * bdu, DOWN_UP: a * bud, FULL: a ** 2},
-        UP_UP: {UP_UP: 1.0},
-        DOWN_UP: {
-            VAC: a * bdu,
-            DOWN_UP: a ** 2,
-            UP_DOWN: -cb(bud) * bdu,
-            FULL: -a * cb(bud),
-        },
-        P_BOTH | A_UP: {P_UP: bdu, P_BOTH | A_UP: a},
-        P_UP: {P_UP: a, P_BOTH | A_UP: -cb(bdu)},
-        A_UP: {A_UP: a, P_UP | A_BOTH: cb(bud)},
-        A_DOWN: {A_DOWN: a, P_DOWN | A_BOTH: -cb(bdu)},
-        P_BOTH: {P_BOTH: 1.0},
-    }
-
-
 def _spinless_catalogue(coeffs: BogolyubovCoefficients) -> dict[int, dict[int, complex]]:
     a = coeffs.a
     beta = coeffs.beta[..., UP, DOWN]
     return {
-        0b00: _vacuum_expansion(coeffs),
+        0b00: {0b00: a, 0b11: -np.conj(beta)},
         0b11: {0b00: beta, 0b11: a},
         0b01: {0b01: 1.0},
         0b10: {0b10: 1.0},
@@ -138,6 +102,4 @@ def closed_form_expansion(coeffs: BogolyubovCoefficients) -> dict[int, dict[int,
     """The scenario's catalogue: {input occupation: {out index: amplitude}}."""
     if coeffs.scenario is Scenario.SPINLESS:
         return _spinless_catalogue(coeffs)
-    if coeffs.scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
-        return _momentum_conserving_catalogue(coeffs)
-    return _charge_only_catalogue(coeffs)
+    return _spinful_catalogue(coeffs)

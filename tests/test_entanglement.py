@@ -69,13 +69,17 @@ def test_excited_closed_form_catalogue_values():
     assert abs(ent.entropy_excited_closed_form(0b0001, 1.0, 0.5,
                                                Scenario.CHARGE_ONLY)
                - H2_QUARTER) <= 1e-14
-    # parallel pair under angular-momentum conservation: transparent
-    assert ent.entropy_excited_closed_form(
-        0b0101, 2.3, 1.0, Scenario.CHARGE_AND_ANGULAR_MOMENTUM) == 0.0
-    # antiparallel pair under angular-momentum conservation: vacuum curve
-    value = ent.entropy_excited_closed_form(
-        0b0110, 1.0, 1.0, Scenario.CHARGE_AND_ANGULAR_MOMENTUM)
+    # pairs under angular-momentum conservation take the charge-only pair
+    # formula at lambda = 1: parallel spins are transparent, antiparallel
+    # spins follow the vacuum curve, endpoints included
+    cam = Scenario.CHARGE_AND_ANGULAR_MOMENTUM
+    assert ent.entropy_excited_closed_form(0b0101, 2.3, 1.0, cam) == 0.0
+    value = ent.entropy_excited_closed_form(0b0110, 1.0, 1.0, cam)
     assert abs(value - S_VAC_SPINFUL_N1) <= 1e-14
+    for n in (0.0, 0.5, 2.0, 3.5, 4.0):
+        assert ent.entropy_excited_closed_form(0b0101, n, 1.0, cam) == 0.0
+        assert abs(ent.entropy_excited_closed_form(0b0110, n, 1.0, cam)
+                   - ent.entropy_vacuum_closed_form(n, cam)) <= 1e-14
     # charge-only pairs at the frozen reference points
     assert abs(ent.entropy_excited_closed_form(0b0110, 2.0, 0.5, Scenario.CHARGE_ONLY)
                - PAIR_ENTROPY_EIGHTH) <= 1e-14

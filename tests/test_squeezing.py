@@ -209,7 +209,10 @@ def bad_thetas(scenario):
            "cos r ~ 0": (full_density_theta(scenario), ()),
            # finite, but theta^dag theta overflows to inf
            "overflowing": (1e200 * full_density_theta(scenario),
-                           (squeezing_angle, mu_nu_from_theta))}
+                           (squeezing_angle, mu_nu_from_theta)),
+           # theta^dag theta finite, but its trace overflows to inf
+           "trace overflowing": (7e153 * full_density_theta(scenario),
+                                 (squeezing_angle, mu_nu_from_theta))}
     if n == 4:  # every antisymmetric 2x2 matrix has a scalar modulus
         single_pair = np.zeros((4, 4), dtype=complex)
         single_pair[0, 2], single_pair[2, 0] = 0.3, -0.3

@@ -14,7 +14,7 @@ from cosmopair.bogoliubov import (
     random_coefficients,
     theta_from_coefficients,
 )
-from cosmopair.expansions import P_UP, closed_form_expansion
+from cosmopair.expansions import A_DOWN, P_UP, closed_form_expansion
 from cosmopair.squeezing import (
     apply_decoupled,
     build_generator,
@@ -137,14 +137,21 @@ def test_pair_sum_nilpotency_fails_on_a_perturbed_pair_sum(monkeypatch):
     assert [r.name for r in results if not r.passed] == ["pair_sum_nilpotency"]
 
 
-@pytest.mark.parametrize("scenario", list(Scenario))
-@pytest.mark.parametrize("occupation, check", [(0, "vacuum_expansion"),
-                                               (P_UP, "excited_expansions")],
-                         ids=["vacuum", "excited"])
+# (label, input occupation, check, scenarios) whose catalogue sign is flipped.
+# One antiparticle down has a catalogue entry in the spinful scenarios only.
+CATALOGUE_FLIPS = [("vacuum", 0, "vacuum_expansion", list(Scenario)),
+                   ("excited", P_UP, "excited_expansions", list(Scenario)),
+                   ("excited-a-down", A_DOWN, "excited_expansions",
+                    [Scenario.CHARGE_ONLY, Scenario.CHARGE_AND_ANGULAR_MOMENTUM])]
+
+
+@pytest.mark.parametrize("occupation, check, scenario", [
+    pytest.param(occupation, check, scenario, id=f"{label}-{scenario}")
+    for label, occupation, check, scenarios in CATALOGUE_FLIPS for scenario in scenarios])
 def test_each_expansion_check_fails_on_a_flipped_catalogue_sign(scenario, occupation, check,
                                                                  monkeypatch):
     # The amplitude of the input itself: a**2 or a for the vacuum, a or 1 for
-    # one particle.
+    # one particle, a for one antiparticle.
     real_expansion = verify.closed_form_expansion
 
     def flipped(coeffs):
