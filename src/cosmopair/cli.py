@@ -42,11 +42,14 @@ DYNAMICS_COLUMNS = ("p", "A", "beta_uu", "beta_ud", "beta_du", "beta_dd",
 
 
 def _numbers(tokens, text: str) -> list[float]:
-    """Finite floats of the tokens of a grid or direction spec; errors name the spec."""
+    """Finite floats of the tokens of a grid or direction spec; errors name the spec.
+
+    A negative zero is read as zero, so that no output prints ``-0``.
+    """
     values = []
     for token in tokens:
         try:
-            values.append(float(token))
+            values.append(float(token) + 0.0)
         except ValueError:
             raise ValueError(f"{token.strip()!r} in {text!r} is not a number") from None
     if not all(math.isfinite(v) for v in values):

@@ -4,6 +4,10 @@ Each check reports its worst residual against a pinned tolerance; the
 text and JSON renderings are deterministic functions of the results, so
 a fixed seed yields byte-identical reports across runs.
 
+Inputs come from two sources: the seeded pass, ``batch`` random draws
+per scenario, and one fixed (n, lambda) grid per scenario, which feeds
+every other check, so the seed moves none of those.
+
 The seeded draws reach ``numpy.random`` as ``np.random`` when a check
 runs: ``cli`` imports this module on every command, and numpy 2 loads
 its random package (about 14 ms) only on that first access.
@@ -35,7 +39,6 @@ from cosmopair.bogoliubov import (
 )
 from cosmopair.entanglement import (
     entropy_excited_closed_form,
-    entropy_numeric,
     entropy_vacuum_closed_form,
     score,
 )
@@ -57,13 +60,13 @@ SCHEMA_VERSION = 1
 
 _N_GRID = [0.25 * k for k in range(17)]           # 0 .. 4
 _LAMBDA_GRID = [0.1 * k for k in range(11)]       # 0 .. 1
-_ENTROPY_GRID = [0.1 * k for k in range(41)]      # 0 .. 4
 
-# Seeded draws that the oracle pass stacks per call.
+# Coefficient sets that the seeded pass and the grid scoring stack per call.
 # Peak memory grows with the block: stacking all 200 draws of
 # ``verify --batch 200`` raises its peak RSS by about 7 MB (17 %), blocks
 # of 16 by under 0.5 MB, and each stacked 16 x 16 product stays small
-# enough that OpenBLAS starts no worker threads.
+# enough that OpenBLAS starts no worker threads.  Scoring the 187-point
+# charge grid in one stack costs a cold run about 900 page faults.
 STACK_BLOCK = 16
 # The bound grids have: a draw costs about 0.5 ms, so 10**9 would take days.
 MAX_BATCH = 10**6
@@ -91,21 +94,20 @@ def _worst(deviation: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_sets(scenario: Scenario) -> BogolyubovCoefficients:
-    """Stack of the coefficient sets on the (n, lambda) grid, lambda fastest.
+def _grid_sets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, BogolyubovCoefficients]:
+    """(n, lambda, sets) on the (n, lambda) grid, one item per point, lambda fastest.
 
-    Cached per scenario: both grid checks read the one read-only stack.
+    Outside charge-only the grid holds lambda = 1 alone, which those
+    scenarios do not read.  Cached per scenario: every check outside the
+    seeded pass reads the one read-only grid.
     """
-    sets = []
+    lambdas = _LAMBDA_GRID if scenario is Scenario.CHARGE_ONLY else [1.0]
+    points = [(n_raw * scenario.n_max / 4.0, lam) for n_raw in _N_GRID for lam in lambdas]
+    n, lam = np.array(points).T
+    n.flags.writeable = lam.flags.writeable = False
     phases = (0.3, -0.8, 1.7, 0.4)
-    for n_raw in _N_GRID:
-        n = n_raw * scenario.n_max / 4.0
-        if scenario is Scenario.CHARGE_ONLY:
-            for lam in _LAMBDA_GRID:
-                sets.append(from_density(scenario, n, lam, phases))
-        else:
-            sets.append(from_density(scenario, n, phases=phases))
-    return BogolyubovCoefficients.stack(sets)
+    return n, lam, BogolyubovCoefficients.stack(
+        from_density(scenario, n_point, lam_point, phases) for n_point, lam_point in points)
 
 
 def _check_anticommutators(n_modes: int) -> CheckResult:
@@ -124,12 +126,12 @@ def _check_anticommutators(n_modes: int) -> CheckResult:
 
 def _check_constraints() -> list[CheckResult]:
     results = []
-    reports = {scenario: validate(_grid_sets(scenario)) for scenario in Scenario}
+    reports = {scenario: validate(_grid_sets(scenario)[2]) for scenario in Scenario}
     worst_norm = max(report.worst for report in reports.values())
     results.append(_result("coefficient_constraints_grid", worst_norm, 1e-12,
                            detail="normalization, orthogonality and sparsity over the "
                                   "(n, lambda) grid, all scenarios"))
-    sets = _grid_sets(Scenario.CHARGE_ONLY)
+    _, _, sets = _grid_sets(Scenario.CHARGE_ONLY)
     # The column orthogonality sum conj(du) uu + ud conj(dd) multiplies the
     # spin-coherence entries of the reduced particle operator.
     cross = reports[Scenario.CHARGE_ONLY].residuals["orthogonality_columns"]
@@ -151,7 +153,7 @@ def _check_generator_structure() -> list[CheckResult]:
     worst_mixing = 0.0
     worst_algebra = 0.0
     for scenario in Scenario:
-        sets = _grid_sets(scenario)
+        _, _, sets = _grid_sets(scenario)
         thetas = theta_from_coefficients(sets)
         radii = squeezing_angle(thetas)
         targets = np.array([math.acos(min(a, 1.0)) for a in sets.a.tolist()])
@@ -251,66 +253,65 @@ def _check_vacuum_curves() -> list[CheckResult]:
     results = []
     numeric = {}
     for scenario in Scenario:
-        densities = [n_raw * scenario.n_max / 4.0 for n_raw in _ENTROPY_GRID]
-        sets = BogolyubovCoefficients.stack(from_density(scenario, n, 0.5) for n in densities)
-        numeric[scenario], _, gaps = score(sets, 0, densities, np.full(len(densities), 0.5))
+        n, lam, sets = _grid_sets(scenario)
+        values, _, gaps = np.concatenate([
+            score(BogolyubovCoefficients(scenario, sets.a[p], sets.beta[p]), 0, n[p], lam[p])
+            for p in (slice(k, k + STACK_BLOCK) for k in range(0, n.size, STACK_BLOCK))], axis=1)
+        numeric[scenario] = values.reshape(len(_N_GRID), -1)
         results.append(_result(f"vacuum_entropy_curve_{scenario.value}", gaps.max(), 1e-10,
-                               detail="41-point density grid"))
-    worst_lam = 0.0
-    for n in (0.5, 1.0, 2.0, 3.0, 3.5):
-        values = entropy_numeric(BogolyubovCoefficients.stack(
-            from_density(Scenario.CHARGE_ONLY, n, lam) for lam in (0.0, 0.25, 0.5, 0.75, 1.0)), 0)
-        worst_lam = max(worst_lam, values.max() - values.min())
-    results.append(_result("vacuum_entropy_lambda_independence", worst_lam, 1e-10))
-    # The same grid point holds charge density n and spinless density n/2.
-    worst_rel = _worst(numeric[Scenario.CHARGE_ONLY] - 2.0 * numeric[Scenario.SPINLESS])
+                               detail=f"{n.size}-point (n, lambda) grid"))
+    charge = numeric[Scenario.CHARGE_ONLY]
+    spread = charge.max(axis=1) - charge.min(axis=1)
+    results.append(_result("vacuum_entropy_lambda_independence", spread.max(), 1e-10))
+    # Grid row k holds charge density n and spinless density n/2.
+    worst_rel = _worst(charge - 2.0 * numeric[Scenario.SPINLESS])
     results.append(_result("spinful_spinless_scaling", worst_rel, 1e-12))
     return results
 
 
-def _check_excited_catalogue() -> list[CheckResult]:
-    results = []
+def _check_unitary_stacks() -> list[CheckResult]:
+    """Excited catalogue, conservation and complementary checks on one stack per scenario.
+
+    The dense unitaries are built once on a coarse slice of the grid:
+    every fourth density and, under charge-only, lambda in {0.1, 0.5,
+    0.9}.  The charge-only stack, whose spin-preserving channel is open,
+    witnesses that J_z commutation can fail.
+    """
+    catalogue = []
+    jz = fock.spin_z_operator()
+    jz_commutators = {}
+    worst_charge = 0.0
+    worst_complementary = 0.0
     for scenario in Scenario:
-        lambdas = (0.1, 0.5, 0.9) if scenario is Scenario.CHARGE_ONLY else (1.0,)
-        densities = [d for d in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0) if d <= scenario.n_max]
-        points = [(n, lam) for n in densities for lam in lambdas]
-        unitaries = unitary_for(BogolyubovCoefficients.stack(
-            from_density(scenario, n, lam) for n, lam in points))
-        n, lam = np.array(points).T
+        n, lam, sets = _grid_sets(scenario)
+        rows = np.arange(n.size).reshape(len(_N_GRID), -1)[::4]
+        pick = (rows[:, 1::4] if scenario is Scenario.CHARGE_ONLY else rows).ravel()
+        unitaries = unitary_for(BogolyubovCoefficients(scenario, sets.a[pick], sets.beta[pick]))
+        charge = fock.charge_operator(scenario.n_modes)
+        worst_charge = max(worst_charge, _worst(unitaries @ charge - charge @ unitaries))
+        if scenario is not Scenario.SPINLESS:
+            jz_commutators[scenario] = _worst(unitaries @ jz - jz @ unitaries)
         worst = 0.0
         for occupation in range(fock.dimension(scenario.n_modes)):
-            numeric = fock.subsystem_entropy(unitaries[..., occupation], scenario.particle_modes)
-            closed = entropy_excited_closed_form(occupation, n, lam, scenario)
-            worst = max(worst, _worst(numeric - closed))
-        results.append(_result(f"excited_entropy_catalogue_{scenario.value}", worst, 1e-10,
-                               detail="every occupation, numeric route authoritative"))
-    return results
-
-
-def _check_conservation() -> list[CheckResult]:
-    results = []
-    worst_charge = 0.0
-    for scenario in Scenario:
-        charge = fock.charge_operator(scenario.n_modes)
-        unitaries = unitary_for(BogolyubovCoefficients.stack(
-            from_density(scenario, n * scenario.n_max / 4.0, 0.4, (0.2, 1.0, -0.5, 0.0))
-            for n in (0.5, 1.5, 2.5)))
-        worst_charge = max(worst_charge, _worst(unitaries @ charge - charge @ unitaries))
-    results.append(_result("charge_commutation", worst_charge, 1e-12,
-                           detail="all scenarios"))
-    jz = fock.spin_z_operator()
-    cam = from_density(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 2.0)
-    u_cam = unitary_for(cam)
-    residual_cam = float(np.max(np.abs(u_cam @ jz - jz @ u_cam)))
-    witness_set = from_density(Scenario.CHARGE_ONLY, 2.0, lam=0.2)
-    u_witness = unitary_for(witness_set)
-    witness = float(np.max(np.abs(u_witness @ jz - jz @ u_witness)))
-    ok = residual_cam <= 1e-12 and witness > 1e-3
-    results.append(_result(
-        "angular_momentum_commutation", residual_cam, 1e-12, passed=ok,
-        detail=f"conserving scenario commutes; spin-preserving channel witness "
-               f"violation {witness:.3e} > 1e-3"))
-    return results
+            evolved = unitaries[..., occupation]
+            s_particle = fock.subsystem_entropy(evolved, scenario.particle_modes)
+            s_anti = fock.subsystem_entropy(evolved, scenario.antiparticle_modes)
+            closed = entropy_excited_closed_form(occupation, n[pick], lam[pick], scenario)
+            worst = max(worst, _worst(s_particle - closed))
+            worst_complementary = max(worst_complementary, _worst(s_particle - s_anti))
+        catalogue.append(_result(f"excited_entropy_catalogue_{scenario.value}", worst, 1e-10,
+                                 detail="every occupation, numeric route authoritative"))
+    residual_cam = jz_commutators[Scenario.CHARGE_AND_ANGULAR_MOMENTUM]
+    witness = jz_commutators[Scenario.CHARGE_ONLY]
+    return [
+        *catalogue,
+        _result("charge_commutation", worst_charge, 1e-12, detail="all scenarios"),
+        _result("angular_momentum_commutation", residual_cam, 1e-12,
+                passed=residual_cam <= 1e-12 and witness > 1e-3,
+                detail=f"conserving scenario commutes; spin-preserving channel witness "
+                       f"violation {witness:.3e} > 1e-3"),
+        _result("complementary_reduction_entropy", worst_complementary, 1e-10),
+    ]
 
 
 def _check_concavity() -> CheckResult:
@@ -324,29 +325,12 @@ def _check_concavity() -> CheckResult:
                    detail="second differences nonpositive on the interior grid")
 
 
-def _check_complementary_reductions(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed + 3)
-    worst = 0.0
-    for scenario in Scenario:
-        sets, occupations = [], []
-        for _ in range(10):
-            sets.append(random_coefficients(scenario, rng))
-            occupations.append(int(rng.integers(fock.dimension(scenario.n_modes))))
-        unitaries = unitary_for(BogolyubovCoefficients.stack(sets))
-        evolved = unitaries[np.arange(len(sets)), :, occupations]
-        s_particle = fock.subsystem_entropy(evolved, scenario.particle_modes)
-        s_anti = fock.subsystem_entropy(evolved, scenario.antiparticle_modes)
-        worst = max(worst, _worst(s_particle - s_anti))
-    return _result("complementary_reduction_entropy", worst, 1e-10)
-
-
 def run_all(seed: int = DEFAULT_SEED, batch: int = 100) -> list[CheckResult]:
     """Run the full identity suite; deterministic for a fixed seed.
 
-    ``batch`` is the number of seeded draws per scenario for every
-    oracle check but the complementary reductions.  It must be at least
-    1, so that no check passes vacuously, and at most MAX_BATCH.
-    ``seed`` must be nonnegative.
+    ``seed`` and ``batch`` drive the seeded pass alone: ``batch`` is its
+    number of draws per scenario, at least 1, so that no check passes
+    vacuously, and at most MAX_BATCH.  ``seed`` must be nonnegative.
     """
     if not 1 <= batch <= MAX_BATCH:
         raise ValueError(f"batch must be between 1 and {MAX_BATCH}, got {batch}")
@@ -359,10 +343,10 @@ def run_all(seed: int = DEFAULT_SEED, batch: int = 100) -> list[CheckResult]:
     results.extend(_check_generator_structure())
     results.extend(_check_factorization(seed, batch))
     results.extend(_check_vacuum_curves())
-    results.extend(_check_excited_catalogue())
-    results.extend(_check_conservation())
+    *stacked, complementary = _check_unitary_stacks()
+    results.extend(stacked)
     results.append(_check_concavity())
-    results.append(_check_complementary_reductions(seed))
+    results.append(complementary)
     return results
 
 

@@ -185,19 +185,6 @@ def test_mu_nu_momentum_conserving_midpoint():
     assert np.max(np.abs(mu - np.eye(4) / math.sqrt(2))) <= 1e-12
 
 
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-def test_mu_nu_round_trip_and_constraints(scenario):
-    eye = np.eye(scenario.n_modes)
-    for c in seeded_sets(scenario, 25, seed=11):
-        theta = bg.theta_from_coefficients(c)
-        mu, nu = bg.mu_nu_from_theta(theta)
-        mu_ref, nu_ref = bg.expected_pair_mixing(c)
-        assert np.max(np.abs(mu - mu_ref)) <= 1e-12
-        assert np.max(np.abs(nu - nu_ref)) <= 1e-12
-        assert np.max(np.abs(mu @ mu.conj().T + nu @ nu.conj().T - eye)) <= 1e-12
-        assert np.max(np.abs(mu @ nu.T + nu @ mu.T)) <= 1e-12
-
-
 def test_mu_nu_rejects_non_antisymmetric():
     with pytest.raises(ValueError):
         bg.mu_nu_from_theta(np.eye(4, dtype=complex))

@@ -24,6 +24,14 @@ def test_parse_grid_list_and_scalar():
     assert cli.parse_grid("2") == [2.0]
 
 
+def test_a_negative_zero_is_read_as_zero(capsys):
+    assert cli.main(["sweep", "--scenario", "spinless", "--n", "-0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[2] == "0"
+    assert cli.main(["sweep", "--scenario", "charge", "--n", "1", "--lambda", "-0",
+                     "--format", "json"]) == 0
+    assert '"lambda": 0.0,' in capsys.readouterr().out
+
+
 def test_parse_grid_errors():
     for bad in ("", "1:2", "1:2:-1", "3:1:0.5"):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ from cosmopair.bogoliubov import (
     random_coefficients,
     theta_from_coefficients,
 )
-from cosmopair.expansions import A_DOWN, P_UP, closed_form_expansion
+from cosmopair.expansions import A_DOWN, FULL, P_BOTH, P_UP, UP_UP, VAC, closed_form_expansion
 from cosmopair.squeezing import (
     apply_decoupled,
     build_generator,
@@ -173,6 +173,8 @@ UNIT_IDENTITIES = {
     "ladder_anticommutators_4_modes": 1e-14,
     "coefficient_constraints_grid": 1e-12,
     "pair_sum_nilpotency": 1e-14,
+    "mixing_matrix_reconstruction": 1e-12,
+    "mixing_matrix_algebra": 1e-12,
     **{f"vacuum_expansion_{s.value}": 1e-10 for s in Scenario},
     **{f"excited_expansions_{s.value}": 1e-10 for s in Scenario},
     "angular_momentum_commutation": 1e-12,
@@ -212,12 +214,72 @@ def test_reduced_coherence_cross_terms_fails_without_the_down_up_phase(monkeypat
     real_grid_sets = verify._grid_sets
 
     def dropped_phase(scenario):
-        sets = real_grid_sets(scenario)
+        n, lam, sets = real_grid_sets(scenario)
         beta = np.array(sets.beta)
         beta[:, DOWN, UP] = np.abs(beta[:, DOWN, UP])
-        return BogolyubovCoefficients(scenario, sets.a, beta)
+        return n, lam, BogolyubovCoefficients(scenario, sets.a, beta)
 
     monkeypatch.setattr(verify, "_grid_sets", dropped_phase)
     results = {r.name: r for r in verify._check_constraints()}
     assert not results["reduced_coherence_cross_terms"].passed
     assert results["reduced_coherence_cross_terms"].residual > 1e-3
+
+
+def test_seed_moves_only_the_seeded_pass():
+    seeded = {r.name for r in verify._check_factorization(0, 1)}
+    first, second = verify.run_all(seed=0, batch=1), verify.run_all(seed=1, batch=1)
+    fixed = [(r.name, r.residual, r.detail) for r in first if r.name not in seeded]
+    assert len(seeded) == 12 and len(fixed) == len(first) - 12
+    assert fixed == [(r.name, r.residual, r.detail) for r in second if r.name not in seeded]
+
+
+def rotation(scenario, row, column, angle):
+    """Near-identity rotation of the scenario's Fock space joining two basis states."""
+    joined = np.eye(fock.dimension(scenario.n_modes))
+    joined[row, column], joined[column, row] = -angle, angle
+    return joined
+
+
+# (label, scenario, basis states joined, angle, the one check that fails).
+# VAC and P_BOTH differ in charge, VAC and UP_UP in J_z; VAC and FULL share
+# both, so only the entanglement moves.
+STACK_PERTURBATIONS = [
+    ("charge", Scenario.CHARGE_ONLY, VAC, P_BOTH, 1e-11, "charge_commutation"),
+    ("jz", Scenario.CHARGE_AND_ANGULAR_MOMENTUM, VAC, UP_UP, 1e-11,
+     "angular_momentum_commutation"),
+    ("catalogue", Scenario.CHARGE_ONLY, VAC, FULL, 1e-8, "excited_entropy_catalogue_charge"),
+]
+
+
+@pytest.mark.parametrize("scenario, row, column, angle, check", [
+    pytest.param(*case, id=label) for label, *case in STACK_PERTURBATIONS])
+def test_each_unitary_stack_check_fails_alone_on_a_perturbed_stack(scenario, row, column,
+                                                                   angle, check, monkeypatch):
+    real_unitary_for = verify.unitary_for
+
+    def perturbed(sets):
+        unitaries = real_unitary_for(sets)
+        if sets.scenario is scenario:
+            unitaries = rotation(scenario, row, column, angle) @ unitaries
+        return unitaries
+
+    monkeypatch.setattr(verify, "unitary_for", perturbed)
+    results = verify._check_unitary_stacks()
+    assert [r.name for r in results if not r.passed] == [check]
+
+
+def test_complementary_reduction_entropy_fails_alone_on_a_perturbed_antiparticle_half(
+        monkeypatch):
+    # Both halves of any vector share their nonzero spectrum, so no perturbed
+    # stack splits them: the antiparticle reduction is perturbed instead.
+    real_entropy = fock.subsystem_entropy
+
+    def perturbed(states, keep):
+        entropy = real_entropy(states, keep)
+        if tuple(keep) == Scenario.SPINLESS.antiparticle_modes:
+            entropy = entropy + 1e-9
+        return entropy
+
+    monkeypatch.setattr(fock, "subsystem_entropy", perturbed)
+    results = verify._check_unitary_stacks()
+    assert [r.name for r in results if not r.passed] == ["complementary_reduction_entropy"]
