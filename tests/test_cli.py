@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -30,6 +31,16 @@ def test_a_negative_zero_is_read_as_zero(capsys):
     assert cli.main(["sweep", "--scenario", "charge", "--n", "1", "--lambda", "-0",
                      "--format", "json"]) == 0
     assert '"lambda": 0.0,' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("parse, text", [
+    (cli.parse_grid, "-0"),
+    (cli.parse_grid, "-0,1"),
+    (cli.parse_momentum_grid, "-0,1"),
+    (cli._parse_direction, "-0,-0,1"),
+])
+def test_every_spec_parser_reads_a_negative_zero_as_zero(parse, text):
+    assert all(math.copysign(1.0, value) == 1.0 for value in parse(text))
 
 
 def test_parse_grid_errors():

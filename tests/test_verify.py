@@ -11,6 +11,7 @@ from cosmopair.bogoliubov import (
     BogolyubovCoefficients,
     Scenario,
     expected_pair_mixing,
+    from_density,
     random_coefficients,
     theta_from_coefficients,
 )
@@ -223,6 +224,21 @@ def test_reduced_coherence_cross_terms_fails_without_the_down_up_phase(monkeypat
     results = {r.name: r for r in verify._check_constraints()}
     assert not results["reduced_coherence_cross_terms"].passed
     assert results["reduced_coherence_cross_terms"].residual > 1e-3
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+def test_grid_sets_pair_each_point_with_its_set_lambda_fastest(scenario):
+    n, lam, sets = verify._grid_sets(scenario)
+    assert verify._grid_sets(scenario)[2] is sets
+    assert not n.flags.writeable and not lam.flags.writeable
+    lambdas = verify._LAMBDA_GRID if scenario is Scenario.CHARGE_ONLY else [1.0]
+    assert n.shape == lam.shape == (len(verify._N_GRID) * len(lambdas),)
+    assert list(lam[:len(lambdas)]) == lambdas and not n[:len(lambdas)].any()
+    assert n[-1] == scenario.n_max
+    for k in range(len(n)):
+        single = from_density(scenario, n[k], lam[k], (0.3, -0.8, 1.7, 0.4))
+        assert np.array_equal(sets.beta[k], single.beta)
+        assert np.array_equal(sets.a[k], single.a)
 
 
 def test_seed_moves_only_the_seeded_pass():
