@@ -27,6 +27,7 @@ build one set.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from collections.abc import Iterable
@@ -216,20 +217,22 @@ def from_density(scenario: Scenario, n: float, lam: float = 0.5,
         raise ValueError("phases must supply four angles")
     p1, p2, p3, p4 = (float(p) for p in phases)
     a = math.sqrt((n_max - n) / n_max)
-    beta = np.zeros((2, 2), dtype=complex)
+    # Built over Python complex: four numpy scalar exps cost more than the
+    # rest of the call, and cmath.exp rounds the same.
+    beta = [[0j, 0j], [0j, 0j]]
     if scenario is Scenario.CHARGE_ONLY:
         diag = math.sqrt((1.0 - lam) * n / 4.0)
         off = math.sqrt(lam * n / 4.0)
-        beta[UP, UP] = diag * np.exp(1j * (p1 + p4))
-        beta[UP, DOWN] = off * np.exp(1j * (p2 + p4))
-        beta[DOWN, DOWN] = diag * np.exp(1j * (p3 + p4))
-        beta[DOWN, UP] = off * np.exp(1j * (p1 - p2 + p3 + math.pi + p4))
+        beta[UP][UP] = diag * cmath.exp(1j * (p1 + p4))
+        beta[UP][DOWN] = off * cmath.exp(1j * (p2 + p4))
+        beta[DOWN][DOWN] = diag * cmath.exp(1j * (p3 + p4))
+        beta[DOWN][UP] = off * cmath.exp(1j * (p1 - p2 + p3 + math.pi + p4))
     elif scenario is Scenario.CHARGE_AND_ANGULAR_MOMENTUM:
         off = math.sqrt(n / 4.0)
-        beta[UP, DOWN] = off * np.exp(1j * (p2 + p4))
-        beta[DOWN, UP] = off * np.exp(1j * (p3 + p4))
+        beta[UP][DOWN] = off * cmath.exp(1j * (p2 + p4))
+        beta[DOWN][UP] = off * cmath.exp(1j * (p3 + p4))
     else:
-        beta[UP, DOWN] = math.sqrt(n / 2.0) * np.exp(1j * (p1 + p4))
+        beta[UP][DOWN] = math.sqrt(n / 2.0) * cmath.exp(1j * (p1 + p4))
     return BogolyubovCoefficients(scenario=scenario, a=a, beta=beta)
 
 

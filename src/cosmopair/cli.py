@@ -21,11 +21,14 @@ import math
 import os
 import sys
 
-from cosmopair import verify as verify_mod
-from cosmopair.bogoliubov import Scenario
-from cosmopair.dynamics import (FLAT, IntegrationError, ScaleFactorProfile, check_point,
-                                momentum_point)
-from cosmopair.entanglement import sweep
+# The operators are at most 16 x 16: a BLAS thread pool costs more to start than it saves.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from cosmopair import verify as verify_mod  # noqa: E402
+from cosmopair.bogoliubov import Scenario  # noqa: E402
+from cosmopair.dynamics import (FLAT, IntegrationError, ScaleFactorProfile,  # noqa: E402
+                                check_point, momentum_point)
+from cosmopair.entanglement import sweep  # noqa: E402
 
 __all__ = ["main", "parse_grid", "parse_momentum_grid",
            "state_token_to_occupation", "occupation_to_state_token"]

@@ -63,12 +63,11 @@ __all__ = [
 
 # Coefficient sets that ``sweep`` stacks per ``score`` call.
 # Each block costs a fixed number of numpy calls, so larger blocks pay
-# less per set.  On the 4411-point charge sweep (2-vCPU x86_64, numpy
-# 2.4) the in-process time is about 380 ms at 16, 265 ms at 64 and
-# 255 ms at 128; at 256 the (256 x 16) @ (16 x 24) pair product of
-# ``build_generator`` makes OpenBLAS start worker threads, which double
-# the CPU time.  The command's peak RSS is flat up to 128 and grows
-# beyond it: +1.4 MB at 256, +4.9 MB at 512.
+# less per set, down to a floor.  On the 4411-point charge sweep (2-vCPU
+# x86_64, numpy 2.4, one BLAS thread as the CLI runs it) the in-process
+# time is about 380 ms at 16 and flat at 200-240 ms from 64 to 512, so
+# peak RSS sets the block: the command's is flat up to 128 and grows
+# beyond it, +1.4 MB at 256 and +4.9 MB at 512.
 SCORE_BLOCK = 128
 
 

@@ -26,6 +26,7 @@ float.  ``partial_trace`` takes one operator.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -173,36 +174,49 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     encoding, so the reduced basis index packs the kept modes in
     increasing mode order.  Trace and Hermiticity are preserved; diagonal
     occupation probabilities are exact sums of the input diagonal.
-
-    rho is reshaped to a tensor of 2n binary axes, n row axes then n
-    column axes.  The reshape is row-major, so bit i of a basis index
-    (the occupation of mode i) is axis n-1-i of its half; the traced
-    modes share a label between their row and column axes and are summed
-    in one ``einsum``.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0] if rho.ndim == 2 else 0
     n_modes = dim.bit_length() - 1
     if rho.shape != (dim, dim) or n_modes < 1 or dimension(n_modes) != dim:
         raise ValueError(f"operator shape {rho.shape} is not (2**n, 2**n) with n >= 1")
-    keep = sorted(set(int(m) for m in keep))
+    keep = sorted({int(m) for m in keep})
     if not keep:
         raise ValueError("keep must be a nonempty set of modes")
     if keep[0] < 0 or keep[-1] >= n_modes:
         raise ValueError(f"keep {keep} is not a subset of range({n_modes})")
     if len(keep) == n_modes:
         return rho.copy()
-    # Bit i of an index maps to tensor axis n-1-i (row half) and 2n-1-i
-    # (column half).  Mode m labels its row axis m and its column axis
-    # n + m; a traced mode reuses its row label on the column axis.
-    axis_modes = range(n_modes - 1, -1, -1)
-    row_labels = list(axis_modes)
-    col_labels = [n_modes + m if m in keep else m for m in axis_modes]
-    out_labels = list(reversed(keep)) + [n_modes + m for m in reversed(keep)]
+    shape, subscripts = _trace_plan(n_modes, tuple(keep))
     dim_keep = dimension(len(keep))
-    reduced = np.einsum(rho.reshape((2,) * (2 * n_modes)), row_labels + col_labels,
-                        out_labels)
-    return reduced.reshape(dim_keep, dim_keep)
+    return np.einsum(subscripts, rho.reshape(shape)).reshape(dim_keep, dim_keep)
+
+
+@functools.lru_cache(maxsize=None)
+def _trace_plan(n_modes: int, keep: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
+    """Tensor shape and ``einsum`` subscripts that trace out every mode not in keep.
+
+    The row-major reshape puts bit i of a basis index (the occupation of
+    mode i) at axis n-1-i of its half, so modes run from n-1 down to 0
+    along the axes.  Each run of adjacent modes that are all kept or all
+    traced becomes one axis of 2**run entries, the same in the row and
+    the column half.  A traced run shares its label between the two
+    halves and is summed; the kept runs keep their order, which packs
+    the kept modes in increasing mode order.
+    """
+    shape, rows, cols, kept_rows, kept_cols = [], [], [], [], []
+    labels = iter("abcdefghijklmnopqrstuvwxyz")
+    for kept, run in itertools.groupby(range(n_modes - 1, -1, -1), key=keep.__contains__):
+        shape.append(2 ** len(list(run)))
+        row = next(labels)
+        col = next(labels) if kept else row
+        rows.append(row)
+        cols.append(col)
+        if kept:
+            kept_rows.append(row)
+            kept_cols.append(col)
+    subscripts = "".join(rows + cols) + "->" + "".join(kept_rows + kept_cols)
+    return tuple(shape) * 2, subscripts
 
 
 def validate_density_operator(rho: np.ndarray) -> np.ndarray:

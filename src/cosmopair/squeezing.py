@@ -102,8 +102,7 @@ def _pair_sum(theta: np.ndarray) -> np.ndarray:
     dim = fock.dimension(n)
     batch = theta.shape[:-2]
     # Only the support is multiplied out (24 of 256 entries for 4 modes):
-    # the full (n*n, dim*dim) product is large enough for OpenBLAS to start
-    # worker threads, which burn more CPU time than they save.
+    # the full (n*n, dim*dim) product does ten times the work for zeros.
     support, values = _pair_products(n)
     flat = np.zeros((*batch, dim * dim), dtype=complex)
     flat[..., support] = theta.reshape(*batch, n * n) @ values

@@ -62,11 +62,10 @@ _N_GRID = [0.25 * k for k in range(17)]           # 0 .. 4
 _LAMBDA_GRID = [0.1 * k for k in range(11)]       # 0 .. 1
 
 # Coefficient sets that the seeded pass and the grid scoring stack per call.
-# Peak memory grows with the block: stacking all 200 draws of
-# ``verify --batch 200`` raises its peak RSS by about 7 MB (17 %), blocks
-# of 16 by under 0.5 MB, and each stacked 16 x 16 product stays small
-# enough that OpenBLAS starts no worker threads.  Scoring the 187-point
-# charge grid in one stack costs a cold run about 900 page faults.
+# Peak memory grows with the block, so it sets the size: stacking all 200
+# draws of ``verify --batch 200`` raises its peak RSS by about 7 MB (17 %),
+# blocks of 16 by under 0.5 MB.  Scoring the 187-point charge grid in one
+# stack costs a cold run about 900 page faults.
 STACK_BLOCK = 16
 # The bound grids have: a draw costs about 0.5 ms, so 10**9 would take days.
 MAX_BATCH = 10**6

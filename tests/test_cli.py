@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -418,11 +419,19 @@ def test_an_unwritable_output_is_a_usage_error(argv, where, reason, tmp_path, ca
                                        f"{path}: {reason}")
 
 
-def _run_cli(argv, timeout: float) -> subprocess.CompletedProcess:
-    """Python with argv in a child process over this checkout's ``src/``, killed after timeout."""
+def _run_cli(argv, timeout: float, **environ) -> subprocess.CompletedProcess:
+    """Python with argv in a child process over this checkout's ``src/``, killed after timeout.
+
+    Each keyword sets an environment variable of the child; None removes it.
+    """
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for key, value in environ.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
                           timeout=timeout)
 
@@ -557,3 +566,30 @@ def test_importing_the_cli_loads_no_more_of_numpy_random_than_numpy_does():
             ("numpy", "cosmopair.cli")]
     assert all(d.returncode == 0 for d in done), [d.stderr for d in done]
     assert done[1].stdout == done[0].stdout
+
+
+@pytest.mark.parametrize("module, preset, seen", [
+    ("cosmopair.cli", None, "1"),
+    # a value the user set is kept
+    ("cosmopair.cli", "3", "3"),
+    # the library modules leave BLAS threading to the caller
+    ("cosmopair.bogoliubov", None, "None"),
+])
+def test_the_cli_runs_blas_on_one_thread_unless_told_otherwise(module, preset, seen):
+    script = f"import os, {module}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = _run_cli(["-c", script], timeout=60, OPENBLAS_NUM_THREADS=preset)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == seen
+
+
+def test_the_blas_thread_count_is_set_before_the_first_cosmopair_import():
+    """OpenBLAS reads the variable once, when numpy loads it; every cosmopair import loads numpy."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    pin = next(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and ast.unparse(node) == "os.environ.setdefault('OPENBLAS_NUM_THREADS', '1')")
+    # Any import outside the standard library may load numpy.
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    first_outside = min(node.lineno for node in imports
+                        if (getattr(node, "module", None) or node.names[0].name).split(".")[0]
+                        not in sys.stdlib_module_names)
+    assert pin < first_outside

@@ -157,6 +157,39 @@ def test_partial_trace_matches_block_sum_reference(n_modes):
                 assert np.max(np.abs(reduced - reference)) <= 1e-14
 
 
+def partial_trace_bit_loop(rho, keep, n_modes):
+    """The definition itself: add rho[i, j] to the kept-bit entry when i and j agree off keep."""
+    keep = sorted(keep)
+    traced_mask = sum(1 << m for m in range(n_modes) if m not in keep)
+    dim = 1 << n_modes
+    reduced = np.zeros((1 << len(keep), 1 << len(keep)), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            if i & traced_mask == j & traced_mask:
+                row = sum((i >> m & 1) << k for k, m in enumerate(keep))
+                col = sum((j >> m & 1) << k for k, m in enumerate(keep))
+                reduced[row, col] += rho[i, j]
+    return reduced
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+def test_partial_trace_matches_the_bit_loop_sum_for_every_keep(n_modes):
+    rng = np.random.default_rng(700 + n_modes)
+    dim = fock.dimension(n_modes)
+    rho = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    for size in range(1, n_modes + 1):
+        for keep in itertools.combinations(range(n_modes), size):
+            reference = partial_trace_bit_loop(rho, keep, n_modes)
+            assert np.max(np.abs(fock.partial_trace(rho, keep) - reference)) <= 1e-14
+
+
+def test_partial_trace_merges_adjacent_modes_into_one_axis():
+    # Keeping the low pair of four modes traces one axis of four entries.
+    shape, subscripts = fock._trace_plan(4, (0, 1))
+    assert shape == (4, 4, 4, 4)
+    assert subscripts.split("->")[0][0] == subscripts.split("->")[0][2]
+
+
 def test_partial_trace_keeping_every_mode_copies():
     rho = fock.outer_product(fock.basis_state(1, 2))
     reduced = fock.partial_trace(rho, [1, 0])
