@@ -4,9 +4,7 @@ Each momentum mode obeys the second-order complex equation
 
     f'' + (|p|**2 + M(tau)**2 - i M'(tau)) f = 0,     M(tau) = m a(tau),
 
-for the branch that feeds the scalar mixing amplitudes; the opposite
-imaginary sign belongs to the conjugate branch, whose complex conjugate
-solves the same equation and supplies the Wronskian check.  Positive
+for the branch that feeds the scalar mixing amplitudes.  Positive
 frequency at early times fixes f = exp(-i E_in tau).  Matching the late
 solution onto A exp(-i E_out tau) + B exp(+i E_out tau) yields the
 scalar amplitudes, which are dressed into a full coefficient set with
@@ -72,10 +70,17 @@ REFINEMENT = 2.0
 MIN_OUT_ENERGY = 1e-9
 # Largest phase max(E_in, E_out) * (tau1 - tau0), in radians, that one
 # integration may sweep; the stepper takes about 2.4 steps per radian at
-# tol = 1e-9.  The widest documented run (|p| = 40) sweeps about 1e3 rad
-# and p = 300 at rho = 0.1 about 7.4e4, while epsilon = 1e14 would sweep
-# about 8e8, some 2e9 steps.
+# tol = 1e-9 once the phase is large (2.37 at |p| = 40, and at p = 30 with
+# rho = 0.1), and about 2 below |p| = 1.  The widest documented run
+# (|p| = 40) sweeps about 1e3 rad and p = 300 at rho = 0.1 about 7.4e4,
+# while epsilon = 1e14 would sweep about 8e8, some 2e9 steps.
 MAX_PHASE = 1e5
+# Longest integration step, in units of the transition time 1 / rho.  A
+# step across the transition keeps its local error within tol but can
+# leave 1.4e-10 in n_created; at 0.5 / rho the tanh-linear oracle reads
+# |dn| <= 5.5e-11 over rho in 10-500 and p in 0.5-5, where 5 of 48 points
+# exceeded 1e-10 uncapped.  At rho <= 1 the cap seldom binds.
+MAX_STEP_RHO = 0.5
 
 
 class IntegrationError(RuntimeError):
@@ -192,43 +197,31 @@ def default_tau_span(profile: ScaleFactorProfile, tol: float) -> tuple[float, fl
 
 @dataclass(frozen=True, eq=False)
 class ModeSolution:
-    """Mode function on the integrator's mesh, its conjugate-branch partner and metadata.
+    """Mode function on the integrator's mesh and metadata.
 
-    ``f``/``f_dot`` hold the positive-frequency branch, ``g``/``g_dot``
-    the solution of the same equation with reversed-frequency initial
-    data (the conjugate of the opposite-sign branch); their Wronskian
-    f g' - f' g is exactly conserved by the equation and monitors the
-    integrator.  The samples are the accepted steps of the adaptive
-    integration, from tau[0] to tau[-1].  ``shifted`` holds (tau, f,
-    f_dot) one out-region oscillation period before tau[-1], or None
-    when that time falls before tau[0] or the mode is degenerate.
+    ``f``/``f_dot`` hold the positive-frequency mode function at the
+    accepted steps of the adaptive integration, from tau[0] to tau[-1].
     ``n_rhs_evaluations`` counts evaluations of the frequency k(tau).
     """
 
     tau: np.ndarray
     f: np.ndarray
     f_dot: np.ndarray
-    g: np.ndarray
-    g_dot: np.ndarray
     mode: Mode
     n_rhs_evaluations: int
-    shifted: tuple[float, complex, complex] | None
 
-    def wronskian(self) -> np.ndarray:
-        return self.f * self.g_dot - self.f_dot * self.g
+    def current_drift(self) -> float:
+        """Relative drift of the mode equation's conserved current over the mesh.
 
-    def wronskian_drift(self) -> float:
-        w = self.wronskian()
-        w0 = w[0]
-        return float(np.max(np.abs(w - w0)) / max(abs(w0), 1e-300))
-
-    def amplitude_bound_excess(self) -> float:
-        """max |f|^2 above the conserved-quantity bound (should be ~0)."""
+        For |p| > 0 the equation conserves Q = |f|**2 + |i f' + M f|**2 / |p|**2
+        (1 + (E_in + m)**2 / |p|**2 initially, so |f|**2 <= Q also bounds
+        the amplitude).  The drift is taken on |p|**2 Q, the same ratio,
+        which stays defined at p = 0.  It should stay near the tolerance.
+        """
         mode = self.mode
-        if mode.p == 0.0:
-            return 0.0
-        bound = 1.0 + (mode.e_in + mode.m) ** 2 / mode.p ** 2
-        return float(max(np.max(np.abs(self.f) ** 2) - bound, 0.0))
+        mass = mode.m * np.array([mode.profile.a(tau) for tau in self.tau.tolist()])
+        q = mode.p ** 2 * np.abs(self.f) ** 2 + np.abs(1j * self.f_dot + mass * self.f) ** 2
+        return float(np.max(np.abs(q - q[0])) / max(q[0], 1e-300))
 
 
 def _check_tolerance(tol: float) -> None:
@@ -264,6 +257,10 @@ def check_point(p_vec, m: float, profile: ScaleFactorProfile,
     sweep more than MAX_PHASE radians over the span, which is sized for
     tol / REFINEMENT.  A grid of momenta along one direction passes when
     its largest |p| (the most phase) and its smallest nonzero |p| do.
+    A point inside this domain can still fail, with IntegrationError
+    rather than ValueError: a degenerate mode, whose out-region energy
+    sqrt(|p|**2 + (m a_out)**2) is below MIN_OUT_ENERGY = 1e-9 (p = 0
+    with m = 0, say), has no plane waves to match.
     """
     _check_tolerance(tol)
     if not tol / REFINEMENT >= TOL_MIN:
@@ -340,12 +337,12 @@ _E3 = tuple(b - d for b, d in zip(_B, _dense({0: 0.24409448818897637795275590551
 # error estimator is of order 7.
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
-_State = tuple[complex, complex, complex, complex]
+_State = tuple[complex, complex]
 
 
 def _derivative(y: _State, k: complex) -> _State:
-    """(f, f', g, g')' for f'' = -k f and g'' = -k g."""
-    return y[1], -k * y[0], y[3], -k * y[2]
+    """(f, f')' for f'' = -k f."""
+    return y[1], -k * y[0]
 
 
 def _compile_step(c, a, b, e5, e3):
@@ -361,27 +358,25 @@ def _compile_step(c, a, b, e5, e3):
     rounds exactly as a loop over the dense rows does; the tests keep that
     loop as the reference.  This is the integrator's hot path.
     """
-    comps = ("f", "fd", "g", "gd")
+    comps = ("f", "fd")
 
     def weighted(row, comp: str) -> str:
         return " + ".join(f"{w!r} * d{comp}{j}" for j, w in enumerate(row) if w)
 
     lines = ["def step(k_of, t, y, dy, h, rtol, atol):",
-             "    f, fd, g, gd = y",
-             "    df0, dfd0, dg0, dgd0 = dy"]
+             "    f, fd = y",
+             "    df0, dfd0 = dy"]
     for s, (node, row) in enumerate(zip(c[1:], a), start=1):
         lines += [f"    k = k_of(t + {node!r} * h)",
                   f"    df{s} = fd + h * ({weighted(row, 'fd')})",
-                  f"    dfd{s} = -k * (f + h * ({weighted(row, 'f')}))",
-                  f"    dg{s} = gd + h * ({weighted(row, 'gd')})",
-                  f"    dgd{s} = -k * (g + h * ({weighted(row, 'g')}))"]
+                  f"    dfd{s} = -k * (f + h * ({weighted(row, 'f')}))"]
     for comp in comps:
         lines += [f"    {comp}_new = {comp} + h * ({weighted(b, comp)})",
                   f"    {comp}_scale = atol + max(abs({comp}), abs({comp}_new)) * rtol"]
     for name, row in (("e5", e5), ("e3", e3)):
         lines.append(f"    {name} = " + " + ".join(
             f"abs(({weighted(row, comp)}) / {comp}_scale) ** 2" for comp in comps))
-    lines += ["    y_new = f_new, fd_new, g_new, gd_new",
+    lines += ["    y_new = f_new, fd_new",
               "    if e5 == 0.0 and e3 == 0.0:",
               "        return y_new, k, 0.0",
               f"    return y_new, k, abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {len(comps)})"]
@@ -414,22 +409,21 @@ def _initial_step(k_of, t0: float, t1: float, y0: _State, dy0: _State,
     return min(100.0 * h0, h1, t1 - t0)
 
 
-def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, t_extra: float):
+def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, max_step: float):
     """Adaptive DOP853 from t0 to t1 with rtol = tol and atol = tol / 100.
 
-    Returns the accepted times, the states there and the state at
-    ``t_extra``, reached by one more step from the last accepted time
-    before it (None when t_extra is outside (t0, t1]).  Raises
-    IntegrationError when the step falls below 10 ulp of the time.
+    No step is longer than max_step (as scipy's ``max_step``).  Returns
+    the accepted times and the states there.  Raises IntegrationError
+    when the step falls below 10 ulp of the time.
     """
     rtol, atol = tol, tol * 1e-2
     t, y = t0, y0
     dy = _derivative(y, k_of(t))
-    h_abs = _initial_step(k_of, t0, t1, y, dy, rtol, atol)
-    times, states, extra = [t], [y], None
+    h_abs = min(_initial_step(k_of, t0, t1, y, dy, rtol, atol), max_step)
+    times, states = [t], [y]
     while t < t1:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
+        h_abs = min(max(h_abs, min_step), max_step)
         rejected = False
         while True:
             # Written as "not >=" so that a NaN step, from a non-finite k, fails too.
@@ -446,30 +440,27 @@ def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, t_extra: float):
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
             rejected = True
-        if t < t_extra <= t_new:
-            extra = _step(k_of, t, y, dy, t_extra - t, rtol, atol)[0]
         t, y, dy = t_new, y_new, _derivative(y_new, k_new)
         times.append(t)
         states.append(y)
-    return times, states, extra
+    return times, states
 
 
 def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
                    tol: float = 1e-9) -> ModeSolution:
-    """Integrate the mode equation across the expansion epoch.
+    """Integrate the mode function f and f' across the expansion epoch.
 
     Initial data is exactly positive frequency at tau_span[0].  This
     module's own adaptive DOP853 stepper (rtol = tol, atol = tol / 100,
-    with the step-size controller of scipy's ``solve_ivp``; scipy is not
-    imported, and the tests use it as the oracle) samples the solution
-    at its accepted steps; no dense output is built.  Its step is
-    straight-line code generated at import from the tableau; the tests
-    keep the loop over the tableau rows as its bit-for-bit reference.
-    The period-shifted state that ``extract_scalar_coefficients``
-    matches against comes from one extra step, from the last accepted
-    time before it, no longer than the accepted step there.  Raises a
-    configuration error when the span does not reach the flat
-    asymptotics to within tol on the scale factor, or when the mode
+    steps of at most MAX_STEP_RHO / rho, with the step-size controller
+    of scipy's ``solve_ivp``; scipy is not imported, and the tests use
+    it as the oracle) samples the solution at its accepted steps; no
+    dense output is built.  Its step is straight-line code generated at
+    import from the tableau; the tests keep the loop over the tableau
+    rows as its bit-for-bit reference.
+    Raises a configuration error when the span does not reach the flat
+    asymptotics to within tol on the scale factor (so that the end of
+    the span is a plane-wave region to match in), or when the mode
     would sweep more than ``MAX_PHASE`` radians.
     """
     _check_tolerance(tol)
@@ -494,54 +485,38 @@ def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
         mass, rate = profile.mass_and_rate(tau, m)
         return p2 + mass ** 2 - 1j * rate
 
-    e_in, e_out = mode.e_in, mode.e_out
+    e_in = mode.e_in
     f0 = cmath.exp(-1j * e_in * tau0)
-    g0 = cmath.exp(+1j * e_in * tau0)
-    y0 = (f0, -1j * e_in * f0, g0, +1j * e_in * g0)
-    # No shifted sample for a degenerate mode or a span shorter than a period.
-    tau_shift = tau1 - 2.0 * math.pi / e_out if e_out >= MIN_OUT_ENERGY else -math.inf
-    times, states, at_shift = _dop853(k_of, tau0, tau1, y0, tol, tau_shift)
+    # A flat profile has no transition to resolve.
+    max_step = MAX_STEP_RHO / profile.rho if profile.epsilon > 0.0 else math.inf
+    times, states = _dop853(k_of, tau0, tau1, (f0, -1j * e_in * f0), tol, max_step)
     y = np.array(states).T
-    return ModeSolution(tau=np.array(times), f=y[0], f_dot=y[1], g=y[2], g_dot=y[3],
-                        mode=mode, n_rhs_evaluations=evaluations,
-                        shifted=None if at_shift is None else (tau_shift, *at_shift[:2]))
+    return ModeSolution(tau=np.array(times), f=y[0], f_dot=y[1], mode=mode,
+                        n_rhs_evaluations=evaluations)
 
 
 @dataclass(frozen=True)
 class ScalarBogolyubov:
-    """Scalar mixing amplitudes of one mode plus a stability diagnostic.
-
-    ``shift_residual`` is the change in (a_minus, b_minus) when the
-    matching time moves back by one oscillation period; it should stay
-    within a small multiple of the integration tolerance.
-    """
+    """Scalar mixing amplitudes of one mode."""
 
     a_minus: complex
     b_minus: complex
-    shift_residual: float
-
-
-def _match_plane_waves(f: complex, f_dot: complex, e_out: float,
-                       tau: float) -> tuple[complex, complex]:
-    a = 0.5 * (f + 1j * f_dot / e_out) * np.exp(1j * e_out * tau)
-    b = 0.5 * (f - 1j * f_dot / e_out) * np.exp(-1j * e_out * tau)
-    return complex(a), complex(b)
 
 
 def extract_scalar_coefficients(sol: ModeSolution) -> ScalarBogolyubov:
-    """Match the late-time solution onto in/out plane waves."""
+    """Match the solution at the end of the span onto out-region plane waves.
+
+    Raises IntegrationError for a degenerate mode, whose out-region
+    energy lies below MIN_OUT_ENERGY.
+    """
     e_out = sol.mode.e_out
     if e_out < MIN_OUT_ENERGY:
-        raise IntegrationError("degenerate mode: out-region energy is zero")
-    tau_end = float(sol.tau[-1])
-    a, b = _match_plane_waves(sol.f[-1], sol.f_dot[-1], e_out, tau_end)
-    if sol.shifted is not None:
-        tau_shift, f_shift, f_dot_shift = sol.shifted
-        a2, b2 = _match_plane_waves(f_shift, f_dot_shift, e_out, tau_shift)
-        shift_residual = max(abs(a - a2), abs(b - b2))
-    else:
-        shift_residual = math.nan
-    return ScalarBogolyubov(a_minus=a, b_minus=b, shift_residual=shift_residual)
+        raise IntegrationError(f"degenerate mode: out-region energy {e_out:.3g} is below "
+                               f"MIN_OUT_ENERGY = {MIN_OUT_ENERGY:g}")
+    tau, f, f_dot = float(sol.tau[-1]), sol.f[-1], sol.f_dot[-1]
+    a = 0.5 * (f + 1j * f_dot / e_out) * np.exp(1j * e_out * tau)
+    b = 0.5 * (f - 1j * f_dot / e_out) * np.exp(-1j * e_out * tau)
+    return ScalarBogolyubov(a_minus=complex(a), b_minus=complex(b))
 
 
 def spinor_contraction(p_vec) -> np.ndarray:

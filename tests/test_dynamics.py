@@ -5,7 +5,7 @@ from operator import add, mul
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SCENARIOS
@@ -183,18 +183,27 @@ def test_tolerance_range_enforced():
         dyn.integrate_mode(mode, tol=math.nan)
 
 
-def test_wronskian_conserved_and_amplitude_bounded():
-    tol = 1e-9
-    sol = dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH), tol=tol)
-    assert sol.wronskian_drift() <= 100 * tol
-    assert sol.amplitude_bound_excess() <= 100 * tol
+# At p = 0 the drift is taken on |i f' + M f|**2, which the equation also conserves.
+CURRENT_MOMENTA = (0.0, 0.1, 1.0, 12.0)
 
 
-def test_extraction_stable_under_period_shift():
+def current_drifts(tol: float = 1e-9) -> list[float]:
+    return [dyn.integrate_mode(dyn.Mode((p, 0.0, 0.0), 1.0, TANH), tol=tol).current_drift()
+            for p in CURRENT_MOMENTA]
+
+
+def test_current_is_conserved():
+    # Measured 6.8e-10, 5.8e-10, 9.6e-10 and 5.7e-9 at tol = 1e-9.
     tol = 1e-9
-    scalar = dyn.extract_scalar_coefficients(
-        dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH), tol=tol))
-    assert scalar.shift_residual <= 10 * tol
+    assert max(current_drifts(tol)) <= 100 * tol
+
+
+def test_current_drift_catches_a_wrong_tableau_weight(monkeypatch):
+    # One weight off by 1e-6 relative moves the current by 1.4e-6 or more.
+    weights = tuple(b * (1.0 + 1e-6) if j == 0 else b for j, b in enumerate(dyn._B))
+    monkeypatch.setattr(dyn, "_step", dyn._compile_step(dyn._C, dyn._A, weights,
+                                                        dyn._E5, dyn._E3))
+    assert min(current_drifts()) > 100 * 1e-9
 
 
 def test_self_convergence_under_tolerance_refinement():
@@ -326,10 +335,12 @@ def test_density_falls_off_at_large_momentum():
     assert densities[-1] < 1e-6 * max(densities)
 
 
-def test_degenerate_mode_rejected():
-    mode = dyn.Mode((0.0, 0.0, 0.0), 0.0, FLAT)
-    with pytest.raises((dyn.IntegrationError, ValueError)):
-        sol = dyn.integrate_mode(mode, tau_span=(-5.0, 5.0), tol=1e-9)
+@pytest.mark.parametrize("p, m, energy", [(0.0, 0.0, "0"), (5e-10, 1e-10, "5.29e-10")])
+def test_degenerate_mode_rejected(p, m, energy):
+    # The integration succeeds; only the matching refuses, naming the energy.
+    sol = dyn.integrate_mode(dyn.Mode((p, 0.0, 0.0), m, TANH))
+    with pytest.raises(dyn.IntegrationError,
+                       match=f"out-region energy {energy} is below MIN_OUT_ENERGY = 1e-09"):
         dyn.extract_scalar_coefficients(sol)
 
 
@@ -376,6 +387,11 @@ def exact_tanh_linear_density(p: float, m: float, delta: float, rho: float) -> f
 
 
 TANH_POINTS = [(p, rho) for rho in (0.1, 0.5, 1.0, 3.0, 300.0) for p in (0.3, 1.0, 3.0)]
+# Points where DOP853 left more than 1e-10 in n before its steps were
+# capped at MAX_STEP_RHO / rho: 1.0e-10 to 2.2e-10 with the partner g in
+# the state, 1.05e-10 to 1.4e-10 without it.
+HIGH_RHO_POINTS = [(2.0, 10.0), (3.0, 10.0), (3.0, 50.0), (4.0, 50.0), (2.0, 200.0),
+                   (4.0, 300.0), (2.0, 400.0), (4.0, 500.0)]
 
 
 def test_exact_tanh_linear_density_matches_the_sinh_form_and_stays_finite():
@@ -399,7 +415,7 @@ def test_exact_tanh_linear_density_matches_the_sinh_form_and_stays_finite():
 
 
 @pytest.mark.parametrize("p, rho", [
-    *(point for point in TANH_POINTS if point != (3.0, 0.1)),
+    *(point for point in TANH_POINTS + HIGH_RHO_POINTS if point != (3.0, 0.1)),
     pytest.param(3.0, 0.1, marks=pytest.mark.xfail(
         strict=True, raises=dyn.IntegrationError,
         reason="DOP853 leaves a normalization residual of 1.6e-8 at rho = 0.1, p = 3, "
@@ -445,18 +461,14 @@ def weighted_sum(weights, values):
 
 def reference_step(k_of, t, y, dy, h, rtol, atol):
     """One DOP853 step as a loop over the dense tableau rows: the reference for ``dyn._step``."""
-    f, f_dot, g, g_dot = y
-    df, df_dot, dg, dg_dot = stages = tuple([d] for d in dy)
+    f, f_dot = y
+    df, df_dot = stages = tuple([d] for d in dy)
     for c, row in zip(dyn._C[1:], dyn._A):
         k = k_of(t + c * h)
         sf = f + h * weighted_sum(row, df)
         sf_dot = f_dot + h * weighted_sum(row, df_dot)
-        sg = g + h * weighted_sum(row, dg)
-        sg_dot = g_dot + h * weighted_sum(row, dg_dot)
         df.append(sf_dot)
         df_dot.append(-k * sf)
-        dg.append(sg_dot)
-        dg_dot.append(-k * sg)
     y_new = tuple(yi + h * weighted_sum(dyn._B, si) for yi, si in zip(y, stages))
     e5 = e3 = 0.0
     for si, a, b in zip(stages, y, y_new):
@@ -469,11 +481,11 @@ def reference_step(k_of, t, y, dy, h, rtol, atol):
 
 
 def random_step_arguments(k_of, seed: int, count: int = 100):
-    """Seeded (k_of, t, y, dy, h, rtol, atol) for full steps and shorter shifted-sample steps."""
+    """Seeded (k_of, t, y, dy, h, rtol, atol) for full steps and shorter, clipped last steps."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         t = float(rng.uniform(-20.0, 20.0))
-        y = tuple(complex(*rng.normal(size=2)) for _ in range(4))
+        y = tuple(complex(*rng.normal(size=2)) for _ in range(2))
         h = float(10.0 ** rng.uniform(-4.0, 0.0))
         if i % 2:
             h *= float(rng.uniform(0.0, 1.0))
@@ -497,7 +509,7 @@ def test_compiled_step_equals_the_loop_form_on_random_states():
 
 def test_compiled_step_equals_the_loop_form_inside_an_integration(monkeypatch):
     # Every call integrate_mode makes, with its own k_of: accepted steps,
-    # rejected ones and the shorter step to the period-shifted sample.
+    # rejected ones and the last step, clipped to the end of the span.
     calls = []
 
     def recording_step(*args):
@@ -509,11 +521,8 @@ def test_compiled_step_equals_the_loop_form_inside_an_integration(monkeypatch):
     sol = dyn.integrate_mode(dyn.Mode((0.1, 0.0, 0.0), 1.0, TANH))
     monkeypatch.undo()
     accepted = len(sol.tau) - 1
-    assert len(calls) > accepted + 1, "no rejected step to compare"
+    assert len(calls) > accepted, "no rejected step to compare"
     assert steps_off_the_loop_form(step, calls) == 0
-    tau_shift, f_shift, f_dot_shift = sol.shifted
-    assert any(call[1] + call[4] == tau_shift and step(*call)[0][:2] == (f_shift, f_dot_shift)
-               for call in calls)
 
 
 @pytest.mark.parametrize("table, index", [("c", 5), ("a", (7, 3)), ("b", 8), ("e5", 6),
@@ -536,31 +545,30 @@ def test_a_wrong_tableau_digit_breaks_the_equality(table, index):
 
 @pytest.mark.parametrize("tol", [1e-9, 5e-10])
 @pytest.mark.parametrize("p", [0.1, 1.0, 12.0, 40.0])
-def test_stepper_matches_scipy_dop853(p, tol):
-    # scipy's solve_ivp is the oracle: the same method and step-size controller.
+@pytest.mark.parametrize("rho", [1.0, 300.0])
+def test_stepper_matches_scipy_dop853(p, tol, rho):
+    # scipy's solve_ivp is the oracle: the same method and step-size
+    # controller.  At rho = 300 the step cap MAX_STEP_RHO / rho binds.
     from scipy.integrate import solve_ivp
 
-    mode = dyn.Mode((p, 0.0, 0.0), 1.0, TANH)
-    span = dyn.default_tau_span(TANH, tol)
+    profile = dyn.ScaleFactorProfile(1.0, rho)
+    mode = dyn.Mode((p, 0.0, 0.0), 1.0, profile)
+    span = dyn.default_tau_span(profile, tol)
     sol = dyn.integrate_mode(mode, tau_span=span, tol=tol)
     e_in = mode.e_in
 
     def rhs(tau, y):
-        mass, rate = TANH.mass_and_rate(tau, mode.m)
+        mass, rate = profile.mass_and_rate(tau, mode.m)
         k = p * p + mass ** 2 - 1j * rate
-        return [y[1], -k * y[0], y[3], -k * y[2]]
+        return [y[1], -k * y[0]]
 
-    f0, g0 = np.exp(-1j * e_in * span[0]), np.exp(1j * e_in * span[0])
-    y0 = np.array([f0, -1j * e_in * f0, g0, 1j * e_in * g0])
-    ref = solve_ivp(rhs, span, y0, method="DOP853", rtol=tol, atol=tol * 1e-2,
-                    dense_output=True)
+    f0 = np.exp(-1j * e_in * span[0])
+    ref = solve_ivp(rhs, span, np.array([f0, -1j * e_in * f0]), method="DOP853",
+                    rtol=tol, atol=tol * 1e-2, max_step=dyn.MAX_STEP_RHO / rho)
     assert ref.success
     assert len(sol.tau) == len(ref.t)
-    end = np.array([sol.f[-1], sol.f_dot[-1], sol.g[-1], sol.g_dot[-1]])
+    end = np.array([sol.f[-1], sol.f_dot[-1]])
     assert np.max(np.abs(end - ref.y[:, -1])) <= 1e-11
-    tau_shift, f_shift, f_dot_shift = sol.shifted
-    f_ref, f_dot_ref = ref.sol(tau_shift)[:2]
-    assert max(abs(f_shift - f_ref), abs(f_dot_shift - f_dot_ref)) <= 50.0 * tol
 
 
 @pytest.mark.parametrize("p", [0.3, 1.0, 3.0])
@@ -571,7 +579,36 @@ def test_momentum_point_approaches_the_sudden_mass_quench(p):
     n80, n320 = (dyn.momentum_point((p, 0.0, 0.0), m, dyn.ScaleFactorProfile(
         epsilon, rho)).n_created for rho in (80.0, 320.0))
     extrapolated = (16.0 * n320 - n80) / 15.0
-    m_in, m_out = m, m * math.sqrt(1.0 + 2.0 * epsilon)
-    e_in, e_out = math.hypot(p, m_in), math.hypot(p, m_out)
-    quench = 2.0 * (1.0 - (p * p + m_in * m_out) / (e_in * e_out))
+    quench = sudden_density(p, m, dyn.ScaleFactorProfile(epsilon))
     assert abs(extrapolated - quench) <= 1e-5 * quench
+
+
+def sudden_density(p: float, m: float, profile) -> float:
+    """n_sudden = 2 (1 - (p**2 + m**2 a_out) / (E_in E_out)), the instantaneous mass quench."""
+    m_out = m * profile.a_out
+    e_in, e_out = math.hypot(p, m), math.hypot(p, m_out)
+    return 2.0 * (1.0 - (p * p + m * m_out) / (e_in * e_out))
+
+
+def log_uniform(low: float, high: float):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda x: 10.0 ** x)
+
+
+@given(epsilon=log_uniform(1.0, 1e3), rho=log_uniform(1.0, 1e3), m=log_uniform(0.1, 3.0),
+       p=log_uniform(1e-2, 3.0),
+       direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-3))
+@settings(max_examples=40, deadline=None)
+@seed(2611)
+def test_created_density_never_exceeds_the_sudden_quench(epsilon, rho, m, p, direction):
+    # The mass m a(tau) only grows, so the adiabatic Bloch vector turns one
+    # way, by at most the angle between the in and out eigenbases: n_created
+    # <= n_sudden, with equality as rho grows (n / n_sudden reads 0.9999999
+    # at rho = 1000).  rho >= 1 keeps DOP853 cheap.
+    profile = dyn.ScaleFactorProfile(epsilon, rho)
+    norm = math.hypot(*direction)
+    tol = 1e-9
+    try:
+        point = dyn.momentum_point(tuple(p * c / norm for c in direction), m, profile, tol=tol)
+    except dyn.IntegrationError:   # a row the dressing gate refuses is not ok
+        return
+    assert 0.0 <= point.n_created <= sudden_density(point.p, m, profile) + 10.0 * tol
