@@ -245,11 +245,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _dynamics_row(p: float, direction, profile: ScaleFactorProfile, args) -> tuple:
-    p_vec = tuple(p * c for c in direction)
+def _dynamics_row(p: float, p_vec, profile: ScaleFactorProfile, args) -> tuple:
     try:
         point = momentum_point(p_vec, args.mass, profile, tol=args.tol)
-    except (IntegrationError, ValueError) as err:
+    except IntegrationError as err:
         reason = str(err).replace(",", ";").replace("\n", " ")
         return (abs(p), *[None] * (len(DYNAMICS_COLUMNS) - 2), f"error: {reason}")
     return (point.p, point.a, *point.beta_moduli, point.n_created, point.lambda_effective,
@@ -262,12 +261,12 @@ def _cmd_dynamics(args) -> int:
     profile = ScaleFactorProfile(args.epsilon, args.rho)
     if args.profile == "constant":
         profile = FLAT
-    # Run-wide values fail here, once, through momentum_point's own check, at
-    # the grid's largest |p| (the most phase) and smallest nonzero |p|.
-    moduli = [abs(p) for p in args.p_grid if p] or [0.0]
-    for p in (max(moduli), min(moduli)):
-        check_point(tuple(p * c for c in args.direction), args.mass, profile, args.tol)
-    rows = [_dynamics_row(p, args.direction, profile, args) for p in args.p_grid]
+    # Every point passes momentum_point's own check first: a refused input is a
+    # usage error before any row.
+    p_vecs = [tuple(p * c for c in args.direction) for p in args.p_grid]
+    for p_vec in p_vecs:
+        check_point(p_vec, args.mass, profile, args.tol)
+    rows = [_dynamics_row(p, p_vec, profile, args) for p, p_vec in zip(args.p_grid, p_vecs)]
     _write_rows(args, DYNAMICS_COLUMNS, rows, head={"profile": args.profile})
     failed = [row for row in rows if row[-1] != "ok"]
     if failed:
@@ -331,8 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     _check_output(args)   # before any row is computed
-    # Value errors print the subcommand's usage line, not the root one.  Each
-    # failing dynamics point is caught in _dynamics_row and becomes an error row.
+    # Value errors print the subcommand's usage line, not the root one.  A
+    # dynamics point that fails its integration becomes an error row instead.
     try:
         return args.run(args)
     except ValueError as err:

@@ -255,12 +255,14 @@ def check_point(p_vec, m: float, profile: ScaleFactorProfile,
     (the self-convergence run at tol / REFINEMENT needs at least TOL_MIN),
     unless ``Mode`` accepts (p_vec, m, profile), or when the mode would
     sweep more than MAX_PHASE radians over the span, which is sized for
-    tol / REFINEMENT.  A grid of momenta along one direction passes when
-    its largest |p| (the most phase) and its smallest nonzero |p| do.
+    tol / REFINEMENT.
     A point inside this domain can still fail, with IntegrationError
-    rather than ValueError: a degenerate mode, whose out-region energy
-    sqrt(|p|**2 + (m a_out)**2) is below MIN_OUT_ENERGY = 1e-9 (p = 0
-    with m = 0, say), has no plane waves to match.
+    rather than ValueError: ``integrate_mode`` refuses a degenerate mode,
+    whose out-region energy sqrt(|p|**2 + (m a_out)**2) is below
+    MIN_OUT_ENERGY = 1e-9 (p = 0 with m = 0, say) and which has no plane
+    waves to match, before its first step; an integration can overflow
+    (rho = 1e149 at p = m = epsilon = 1, say); and the dressed
+    coefficients can miss the dressing gate.
     """
     _check_tolerance(tol)
     if not tol / REFINEMENT >= TOL_MIN:
@@ -458,11 +460,17 @@ def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
     dense output is built.  Its step is straight-line code generated at
     import from the tableau; the tests keep the loop over the tableau
     rows as its bit-for-bit reference.
-    Raises a configuration error when the span does not reach the flat
+    Raises IntegrationError for a degenerate mode, whose out-region
+    energy lies below MIN_OUT_ENERGY, before any step, and for an
+    integration whose arithmetic overflows or divides by zero.  Raises a
+    configuration error when the span does not reach the flat
     asymptotics to within tol on the scale factor (so that the end of
     the span is a plane-wave region to match in), or when the mode
     would sweep more than ``MAX_PHASE`` radians.
     """
+    if mode.e_out < MIN_OUT_ENERGY:
+        raise IntegrationError(f"degenerate mode: out-region energy {mode.e_out:.3g} is "
+                               f"below MIN_OUT_ENERGY = {MIN_OUT_ENERGY:g}")
     _check_tolerance(tol)
     profile = mode.profile
     if tau_span is None:
@@ -489,7 +497,10 @@ def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
     f0 = cmath.exp(-1j * e_in * tau0)
     # A flat profile has no transition to resolve.
     max_step = MAX_STEP_RHO / profile.rho if profile.epsilon > 0.0 else math.inf
-    times, states = _dop853(k_of, tau0, tau1, (f0, -1j * e_in * f0), tol, max_step)
+    try:
+        times, states = _dop853(k_of, tau0, tau1, (f0, -1j * e_in * f0), tol, max_step)
+    except ArithmeticError as err:   # float ** raises OverflowError where * gives inf
+        raise IntegrationError(f"mode integration failed: {type(err).__name__}: {err}") from err
     y = np.array(states).T
     return ModeSolution(tau=np.array(times), f=y[0], f_dot=y[1], mode=mode,
                         n_rhs_evaluations=evaluations)
@@ -506,13 +517,10 @@ class ScalarBogolyubov:
 def extract_scalar_coefficients(sol: ModeSolution) -> ScalarBogolyubov:
     """Match the solution at the end of the span onto out-region plane waves.
 
-    Raises IntegrationError for a degenerate mode, whose out-region
-    energy lies below MIN_OUT_ENERGY.
+    The out-region energy is at least MIN_OUT_ENERGY: ``integrate_mode``
+    refuses a degenerate mode before integrating it.
     """
     e_out = sol.mode.e_out
-    if e_out < MIN_OUT_ENERGY:
-        raise IntegrationError(f"degenerate mode: out-region energy {e_out:.3g} is below "
-                               f"MIN_OUT_ENERGY = {MIN_OUT_ENERGY:g}")
     tau, f, f_dot = float(sol.tau[-1]), sol.f[-1], sol.f_dot[-1]
     a = 0.5 * (f + 1j * f_dot / e_out) * np.exp(1j * e_out * tau)
     b = 0.5 * (f - 1j * f_dot / e_out) * np.exp(-1j * e_out * tau)
@@ -566,7 +574,7 @@ def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode,
     report = validate(coeffs, tolerance=DRESSING_GATE * tol)
     if not report.passed:
         raise IntegrationError(
-            f"dressed coefficients violate constraints beyond {DRESSING_GATE * tol}: "
+            f"dressed coefficients violate constraints beyond {DRESSING_GATE * tol:g}: "
             f"{report.failing()} (worst {report.worst:.3e})")
     px, py, _ = mode.p_vec
     lambda_eff = (math.hypot(px, py) / mode.p) ** 2 if mode.p > 0 else 0.0

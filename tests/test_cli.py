@@ -284,6 +284,38 @@ def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     assert ok["status"] == "ok"
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--p-grid", "0", "--mass", "1e-160"],
+     "error: degenerate mode: out-region energy 1.73e-160 is below MIN_OUT_ENERGY = 1e-09"),
+    (["--p-grid", "1", "--rho", "1e150"], "error: mode integration failed: OverflowError: "),
+], ids=["degenerate", "overflow"])
+def test_a_point_that_would_crash_the_stepper_is_an_error_row(flags, reason, tmp_path, capsys):
+    out = tmp_path / "dyn.csv"
+    assert cli.main(["dynamics", *flags, "--output", str(out)]) == 1
+    (row,) = out.read_text().splitlines()[1:]
+    assert row.split(",")[-1].startswith(reason)
+    assert capsys.readouterr().err == "1 momentum points failed\n"
+
+
+def test_every_grid_point_is_checked_before_the_first_row(tmp_path, capsys, monkeypatch):
+    # A rule that refuses only the interior point: checking the extremes would miss it.
+    real_check = dyn.check_point
+
+    def refuse_unit_momentum(p_vec, *args):
+        if math.isclose(math.hypot(*p_vec), 1.0):
+            raise ValueError("refused |p| = 1")
+        return real_check(p_vec, *args)
+
+    monkeypatch.setattr(cli, "check_point", refuse_unit_momentum)
+    monkeypatch.setattr(dyn, "check_point", refuse_unit_momentum)
+    out = tmp_path / "dyn.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["dynamics", "--p-grid", "0.5,1,2", "--output", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines()[-1] == "cosmopair dynamics: error: refused |p| = 1"
+
+
 def test_dynamics_rows_report_the_momentum_modulus(tmp_path, monkeypatch):
     # p is |p| on ok and error rows alike.
     real_point = cli.momentum_point
@@ -367,7 +399,7 @@ def test_a_lambda_grid_outside_charge_only_is_a_usage_error(tmp_path, capsys):
 
 
 def test_a_subnormal_momentum_is_a_usage_error_before_any_row(tmp_path, capsys):
-    # The grid's first point is fine; its smallest nonzero |p| is checked up front.
+    # The grid's first point is fine; every point is checked before the first row.
     out = tmp_path / "dyn.csv"
     with pytest.raises(SystemExit) as err:
         cli.main(["dynamics", "--p-grid", "1,1e-320", "--output", str(out)])

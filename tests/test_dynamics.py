@@ -268,6 +268,14 @@ def test_dress_tanh_profile_normalization_and_lambda():
     assert abs(abs(dressed.stripped_phase) - 1.0) <= 1e-12
 
 
+def test_the_dressing_gate_message_prints_the_gate_short():
+    # 10 * 1e-11 is 9.999999999999999e-11 as a float; the message reads 1e-10.
+    mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
+    scalar = dyn.ScalarBogolyubov(a_minus=0.5, b_minus=0.0)
+    with pytest.raises(dyn.IntegrationError, match=r"constraints beyond 1e-10: \["):
+        dyn.dress_coefficients(scalar, mode, tol=1e-11)
+
+
 def test_particle_density_round_trip():
     for scenario, n in ((Scenario.CHARGE_ONLY, 2.0),
                         (Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 2.0),
@@ -335,13 +343,17 @@ def test_density_falls_off_at_large_momentum():
     assert densities[-1] < 1e-6 * max(densities)
 
 
-@pytest.mark.parametrize("p, m, energy", [(0.0, 0.0, "0"), (5e-10, 1e-10, "5.29e-10")])
-def test_degenerate_mode_rejected(p, m, energy):
-    # The integration succeeds; only the matching refuses, naming the energy.
-    sol = dyn.integrate_mode(dyn.Mode((p, 0.0, 0.0), m, TANH))
+@pytest.mark.parametrize("p, m, energy", [(0.0, 0.0, "0"), (5e-10, 1e-10, "5.29e-10"),
+                                           (0.0, 1e-160, "1.73e-160")])
+def test_degenerate_mode_rejected(p, m, energy, monkeypatch):
+    # integrate_mode refuses, naming the energy, before the stepper runs.
+    def no_steps(*args):
+        raise AssertionError("integrated a degenerate mode")
+
+    monkeypatch.setattr(dyn, "_dop853", no_steps)
     with pytest.raises(dyn.IntegrationError,
                        match=f"out-region energy {energy} is below MIN_OUT_ENERGY = 1e-09"):
-        dyn.extract_scalar_coefficients(sol)
+        dyn.integrate_mode(dyn.Mode((p, 0.0, 0.0), m, TANH))
 
 
 class TanhLinearMass:
