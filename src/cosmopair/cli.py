@@ -8,8 +8,9 @@ configuration and seed produce byte-identical files.  Grid points are
 evaluated serially, in grid order.  An ``@file`` argument is replaced by
 the file's lines, one argument each (``--key=value``); later flags win.
 
-Exit codes: 0 all rows within tolerance, 1 tolerance breach or pipeline
-failure, 2 usage errors.
+Exit codes: 0 all rows within the fixed gates (``SWEEP_GATE`` for a sweep,
+the dressing gate at ``dynamics.TOL`` for dynamics), 1 a gate breach or
+pipeline failure, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ __all__ = ["main", "parse_grid", "parse_momentum_grid",
            "state_token_to_occupation", "occupation_to_state_token"]
 
 SCHEMA_VERSION = 1
+# A sweep row breaches when its numeric entropy is further than this from its
+# closed form; the JSON head records it as "tolerance".
+SWEEP_GATE = 1e-10
 # Bound on the points of a step or log grid and of a sweep's n x lambda
 # product; the largest documented grid holds 4411.
 MAX_GRID_POINTS = 10**6
@@ -224,20 +228,18 @@ def _write_rows(args, columns, rows, head: dict, tail: dict | None = None) -> No
 
 def _cmd_sweep(args) -> int:
     scenario = Scenario(args.scenario)
-    if not args.tolerance >= 0:
-        raise ValueError(f"tolerance {args.tolerance} must be a number >= 0")
     occupation = state_token_to_occupation(args.state, scenario)
     lam_count = len(args.lam) if args.lam else 1
     if len(args.n) * lam_count > MAX_GRID_POINTS:
         raise ValueError(f"sweep of {len(args.n)} x {lam_count} points exceeds {MAX_GRID_POINTS}")
     results = sweep(scenario, occupation, args.n, args.lam)
     token = occupation_to_state_token(occupation, scenario)
-    breaches = [r for r in results if r[-1] > args.tolerance]
+    breaches = [r for r in results if r[-1] > SWEEP_GATE]
     _write_rows(args, SWEEP_COLUMNS, [(scenario.value, token, *r) for r in results],
-                head={"tolerance": args.tolerance},
+                head={"tolerance": SWEEP_GATE},
                 tail={"all_within_tolerance": not breaches})
     if breaches:
-        sys.stderr.write(f"{len(breaches)} rows exceed tolerance {args.tolerance}:\n")
+        sys.stderr.write(f"{len(breaches)} rows exceed tolerance {SWEEP_GATE}:\n")
         for n, lam, _, _, gap in breaches[:20]:
             sys.stderr.write(f"  state {token} n={_fmt(n)} lambda={_fmt(lam)} "
                              f"discrepancy={_fmt(gap)}\n")
@@ -247,7 +249,7 @@ def _cmd_sweep(args) -> int:
 
 def _dynamics_row(p: float, p_vec, profile: ScaleFactorProfile, args) -> tuple:
     try:
-        point = momentum_point(p_vec, args.mass, profile, tol=args.tol)
+        point = momentum_point(p_vec, args.mass, profile)
     except IntegrationError as err:
         reason = str(err).replace(",", ";").replace("\n", " ")
         return (abs(p), *[None] * (len(DYNAMICS_COLUMNS) - 2), f"error: {reason}")
@@ -265,7 +267,7 @@ def _cmd_dynamics(args) -> int:
     # usage error before any row.
     p_vecs = [tuple(p * c for c in args.direction) for p in args.p_grid]
     for p_vec in p_vecs:
-        check_point(p_vec, args.mass, profile, args.tol)
+        check_point(p_vec, args.mass, profile)
     rows = [_dynamics_row(p, p_vec, profile, args) for p, p_vec in zip(args.p_grid, p_vecs)]
     _write_rows(args, DYNAMICS_COLUMNS, rows, head={"profile": args.profile})
     failed = [row for row in rows if row[-1] != "ok"]
@@ -298,8 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--n", required=True, type=_spec(parse_grid), help="density grid spec")
     sweep_p.add_argument("--lambda", dest="lam", type=_spec(parse_grid), default=None,
                          help="lambda grid spec (charge-only)")
-    sweep_p.add_argument("--tolerance", type=float, default=1e-10,
-                         help="closed-form agreement gate for the exit code")
     sweep_p.add_argument("--output", default=None, help="output path (default stdout)")
     sweep_p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -313,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="log:0.1:10:30")
     dyn_p.add_argument("--direction", type=_spec(_parse_direction), default="1,1,1",
                        help="momentum direction")
-    dyn_p.add_argument("--tol", type=float, default=1e-9)
     dyn_p.add_argument("--output", default=None)
     dyn_p.add_argument("--format", choices=("csv", "json"), default="csv")
 

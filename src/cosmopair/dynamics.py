@@ -59,12 +59,14 @@ __all__ = [
 ]
 
 # dress_coefficients accepts a coefficient set within DRESSING_GATE * tol of
-# its constraints, and scoring re-checks the set at THETA_CHECK_TOLERANCE;
-# TOL_MAX keeps the first gate inside the second, so only the first fails.
+# its constraints, and scoring re-checks the set at THETA_CHECK_TOLERANCE.
+# integrate_mode refuses a tol above TOL_MAX, the loosest whose dressing
+# gate still lies inside the scoring gate.
 DRESSING_GATE = 10.0
 TOL_MIN, TOL_MAX = 1e-12, THETA_CHECK_TOLERANCE / DRESSING_GATE
-# momentum_point repeats each integration at tol / REFINEMENT for its
+# momentum_point integrates at TOL, and again at TOL / REFINEMENT for its
 # self-convergence diagnostic.
+TOL = 1e-9
 REFINEMENT = 2.0
 # Out-region energies below this make a mode degenerate: no plane waves to match.
 MIN_OUT_ENERGY = 1e-9
@@ -242,8 +244,7 @@ def _check_phase(mode: Mode, tau_span: tuple[float, float]) -> None:
                          f"{MAX_PHASE:g} rad budget")
 
 
-def check_point(p_vec, m: float, profile: ScaleFactorProfile,
-                tol: float) -> tuple[Mode, tuple[float, float]]:
+def check_point(p_vec, m: float, profile: ScaleFactorProfile) -> tuple[Mode, tuple[float, float]]:
     """``momentum_point``'s inputs checked, as (mode, integration span).
 
     The domain of one point: finite epsilon >= 0, with rho > 0 and m >= 0
@@ -251,25 +252,19 @@ def check_point(p_vec, m: float, profile: ScaleFactorProfile,
     (below it the components are subnormal and lambda loses digits), and
     2 epsilon, 2 rho, epsilon * rho, m * epsilon * rho, |p|**2 and (m a)**2
     finite; ``ScaleFactorProfile`` and ``Mode`` check these.
-    Raises ValueError unless tol lies in [TOL_MIN * REFINEMENT, TOL_MAX]
-    (the self-convergence run at tol / REFINEMENT needs at least TOL_MIN),
-    unless ``Mode`` accepts (p_vec, m, profile), or when the mode would
-    sweep more than MAX_PHASE radians over the span, which is sized for
-    tol / REFINEMENT.
+    Raises ValueError unless ``Mode`` accepts (p_vec, m, profile), or
+    when the mode would sweep more than MAX_PHASE radians over the span,
+    which is sized for TOL / REFINEMENT.
     A point inside this domain can still fail, with IntegrationError
     rather than ValueError: ``integrate_mode`` refuses a degenerate mode,
     whose out-region energy sqrt(|p|**2 + (m a_out)**2) is below
     MIN_OUT_ENERGY = 1e-9 (p = 0 with m = 0, say) and which has no plane
     waves to match, before its first step; an integration can overflow
     (rho = 1e149 at p = m = epsilon = 1, say); and the dressed
-    coefficients can miss the dressing gate.
+    coefficients can miss the dressing gate, DRESSING_GATE * TOL = 1e-8.
     """
-    _check_tolerance(tol)
-    if not tol / REFINEMENT >= TOL_MIN:
-        raise ValueError(f"tol {tol} below {TOL_MIN * REFINEMENT}: the self-convergence "
-                         f"run at tol/{REFINEMENT:g} needs at least {TOL_MIN}")
     mode = Mode(tuple(p_vec), m, profile)
-    span = default_tau_span(profile, tol / REFINEMENT)
+    span = default_tau_span(profile, TOL / REFINEMENT)
     _check_phase(mode, span)
     return mode, span
 
@@ -449,7 +444,7 @@ def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, max_step: float)
 
 
 def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
-                   tol: float = 1e-9) -> ModeSolution:
+                   tol: float = TOL) -> ModeSolution:
     """Integrate the mode function f and f' across the expansion epoch.
 
     Initial data is exactly positive frequency at tau_span[0].  This
@@ -550,7 +545,7 @@ class DressingResult:
 
 
 def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode,
-                       tol: float = 1e-9) -> DressingResult:
+                       tol: float = TOL) -> DressingResult:
     """Dress scalar amplitudes into a validated coefficient set.
 
     beta is the flat-spinor contraction of ``mode.p_vec`` times a
@@ -613,29 +608,29 @@ class MomentumPointResult:
     self_convergence: float
 
 
-def momentum_point(p_vec, m: float, profile: ScaleFactorProfile,
-                   tol: float = 1e-9) -> MomentumPointResult:
+def momentum_point(p_vec, m: float, profile: ScaleFactorProfile) -> MomentumPointResult:
     """Integrate, dress and score one momentum point.
 
-    Runs the integration at tol and tol / REFINEMENT over a common span
-    (sized for the finer tolerance) and reports the coefficient
-    difference as the self-convergence diagnostic.  The vacuum is scored
-    by ``entanglement.score``, as a stack of one set, at (n_created,
+    Runs the integration at TOL and TOL / REFINEMENT over a common span
+    (sized for the finer tolerance), reports the coefficient difference
+    as the self-convergence diagnostic and dresses the first run at the
+    gate DRESSING_GATE * TOL.  The vacuum is scored by
+    ``entanglement.score``, as a stack of one set, at (n_created,
     lambda_effective).  Invalid inputs raise ValueError from
     ``check_point`` before any integration.
     """
     from cosmopair.entanglement import score
 
-    mode, span = check_point(p_vec, m, profile, tol)
+    mode, span = check_point(p_vec, m, profile)
 
-    def run(run_tol: float) -> ScalarBogolyubov:
-        return extract_scalar_coefficients(integrate_mode(mode, tau_span=span, tol=run_tol))
+    def run(tol: float) -> ScalarBogolyubov:
+        return extract_scalar_coefficients(integrate_mode(mode, tau_span=span, tol=tol))
 
-    scalar = run(tol)
-    scalar_fine = run(tol / REFINEMENT)
+    scalar = run(TOL)
+    scalar_fine = run(TOL / REFINEMENT)
     self_conv = max(abs(scalar.a_minus - scalar_fine.a_minus),
                     abs(scalar.b_minus - scalar_fine.b_minus))
-    dressed = dress_coefficients(scalar, mode, tol=tol)
+    dressed = dress_coefficients(scalar, mode)
     coeffs = dressed.coefficients
     n_created = particle_density(coeffs)
     s_num, s_closed, gap = (column.item() for column in score(

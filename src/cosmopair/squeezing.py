@@ -64,6 +64,7 @@ MIN_COS_FACTORIZED = 5e-3
 # from single ladder operators.
 CONJUGATION_TOLERANCE = 1e-10
 
+
 class DecompositionError(RuntimeError):
     """A ladder-operator decomposition failed beyond tolerance."""
 

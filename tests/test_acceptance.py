@@ -131,7 +131,7 @@ def test_criterion_09_dynamics_pipeline():
     worst_flat_n = 0.0
     worst_flat_s = 0.0
     for p in (0.3, 1.0, 3.0):
-        point = momentum_point((p, 0.0, 0.0), 1.0, FLAT, tol=tol)
+        point = momentum_point((p, 0.0, 0.0), 1.0, FLAT)
         worst_flat_n = max(worst_flat_n, point.n_created)
         worst_flat_s = max(worst_flat_s, point.s_numeric)
     step = ScaleFactorProfile(epsilon=1.0, rho=1.0)
@@ -141,7 +141,7 @@ def test_criterion_09_dynamics_pipeline():
     worst_entropy = 0.0
     direction = (1.0 / math.sqrt(3.0),) * 3
     for p in grid:
-        point = momentum_point(tuple(p * c for c in direction), 1.0, step, tol=tol)
+        point = momentum_point(tuple(p * c for c in direction), 1.0, step)
         worst_norm = max(worst_norm, point.normalization_residual)
         worst_conv = max(worst_conv, point.self_convergence)
         worst_entropy = max(worst_entropy, abs(point.s_numeric - point.s_closed))

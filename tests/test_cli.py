@@ -11,7 +11,7 @@ import pytest
 from cosmopair import cli
 from cosmopair import dynamics as dyn
 from cosmopair import verify as verify_mod
-from cosmopair.bogoliubov import Scenario
+from cosmopair.bogoliubov import THETA_CHECK_TOLERANCE, Scenario
 
 
 def test_parse_grid_step_form():
@@ -141,9 +141,10 @@ def test_sweep_json_schema(tmp_path):
     assert row["discrepancy"] <= 1e-10
 
 
-def test_sweep_exit_one_on_tolerance_breach(tmp_path, capsys):
+def test_sweep_exit_one_on_tolerance_breach(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_GATE", 1e-30)
     code = cli.main(["sweep", "--scenario", "charge", "--state", "vac", "--n",
-                     "0.5,1.5", "--lambda", "0.5", "--tolerance", "1e-30",
+                     "0.5,1.5", "--lambda", "0.5",
                      "--output", str(tmp_path / "x.csv")])
     assert code == 1
     assert "exceed tolerance" in capsys.readouterr().err
@@ -199,7 +200,7 @@ def test_json_top_level_key_order(tmp_path):
 def test_dynamics_constant_profile(tmp_path):
     out = tmp_path / "dyn.csv"
     code = cli.main(["dynamics", "--profile", "constant", "--p-grid", "0.5,1.0",
-                     "--tol", "1e-9", "--output", str(out)])
+                     "--output", str(out)])
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("p,A,beta_uu")
@@ -213,7 +214,7 @@ def test_dynamics_constant_profile(tmp_path):
 def test_dynamics_json(tmp_path):
     out = tmp_path / "dyn.json"
     code = cli.main(["dynamics", "--profile", "tanh", "--epsilon", "1", "--rho", "1",
-                     "--mass", "1", "--p-grid", "1.0", "--tol", "1e-9",
+                     "--mass", "1", "--p-grid", "1.0",
                      "--format", "json", "--output", str(out)])
     assert code == 0
     payload = json.loads(out.read_text())
@@ -266,7 +267,7 @@ def test_verify_rejects_a_negative_seed(tmp_path, capsys):
 
 def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     # massless zero-momentum mode has no out-region frequency to match
-    argv = ["dynamics", "--profile", "tanh", "--mass", "0", "--p-grid", "0,1", "--tol", "1e-9"]
+    argv = ["dynamics", "--profile", "tanh", "--mass", "0", "--p-grid", "0,1"]
     out = tmp_path / "dyn.csv"
     code = cli.main(argv + ["--output", str(out)])
     assert code == 1
@@ -335,24 +336,32 @@ def test_dynamics_rows_report_the_momentum_modulus(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "--scenario", "spinless", "--n", "0:inf:1"],
-    ["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "nan"],
-    ["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "-1"],
     ["dynamics", "--p-grid", "nan"],
     ["dynamics", "--p-grid", "log:0.1:inf:3"],
     ["dynamics", "--p-grid", "1", "--direction", "nan,1,1"],
     ["dynamics", "--p-grid", "1", "--mass", "nan"],
     ["dynamics", "--p-grid", "1", "--mass", "inf"],
-    ["dynamics", "--p-grid", "1", "--tol", "nan"],
     ["dynamics", "--p-grid", "1", "--epsilon", "inf"],
     ["dynamics", "--p-grid", "1", "--rho", "inf"],
-], ids=["n-inf", "tolerance-nan", "tolerance-negative", "p-nan", "log-p-inf",
-        "direction-nan", "mass-nan", "mass-inf", "tol-nan", "epsilon-inf", "rho-inf"])
+], ids=["n-inf", "p-nan", "log-p-inf", "direction-nan", "mass-nan", "mass-inf",
+        "epsilon-inf", "rho-inf"])
 def test_non_finite_input_is_a_usage_error(argv, tmp_path):
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as err:
         cli.main(argv + ["--output", str(out)])
     assert err.value.code == 2
     assert not out.exists()
+
+
+def test_the_accuracy_gates_are_not_options(capsys):
+    # Both gates are fixed: the flags that once moved them are unknown.
+    for argv, flag in ((["dynamics", "--p-grid", "1", "--tol", "1e-9"], "--tol"),
+                       (["sweep", "--scenario", "spinless", "--n", "1",
+                         "--tolerance", "1e-10"], "--tolerance")):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -470,12 +479,7 @@ def _run_cli(argv, timeout: float, **environ) -> subprocess.CompletedProcess:
 
 RUN_WIDE_ERRORS = pytest.mark.parametrize("flags, message", [
     (["--mass", "-1"], "mass -1.0 must be finite and nonnegative"),
-    (["--tol", "1e-3"], "tol 0.001 outside [1e-12, 1e-07]"),
-    (["--tol", "1e-13"], "tol 1e-13 outside [1e-12, 1e-07]"),
-    # a tol whose rows passed the dressing gate and then failed in scoring
-    (["--tol", "1e-6"], "tol 1e-06 outside [1e-12, 1e-07]"),
     # values that passed up front but failed every row inside the run
-    (["--tol", "1e-12"], "tol 1e-12 below 2e-12"),
     (["--epsilon", "1e308"], "with 2 epsilon and 2 rho finite"),
     (["--rho", "1e308"], "with 2 epsilon and 2 rho finite"),
     # values that passed up front and then ran for minutes
@@ -484,8 +488,7 @@ RUN_WIDE_ERRORS = pytest.mark.parametrize("flags, message", [
     # values that gave a traceback (float ** overflowing) or an inf mass rate
     (["--mass", "1e200"], "squared is not a finite double"),
     (["--rho", "1e300", "--mass", "1e10"], "needs m * epsilon * rho finite"),
-], ids=["mass-negative", "tol-too-loose", "tol-too-tight", "tol-above-the-scoring-gate",
-        "tol-below-refined-floor", "epsilon-overflows", "rho-overflows", "phase-over-budget",
+], ids=["mass-negative", "epsilon-overflows", "rho-overflows", "phase-over-budget",
         "rate-overflows", "mass-squared-overflows", "mass-rate-overflows"])
 
 
@@ -504,20 +507,21 @@ def test_dynamics_run_wide_errors_are_usage_errors(flags, message, tmp_path):
 @RUN_WIDE_ERRORS
 def test_the_library_refuses_the_same_run_wide_inputs(flags, message):
     # The CLI's defaults and --p-grid 1, passed to momentum_point.
-    values = {"--epsilon": 1.0, "--rho": 1.0, "--mass": 1.0, "--tol": 1e-9,
+    values = {"--epsilon": 1.0, "--rho": 1.0, "--mass": 1.0,
               **{flag: float(value) for flag, value in zip(flags[::2], flags[1::2])}}
     with pytest.raises(ValueError) as err:
         profile = dyn.ScaleFactorProfile(values["--epsilon"], values["--rho"])
-        dyn.momentum_point((1.0, 0.0, 0.0), values["--mass"], profile, tol=values["--tol"])
+        dyn.momentum_point((1.0, 0.0, 0.0), values["--mass"], profile)
     assert message in str(err.value)
 
 
-def test_rows_at_the_loosest_tol_fail_only_through_the_dressing_gate(tmp_path):
-    # Above TOL_MAX a row could pass the dressing gate, 10 * tol, and then
-    # fail the fixed gate of theta_from_coefficients while being scored.
+def test_rows_fail_only_through_the_dressing_gate(tmp_path):
+    # A dressing gate looser than the fixed gate of theta_from_coefficients
+    # would let a row pass it and then fail while being scored.
+    assert dyn.DRESSING_GATE * dyn.TOL <= THETA_CHECK_TOLERANCE
     out = tmp_path / "dyn.json"
-    cli.main(["dynamics", "--tol", repr(dyn.TOL_MAX), "--p-grid", "log:0.1:40:12",
-              "--format", "json", "--output", str(out)])
+    cli.main(["dynamics", "--p-grid", "log:0.1:40:12", "--format", "json",
+              "--output", str(out)])
     statuses = [row["status"] for row in json.loads(out.read_text())["rows"]]
     assert "ok" in statuses
     assert all(status == "ok" or status.startswith("error: dressed coefficients violate")

@@ -45,17 +45,6 @@ def test_profile_validation():
         dyn.Mode((1.0, 0.0, 0.0), 1e10, dyn.ScaleFactorProfile(1.0, 1e300))
 
 
-def test_point_tolerance_covers_the_refined_run():
-    floor = dyn.TOL_MIN * dyn.REFINEMENT
-    dyn.check_point((1.0, 0.0, 0.0), 1.0, FLAT, floor)
-    dyn.check_point((1.0, 0.0, 0.0), 1.0, FLAT, dyn.TOL_MAX)
-    for tol in (dyn.TOL_MIN, 0.5 * (dyn.TOL_MIN + floor), 2.0 * dyn.TOL_MAX, math.nan):
-        with pytest.raises(ValueError):
-            dyn.check_point((1.0, 0.0, 0.0), 1.0, FLAT, tol)
-    with pytest.raises(ValueError):
-        dyn.momentum_point((1.0, 0.0, 0.0), 1.0, FLAT, tol=dyn.TOL_MIN)
-
-
 def test_phase_budget_admits_the_documented_runs_and_rejects_a_hang():
     def phase(p, profile, tol=1e-9):
         mode = dyn.Mode((p, 0.0, 0.0), 1.0, profile)
@@ -305,7 +294,7 @@ def test_particle_density_round_trip_within_bounds(scenario, fraction, lam, phas
 
 
 def test_momentum_point_end_to_end():
-    point = dyn.momentum_point((0.7, 0.7, 0.7), 1.0, TANH, tol=1e-9)
+    point = dyn.momentum_point((0.7, 0.7, 0.7), 1.0, TANH)
     assert point.normalization_residual <= 1e-6
     assert point.self_convergence <= 1e-8
     assert point.discrepancy == abs(point.s_numeric - point.s_closed) <= 1e-6
@@ -334,8 +323,7 @@ def test_density_falls_off_at_large_momentum():
     # log-spaced moduli in [0.1, 10]: beyond the peak the created density
     # decreases monotonically toward zero
     grid = [0.1 * (100.0 ** (k / 9.0)) for k in range(10)]
-    densities = [dyn.momentum_point((p, 0.0, 0.0), 1.0, TANH, tol=1e-9).n_created
-                 for p in grid]
+    densities = [dyn.momentum_point((p, 0.0, 0.0), 1.0, TANH).n_created for p in grid]
     peak = densities.index(max(densities))
     assert peak < len(grid) - 1
     for k in range(peak, len(grid) - 1):
@@ -444,8 +432,7 @@ def test_momentum_point_matches_the_exact_tanh_linear_density(p, rho):
                           "|p| = 40, above the 10 * tol gate of the dressing")
 def test_production_profile_passes_the_normalization_gate_at_large_momentum():
     tol = 1e-9
-    point = dyn.momentum_point(tuple(40.0 / math.sqrt(3.0) for _ in range(3)), 1.0, TANH,
-                               tol=tol)
+    point = dyn.momentum_point(tuple(40.0 / math.sqrt(3.0) for _ in range(3)), 1.0, TANH)
     assert point.normalization_residual <= 10.0 * tol
     assert 0.0 <= point.n_created <= 1e-10
 
@@ -620,7 +607,7 @@ def test_created_density_never_exceeds_the_sudden_quench(epsilon, rho, m, p, dir
     norm = math.hypot(*direction)
     tol = 1e-9
     try:
-        point = dyn.momentum_point(tuple(p * c / norm for c in direction), m, profile, tol=tol)
+        point = dyn.momentum_point(tuple(p * c / norm for c in direction), m, profile)
     except dyn.IntegrationError:   # a row the dressing gate refuses is not ok
         return
     assert 0.0 <= point.n_created <= sudden_density(point.p, m, profile) + 10.0 * tol

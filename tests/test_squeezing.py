@@ -214,15 +214,15 @@ def test_bad_item_anywhere_in_a_stack_raises_like_alone(scenario, size):
     unitaries = sq.unitary_dense(generators)
     hermitian = 1j * generators[0]
     scrambled = np.random.default_rng(89).normal(size=unitaries.shape[1:])
-    for fn, stack, item in ((sq.unitary_dense, generators, hermitian),
-                            (lambda u: sq.conjugate_mode(u, 0), unitaries, scrambled)):
+    for fn, stack, item, error in (
+            (sq.unitary_dense, generators, hermitian, ValueError),
+            (lambda u: sq.conjugate_mode(u, 0), unitaries, scrambled, sq.DecompositionError)):
         for position in sorted({0, size // 2, size - 1}):
             broken = stack.copy()
             broken[position] = item
-            with pytest.raises(Exception) as alone:
-                fn(item)
-            with pytest.raises(type(alone.value)):
-                fn(broken)
+            for target in (item, broken):
+                with pytest.raises(error):
+                    fn(target)
 
 
 def nan_gate_case(name):
