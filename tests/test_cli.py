@@ -353,15 +353,22 @@ def test_non_finite_input_is_a_usage_error(argv, tmp_path):
     assert not out.exists()
 
 
-def test_the_accuracy_gates_are_not_options(capsys):
-    # Both gates are fixed: the flags that once moved them are unknown.
-    for argv, flag in ((["dynamics", "--p-grid", "1", "--tol", "1e-9"], "--tol"),
-                       (["sweep", "--scenario", "spinless", "--n", "1",
-                         "--tolerance", "1e-10"], "--tolerance")):
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
-        assert err.value.code == 2
-        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+@pytest.mark.parametrize("argv, flag", [
+    (["dynamics", "--p-grid", "1", "--tol", "1e-9"], "--tol"),
+    (["dynamics", "--p-grid", "1", "--tol", "1e-6"], "--tol"),
+    (["dynamics", "--p-grid", "1", "--tol", "nan"], "--tol"),
+    (["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "1e-10"], "--tolerance"),
+    (["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "1"], "--tolerance"),
+    (["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "nan"], "--tolerance"),
+], ids=["tol-default", "tol-above-the-scoring-gate", "tol-nan", "tolerance-default",
+        "tolerance-loosened", "tolerance-nan"])
+def test_the_accuracy_gates_are_not_options(argv, flag, capsys):
+    # Both gates are fixed: the flags that once moved them are unknown,
+    # whatever value they are given.
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -162,14 +162,30 @@ def test_span_too_narrow_is_configuration_error():
                            tol=1e-10)
 
 
-def test_tolerance_range_enforced():
+@pytest.mark.parametrize("tol", [1e-3, 2.0 * dyn.TOL_MAX, 1e-13, -dyn.TOL, math.inf, math.nan],
+                         ids=["too-loose", "above-the-scoring-gate", "too-tight", "negative",
+                              "inf", "nan"])
+def test_tolerance_range_enforced(tol):
     mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
-    with pytest.raises(ValueError):
-        dyn.integrate_mode(mode, tol=1e-3)
-    with pytest.raises(ValueError):
-        dyn.integrate_mode(mode, tol=1e-13)
-    with pytest.raises(ValueError):
-        dyn.integrate_mode(mode, tol=math.nan)
+    with pytest.raises(ValueError, match="outside"):
+        dyn.integrate_mode(mode, tol=tol)
+
+
+def test_the_fixed_tols_lie_in_the_accepted_range():
+    # momentum_point integrates at TOL and TOL / REFINEMENT; both must pass
+    # the range check that integrate_mode makes on a library caller's tol.
+    assert dyn.TOL_MIN <= dyn.TOL / dyn.REFINEMENT < dyn.TOL <= dyn.TOL_MAX
+    mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, FLAT)
+    for tol in (dyn.TOL, dyn.TOL / dyn.REFINEMENT):
+        dyn.integrate_mode(mode, tau_span=(-1.0, 1.0), tol=tol)
+
+
+@pytest.mark.parametrize("point", [dyn.check_point, dyn.momentum_point],
+                         ids=["check_point", "momentum_point"])
+def test_the_point_functions_take_no_tol(point):
+    # A point runs at the fixed TOL; no caller can move its gates.
+    with pytest.raises(TypeError, match="tol"):
+        point((1.0, 0.0, 0.0), 1.0, FLAT, tol=dyn.TOL)
 
 
 # At p = 0 the drift is taken on |i f' + M f|**2, which the equation also conserves.
