@@ -30,14 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cosmopair.bogoliubov import (
-    DOWN,
-    THETA_CHECK_TOLERANCE,
-    UP,
-    BogolyubovCoefficients,
-    Scenario,
-    validate,
-)
+from cosmopair.bogoliubov import DOWN, UP, BogolyubovCoefficients, Scenario, validate
 
 __all__ = [
     "DressingResult",
@@ -58,16 +51,15 @@ __all__ = [
     "spinor_contraction",
 ]
 
-# dress_coefficients accepts a coefficient set within DRESSING_GATE * tol of
-# its constraints, and scoring re-checks the set at THETA_CHECK_TOLERANCE.
-# integrate_mode refuses a tol above TOL_MAX, the loosest whose dressing
-# gate still lies inside the scoring gate.
-DRESSING_GATE = 10.0
-TOL_MIN, TOL_MAX = 1e-12, THETA_CHECK_TOLERANCE / DRESSING_GATE
-# momentum_point integrates at TOL, and again at TOL / REFINEMENT for its
-# self-convergence diagnostic.
+# The fixed accuracy contract of one momentum point.  integrate_mode runs
+# at TOL, or at TOL / REFINEMENT when refined (momentum_point's
+# self-convergence diagnostic), over default_tau_span, which is sized for
+# the finer of the two.  dress_coefficients accepts a coefficient set
+# within DRESSING_GATE * TOL = 1e-8 of its constraints; scoring re-checks
+# the set at the looser bogoliubov.THETA_CHECK_TOLERANCE = 1e-6.
 TOL = 1e-9
 REFINEMENT = 2.0
+DRESSING_GATE = 10.0
 # Out-region energies below this make a mode degenerate: no plane waves to match.
 MIN_OUT_ENERGY = 1e-9
 # Largest phase max(E_in, E_out) * (tau1 - tau0), in radians, that one
@@ -187,12 +179,16 @@ class Mode:
             object.__setattr__(self, name, value)
 
 
-def default_tau_span(profile: ScaleFactorProfile, tol: float) -> tuple[float, float]:
-    """Span wide enough that the profile sits within tol of its limits."""
+def default_tau_span(profile: ScaleFactorProfile) -> tuple[float, float]:
+    """Integration span whose ends sit within TOL / REFINEMENT of the profile's limits.
+
+    Both ends are then plane-wave regions, to start from and to match in,
+    at either tolerance that ``integrate_mode`` runs at.
+    """
     if profile.epsilon == 0.0:   # flat: every span reaches the limits
         return (-10.0, 10.0)
     # a - a_limit ~ epsilon exp(-2 rho |tau|); the +4 margin buys ~55x.
-    half_width = (math.log(profile.epsilon / tol) + 4.0) / (2.0 * profile.rho)
+    half_width = (math.log(profile.epsilon / (TOL / REFINEMENT)) + 4.0) / (2.0 * profile.rho)
     half_width = max(half_width, 4.0 / profile.rho)
     return (-half_width, half_width)
 
@@ -226,26 +222,24 @@ class ModeSolution:
         return float(np.max(np.abs(q - q[0])) / max(q[0], 1e-300))
 
 
-def _check_tolerance(tol: float) -> None:
-    """Raise ValueError unless tol lies in [TOL_MIN, TOL_MAX] (NaN fails)."""
-    if not TOL_MIN <= tol <= TOL_MAX:
-        raise ValueError(f"tol {tol} outside [{TOL_MIN}, {TOL_MAX}]")
+def _checked_span(mode: Mode) -> tuple[float, float]:
+    """``default_tau_span`` of the mode's profile, within the phase budget.
 
-
-def _check_phase(mode: Mode, tau_span: tuple[float, float]) -> None:
-    """Raise ValueError when the mode would sweep more than MAX_PHASE radians.
-
-    The integrator needs a fixed number of steps per radian, so this bounds
-    the run time of one integration instead of letting it hang.
+    Raises ValueError when the mode would sweep more than MAX_PHASE
+    radians across the span.  The integrator needs a fixed number of steps
+    per radian, so this bounds the run time of one integration instead of
+    letting it hang.
     """
-    phase = max(mode.e_in, mode.e_out) * (tau_span[1] - tau_span[0])
+    tau0, tau1 = span = default_tau_span(mode.profile)
+    phase = max(mode.e_in, mode.e_out) * (tau1 - tau0)
     if not phase <= MAX_PHASE:
         raise ValueError(f"mode phase {phase:.3g} rad across the span exceeds the "
                          f"{MAX_PHASE:g} rad budget")
+    return span
 
 
-def check_point(p_vec, m: float, profile: ScaleFactorProfile) -> tuple[Mode, tuple[float, float]]:
-    """``momentum_point``'s inputs checked, as (mode, integration span).
+def check_point(p_vec, m: float, profile: ScaleFactorProfile) -> Mode:
+    """``momentum_point``'s inputs checked, as the mode it integrates.
 
     The domain of one point: finite epsilon >= 0, with rho > 0 and m >= 0
     finite, |p| = 0 or |p| >= sys.float_info.min = 2.2250738585072014e-308
@@ -253,8 +247,8 @@ def check_point(p_vec, m: float, profile: ScaleFactorProfile) -> tuple[Mode, tup
     2 epsilon, 2 rho, epsilon * rho, m * epsilon * rho, |p|**2 and (m a)**2
     finite; ``ScaleFactorProfile`` and ``Mode`` check these.
     Raises ValueError unless ``Mode`` accepts (p_vec, m, profile), or
-    when the mode would sweep more than MAX_PHASE radians over the span,
-    which is sized for TOL / REFINEMENT.
+    when the mode would sweep more than MAX_PHASE radians over
+    ``default_tau_span(profile)``.
     A point inside this domain can still fail, with IntegrationError
     rather than ValueError: ``integrate_mode`` refuses a degenerate mode,
     whose out-region energy sqrt(|p|**2 + (m a_out)**2) is below
@@ -264,9 +258,8 @@ def check_point(p_vec, m: float, profile: ScaleFactorProfile) -> tuple[Mode, tup
     coefficients can miss the dressing gate, DRESSING_GATE * TOL = 1e-8.
     """
     mode = Mode(tuple(p_vec), m, profile)
-    span = default_tau_span(profile, TOL / REFINEMENT)
-    _check_phase(mode, span)
-    return mode, span
+    _checked_span(mode)
+    return mode
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10): the nodes
@@ -443,12 +436,14 @@ def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, max_step: float)
     return times, states
 
 
-def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
-                   tol: float = TOL) -> ModeSolution:
+def integrate_mode(mode: Mode, refined: bool = False) -> ModeSolution:
     """Integrate the mode function f and f' across the expansion epoch.
 
-    Initial data is exactly positive frequency at tau_span[0].  This
-    module's own adaptive DOP853 stepper (rtol = tol, atol = tol / 100,
+    Every setting comes from the mode: the span is
+    ``default_tau_span(mode.profile)``, which reaches both flat regions,
+    and the tolerance is tol = TOL, or TOL / REFINEMENT when refined.
+    Initial data is exactly positive frequency at the start of the span.
+    This module's own adaptive DOP853 stepper (rtol = tol, atol = tol / 100,
     steps of at most MAX_STEP_RHO / rho, with the step-size controller
     of scipy's ``solve_ivp``; scipy is not imported, and the tests use
     it as the oracle) samples the solution at its accepted steps; no
@@ -457,27 +452,15 @@ def integrate_mode(mode: Mode, tau_span: tuple[float, float] | None = None,
     rows as its bit-for-bit reference.
     Raises IntegrationError for a degenerate mode, whose out-region
     energy lies below MIN_OUT_ENERGY, before any step, and for an
-    integration whose arithmetic overflows or divides by zero.  Raises a
-    configuration error when the span does not reach the flat
-    asymptotics to within tol on the scale factor (so that the end of
-    the span is a plane-wave region to match in), or when the mode
-    would sweep more than ``MAX_PHASE`` radians.
+    integration whose arithmetic overflows or divides by zero.  Raises
+    ValueError when the mode would sweep more than ``MAX_PHASE`` radians.
     """
     if mode.e_out < MIN_OUT_ENERGY:
         raise IntegrationError(f"degenerate mode: out-region energy {mode.e_out:.3g} is "
                                f"below MIN_OUT_ENERGY = {MIN_OUT_ENERGY:g}")
-    _check_tolerance(tol)
+    tau0, tau1 = _checked_span(mode)
+    tol = TOL / REFINEMENT if refined else TOL
     profile = mode.profile
-    if tau_span is None:
-        tau_span = default_tau_span(profile, tol)
-    tau0, tau1 = float(tau_span[0]), float(tau_span[1])
-    if not tau0 < tau1:
-        raise ValueError("tau_span must be increasing")
-    if abs(profile.a(tau0) - 1.0) > tol:
-        raise ValueError(f"tau_span start {tau0} does not reach the early flat region")
-    if abs(profile.a(tau1) - profile.a_out) > tol:
-        raise ValueError(f"tau_span end {tau1} does not reach the late flat region")
-    _check_phase(mode, (tau0, tau1))
     p2 = mode.p ** 2
     m = mode.m
     evaluations = 0
@@ -544,8 +527,7 @@ class DressingResult:
     normalization_residual: float
 
 
-def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode,
-                       tol: float = TOL) -> DressingResult:
+def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode) -> DressingResult:
     """Dress scalar amplitudes into a validated coefficient set.
 
     beta is the flat-spinor contraction of ``mode.p_vec`` times a
@@ -554,8 +536,9 @@ def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode,
     that it does not underflow at tiny |p|; it is 0 at p = 0.
     The amplitude is made real by stripping (and recording) its global
     phase, which rotates operator phases but none of the mixing moduli.
-    Raises when the resulting set violates the normalization constraints
-    beyond DRESSING_GATE * tol, signalling an integration or matching bug.
+    Raises IntegrationError when the resulting set violates the
+    normalization constraints beyond the fixed gate DRESSING_GATE * TOL =
+    1e-8, signalling an integration or matching bug.
     """
     contraction = spinor_contraction(mode.p_vec)
     e_in, e_out, m, m_out = mode.e_in, mode.e_out, mode.m, mode.m_out
@@ -566,10 +549,10 @@ def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode,
     beta = -1j * contraction * scalar.b_minus / denom
     coeffs = BogolyubovCoefficients(scenario=Scenario.CHARGE_ONLY,
                                     a=min(magnitude, 1.0), beta=beta)
-    report = validate(coeffs, tolerance=DRESSING_GATE * tol)
+    report = validate(coeffs, tolerance=DRESSING_GATE * TOL)
     if not report.passed:
         raise IntegrationError(
-            f"dressed coefficients violate constraints beyond {DRESSING_GATE * tol:g}: "
+            f"dressed coefficients violate constraints beyond {DRESSING_GATE * TOL:g}: "
             f"{report.failing()} (worst {report.worst:.3e})")
     px, py, _ = mode.p_vec
     lambda_eff = (math.hypot(px, py) / mode.p) ** 2 if mode.p > 0 else 0.0
@@ -611,23 +594,18 @@ class MomentumPointResult:
 def momentum_point(p_vec, m: float, profile: ScaleFactorProfile) -> MomentumPointResult:
     """Integrate, dress and score one momentum point.
 
-    Runs the integration at TOL and TOL / REFINEMENT over a common span
-    (sized for the finer tolerance), reports the coefficient difference
-    as the self-convergence diagnostic and dresses the first run at the
-    gate DRESSING_GATE * TOL.  The vacuum is scored by
-    ``entanglement.score``, as a stack of one set, at (n_created,
-    lambda_effective).  Invalid inputs raise ValueError from
+    Runs ``integrate_mode`` plain and refined, over the same span, reports
+    the coefficient difference as the self-convergence diagnostic and
+    dresses the plain run at the gate DRESSING_GATE * TOL.  The vacuum is
+    scored by ``entanglement.score``, as a stack of one set, at
+    (n_created, lambda_effective).  Invalid inputs raise ValueError from
     ``check_point`` before any integration.
     """
     from cosmopair.entanglement import score
 
-    mode, span = check_point(p_vec, m, profile)
-
-    def run(tol: float) -> ScalarBogolyubov:
-        return extract_scalar_coefficients(integrate_mode(mode, tau_span=span, tol=tol))
-
-    scalar = run(TOL)
-    scalar_fine = run(TOL / REFINEMENT)
+    mode = check_point(p_vec, m, profile)
+    scalar = extract_scalar_coefficients(integrate_mode(mode))
+    scalar_fine = extract_scalar_coefficients(integrate_mode(mode, refined=True))
     self_conv = max(abs(scalar.a_minus - scalar_fine.a_minus),
                     abs(scalar.b_minus - scalar_fine.b_minus))
     dressed = dress_coefficients(scalar, mode)

@@ -25,7 +25,7 @@ def test_profile_asymptotics():
     assert FLAT == dyn.ScaleFactorProfile(epsilon=0.0, rho=1.0)
     assert FLAT.a(-40.0) == FLAT.a(0.3) == FLAT.a_out == 1.0
     assert FLAT.mass_and_rate(0.3, 2.0) == (2.0, 0.0)
-    assert dyn.default_tau_span(FLAT, 1e-9) == (-10.0, 10.0)
+    assert dyn.default_tau_span(FLAT) == (-10.0, 10.0)
 
 
 def test_profile_validation():
@@ -46,9 +46,9 @@ def test_profile_validation():
 
 
 def test_phase_budget_admits_the_documented_runs_and_rejects_a_hang():
-    def phase(p, profile, tol=1e-9):
+    def phase(p, profile):
         mode = dyn.Mode((p, 0.0, 0.0), 1.0, profile)
-        tau0, tau1 = dyn.default_tau_span(profile, tol / dyn.REFINEMENT)
+        tau0, tau1 = dyn.default_tau_span(profile)
         return max(mode.e_in, mode.e_out) * (tau1 - tau0)
 
     # |p| = 40 is the widest run of the README, CI, tests and benchmark.
@@ -72,7 +72,7 @@ def test_non_finite_frequency_fails_the_integration_instead_of_hanging():
 
     mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, NanRate())
     with pytest.raises(dyn.IntegrationError, match="step size below"):
-        dyn.integrate_mode(mode, tau_span=(-5.0, 5.0))
+        dyn.integrate_mode(mode)
 
 
 def test_mass_dot_overflow_safe():
@@ -138,7 +138,7 @@ def test_a_nonzero_momentum_below_the_smallest_normal_double_is_rejected():
 
 def test_constant_profile_plane_wave():
     mode = dyn.Mode((0.3, 0.0, 0.4), 1.0, FLAT)
-    sol = dyn.integrate_mode(mode, tau_span=(-8.0, 8.0), tol=1e-10)
+    sol = dyn.integrate_mode(mode, refined=True)
     energy = mode.e_in
     expected = np.exp(-1j * energy * sol.tau)
     assert np.max(np.abs(sol.f - expected)) <= 1e-8
@@ -149,58 +149,45 @@ def test_constant_profile_plane_wave():
 
 def test_positive_frequency_initial_condition():
     mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
-    sol = dyn.integrate_mode(mode, tol=1e-10)
+    sol = dyn.integrate_mode(mode, refined=True)
     energy = mode.e_in
     early = slice(0, 5)
     ratio = sol.f_dot[early] / sol.f[early]
     assert np.max(np.abs(ratio + 1j * energy)) <= 1e-7
 
 
-def test_span_too_narrow_is_configuration_error():
-    with pytest.raises(ValueError):
-        dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH), tau_span=(-3.0, 3.0),
-                           tol=1e-10)
+_MODE = dyn.Mode((1.0, 0.0, 0.0), 1.0, FLAT)
 
 
-@pytest.mark.parametrize("tol", [1e-3, 2.0 * dyn.TOL_MAX, 1e-13, -dyn.TOL, math.inf, math.nan],
-                         ids=["too-loose", "above-the-scoring-gate", "too-tight", "negative",
-                              "inf", "nan"])
-def test_tolerance_range_enforced(tol):
-    mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
-    with pytest.raises(ValueError, match="outside"):
-        dyn.integrate_mode(mode, tol=tol)
-
-
-def test_the_fixed_tols_lie_in_the_accepted_range():
-    # momentum_point integrates at TOL and TOL / REFINEMENT; both must pass
-    # the range check that integrate_mode makes on a library caller's tol.
-    assert dyn.TOL_MIN <= dyn.TOL / dyn.REFINEMENT < dyn.TOL <= dyn.TOL_MAX
-    mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, FLAT)
-    for tol in (dyn.TOL, dyn.TOL / dyn.REFINEMENT):
-        dyn.integrate_mode(mode, tau_span=(-1.0, 1.0), tol=tol)
-
-
-@pytest.mark.parametrize("point", [dyn.check_point, dyn.momentum_point],
-                         ids=["check_point", "momentum_point"])
-def test_the_point_functions_take_no_tol(point):
-    # A point runs at the fixed TOL; no caller can move its gates.
-    with pytest.raises(TypeError, match="tol"):
-        point((1.0, 0.0, 0.0), 1.0, FLAT, tol=dyn.TOL)
+@pytest.mark.parametrize("call", [
+    lambda: dyn.check_point((1.0, 0.0, 0.0), 1.0, FLAT, tol=dyn.TOL),
+    lambda: dyn.momentum_point((1.0, 0.0, 0.0), 1.0, FLAT, tol=dyn.TOL),
+    lambda: dyn.integrate_mode(_MODE, tol=dyn.TOL),
+    lambda: dyn.integrate_mode(_MODE, tau_span=(-10.0, 10.0)),
+    lambda: dyn.dress_coefficients(dyn.ScalarBogolyubov(1.0, 0.0), _MODE, tol=dyn.TOL),
+    lambda: dyn.default_tau_span(FLAT, dyn.TOL),
+], ids=["check_point-tol", "momentum_point-tol", "integrate_mode-tol",
+        "integrate_mode-tau_span", "dress_coefficients-tol", "default_tau_span-tol"])
+def test_the_dynamics_functions_take_no_accuracy_knobs(call):
+    # Every span and gate is derived from the mode and the fixed TOL; no
+    # caller can move them.
+    with pytest.raises(TypeError, match="argument"):
+        call()
 
 
 # At p = 0 the drift is taken on |i f' + M f|**2, which the equation also conserves.
 CURRENT_MOMENTA = (0.0, 0.1, 1.0, 12.0)
 
 
-def current_drifts(tol: float = 1e-9) -> list[float]:
-    return [dyn.integrate_mode(dyn.Mode((p, 0.0, 0.0), 1.0, TANH), tol=tol).current_drift()
+def current_drifts() -> list[float]:
+    return [dyn.integrate_mode(dyn.Mode((p, 0.0, 0.0), 1.0, TANH)).current_drift()
             for p in CURRENT_MOMENTA]
 
 
 def test_current_is_conserved():
     # Measured 6.8e-10, 5.8e-10, 9.6e-10 and 5.7e-9 at tol = 1e-9.
     tol = 1e-9
-    assert max(current_drifts(tol)) <= 100 * tol
+    assert max(current_drifts()) <= 100 * tol
 
 
 def test_current_drift_catches_a_wrong_tableau_weight(monkeypatch):
@@ -214,11 +201,8 @@ def test_current_drift_catches_a_wrong_tableau_weight(monkeypatch):
 def test_self_convergence_under_tolerance_refinement():
     mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
     tol = 1e-9
-    span = dyn.default_tau_span(TANH, tol / 10.0)
-    coarse = dyn.extract_scalar_coefficients(
-        dyn.integrate_mode(mode, tau_span=span, tol=tol))
-    fine = dyn.extract_scalar_coefficients(
-        dyn.integrate_mode(mode, tau_span=span, tol=tol / 10.0))
+    coarse = dyn.extract_scalar_coefficients(dyn.integrate_mode(mode))
+    fine = dyn.extract_scalar_coefficients(dyn.integrate_mode(mode, refined=True))
     drift = max(abs(coarse.a_minus - fine.a_minus), abs(coarse.b_minus - fine.b_minus))
     assert drift <= 10 * tol
 
@@ -226,7 +210,7 @@ def test_self_convergence_under_tolerance_refinement():
 def test_small_expansion_limit():
     gentle = dyn.ScaleFactorProfile(1e-4, 1.0)
     scalar = dyn.extract_scalar_coefficients(
-        dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, gentle), tol=1e-10))
+        dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, gentle), refined=True))
     assert abs(scalar.b_minus) < 1e-4
 
 
@@ -252,9 +236,9 @@ def test_spinor_contraction_zero_momentum():
 
 def test_dress_constant_profile_is_trivial():
     mode = dyn.Mode((0.5, 0.5, 0.5), 1.0, FLAT)
-    sol = dyn.integrate_mode(mode, tau_span=(-8.0, 8.0), tol=1e-10)
+    sol = dyn.integrate_mode(mode, refined=True)
     scalar = dyn.extract_scalar_coefficients(sol)
-    dressed = dyn.dress_coefficients(scalar, mode, tol=1e-10)
+    dressed = dyn.dress_coefficients(scalar, mode)
     assert abs(dressed.coefficients.a - 1.0) <= 1e-8
     assert np.max(np.abs(dressed.coefficients.beta)) <= 1e-8
     assert dyn.particle_density(dressed.coefficients) <= 1e-8
@@ -263,9 +247,9 @@ def test_dress_constant_profile_is_trivial():
 def test_dress_tanh_profile_normalization_and_lambda():
     mode = dyn.Mode((1.0, 1.0, 1.0), 1.0, TANH)
     tol = 1e-9
-    sol = dyn.integrate_mode(mode, tol=tol)
+    sol = dyn.integrate_mode(mode)
     scalar = dyn.extract_scalar_coefficients(sol)
-    dressed = dyn.dress_coefficients(scalar, mode, tol=tol)
+    dressed = dyn.dress_coefficients(scalar, mode)
     assert dressed.normalization_residual <= 10 * tol
     assert validate(dressed.coefficients, tolerance=10 * tol).passed
     # direction (1,1,1): flip fraction is (px^2+py^2)/|p|^2 = 2/3
@@ -274,11 +258,11 @@ def test_dress_tanh_profile_normalization_and_lambda():
 
 
 def test_the_dressing_gate_message_prints_the_gate_short():
-    # 10 * 1e-11 is 9.999999999999999e-11 as a float; the message reads 1e-10.
+    # The gate DRESSING_GATE * TOL = 10 * 1e-9 is 1e-08 exactly as a float.
     mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
     scalar = dyn.ScalarBogolyubov(a_minus=0.5, b_minus=0.0)
-    with pytest.raises(dyn.IntegrationError, match=r"constraints beyond 1e-10: \["):
-        dyn.dress_coefficients(scalar, mode, tol=1e-11)
+    with pytest.raises(dyn.IntegrationError, match=r"constraints beyond 1e-08: \["):
+        dyn.dress_coefficients(scalar, mode)
 
 
 def test_particle_density_round_trip():
@@ -400,6 +384,23 @@ def exact_tanh_linear_density(p: float, m: float, delta: float, rho: float) -> f
 
     return (4.0 * math.exp(math.fsum((x_plus, x_minus, -x_in, -x_out)))
             * tail(x_plus) * tail(x_minus) / (tail(x_in) * tail(x_out)))
+
+
+SPAN_PROFILES = [*(dyn.ScaleFactorProfile(epsilon, rho) for epsilon in (1e-4, 1.0, 1e3)
+                   for rho in (0.1, 1.0, 300.0)),
+                 *(TanhLinearMass(0.5, rho) for rho in (0.1, 300.0))]
+
+
+@pytest.mark.parametrize("profile", SPAN_PROFILES, ids=lambda profile: (
+    f"{type(profile).__name__}-{profile.epsilon:g}-{profile.rho:g}"))
+def test_the_span_reaches_both_flat_regions(profile):
+    # integrate_mode starts from and matches onto plane waves at the ends
+    # of the derived span, so both ends must lie in the flat regions at the
+    # finer of its two tolerances.
+    tau0, tau1 = dyn.default_tau_span(profile)
+    assert tau0 < tau1
+    assert abs(profile.a(tau0) - 1.0) <= dyn.TOL / dyn.REFINEMENT
+    assert abs(profile.a(tau1) - profile.a_out) <= dyn.TOL / dyn.REFINEMENT
 
 
 TANH_POINTS = [(p, rho) for rho in (0.1, 0.5, 1.0, 3.0, 300.0) for p in (0.3, 1.0, 3.0)]
@@ -558,18 +559,19 @@ def test_a_wrong_tableau_digit_breaks_the_equality(table, index):
     assert steps_off_the_loop_form(dyn._compile_step(**tableau), calls) > 0
 
 
-@pytest.mark.parametrize("tol", [1e-9, 5e-10])
+@pytest.mark.parametrize("refined", [False, True], ids=["1e-09", "5e-10"])   # by tol
 @pytest.mark.parametrize("p", [0.1, 1.0, 12.0, 40.0])
 @pytest.mark.parametrize("rho", [1.0, 300.0])
-def test_stepper_matches_scipy_dop853(p, tol, rho):
+def test_stepper_matches_scipy_dop853(p, refined, rho):
     # scipy's solve_ivp is the oracle: the same method and step-size
     # controller.  At rho = 300 the step cap MAX_STEP_RHO / rho binds.
     from scipy.integrate import solve_ivp
 
     profile = dyn.ScaleFactorProfile(1.0, rho)
     mode = dyn.Mode((p, 0.0, 0.0), 1.0, profile)
-    span = dyn.default_tau_span(profile, tol)
-    sol = dyn.integrate_mode(mode, tau_span=span, tol=tol)
+    tol = dyn.TOL / dyn.REFINEMENT if refined else dyn.TOL
+    span = dyn.default_tau_span(profile)
+    sol = dyn.integrate_mode(mode, refined=refined)
     e_in = mode.e_in
 
     def rhs(tau, y):
