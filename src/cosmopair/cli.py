@@ -6,7 +6,8 @@ additionally accept ``log:start:stop:count``.  Outputs are CSV or JSON
 (schema_version field) with 15-significant-digit decimals; identical
 configuration and seed produce byte-identical files.  Grid points are
 evaluated serially, in grid order.  An ``@file`` argument is replaced by
-the file's lines, one argument each (``--key=value``); later flags win.
+the file's lines, one argument each (``--key=value``), skipping blank
+ones; later flags win.
 
 Exit codes: 0 all rows within the fixed gates (``SWEEP_GATE`` for a sweep,
 the dressing gate at ``dynamics.TOL`` for dynamics), 1 a gate breach or
@@ -284,8 +285,14 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def convert_arg_line_to_args(self, arg_line: str) -> list[str]:
+        """One argument per ``@file`` line; an empty or whitespace-only line is none."""
+        return [arg_line] if arg_line.strip() else []
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cosmopair",
         description="Pair-creation entanglement sweeps, mode dynamics and verification",
         fromfile_prefix_chars="@")

@@ -5,12 +5,17 @@ Each momentum mode obeys the second-order complex equation
     f'' + (|p|**2 + M(tau)**2 - i M'(tau)) f = 0,     M(tau) = m a(tau),
 
 for the branch that feeds the scalar mixing amplitudes.  Positive
-frequency at early times fixes f = exp(-i E_in tau).  Matching the late
-solution onto A exp(-i E_out tau) + B exp(+i E_out tau) yields the
-scalar amplitudes, which are dressed into a full coefficient set with
-the flat-spinor contraction and kinematic square roots; the identity
-a**2 + sum |beta|**2 = 1 then holds to integration accuracy, which is
-the end-to-end correctness monitor.
+frequency at early times fixes f = exp(-i E_in tau).  ``integrate_mode``
+matches the solution at the end of the span onto
+A exp(-i E_out tau) + B exp(+i E_out tau) and returns the scalar
+amplitudes (A, B), which ``dress_coefficients`` dresses into a full
+coefficient set with the flat-spinor contraction and kinematic square
+roots.  The mode equation conserves the current
+|p|**2 Q = |p|**2 |f|**2 + |i f' + M f|**2, which reads
+2 E_out [(E_out + M_out) |A|**2 + (E_out - M_out) |B|**2] in the out region,
+so each dressed norm, a**2 plus the |beta|**2 of one row or column, is
+exactly Q_out / Q_in.  Its residual, an amplitude excess included, is
+the one accuracy monitor of a point, gated at DRESSING_GATE * TOL.
 
 Gamma-matrix representation: gamma0 = -i diag(1, 1, -1, -1) and spatial
 gammas off-diagonal Pauli blocks, so the positive/negative energy flat
@@ -37,13 +42,11 @@ __all__ = [
     "FLAT",
     "IntegrationError",
     "Mode",
-    "ModeSolution",
     "ScalarBogolyubov",
     "ScaleFactorProfile",
     "check_point",
     "default_tau_span",
     "dress_coefficients",
-    "extract_scalar_coefficients",
     "integrate_mode",
     "momentum_point",
     "MomentumPointResult",
@@ -191,35 +194,6 @@ def default_tau_span(profile: ScaleFactorProfile) -> tuple[float, float]:
     half_width = (math.log(profile.epsilon / (TOL / REFINEMENT)) + 4.0) / (2.0 * profile.rho)
     half_width = max(half_width, 4.0 / profile.rho)
     return (-half_width, half_width)
-
-
-@dataclass(frozen=True, eq=False)
-class ModeSolution:
-    """Mode function on the integrator's mesh and metadata.
-
-    ``f``/``f_dot`` hold the positive-frequency mode function at the
-    accepted steps of the adaptive integration, from tau[0] to tau[-1].
-    ``n_rhs_evaluations`` counts evaluations of the frequency k(tau).
-    """
-
-    tau: np.ndarray
-    f: np.ndarray
-    f_dot: np.ndarray
-    mode: Mode
-    n_rhs_evaluations: int
-
-    def current_drift(self) -> float:
-        """Relative drift of the mode equation's conserved current over the mesh.
-
-        For |p| > 0 the equation conserves Q = |f|**2 + |i f' + M f|**2 / |p|**2
-        (1 + (E_in + m)**2 / |p|**2 initially, so |f|**2 <= Q also bounds
-        the amplitude).  The drift is taken on |p|**2 Q, the same ratio,
-        which stays defined at p = 0.  It should stay near the tolerance.
-        """
-        mode = self.mode
-        mass = mode.m * np.array([mode.profile.a(tau) for tau in self.tau.tolist()])
-        q = mode.p ** 2 * np.abs(self.f) ** 2 + np.abs(1j * self.f_dot + mass * self.f) ** 2
-        return float(np.max(np.abs(q - q[0])) / max(q[0], 1e-300))
 
 
 def _checked_span(mode: Mode) -> tuple[float, float]:
@@ -403,14 +377,14 @@ def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, max_step: float)
     """Adaptive DOP853 from t0 to t1 with rtol = tol and atol = tol / 100.
 
     No step is longer than max_step (as scipy's ``max_step``).  Returns
-    the accepted times and the states there.  Raises IntegrationError
-    when the step falls below 10 ulp of the time.
+    the end time, the state there and the number of accepted steps.
+    Raises IntegrationError when the step falls below 10 ulp of the time.
     """
     rtol, atol = tol, tol * 1e-2
     t, y = t0, y0
     dy = _derivative(y, k_of(t))
     h_abs = min(_initial_step(k_of, t0, t1, y, dy, rtol, atol), max_step)
-    times, states = [t], [y]
+    n_steps = 0
     while t < t1:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
@@ -431,13 +405,27 @@ def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, max_step: float)
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
             rejected = True
         t, y, dy = t_new, y_new, _derivative(y_new, k_new)
-        times.append(t)
-        states.append(y)
-    return times, states
+        n_steps += 1
+    return t, y, n_steps
 
 
-def integrate_mode(mode: Mode, refined: bool = False) -> ModeSolution:
-    """Integrate the mode function f and f' across the expansion epoch.
+@dataclass(frozen=True)
+class ScalarBogolyubov:
+    """Scalar mixing amplitudes of one mode, with the cost of integrating them.
+
+    ``n_steps`` counts the integrator's accepted steps and
+    ``n_rhs_evaluations`` its evaluations of the frequency k(tau); both
+    are 0 for amplitudes that were not integrated.
+    """
+
+    a_minus: complex
+    b_minus: complex
+    n_steps: int = 0
+    n_rhs_evaluations: int = 0
+
+
+def integrate_mode(mode: Mode, refined: bool = False) -> ScalarBogolyubov:
+    """Integrate the mode function across the expansion epoch and match its amplitudes.
 
     Every setting comes from the mode: the span is
     ``default_tau_span(mode.profile)``, which reaches both flat regions,
@@ -446,10 +434,12 @@ def integrate_mode(mode: Mode, refined: bool = False) -> ModeSolution:
     This module's own adaptive DOP853 stepper (rtol = tol, atol = tol / 100,
     steps of at most MAX_STEP_RHO / rho, with the step-size controller
     of scipy's ``solve_ivp``; scipy is not imported, and the tests use
-    it as the oracle) samples the solution at its accepted steps; no
-    dense output is built.  Its step is straight-line code generated at
-    import from the tableau; the tests keep the loop over the tableau
-    rows as its bit-for-bit reference.
+    it as the oracle) carries (f, f') to the end of the span and keeps no
+    trajectory.  Its step is straight-line code generated at import from
+    the tableau; the tests keep the loop over the tableau rows as its
+    bit-for-bit reference.  The end state is matched onto out-region
+    plane waves, f = A exp(-i E_out tau) + B exp(+i E_out tau), and
+    (A, B) are returned as ``a_minus`` and ``b_minus``.
     Raises IntegrationError for a degenerate mode, whose out-region
     energy lies below MIN_OUT_ENERGY, before any step, and for an
     integration whose arithmetic overflows or divides by zero.  Raises
@@ -471,38 +461,19 @@ def integrate_mode(mode: Mode, refined: bool = False) -> ModeSolution:
         mass, rate = profile.mass_and_rate(tau, m)
         return p2 + mass ** 2 - 1j * rate
 
-    e_in = mode.e_in
+    e_in, e_out = mode.e_in, mode.e_out
     f0 = cmath.exp(-1j * e_in * tau0)
     # A flat profile has no transition to resolve.
     max_step = MAX_STEP_RHO / profile.rho if profile.epsilon > 0.0 else math.inf
     try:
-        times, states = _dop853(k_of, tau0, tau1, (f0, -1j * e_in * f0), tol, max_step)
+        tau, (f, f_dot), n_steps = _dop853(k_of, tau0, tau1, (f0, -1j * e_in * f0), tol,
+                                           max_step)
     except ArithmeticError as err:   # float ** raises OverflowError where * gives inf
         raise IntegrationError(f"mode integration failed: {type(err).__name__}: {err}") from err
-    y = np.array(states).T
-    return ModeSolution(tau=np.array(times), f=y[0], f_dot=y[1], mode=mode,
-                        n_rhs_evaluations=evaluations)
-
-
-@dataclass(frozen=True)
-class ScalarBogolyubov:
-    """Scalar mixing amplitudes of one mode."""
-
-    a_minus: complex
-    b_minus: complex
-
-
-def extract_scalar_coefficients(sol: ModeSolution) -> ScalarBogolyubov:
-    """Match the solution at the end of the span onto out-region plane waves.
-
-    The out-region energy is at least MIN_OUT_ENERGY: ``integrate_mode``
-    refuses a degenerate mode before integrating it.
-    """
-    e_out = sol.mode.e_out
-    tau, f, f_dot = float(sol.tau[-1]), sol.f[-1], sol.f_dot[-1]
-    a = 0.5 * (f + 1j * f_dot / e_out) * np.exp(1j * e_out * tau)
-    b = 0.5 * (f - 1j * f_dot / e_out) * np.exp(-1j * e_out * tau)
-    return ScalarBogolyubov(a_minus=complex(a), b_minus=complex(b))
+    rotated = f_dot * (1j / e_out)   # i f' / E_out
+    return ScalarBogolyubov(a_minus=0.5 * (f + rotated) * cmath.exp(1j * e_out * tau),
+                            b_minus=0.5 * (f - rotated) * cmath.exp(-1j * e_out * tau),
+                            n_steps=n_steps, n_rhs_evaluations=evaluations)
 
 
 def spinor_contraction(p_vec) -> np.ndarray:
@@ -536,9 +507,12 @@ def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode) -> DressingResult:
     that it does not underflow at tiny |p|; it is 0 at p = 0.
     The amplitude is made real by stripping (and recording) its global
     phase, which rotates operator phases but none of the mixing moduli.
-    Raises IntegrationError when the resulting set violates the
-    normalization constraints beyond the fixed gate DRESSING_GATE * TOL =
-    1e-8, signalling an integration or matching bug.
+    The set holds a = min(|raw a|, 1), but its normalization residual is
+    that of the unclipped amplitude: the worst constraint residual plus
+    the excess max(|raw a|**2 - 1, 0).  Raises IntegrationError, naming
+    the broken constraints, when that residual exceeds the fixed gate
+    DRESSING_GATE * TOL = 1e-8, which signals an integration or matching
+    bug.
     """
     contraction = spinor_contraction(mode.p_vec)
     e_in, e_out, m, m_out = mode.e_in, mode.e_out, mode.m, mode.m_out
@@ -549,16 +523,18 @@ def dress_coefficients(scalar: ScalarBogolyubov, mode: Mode) -> DressingResult:
     beta = -1j * contraction * scalar.b_minus / denom
     coeffs = BogolyubovCoefficients(scenario=Scenario.CHARGE_ONLY,
                                     a=min(magnitude, 1.0), beta=beta)
-    report = validate(coeffs, tolerance=DRESSING_GATE * TOL)
-    if not report.passed:
+    gate = DRESSING_GATE * TOL
+    report = validate(coeffs, tolerance=gate)
+    residual = report.worst + max(magnitude * magnitude - 1.0, 0.0)
+    if not residual <= gate:
         raise IntegrationError(
-            f"dressed coefficients violate constraints beyond {DRESSING_GATE * TOL:g}: "
-            f"{report.failing()} (worst {report.worst:.3e})")
+            f"dressed coefficients violate constraints beyond {gate:g}: "
+            f"{report.failing() or ['normalization']} (worst {residual:.3e})")
     px, py, _ = mode.p_vec
     lambda_eff = (math.hypot(px, py) / mode.p) ** 2 if mode.p > 0 else 0.0
     return DressingResult(coefficients=coeffs, stripped_phase=phase,
                           lambda_effective=lambda_eff,
-                          normalization_residual=report.worst)
+                          normalization_residual=residual)
 
 
 def particle_density(coeffs: BogolyubovCoefficients) -> float:
@@ -578,7 +554,6 @@ def particle_density(coeffs: BogolyubovCoefficients) -> float:
 class MomentumPointResult:
     """Full pipeline output at one momentum point."""
 
-    p_vec: tuple[float, float, float]
     p: float
     a: float
     beta_moduli: tuple[float, float, float, float]
@@ -604,8 +579,8 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile) -> MomentumPoin
     from cosmopair.entanglement import score
 
     mode = check_point(p_vec, m, profile)
-    scalar = extract_scalar_coefficients(integrate_mode(mode))
-    scalar_fine = extract_scalar_coefficients(integrate_mode(mode, refined=True))
+    scalar = integrate_mode(mode)
+    scalar_fine = integrate_mode(mode, refined=True)
     self_conv = max(abs(scalar.a_minus - scalar_fine.a_minus),
                     abs(scalar.b_minus - scalar_fine.b_minus))
     dressed = dress_coefficients(scalar, mode)
@@ -615,7 +590,7 @@ def momentum_point(p_vec, m: float, profile: ScaleFactorProfile) -> MomentumPoin
         BogolyubovCoefficients.stack([coeffs]), 0, [n_created], [dressed.lambda_effective]))
     b = np.abs(coeffs.beta)
     return MomentumPointResult(
-        p_vec=mode.p_vec, p=mode.p, a=coeffs.a,
+        p=mode.p, a=coeffs.a,
         beta_moduli=(float(b[UP, UP]), float(b[UP, DOWN]),
                      float(b[DOWN, UP]), float(b[DOWN, DOWN])),
         n_created=n_created, lambda_effective=dressed.lambda_effective,

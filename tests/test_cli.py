@@ -175,6 +175,15 @@ def test_config_file_expansion(tmp_path):
         assert err.value.code == 2
 
 
+@pytest.mark.parametrize("blank", ["", "   ", "\t"], ids=["empty", "spaces", "tab"])
+def test_config_file_blank_lines_are_skipped(blank, tmp_path, capsys):
+    # A blank line adds no argument; argparse would refuse an empty one.
+    config = tmp_path / "run.cfg"
+    config.write_text(f"--scenario=spinless\n{blank}\n--n=1\n")
+    assert cli.main(["sweep", f"@{config}"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("spinless,0.0,1,")
+
+
 def test_config_file_overridden_by_flags(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("--scenario=spinless\n--state=vac\n--n=1\n")
