@@ -123,18 +123,23 @@ class BogolyubovCoefficients:
         beta = np.array(self.beta, dtype=complex)
         if beta.shape[-2:] != (2, 2):
             raise ValueError(f"beta must be 2x2, got {beta.shape}")
-        a = np.array(self.a, dtype=float)
-        if a.shape != beta.shape[:-2]:
-            raise ValueError(f"a of shape {a.shape} does not match the beta stack {beta.shape}")
+        # The one set that from_density builds per point holds a Python float,
+        # checked as it is: an array round trip costs more than the check.
+        single = type(self.a) is float
+        a = self.a if single else np.array(self.a, dtype=float)
+        shape = () if single else a.shape
+        if shape != beta.shape[:-2]:
+            raise ValueError(f"a of shape {shape} does not match the beta stack {beta.shape}")
         # Checked over Python floats: a numpy comparison costs more than the
-        # whole loop for the one set that from_density builds per point.
-        for value in a.reshape(-1).tolist():
+        # whole loop for a stack of a few sets.
+        for value in [a] if single else a.reshape(-1).tolist():
             if not 0.0 <= value <= 1.0 + 1e-12:
                 raise ValueError(f"amplitude a={value} outside [0, 1]")
         beta.flags.writeable = False
-        a.flags.writeable = False
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "a", float(a) if a.ndim == 0 else a)
+        if not single:
+            a.flags.writeable = False
+            object.__setattr__(self, "a", float(a) if a.ndim == 0 else a)
 
     @classmethod
     def stack(cls, sets: Iterable[BogolyubovCoefficients]) -> BogolyubovCoefficients:

@@ -5,9 +5,13 @@ snapped within 1e-12), comma lists, or a single value; momentum grids
 additionally accept ``log:start:stop:count``.  Outputs are CSV or JSON
 (schema_version field) with 15-significant-digit decimals; identical
 configuration and seed produce byte-identical files.  Grid points are
-evaluated serially, in grid order.  An ``@file`` argument is replaced by
-the file's lines, one argument each (``--key=value``), skipping blank
-ones; later flags win.
+evaluated serially, in grid order, and their rows are written as they
+are computed: ``sweep`` writes one block of ``SCORE_BLOCK`` (128) rows
+at a time and ``dynamics`` one row per momentum, so neither holds more
+than a block of rows, whatever the grid's size.  The output is opened
+before the first row; a run that fails after that removes the file it
+created.  An ``@file`` argument is replaced by the file's lines, one
+argument each (``--key=value``), skipping blank ones; later flags win.
 
 Exit codes: 0 all rows within the fixed gates (``SWEEP_GATE`` for a sweep,
 the dressing gate at ``dynamics.TOL`` for dynamics), 1 a gate breach or
@@ -17,6 +21,7 @@ pipeline failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import math
@@ -167,14 +172,6 @@ def occupation_to_state_token(occupation: int, scenario: Scenario) -> str:
     return f"{reverse[particle]}.{reverse[anti]}"
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return f"{value:.15g}"
-
-
 def _refuse_output(args, err: OSError):
     args.command_parser.error(f"cannot write --output {args.output}: {err.strerror}")
 
@@ -184,7 +181,8 @@ def _check_output(args) -> None:
 
     The empty path, an existing directory, and a parent that is missing or
     not a directory are refused with open()'s reason; a parent without
-    write permission is left to :func:`_write_text`.
+    write permission is left to :func:`_output`, which opens the path
+    before the first row is computed.
     """
     path = args.output
     if path in (None, "-"):
@@ -199,32 +197,85 @@ def _check_output(args) -> None:
         _refuse_output(args, err)
 
 
-def _write_text(args, text: str) -> None:
-    """text to ``args.output``, or stdout; a path that cannot be written is a usage error."""
+@contextlib.contextmanager
+def _output(args):
+    """The stream of ``args.output``, or stdout.
+
+    A path that cannot be opened or written is a usage error.  When the
+    body raises, a file that this call created is removed again, so a
+    failed run leaves no partial output.
+    """
     if args.output in (None, "-"):
-        sys.stdout.write(text)
+        yield sys.stdout
         return
+    created = not os.path.lexists(args.output)
     try:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        handle = open(args.output, "w", encoding="utf-8")
     except OSError as err:
         _refuse_output(args, err)
+    try:
+        with handle:
+            yield handle
+    except BaseException as err:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(args.output)
+        if isinstance(err, OSError):
+            _refuse_output(args, err)
+        raise
+
+
+def _csv_format(row: tuple) -> str:
+    """% format of a CSV line shaped as row: a number to 15 significant digits, None empty."""
+    return ",".join("%.0s" if value is None else "%s" if isinstance(value, str) else "%.15g"
+                    for value in row) + "\n"
 
 
 def _json_value(value):
-    return value if value is None or isinstance(value, str) else float(_fmt(value))
+    return value if value is None or isinstance(value, str) else float("%.15g" % value)
 
 
-def _write_rows(args, columns, rows, head: dict, tail: dict | None = None) -> None:
-    """Rows (tuples in column order) as CSV, or as JSON between head and tail fields."""
-    if args.format == "json":
-        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **head,
-                   "rows": [dict(zip(columns, map(_json_value, row))) for row in rows],
-                   **(tail or {})}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = "\n".join([",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]) + "\n"
-    _write_text(args, text)
+def _json_halves(fields: dict) -> tuple[str, str]:
+    """``json.dumps(fields, indent=2)`` cut inside its empty ``rows`` list."""
+    before, key, after = json.dumps(fields, indent=2).partition('"rows": [')
+    return before + key, after
+
+
+def _write_rows(args, columns, blocks, head: dict, breached, tail=None) -> tuple[int, list]:
+    """Stream row blocks as CSV, or as JSON between head and tail fields.
+
+    Each block is a nonempty list of rows, tuples in column order whose
+    values have the types of the block's first row; it is formatted and
+    written at once, so only one block is held.  The JSON text equals
+    ``json.dumps`` of the whole payload with ``indent=2``.  Returns the
+    number of rows for which ``breached(row)`` is true and the first 20
+    of them; ``tail``, if given, maps that number to the fields written
+    after the rows.
+    """
+    count, first, written = 0, [], 0
+    with _output(args) as out:
+        if args.format == "json":
+            out.write(_json_halves({"schema_version": SCHEMA_VERSION, "command": args.command,
+                                    **head, "rows": []})[0])
+        else:
+            out.write(",".join(columns) + "\n")
+        for block in blocks:
+            breaches = [row for row in block if breached(row)]
+            count += len(breaches)
+            first.extend(breaches[:20 - len(first)])
+            if args.format == "json":
+                text = json.dumps([dict(zip(columns, map(_json_value, row))) for row in block],
+                                  indent=2)
+                # The list's items, one level deeper, after the previous block's.
+                out.write(("," if written else "") + text[1:-2].replace("\n", "\n  "))
+            else:
+                line = _csv_format(block[0])
+                out.write("".join([line % row for row in block]))
+            written += len(block)
+        if args.format == "json":
+            end = _json_halves({"rows": [], **(tail(count) if tail else {})})[1]
+            out.write(("\n  " if written else "") + end + "\n")
+    return count, first
 
 
 def _cmd_sweep(args) -> int:
@@ -233,17 +284,19 @@ def _cmd_sweep(args) -> int:
     lam_count = len(args.lam) if args.lam else 1
     if len(args.n) * lam_count > MAX_GRID_POINTS:
         raise ValueError(f"sweep of {len(args.n)} x {lam_count} points exceeds {MAX_GRID_POINTS}")
-    results = sweep(scenario, occupation, args.n, args.lam)
+    blocks = sweep(scenario, occupation, args.n, args.lam)
     token = occupation_to_state_token(occupation, scenario)
-    breaches = [r for r in results if r[-1] > SWEEP_GATE]
-    _write_rows(args, SWEEP_COLUMNS, [(scenario.value, token, *r) for r in results],
-                head={"tolerance": SWEEP_GATE},
-                tail={"all_within_tolerance": not breaches})
-    if breaches:
-        sys.stderr.write(f"{len(breaches)} rows exceed tolerance {SWEEP_GATE}:\n")
-        for n, lam, _, _, gap in breaches[:20]:
-            sys.stderr.write(f"  state {token} n={_fmt(n)} lambda={_fmt(lam)} "
-                             f"discrepancy={_fmt(gap)}\n")
+    prefix = (scenario.value, token)
+    count, first = _write_rows(args, SWEEP_COLUMNS,
+                               ([prefix + row for row in block] for block in blocks),
+                               head={"tolerance": SWEEP_GATE},
+                               breached=lambda row: row[-1] > SWEEP_GATE,
+                               tail=lambda count: {"all_within_tolerance": not count})
+    if count:
+        sys.stderr.write(f"{count} rows exceed tolerance {SWEEP_GATE}:\n")
+        for _, _, n, lam, _, _, gap in first:
+            sys.stderr.write(f"  state {token} n={n:.15g} lambda={lam:.15g} "
+                             f"discrepancy={gap:.15g}\n")
         return 1
     return 0
 
@@ -269,11 +322,11 @@ def _cmd_dynamics(args) -> int:
     p_vecs = [tuple(p * c for c in args.direction) for p in args.p_grid]
     for p_vec in p_vecs:
         check_point(p_vec, args.mass, profile)
-    rows = [_dynamics_row(p, p_vec, profile, args) for p, p_vec in zip(args.p_grid, p_vecs)]
-    _write_rows(args, DYNAMICS_COLUMNS, rows, head={"profile": args.profile})
-    failed = [row for row in rows if row[-1] != "ok"]
+    rows = ([_dynamics_row(p, p_vec, profile, args)] for p, p_vec in zip(args.p_grid, p_vecs))
+    failed, _ = _write_rows(args, DYNAMICS_COLUMNS, rows, head={"profile": args.profile},
+                            breached=lambda row: row[-1] != "ok")
     if failed:
-        sys.stderr.write(f"{len(failed)} momentum points failed\n")
+        sys.stderr.write(f"{failed} momentum points failed\n")
         return 1
     return 0
 
@@ -281,7 +334,8 @@ def _cmd_dynamics(args) -> int:
 def _cmd_verify(args) -> int:
     results = verify_mod.run_all(seed=args.seed, batch=args.batch)
     render = verify_mod.render_json if args.report == "json" else verify_mod.render_text
-    _write_text(args, render(results, seed=args.seed))
+    with _output(args) as out:
+        out.write(render(results, seed=args.seed))
     return 0 if all(r.passed for r in results) else 1
 
 

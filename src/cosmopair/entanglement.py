@@ -17,8 +17,9 @@ runs once per set.  The closed forms take n (and lambda) as arrays as
 well as floats, with one entropy per item.  ``score`` is the one place
 that scores coefficient sets: it sets the numeric entropies of a stack
 against one catalogue call at the caller's (n, lambda) arrays.
-``sweep`` builds its grid in stacks of ``SCORE_BLOCK`` sets and scores
-each; ``dynamics.momentum_point`` scores a stack of one.
+``sweep`` yields its rows in blocks of ``SCORE_BLOCK`` points, each built
+as one stack and scored by one call; ``dynamics.momentum_point`` scores a
+stack of one.
 
 All entropies are in bits.  The excited catalogue for four modes hinges
 on the particle-antiparticle charge of the input:
@@ -37,6 +38,8 @@ on the particle-antiparticle charge of the input:
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -216,16 +219,19 @@ def score(coeffs: BogolyubovCoefficients, occupation: int, n, lam):
 
 
 def sweep(scenario: Scenario, occupation: int, n_grid,
-          lambda_grid=None) -> list[tuple[float, float, float, float, float]]:
-    """(n, lambda, S_numeric, S_closed, discrepancy) rows over a density grid.
+          lambda_grid=None) -> Iterator[list[tuple[float, float, float, float, float]]]:
+    """Blocks of (n, lambda, S_numeric, S_closed, discrepancy) rows over a density grid.
 
     Rows run in grid order, lambda fastest.  The lambda grid is required
     (nonempty) for the charge-only scenario; the other scenarios refuse
     one and read lambda = 1 on every row, keeping the rows uniform.  The
-    whole grid is checked before any point is computed; the coefficient
-    sets are then built and scored one stack of ``SCORE_BLOCK`` points at
-    a time, so one block of them is alive at once.
+    occupation and the whole grid are checked when ``sweep`` is called, so
+    a bad input raises here, before any point is computed.  The iterator
+    it returns builds and scores one stack of ``SCORE_BLOCK`` points per
+    block it yields, the last block partial, so only one block of
+    coefficient sets and rows is alive at once, whatever the grid's size.
     """
+    scenario.split_occupation(occupation)
     n_values = [float(v) for v in n_grid]
     if not n_values:
         raise ValueError("empty density grid")
@@ -238,14 +244,16 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
                          "rows read lambda = 1")
     else:
         lam_values = [1.0]
-    points = [(n, lam) for n in n_values for lam in lam_values]
-    for n, lam in points:
-        check_density(n, lam, scenario)
-    rows = []
-    for start in range(0, len(points), SCORE_BLOCK):
-        block = points[start:start + SCORE_BLOCK]
+    for n in n_values:
+        for lam in lam_values:
+            check_density(n, lam, scenario)
+    return _scored_blocks(scenario, occupation, itertools.product(n_values, lam_values))
+
+
+def _scored_blocks(scenario: Scenario, occupation: int, points: Iterator[tuple[float, float]]):
+    """Row blocks of ``sweep`` over checked (n, lambda) points, one ``score`` call each."""
+    while block := list(itertools.islice(points, SCORE_BLOCK)):
         stack = BogolyubovCoefficients.stack(from_density(scenario, n, lam) for n, lam in block)
         n, lam = np.array(block).T
         scores = zip(*(column.tolist() for column in score(stack, occupation, n, lam)))
-        rows.extend(point + result for point, result in zip(block, scores))
-    return rows
+        yield [point + result for point, result in zip(block, scores)]

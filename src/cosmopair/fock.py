@@ -278,22 +278,17 @@ def subsystem_entropy(states: np.ndarray, keep):
 def entropy_of_eigenvalues(eigenvalues):
     """Entropy in bits of a probability vector, with the 0 log 0 = 0 rule.
 
-    A vector (d,) gives a float; a stack (..., d) gives an array (...).
-    Entries at or below ``EIGENVALUE_FLOOR`` count as exact zeros.
-    Raises ValueError for an entry that is NaN or outside [0, 1].
-
-    The sum runs over Python floats: the callers pass a handful of
-    entries per vector, where a numpy expression costs ten times more.
+    A vector (d,) gives a float; a stack (..., d) gives an array (...),
+    each item equal to the call on its vector alone.  Entries at or below
+    ``EIGENVALUE_FLOOR`` count as exact zeros, and an entropy of zero is
+    +0.0.  Raises ValueError naming the first entry, in row-major order,
+    that is NaN or outside [0, 1].
     """
     eigs = np.asarray(eigenvalues, dtype=float)
-    totals = []
-    for row in eigs.reshape(math.prod(eigs.shape[:-1]), eigs.shape[-1]).tolist():
-        total = 0.0
-        for lam in row:
-            # Written as "not within" so that a NaN entry fails the gate.
-            if not 0.0 <= lam <= 1.0:
-                raise ValueError(f"eigenvalue {lam} outside [0, 1]")
-            if lam > EIGENVALUE_FLOOR:
-                total -= lam * math.log2(lam)
-        totals.append(total)
-    return totals[0] if eigs.ndim == 1 else np.array(totals).reshape(eigs.shape[:-1])
+    # Written as "within" so that a NaN entry fails the gate.
+    require((eigs >= 0.0) & (eigs <= 1.0), eigs, "eigenvalue {} outside [0, 1]")
+    # A floored entry reads 1, whose term 1 * log2(1) is exactly 0.
+    kept = np.where(eigs > EIGENVALUE_FLOOR, eigs, 1.0)
+    # 0.0 - x turns a sum of zero terms, -0.0 included, into +0.0.
+    totals = 0.0 - (kept * np.log2(kept)).sum(axis=-1)
+    return float(totals) if totals.ndim == 0 else totals

@@ -305,6 +305,22 @@ def test_stack_rejects_empty_mixed_and_misshapen_input():
     assert isinstance(charge.a, float)
 
 
+@pytest.mark.parametrize("kind", [float, np.float64, np.array], ids=["float", "float64", "0-d"])
+def test_a_single_set_keeps_every_refusal_whatever_the_type_of_a(kind):
+    beta = coeffs(1.0).beta
+    for a in (1.0 + 2e-12, -0.1, math.nan):
+        with pytest.raises(ValueError) as err:
+            bg.BogolyubovCoefficients(Scenario.CHARGE_ONLY, kind(a), beta)
+        assert str(err.value) == f"amplitude a={a} outside [0, 1]"
+    with pytest.raises(ValueError) as err:
+        bg.BogolyubovCoefficients(Scenario.CHARGE_ONLY, kind(0.5), beta[np.newaxis])
+    assert str(err.value) == "a of shape () does not match the beta stack (1, 2, 2)"
+    single = bg.BogolyubovCoefficients(Scenario.CHARGE_ONLY, kind(1.0 + 1e-12), [[0.0] * 2] * 2)
+    # A float64 or 0-d array a takes the general path, which stores a Python float too.
+    assert type(single.a) is float and single.a == 1.0 + 1e-12
+    assert single.beta.dtype == complex and not single.beta.flags.writeable
+
+
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
 def test_validate_residuals_follow_their_names(scenario):
     """Each named residual is its constraint, written entry by entry, on broken sets."""

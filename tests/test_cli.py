@@ -1,4 +1,6 @@
+import argparse
 import ast
+import errno
 import json
 import math
 import os
@@ -10,6 +12,7 @@ import pytest
 
 from cosmopair import cli
 from cosmopair import dynamics as dyn
+from cosmopair import entanglement as ent
 from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import THETA_CHECK_TOLERANCE, Scenario
 
@@ -148,6 +151,84 @@ def test_sweep_exit_one_on_tolerance_breach(tmp_path, capsys, monkeypatch):
                      "--output", str(tmp_path / "x.csv")])
     assert code == 1
     assert "exceed tolerance" in capsys.readouterr().err
+
+
+# 603 points: four full blocks of the scoring route, then 91.
+STREAMED_SWEEP = ["sweep", "--scenario", "charge", "--n", "0:4:0.02", "--lambda", "0:1:0.5"]
+
+
+def one_shot_rendering(fmt: str, columns, rows, head: dict, tail: dict) -> str:
+    """Every row rendered at once: the joined CSV lines, or one ``json.dumps`` of the payload."""
+    if fmt == "json":
+        def value(v):
+            return v if v is None or isinstance(v, str) else float(f"{v:.15g}")
+        payload = {"schema_version": cli.SCHEMA_VERSION, **head,
+                   "rows": [dict(zip(columns, map(value, row))) for row in rows], **tail}
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [",".join("" if v is None else v if isinstance(v, str) else f"{v:.15g}" for v in row)
+             for row in rows]
+    return "\n".join([",".join(columns), *lines]) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_rows_equal_the_one_shot_rendering(fmt, tmp_path, capsys):
+    rows = [("charge", "0.0", *row)
+            for block in ent.sweep(Scenario.CHARGE_ONLY, 0, cli.parse_grid("0:4:0.02"),
+                                   cli.parse_grid("0:1:0.5"))
+            for row in block]
+    assert len(rows) == 603
+    expected = one_shot_rendering(fmt, cli.SWEEP_COLUMNS, rows,
+                                  {"command": "sweep", "tolerance": cli.SWEEP_GATE},
+                                  {"all_within_tolerance": True})
+    assert cli.main(STREAMED_SWEEP + ["--format", fmt]) == 0
+    assert capsys.readouterr().out == expected
+    out = tmp_path / f"sweep.{fmt}"
+    assert cli.main(STREAMED_SWEEP + ["--format", fmt, "--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == expected
+    # dynamics rows come one block each; an error row holds None and text.
+    argv = ["dynamics", "--mass", "0", "--p-grid", "0,1", "--format", fmt]
+    args = argparse.Namespace(mass=0.0)
+    rows = [cli._dynamics_row(p, (p / math.sqrt(3),) * 3, dyn.ScaleFactorProfile(1.0, 1.0), args)
+            for p in (0.0, 1.0)]
+    assert rows[0][-1].startswith("error: ") and rows[1][-1] == "ok"
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out == one_shot_rendering(
+        fmt, cli.DYNAMICS_COLUMNS, rows, {"command": "dynamics", "profile": "tanh"}, {})
+
+
+def test_every_breach_is_counted_and_the_first_20_are_named(capsys, monkeypatch):
+    # Every row breaches a negative gate, in every block.
+    monkeypatch.setattr(cli, "SWEEP_GATE", -1.0)
+    assert cli.main(STREAMED_SWEEP + ["--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["all_within_tolerance"] is False
+    stderr = captured.err.splitlines()
+    assert stderr[0] == "603 rows exceed tolerance -1.0:"
+    n_grid = cli.parse_grid("0:4:0.02")
+    assert stderr[1:] == [f"  state 0.0 n={n:.15g} lambda={lam:.15g} discrepancy={gap:.15g}"
+                          for n, lam, _, _, gap in next(ent.sweep(
+                              Scenario.CHARGE_ONLY, 0, n_grid[:7], [0.0, 0.5, 1.0]))[:20]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_run_that_fails_midway_leaves_no_output_file(fmt, tmp_path, capsys, monkeypatch):
+    scored, score = [], ent.score
+
+    def failing_on_the_second_block(*args):
+        scored.append(args)
+        if len(scored) == 2:
+            raise ValueError("second block refused")
+        return score(*args)
+
+    monkeypatch.setattr(ent, "score", failing_on_the_second_block)
+    out = tmp_path / f"sweep.{fmt}"
+    with pytest.raises(SystemExit) as err:
+        cli.main(STREAMED_SWEEP + ["--format", fmt, "--output", str(out)])
+    assert err.value.code == 2
+    assert len(scored) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        "cosmopair sweep: error: second block refused"
 
 
 def test_sweep_rejects_bad_state():
@@ -474,6 +555,30 @@ def test_an_unwritable_output_is_a_usage_error(argv, where, reason, tmp_path, ca
     assert stderr.startswith(f"usage: cosmopair {argv[0]} ")
     assert stderr.splitlines()[-1] == (f"cosmopair {argv[0]}: error: cannot write --output "
                                        f"{path}: {reason}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenario", "spinless", "--n", "1"],
+    ["dynamics", "--profile", "constant", "--p-grid", "1"],
+], ids=["sweep", "dynamics"])
+def test_an_output_that_cannot_be_opened_is_refused_before_the_first_row(argv, tmp_path, capsys,
+                                                                         monkeypatch):
+    # A directory without write permission, which root would not see: open() refuses.
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows computed")
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    monkeypatch.setattr(ent, "from_density", no_rows)
+    monkeypatch.setattr(cli, "momentum_point", no_rows)
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    path = str(tmp_path / "out.csv")
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--output", path])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"cosmopair {argv[0]}: error: cannot write --output {path}: Permission denied")
 
 
 def _run_cli(argv, timeout: float, **environ) -> subprocess.CompletedProcess:

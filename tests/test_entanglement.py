@@ -259,21 +259,25 @@ def test_subsystem_entropy_is_the_explicit_partial_trace(scenario):
         assert fock.subsystem_entropy(evolved, scenario.particle_modes) == explicit
 
 
+def sweep_rows(*args) -> list:
+    """The rows of ``ent.sweep(*args)``, its blocks flattened in order."""
+    return list(itertools.chain.from_iterable(ent.sweep(*args)))
+
+
 def test_sweep_shapes_and_discrepancies():
-    results = ent.sweep(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 0,
-                        [k * 0.1 for k in range(41)])
+    results = sweep_rows(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 0, [k * 0.1 for k in range(41)])
     assert len(results) == 41
     assert all(len(row) == 5 for row in results)
     assert max(gap for *_, gap in results) <= 1e-10
     assert all(lam == 1.0 for _, lam, *_ in results)
-    results = ent.sweep(Scenario.CHARGE_ONLY, 0b0101, [2.0], [0.25, 0.75])
+    results = sweep_rows(Scenario.CHARGE_ONLY, 0b0101, [2.0], [0.25, 0.75])
     assert [(n, lam) for n, lam, *_ in results] == [(2.0, 0.25), (2.0, 0.75)]
     assert all(0.0 <= s <= 2.0 + 1e-12 for _, _, s, _, _ in results)
     # parallel-spin pair under angular-momentum conservation never entangles
-    transparent = ent.sweep(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 0b0101,
-                            [0.0, 1.0, 2.0, 3.0, 4.0])
+    transparent = sweep_rows(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, 0b0101,
+                             [0.0, 1.0, 2.0, 3.0, 4.0])
     assert max(s for _, _, s, _, _ in transparent) <= 1e-10
-    spinless = ent.sweep(Scenario.SPINLESS, 0b11, [0.0, 0.5, 1.0, 1.5, 2.0])
+    spinless = sweep_rows(Scenario.SPINLESS, 0b11, [0.0, 0.5, 1.0, 1.5, 2.0])
     assert all(0.0 <= s <= 1.0 + 1e-12 for _, _, s, _, _ in spinless)
 
 
@@ -302,6 +306,36 @@ def test_sweep_and_from_density_share_the_range_rule(n, lam):
     with pytest.raises(ValueError) as built:
         from_density(Scenario.CHARGE_ONLY, n, lam=lam)
     assert str(swept.value) == str(built.value)
+
+
+def counting_from_density(monkeypatch) -> list:
+    """Every ``from_density`` call that the sweep makes, recorded as it is made."""
+    built, build = [], ent.from_density
+    monkeypatch.setattr(ent, "from_density", lambda *args: built.append(args) or build(*args))
+    return built
+
+
+def test_sweep_refuses_a_bad_input_when_called_before_any_point(monkeypatch):
+    built = counting_from_density(monkeypatch)
+    # The bad density sits in the third block; the bad occupation is out of range.
+    densities = [k * 0.01 for k in range(300)] + [5.0]
+    with pytest.raises(ValueError, match="density 5.0 outside"):
+        ent.sweep(Scenario.CHARGE_ONLY, 0, densities, [0.0, 1.0])
+    with pytest.raises(ValueError, match="occupation 16 out of range for 4 modes"):
+        ent.sweep(Scenario.CHARGE_ONLY, 16, [1.0], [0.5])
+    assert built == []
+
+
+def test_taking_the_first_row_builds_only_the_first_block(monkeypatch):
+    built = counting_from_density(monkeypatch)
+    blocks = ent.sweep(Scenario.CHARGE_ONLY, 0, [k * 0.02 for k in range(201)], [0.0, 0.5, 1.0])
+    assert built == []
+    first = next(iter(blocks))
+    assert first[0][:2] == (0.0, 0.0)
+    assert len(built) == ent.SCORE_BLOCK
+    # 603 points: four full blocks, then 91.
+    assert [len(block) for block in blocks] == [ent.SCORE_BLOCK] * 3 + [91]
+    assert len(built) == 603
 
 
 def test_entropy_numeric_bad_occupation():
@@ -363,7 +397,7 @@ def test_sweep_does_not_depend_on_the_block_size(block, scenario, occupation, la
     of the grids (51 = 32 + 19 points).
     """
     densities = [k * scenario.n_max / 16 for k in range(17)]
-    expected = ent.sweep(scenario, occupation, densities, lambdas)
+    expected = sweep_rows(scenario, occupation, densities, lambdas)
     points = [(n, lam) for n, lam, *_ in expected]
     one_at_a_time = [ent.entropy_numeric(coeffs(n, lam, scenario), occupation)
                      for n, lam in points]
@@ -388,7 +422,7 @@ def test_sweep_does_not_depend_on_the_block_size(block, scenario, occupation, la
     for name in counted:
         monkeypatch.setattr(ent, name, counting(name))
     monkeypatch.setattr(ent, "SCORE_BLOCK", block)
-    assert ent.sweep(scenario, occupation, densities, lambdas) == expected
+    assert sweep_rows(scenario, occupation, densities, lambdas) == expected
     starts = range(0, len(expected), block)
     sizes = [min(block, len(expected) - start) for start in starts]
     assert calls == [((size,), start + size) for start, size in zip(starts, sizes)]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -231,6 +232,51 @@ def test_entropy_of_eigenvalues_rejects_entries_outside_unit_interval():
     for bad in ([np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf], [1.5, 0.5], [-1e-3, 1.0]):
         with pytest.raises(ValueError):
             fock.entropy_of_eigenvalues(bad)
+
+
+@given(seed=st.integers(0, 2**31), shape=st.sampled_from([(1, 2), (7, 4), (2, 3, 4), (0, 4)]))
+@settings(max_examples=12, deadline=None)
+def test_a_stacked_entropy_of_eigenvalues_equals_its_per_row_calls(seed, shape):
+    rng = np.random.default_rng(seed)
+    # Entries at zero, at the floor, just above it and at one beside random ones.
+    edges = rng.choice([0.0, fock.EIGENVALUE_FLOOR, 2 * fock.EIGENVALUE_FLOOR, 1.0], size=shape)
+    spectra = np.where(rng.uniform(size=shape) < 0.5, rng.uniform(size=shape), edges)
+    stacked = fock.entropy_of_eigenvalues(spectra)
+    assert stacked.shape == shape[:-1]
+    per_row = [fock.entropy_of_eigenvalues(row) for row in spectra.reshape(-1, shape[-1])]
+    assert all(isinstance(s, float) for s in per_row)
+    assert stacked.ravel().tolist() == per_row
+    assert all(math.copysign(1.0, s) == 1.0 for s in per_row)
+
+
+def test_an_entry_at_the_eigenvalue_floor_counts_as_zero():
+    floor = fock.EIGENVALUE_FLOOR
+    assert fock.entropy_of_eigenvalues([floor, 1.0 - floor]) == \
+        fock.entropy_of_eigenvalues([0.0, 1.0 - floor])
+    above = math.nextafter(floor, 1.0)
+    assert fock.entropy_of_eigenvalues([above, 1.0 - floor]) == \
+        fock.entropy_of_eigenvalues([0.0, 1.0 - floor]) - above * math.log2(above)
+
+
+@pytest.mark.parametrize("spectrum", [[1.0, 0.0], [0.0, 1.0], [1.0, fock.EIGENVALUE_FLOOR],
+                                      [0.0, 0.0, 1.0, 0.0]])
+def test_a_pure_spectrum_has_entropy_plus_zero(spectrum):
+    entropy = fock.entropy_of_eigenvalues(spectrum)
+    assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+    stacked = fock.entropy_of_eigenvalues([spectrum, spectrum])
+    assert np.array_equal(np.copysign(1.0, stacked), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("stack, first", [
+    ([[0.5, 0.5], [0.25, np.nan], [1.5, 0.5]], "nan"),
+    ([[0.5, 0.5], [1.5, np.nan], [0.25, 0.75]], "1.5"),
+    ([[0.5, -1e-3], [np.nan, 0.5]], "-0.001"),
+    ([[0.5, 0.5], [0.5, 0.5], [0.5, np.inf]], "inf"),
+], ids=["nan", "above-one-before-a-nan", "negative", "infinite"])
+def test_the_entropy_error_names_the_first_bad_entry(stack, first):
+    with pytest.raises(ValueError) as err:
+        fock.entropy_of_eigenvalues(stack)
+    assert str(err.value) == f"eigenvalue {first} outside [0, 1]"
 
 
 @given(seed=st.integers(0, 2**31), keep_mask=st.integers(1, 14))
