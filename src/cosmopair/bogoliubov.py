@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -418,14 +419,19 @@ def expected_pair_mixing(coeffs: BogolyubovCoefficients) -> tuple[np.ndarray, np
 
 
 def random_coefficients(scenario: Scenario,
-                        rng: np.random.Generator) -> BogolyubovCoefficients:
+                        rng: random.Random | np.random.Generator) -> BogolyubovCoefficients:
     """Random valid coefficient set for property and oracle tests.
 
     The density stays below ``RANDOM_DENSITY_FRACTION_MAX * n_max`` so the
     amplitude a is bounded away from zero and the factorized application
     remains well conditioned.
+
+    The six uniforms (n, lambda, four phases) are six scalar
+    ``rng.uniform(low, high)`` calls, so ``rng`` may be a standard-library
+    ``random.Random`` or a numpy ``Generator``.  A Generator yields the
+    same doubles, in the same order, as its vector draw of the four phases.
     """
     n = float(rng.uniform(0.0, RANDOM_DENSITY_FRACTION_MAX * scenario.n_max))
     lam = float(rng.uniform(0.0, 1.0))
-    phases = tuple(float(p) for p in rng.uniform(0.0, 2.0 * math.pi, size=4))
+    phases = tuple(float(rng.uniform(0.0, 2.0 * math.pi)) for _ in range(4))
     return from_density(scenario, n, lam, phases)

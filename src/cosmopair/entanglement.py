@@ -244,9 +244,13 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
                          "rows read lambda = 1")
     else:
         lam_values = [1.0]
+    # One pass per axis raises what a grid-order pass raises first: the first
+    # row's densities are checked against every lambda, so each later row
+    # can fail on its density alone.
+    for lam in lam_values:
+        check_density(n_values[0], lam, scenario)
     for n in n_values:
-        for lam in lam_values:
-            check_density(n, lam, scenario)
+        check_density(n, lam_values[0], scenario)
     return _scored_blocks(scenario, occupation, itertools.product(n_values, lam_values))
 
 

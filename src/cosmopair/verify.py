@@ -8,9 +8,8 @@ Inputs come from two sources: the seeded pass, ``batch`` random draws
 per scenario, and one fixed (n, lambda) grid per scenario, which feeds
 every other check, so the seed moves none of those.
 
-The seeded draws reach ``numpy.random`` as ``np.random`` when a check
-runs: ``cli`` imports this module on every command, and numpy 2 loads
-its random package (about 14 ms) only on that first access.
+The seeded draws come from the standard library's Mersenne Twister,
+``random.Random(seed)``, so no command loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -62,11 +62,12 @@ _N_GRID = [0.25 * k for k in range(17)]           # 0 .. 4
 _LAMBDA_GRID = [0.1 * k for k in range(11)]       # 0 .. 1
 
 # Coefficient sets that the seeded pass and the grid scoring stack per call.
-# Peak memory grows with the block, so it sets the size: stacking all 200
-# draws of ``verify --batch 200`` raises its peak RSS by about 7 MB (17 %),
-# blocks of 16 by under 0.5 MB.  Scoring the 187-point charge grid in one
-# stack costs a cold run about 900 page faults.
-STACK_BLOCK = 16
+# numpy's per-call overhead is paid once per block, and peak memory grows
+# with the block.  ``verify --batch 200`` peaks at 32.6 MB with blocks of 16,
+# 35.2 MB with 64 and 41.0 MB with all 200 draws in one stack; its cold
+# factorization pass takes about 100 ms at 16 and 85 ms at 64 (2-vCPU
+# x86_64 host).
+STACK_BLOCK = 64
 # The bound grids have: a draw costs about 0.5 ms, so 10**9 would take days.
 MAX_BATCH = 10**6
 
@@ -189,7 +190,7 @@ def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
     measured on the factorized route: ``unitary_dense`` refuses its own
     results above the same 1e-12.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     factorized, expansions = [], []
     worst_unitarity = 0.0
     worst_conjugation = 0.0

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -212,6 +213,26 @@ def test_scenario_tokens():
 def random_sets(scenario, size, rng_seed):
     rng = np.random.default_rng(rng_seed)
     return [bg.random_coefficients(scenario, rng) for _ in range(size)]
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+@pytest.mark.parametrize("rng_seed", [0, 7, 2**32 - 1])
+def test_random_coefficients_takes_numpy_and_standard_library_generators(scenario, rng_seed):
+    # A numpy Generator gives the sets of the vector draw of the four phases.
+    drawn = random_sets(scenario, 5, rng_seed)
+    rng = np.random.default_rng(rng_seed)
+    for got in drawn:
+        n = float(rng.uniform(0.0, bg.RANDOM_DENSITY_FRACTION_MAX * scenario.n_max))
+        lam = float(rng.uniform(0.0, 1.0))
+        phases = tuple(float(p) for p in rng.uniform(0.0, 2.0 * math.pi, size=4))
+        want = bg.from_density(scenario, n, lam, phases)
+        assert got.a == want.a and np.array_equal(got.beta, want.beta)
+    # A random.Random is drawn from the same way, reproducibly.
+    first, second = ([bg.random_coefficients(scenario, rng) for _ in range(5)]
+                     for rng in (random.Random(rng_seed), random.Random(rng_seed)))
+    for one, other in zip(first, second):
+        assert one.a == other.a and np.array_equal(one.beta, other.beta)
+        assert bg.validate(one).passed
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)

@@ -716,13 +716,27 @@ def test_pool_and_sweep_seed_options_are_gone(tmp_path, monkeypatch):
 
 
 def test_importing_the_cli_loads_no_more_of_numpy_random_than_numpy_does():
-    """verify reaches numpy.random only when a check runs, not when the CLI starts."""
-    loaded = ("import sys, {}; "
-              "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
-    done = [_run_cli(["-c", loaded.format(module)], timeout=60) for module in
-            ("numpy", "cosmopair.cli")]
+    """Nor does any command load more of it, or of the hashlib it pulls in.
+
+    verify draws from ``random.Random``; ``numpy.random`` would bring
+    hashlib (OpenSSL) through secrets.  numpy 1 imports its random package
+    with numpy itself, numpy 2 only on first access, so each child is held
+    to what ``import numpy`` loads.
+    """
+    script = ("import sys, {module}\n"
+              "{run}"
+              "print(sorted(m for m in sys.modules\n"
+              "             if m.startswith('numpy.random') or m in ('hashlib', '_hashlib')),\n"
+              "      file=sys.stderr)\n")
+    runs = [f"assert cosmopair.cli.main({argv!r}) == 0\n" for argv in (
+        ["verify", "--batch", "2"],
+        ["sweep", "--scenario", "spinless", "--n", "1"],
+        ["dynamics", "--profile", "constant", "--p-grid", "1"])]
+    done = [_run_cli(["-c", script.format(module=module, run=run)], timeout=60)
+            for module, run in [("numpy", ""), ("cosmopair.cli", ""),
+                                *(("cosmopair.cli", run) for run in runs)]]
     assert all(d.returncode == 0 for d in done), [d.stderr for d in done]
-    assert done[1].stdout == done[0].stdout
+    assert [d.stderr for d in done[1:]] == [done[0].stderr] * (len(done) - 1)
 
 
 @pytest.mark.parametrize("module, preset, seen", [

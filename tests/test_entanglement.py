@@ -12,6 +12,7 @@ from cosmopair import fock
 from cosmopair.bogoliubov import (
     BogolyubovCoefficients,
     Scenario,
+    check_density,
     from_density,
     theta_from_coefficients,
 )
@@ -306,6 +307,27 @@ def test_sweep_and_from_density_share_the_range_rule(n, lam):
     with pytest.raises(ValueError) as built:
         from_density(Scenario.CHARGE_ONLY, n, lam=lam)
     assert str(swept.value) == str(built.value)
+
+
+def grid_order_refusal(densities, lambdas) -> str:
+    """The message of the first charge-only point, lambda fastest, that check_density refuses."""
+    for n, lam in itertools.product(densities, lambdas):
+        try:
+            check_density(n, lam, Scenario.CHARGE_ONLY)
+        except ValueError as err:
+            return str(err)
+    raise AssertionError("no point refused")
+
+
+@pytest.mark.parametrize("densities, lambdas, message", [
+    ([5.0, 1.0], [0.5, 1.5], "density 5.0 outside"),
+    ([1.0, 5.0], [0.5, 1.5, -1.0], "lambda 1.5 outside"),
+    ([1.0, 2.0, -0.5, 5.0], [0.0, 0.5, 1.0], "density -0.5 outside"),
+])
+def test_sweep_refuses_the_first_bad_point_in_grid_order(densities, lambdas, message):
+    with pytest.raises(ValueError, match=message) as swept:
+        ent.sweep(Scenario.CHARGE_ONLY, 0, densities, lambdas)
+    assert str(swept.value) == grid_order_refusal(densities, lambdas)
 
 
 def counting_from_density(monkeypatch) -> list:

@@ -1,8 +1,8 @@
 import json
+import random
 
 import numpy as np
 import pytest
-from numpy.random import default_rng
 
 from cosmopair import cli, fock, verify
 from cosmopair.bogoliubov import (
@@ -51,7 +51,7 @@ def test_reports_are_deterministic_and_well_formed():
 def factorization_one_draw_at_a_time(seed, batch):
     """Reference for verify._check_factorization: every seeded oracle on one draw per call."""
     factorized, expansions = [], []
-    rng = default_rng(seed)
+    rng = random.Random(seed)
     worst_unitarity = 0.0
     worst_conjugation = 0.0
     worst_nilpotency = 0.0
@@ -108,7 +108,8 @@ def factorization_one_draw_at_a_time(seed, batch):
             *expansions]
 
 
-@pytest.mark.parametrize("batch", [1, 16, 37])  # 37 ends on a partial block
+# One draw, one full block, and two full blocks with a partial third.
+@pytest.mark.parametrize("batch", [1, verify.STACK_BLOCK, 2 * verify.STACK_BLOCK + 5])
 def test_stacked_factorization_check_matches_one_draw_at_a_time(batch):
     stacked = verify._check_factorization(7, batch)
     reference = factorization_one_draw_at_a_time(7, batch)
