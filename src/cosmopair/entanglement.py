@@ -68,9 +68,10 @@ __all__ = [
 # Each block costs a fixed number of numpy calls, so larger blocks pay
 # less per set, down to a floor.  On the 4411-point charge sweep (2-vCPU
 # x86_64, numpy 2.4, one BLAS thread as the CLI runs it) the in-process
-# time is about 380 ms at 16 and flat at 200-240 ms from 64 to 512, so
-# peak RSS sets the block: the command's is flat up to 128 and grows
-# beyond it, +1.4 MB at 256 and +4.9 MB at 512.
+# time, median of 5, is 220 ms at 16, 150 ms at 64 and flat at 123-130 ms
+# from 128 to 512, while the command's peak RSS is 32.2 MB up to 64 and
+# grows from 128 on: 32.7, 33.8 and 36.0 MB at 128, 256 and 512.  128 is
+# the smallest block on the time floor.
 SCORE_BLOCK = 128
 
 
@@ -109,19 +110,21 @@ def entropy_vacuum_closed_form(n, scenario: Scenario):
 
 
 @functools.lru_cache(maxsize=None)
-def _charge_sector(n_modes: int, occupation: int) -> tuple[np.ndarray, int, int]:
-    """Cached read-only (order, size, position) of an occupation's charge sector.
+def _charge_sector(n_modes: int, occupation: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cached read-only (sector, rest, position) of an occupation's charge sector.
 
-    order lists every basis index, first the ``size`` indices whose
-    charge, read from the diagonal of ``fock.charge_operator``, equals the
-    occupation's, then the rest; position is the occupation's place among
-    the first ``size``.
+    sector lists the basis indices whose charge, read from the diagonal
+    of ``fock.charge_operator``, equals the occupation's, and rest every
+    other index, both ascending; position is the occupation's place in
+    sector.
     """
     charges = np.diag(fock.charge_operator(n_modes)).real.tolist()
     sector = [k for k, q in enumerate(charges) if q == charges[occupation]]
-    order = np.array(sector + [k for k, q in enumerate(charges) if q != charges[occupation]])
-    order.flags.writeable = False
-    return order, len(sector), sector.index(occupation)
+    rest = [k for k, q in enumerate(charges) if q != charges[occupation]]
+    indices = np.array(sector), np.array(rest)
+    for array in indices:
+        array.flags.writeable = False
+    return *indices, sector.index(occupation)
 
 
 def _evolve_in_sector(generators: np.ndarray, occupation: int) -> np.ndarray:
@@ -130,16 +133,19 @@ def _evolve_in_sector(generators: np.ndarray, occupation: int) -> np.ndarray:
     generators is a stack (..., 2**n, 2**n); the result is the stack of
     evolved states (..., 2**n), zero off the sector.  A generator entry
     that joins the sector to another charge raises ValueError, since the
-    block alone would then no longer give the evolution.
+    block alone would then no longer give the evolution.  Only the three
+    blocks that touch the sector are read.
     """
     n_modes = generators.shape[-1].bit_length() - 1
-    order, size, position = _charge_sector(n_modes, occupation)
-    ordered = generators[..., order[:, np.newaxis], order]
-    if not ((ordered[..., :size, size:] == 0).all() and (ordered[..., size:, :size] == 0).all()):
+    sector, rest, position = _charge_sector(n_modes, occupation)
+    # any() reads a NaN as nonzero, so a NaN entry is refused too.
+    if (generators[..., sector[:, np.newaxis], rest].any()
+            or generators[..., rest[:, np.newaxis], sector].any()):
         raise ValueError(f"generator couples the charge sector of occupation {occupation} "
                          "to other charges")
     evolved = np.zeros(generators.shape[:-1], dtype=complex)
-    evolved[..., order[:size]] = unitary_dense(ordered[..., :size, :size])[..., :, position]
+    block = generators[..., sector[:, np.newaxis], sector]
+    evolved[..., sector] = unitary_dense(block)[..., :, position]
     return evolved
 
 

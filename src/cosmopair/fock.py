@@ -173,37 +173,45 @@ def partial_trace(rho: np.ndarray, keep) -> np.ndarray:
     shape.  Pairs row/column indices through the little-endian bit
     encoding, so the reduced basis index packs the kept modes in
     increasing mode order.  Trace and Hermiticity are preserved; diagonal
-    occupation probabilities are exact sums of the input diagonal.
+    occupation probabilities are exact sums of the input diagonal.  keep
+    is any iterable of mode indices, in any order and with repeats; it is
+    checked once per distinct (n, keep), and a bad one raises on every
+    call.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0] if rho.ndim == 2 else 0
     n_modes = dim.bit_length() - 1
     if rho.shape != (dim, dim) or n_modes < 1 or dimension(n_modes) != dim:
         raise ValueError(f"operator shape {rho.shape} is not (2**n, 2**n) with n >= 1")
+    plan = _trace_plan(n_modes, tuple(keep))
+    if plan is None:
+        return rho.copy()
+    shape, subscripts, dim_keep = plan
+    return np.einsum(subscripts, rho.reshape(shape)).reshape(dim_keep, dim_keep)
+
+
+# Bounded, since keep is cached as given: the same modes in another order
+# or with repeats are another entry.
+@functools.lru_cache(maxsize=1024)
+def _trace_plan(n_modes: int, keep: tuple) -> tuple[tuple[int, ...], str, int] | None:
+    """Checked tensor shape, ``einsum`` subscripts and reduced dimension that trace out the rest.
+
+    None when keep names every mode.  A refusal raises, so it is never
+    cached.  The row-major reshape puts bit i of a basis index (the
+    occupation of mode i) at axis n-1-i of its half, so modes run from
+    n-1 down to 0 along the axes.  Each run of adjacent modes that are
+    all kept or all traced becomes one axis of 2**run entries, the same
+    in the row and the column half.  A traced run shares its label
+    between the two halves and is summed; the kept runs keep their
+    order, which packs the kept modes in increasing mode order.
+    """
     keep = sorted({int(m) for m in keep})
     if not keep:
         raise ValueError("keep must be a nonempty set of modes")
     if keep[0] < 0 or keep[-1] >= n_modes:
         raise ValueError(f"keep {keep} is not a subset of range({n_modes})")
     if len(keep) == n_modes:
-        return rho.copy()
-    shape, subscripts = _trace_plan(n_modes, tuple(keep))
-    dim_keep = dimension(len(keep))
-    return np.einsum(subscripts, rho.reshape(shape)).reshape(dim_keep, dim_keep)
-
-
-@functools.lru_cache(maxsize=None)
-def _trace_plan(n_modes: int, keep: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
-    """Tensor shape and ``einsum`` subscripts that trace out every mode not in keep.
-
-    The row-major reshape puts bit i of a basis index (the occupation of
-    mode i) at axis n-1-i of its half, so modes run from n-1 down to 0
-    along the axes.  Each run of adjacent modes that are all kept or all
-    traced becomes one axis of 2**run entries, the same in the row and
-    the column half.  A traced run shares its label between the two
-    halves and is summed; the kept runs keep their order, which packs
-    the kept modes in increasing mode order.
-    """
+        return None
     shape, rows, cols, kept_rows, kept_cols = [], [], [], [], []
     labels = iter("abcdefghijklmnopqrstuvwxyz")
     for kept, run in itertools.groupby(range(n_modes - 1, -1, -1), key=keep.__contains__):
@@ -216,7 +224,7 @@ def _trace_plan(n_modes: int, keep: tuple[int, ...]) -> tuple[tuple[int, ...], s
             kept_rows.append(row)
             kept_cols.append(col)
     subscripts = "".join(rows + cols) + "->" + "".join(kept_rows + kept_cols)
-    return tuple(shape) * 2, subscripts
+    return tuple(shape) * 2, subscripts, dimension(len(keep))
 
 
 def validate_density_operator(rho: np.ndarray) -> np.ndarray:

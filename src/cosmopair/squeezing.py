@@ -21,6 +21,9 @@ single-pair amplitudes -a * conj(beta) (see ``expansions``); the variant
 with positive signs corresponds to the momentum-reflected coefficients,
 since beta flips sign under momentum reversal.
 
+The generator is written on the pair sum's support alone (24 of 256
+entries for four modes) and on its transpose; C is never formed for it.
+
 Stacks: ``pair_creation_sum``, ``build_generator`` and ``apply_decoupled``
 take theta with leading batch axes, shape (..., n, n); ``unitary_dense``
 takes a generator stack (..., d, d), and ``unitarity_residual`` and
@@ -70,22 +73,25 @@ class DecompositionError(RuntimeError):
 
 
 @functools.lru_cache(maxsize=None)
-def _pair_products(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_products(n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cached read-only pair products f+_i f+_j, flattened and cut to their support.
 
     Returns the flat indices k * 2**n + l of the entries where some
-    product is nonzero, and the (n*n, len(support)) matrix of those
-    entries, row i * n + j for f+_i f+_j.
+    product is nonzero, the transposed indices l * 2**n + k, and the
+    (n*n, len(support)) matrix of those entries, row i * n + j for
+    f+_i f+_j.
     """
     _, raising = fock.ladder_operators(n_modes)
     dim = fock.dimension(n_modes)
     products = np.array([[r_i @ r_j for r_j in raising] for r_i in raising])
     products = products.reshape(n_modes * n_modes, dim * dim)
     support = np.flatnonzero(np.any(products, axis=0))
+    rows, cols = np.divmod(support, dim)
+    transposed = cols * dim + rows
     values = products[:, support]
-    support.flags.writeable = False
-    values.flags.writeable = False
-    return support, values
+    for array in (support, transposed, values):
+        array.flags.writeable = False
+    return support, transposed, values
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,17 +103,29 @@ def _occupation_exponents(n_modes: int) -> np.ndarray:
     return exponents
 
 
-def _pair_sum(theta: np.ndarray) -> np.ndarray:
-    """(1/2) sum_ij theta_ij f+_i f+_j for an already validated theta (or stack)."""
+def _pair_values(theta: np.ndarray) -> np.ndarray:
+    """(1/2) sum_ij theta_ij f+_i f+_j at its support, for an already validated theta (or stack)."""
     n = theta.shape[-1]
-    dim = fock.dimension(n)
-    batch = theta.shape[:-2]
+    _, _, values = _pair_products(n)
     # Only the support is multiplied out (24 of 256 entries for 4 modes):
     # the full (n*n, dim*dim) product does ten times the work for zeros.
-    support, values = _pair_products(n)
+    return 0.5 * (theta.reshape(*theta.shape[:-2], n * n) @ values)
+
+
+def _on_support(theta: np.ndarray, *writes: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Zero (..., 2**n, 2**n) stack of theta's batch shape, each (flat indices, values) written in."""
+    dim = fock.dimension(theta.shape[-1])
+    batch = theta.shape[:-2]
     flat = np.zeros((*batch, dim * dim), dtype=complex)
-    flat[..., support] = theta.reshape(*batch, n * n) @ values
-    return 0.5 * flat.reshape(*batch, dim, dim)
+    for indices, values in writes:
+        flat[..., indices] = values
+    return flat.reshape(*batch, dim, dim)
+
+
+def _pair_sum(theta: np.ndarray) -> np.ndarray:
+    """(1/2) sum_ij theta_ij f+_i f+_j for an already validated theta (or stack)."""
+    support, _, _ = _pair_products(theta.shape[-1])
+    return _on_support(theta, (support, _pair_values(theta)))
 
 
 def pair_creation_sum(theta: np.ndarray) -> np.ndarray:
@@ -122,10 +140,14 @@ def pair_creation_sum(theta: np.ndarray) -> np.ndarray:
 def build_generator(theta: np.ndarray) -> np.ndarray:
     """Generator L = C - C^dag of the squeezing unitary, C the pair-creation sum.
 
-    Anti-Hermitian by construction.
+    Anti-Hermitian by construction.  C raises the occupation by two and
+    C^dag lowers it, so their supports are disjoint: L is C's values at
+    C's support and their negated conjugates at the transposed support.
     """
-    create = pair_creation_sum(theta)
-    return create - create.conj().swapaxes(-1, -2)
+    theta = check_theta(theta)
+    support, transposed, _ = _pair_products(theta.shape[-1])
+    create = _pair_values(theta)
+    return _on_support(theta, (support, create), (transposed, -create.conj()))
 
 
 def unitary_dense(gen: np.ndarray) -> np.ndarray:

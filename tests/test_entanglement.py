@@ -474,7 +474,7 @@ def test_sector_column_equals_the_full_dense_column(scenario):
     """The evolved state from the charge-sector block is the full unitary's column.
 
     Random sets plus n = n_max, where a = 0, for every input occupation.
-    An entry joining the sector to any state of another charge raises.
+    An entry joining the sector to any state of another charge raises, a NaN one too.
     """
     sets = seeded_sets(scenario, 8, seed=71) + [coeffs(scenario.n_max, 0.3, scenario)]
     generators = build_generator(np.array([theta_from_coefficients(c) for c in sets]))
@@ -489,9 +489,10 @@ def test_sector_column_equals_the_full_dense_column(scenario):
         sizes.append(len(sector))
         for other, member in zip(np.flatnonzero(charges != charges[occupation]),
                                  itertools.cycle(sector)):
-            for row, col in ((other, member), (member, other)):
+            for (row, col), value in itertools.product(((other, member), (member, other)),
+                                                       (1e-3, np.nan)):
                 leaky = generators.copy()
-                leaky[len(sets) // 2, row, col] = 1e-3
+                leaky[len(sets) // 2, row, col] = value
                 with pytest.raises(ValueError, match="couples the charge sector"):
                     ent._evolve_in_sector(leaky, occupation)
     # The vacuum's sector, then the sizes of all the others.

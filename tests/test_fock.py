@@ -186,7 +186,7 @@ def test_partial_trace_matches_the_bit_loop_sum_for_every_keep(n_modes):
 
 def test_partial_trace_merges_adjacent_modes_into_one_axis():
     # Keeping the low pair of four modes sums one axis of four entries.
-    assert fock._trace_plan(4, (0, 1)) == ((4, 4, 4, 4), "abac->bc")
+    assert fock._trace_plan(4, (1, 0, 1)) == ((4, 4, 4, 4), "abac->bc", 4)
 
 
 def test_partial_trace_keeping_every_mode_copies():
@@ -194,6 +194,41 @@ def test_partial_trace_keeping_every_mode_copies():
     reduced = fock.partial_trace(rho, [1, 0])
     assert np.array_equal(reduced, rho)
     assert not np.shares_memory(reduced, rho)
+
+
+def test_partial_trace_reads_keep_in_any_form_and_order():
+    rho = fock.outer_product(random_state(16, np.random.default_rng(31)))
+    expected = fock.partial_trace(rho, [0, 2])
+    for keep in ([2, 0], (0, 2), {2, 0}, (m for m in (2, 0, 2)), [0, 2, 0, 0],
+                 np.array([2, 0]), [np.int64(0), np.int32(2)], range(0, 3, 2)):
+        assert np.array_equal(fock.partial_trace(rho, keep), expected)
+    # Every mode, named in any form, gives a fresh copy on every call.
+    for every_mode in (lambda: [3, 2, 1, 0], lambda: (m for m in range(4)), lambda: np.arange(4),
+                       lambda: [0, 1, 2, 3, 3]):
+        first, second = (fock.partial_trace(rho, every_mode()) for _ in range(2))
+        for reduced in (first, second):
+            assert np.array_equal(reduced, rho)
+            assert not np.shares_memory(reduced, rho)
+        assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("rho, keep, message", [
+    (np.eye(4) / 4, [], "keep must be a nonempty set of modes"),
+    (np.eye(4) / 4, set(), "keep must be a nonempty set of modes"),
+    (np.eye(4) / 4, [-1], r"keep \[-1\] is not a subset of range\(2\)"),
+    (np.eye(4) / 4, [0, -1], r"keep \[-1, 0\] is not a subset of range\(2\)"),
+    (np.eye(4) / 4, [2], r"keep \[2\] is not a subset of range\(2\)"),
+    (np.eye(4) / 4, np.array([1, 2]), r"keep \[1, 2\] is not a subset of range\(2\)"),
+    (np.eye(3) / 3, [0], r"operator shape \(3, 3\) is not \(2\*\*n, 2\*\*n\) with n >= 1"),
+    (np.ones((1, 1)), [0], r"operator shape \(1, 1\) is not"),
+    (np.ones((4, 2)), [0], r"operator shape \(4, 2\) is not"),
+    (np.array([1.0, 0.0]), [0], r"operator shape \(2,\) is not"),
+])
+def test_partial_trace_refuses_on_every_call(rho, keep, message):
+    # The check of keep is cached per (n, keep); a refusal never is.
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            fock.partial_trace(rho, keep)
 
 
 def test_partial_trace_argument_errors():

@@ -136,6 +136,37 @@ def full_density_theta(scenario):
         from_density(scenario, scenario.n_max, lam=0.5))
 
 
+def generator_cases():
+    """One theta, a seeded stack per scenario, zero thetas and a = 0 thetas."""
+    yield spinless_theta(0.3)
+    for scenario in ALL_SCENARIOS:
+        n = scenario.n_modes
+        yield theta_stack(scenario, 16, seed=101)
+        yield np.zeros((n, n))
+        yield np.zeros((3, n, n))
+        yield full_density_theta(scenario)
+        yield np.stack([full_density_theta(scenario), *theta_stack(scenario, 2, seed=103)])
+
+
+@pytest.mark.parametrize("theta", list(generator_cases()))
+def test_generator_is_the_pair_sum_minus_its_adjoint_entry_for_entry(theta):
+    gen = sq.build_generator(theta)
+    create = sq.pair_creation_sum(theta)
+    assert gen.shape == create.shape
+    assert np.array_equal(gen, create - create.conj().swapaxes(-1, -2))
+    assert np.array_equal(gen, -gen.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
+def test_generator_refuses_a_stack_with_one_non_antisymmetric_item(scenario):
+    n = scenario.n_modes
+    for position in (0, 2, 4):
+        stack = theta_stack(scenario, 5, seed=107)
+        stack[position, 0, n - 1] += 0.1
+        with pytest.raises(ValueError, match="^theta must be antisymmetric$"):
+            sq.build_generator(stack)
+
+
 def assert_stack_matches_items(fn, stack, *args):
     """fn on a stack equals fn on each item, output by output, within 1e-14."""
     stacked = fn(stack, *args)
