@@ -9,3 +9,5 @@ scale-factor profile.
 """
 
 __version__ = "0.1.0"
+# The version of the CSV/JSON output contract that every command's JSON head records.
+SCHEMA_VERSION = 1

@@ -8,29 +8,32 @@ configuration and seed produce byte-identical files.  Grid points are
 evaluated serially, in grid order, and their rows are written as they
 are computed: ``sweep`` writes one block of ``SCORE_BLOCK`` (128) rows
 at a time and ``dynamics`` one row per momentum, so neither holds more
-than a block of rows, whatever the grid's size.  The output is opened
-before the first row; a run that fails after that removes the file it
-created.  An ``@file`` argument is replaced by the file's lines, one
-argument each (``--key=value``), skipping blank ones; later flags win.
+than a block of rows, whatever the grid's size.  Each command checks
+its inputs, then opens the output, then computes rows; a run that fails
+after the open removes the file it created.  An ``@file`` argument is
+replaced by the file's lines, one argument each (``--key=value``),
+skipping blank ones; later flags win.
 
 Exit codes: 0 all rows within the fixed gates (``SWEEP_GATE`` for a sweep,
 the dressing gate at ``dynamics.TOL`` for dynamics), 1 a gate breach or
-pipeline failure, 2 usage errors.
+pipeline failure, 2 usage errors and an output that cannot be written,
+a stdout whose reader has gone included.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import json
 import math
+import operator
 import os
 import sys
 
 # The operators are at most 16 x 16: a BLAS thread pool costs more to start than it saves.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+import cosmopair  # noqa: E402
 from cosmopair import verify as verify_mod  # noqa: E402
 from cosmopair.bogoliubov import Scenario  # noqa: E402
 from cosmopair.dynamics import (FLAT, IntegrationError, ScaleFactorProfile,  # noqa: E402
@@ -40,18 +43,22 @@ from cosmopair.entanglement import sweep  # noqa: E402
 __all__ = ["main", "parse_grid", "parse_momentum_grid",
            "state_token_to_occupation", "occupation_to_state_token"]
 
-SCHEMA_VERSION = 1
 # A sweep row breaches when its numeric entropy is further than this from its
 # closed form; the JSON head records it as "tolerance".
 SWEEP_GATE = 1e-10
 # Bound on the points of a step or log grid and of a sweep's n x lambda
 # product; the largest documented grid holds 4411.
 MAX_GRID_POINTS = 10**6
-SWEEP_COLUMNS = ("scenario", "input_state", "n", "lambda",
-                 "S_numeric", "S_closed", "discrepancy")
-DYNAMICS_COLUMNS = ("p", "A", "beta_uu", "beta_ud", "beta_du", "beta_dd",
-                    "n_created", "lambda_effective", "S_numeric", "S_closed",
-                    "discrepancy", "norm_residual", "self_convergence", "status")
+# The output contract: each command's columns in order, with the % conversion of
+# their kind, text or a number to 15 significant digits.  Rows are dicts keyed by
+# column name; a cell a row lacks is empty in CSV and null in JSON.
+TEXT, NUMBER = "s", ".15g"
+_BETAS = ("beta_uu", "beta_ud", "beta_du", "beta_dd")
+SWEEP_COLUMNS = {"scenario": TEXT, "input_state": TEXT, **dict.fromkeys(
+    ("n", "lambda", "S_numeric", "S_closed", "discrepancy"), NUMBER)}
+DYNAMICS_COLUMNS = {**dict.fromkeys(
+    ("p", "A", *_BETAS, "n_created", "lambda_effective", "S_numeric", "S_closed",
+     "discrepancy", "norm_residual", "self_convergence"), NUMBER), "status": TEXT}
 
 
 def _numbers(tokens, text: str) -> list[float]:
@@ -172,67 +179,45 @@ def occupation_to_state_token(occupation: int, scenario: Scenario) -> str:
     return f"{reverse[particle]}.{reverse[anti]}"
 
 
-def _refuse_output(args, err: OSError):
-    args.command_parser.error(f"cannot write --output {args.output}: {err.strerror}")
-
-
-def _check_output(args) -> None:
-    """Refuse an --output that open() would refuse for its name alone, creating nothing.
-
-    The empty path, an existing directory, and a parent that is missing or
-    not a directory are refused with open()'s reason; a parent without
-    write permission is left to :func:`_output`, which opens the path
-    before the first row is computed.
-    """
-    path = args.output
-    if path in (None, "-"):
-        return
-    if not path or os.path.isdir(path):
-        code = errno.EISDIR if path else errno.ENOENT
-        _refuse_output(args, OSError(code, os.strerror(code)))
-    try:
-        # The trailing separator makes a parent that is a file fail too.
-        os.stat(os.path.join(os.path.dirname(path) or ".", ""))
-    except OSError as err:
-        _refuse_output(args, err)
-
-
 @contextlib.contextmanager
 def _output(args):
     """The stream of ``args.output``, or stdout.
 
-    A path that cannot be opened or written is a usage error.  When the
-    body raises, a file that this call created is removed again, so a
-    failed run leaves no partial output.
+    A path that cannot be opened, or an output that cannot be written,
+    such as a stdout whose reader has closed the pipe, is a usage error.
+    When the body raises, a file that this call created is removed again,
+    so a failed run leaves no partial output.
     """
-    if args.output in (None, "-"):
-        yield sys.stdout
-        return
-    created = not os.path.lexists(args.output)
+    to_file = args.output not in (None, "-")
+    created = to_file and not os.path.lexists(args.output)
     try:
-        handle = open(args.output, "w", encoding="utf-8")
-    except OSError as err:
-        _refuse_output(args, err)
-    try:
-        with handle:
+        with (open(args.output, "w", encoding="utf-8") if to_file
+              else contextlib.nullcontext(sys.stdout)) as handle:
             yield handle
+            handle.flush()
     except BaseException as err:
         if created:
             with contextlib.suppress(OSError):
                 os.remove(args.output)
         if isinstance(err, OSError):
-            _refuse_output(args, err)
+            if not to_file:
+                # What stdout still buffers goes to the null device at exit.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            name = f"--output {args.output}" if to_file else "stdout"
+            args.command_parser.error(f"cannot write {name}: {err.strerror}")
         raise
 
 
-def _csv_format(row: tuple) -> str:
-    """% format of a CSV line shaped as row: a number to 15 significant digits, None empty."""
-    return ",".join("%.0s" if value is None else "%s" if isinstance(value, str) else "%.15g"
-                    for value in row) + "\n"
+def _csv_line(columns: dict, row: dict) -> tuple[str, operator.itemgetter]:
+    """% format of a CSV line shaped as row (a cell it lacks is empty), and its cells' getter."""
+    line = ",".join("%" + kind if name in row else "" for name, kind in columns.items())
+    return line + "\n", operator.itemgetter(*(name for name in columns if name in row))
 
 
-def _json_value(value):
-    return value if value is None or isinstance(value, str) else float("%.15g" % value)
+def _json_row(columns: dict, row: dict) -> dict:
+    """JSON cells of row: text as is, a number rounded as printed, a cell it lacks None."""
+    return {name: None if name not in row else row[name] if kind == TEXT
+            else float(f"%{kind}" % row[name]) for name, kind in columns.items()}
 
 
 def _json_halves(fields: dict) -> tuple[str, str]:
@@ -244,9 +229,9 @@ def _json_halves(fields: dict) -> tuple[str, str]:
 def _write_rows(args, columns, blocks, head: dict, breached, tail=None) -> tuple[int, list]:
     """Stream row blocks as CSV, or as JSON between head and tail fields.
 
-    Each block is a nonempty list of rows, tuples in column order whose
-    values have the types of the block's first row; it is formatted and
-    written at once, so only one block is held.  The JSON text equals
+    ``columns`` is the command's table.  Each block is a nonempty list of
+    rows holding the cells of its first row; it is formatted and written
+    at once, so only one block is held.  The JSON text equals
     ``json.dumps`` of the whole payload with ``indent=2``.  Returns the
     number of rows for which ``breached(row)`` is true and the first 20
     of them; ``tail``, if given, maps that number to the fields written
@@ -255,8 +240,8 @@ def _write_rows(args, columns, blocks, head: dict, breached, tail=None) -> tuple
     count, first, written = 0, [], 0
     with _output(args) as out:
         if args.format == "json":
-            out.write(_json_halves({"schema_version": SCHEMA_VERSION, "command": args.command,
-                                    **head, "rows": []})[0])
+            out.write(_json_halves({"schema_version": cosmopair.SCHEMA_VERSION,
+                                    "command": args.command, **head, "rows": []})[0])
         else:
             out.write(",".join(columns) + "\n")
         for block in blocks:
@@ -264,13 +249,12 @@ def _write_rows(args, columns, blocks, head: dict, breached, tail=None) -> tuple
             count += len(breaches)
             first.extend(breaches[:20 - len(first)])
             if args.format == "json":
-                text = json.dumps([dict(zip(columns, map(_json_value, row))) for row in block],
-                                  indent=2)
+                text = json.dumps([_json_row(columns, row) for row in block], indent=2)
                 # The list's items, one level deeper, after the previous block's.
                 out.write(("," if written else "") + text[1:-2].replace("\n", "\n  "))
             else:
-                line = _csv_format(block[0])
-                out.write("".join([line % row for row in block]))
+                line, cells = _csv_line(columns, block[0])
+                out.write("".join([line % cells(row) for row in block]))
             written += len(block)
         if args.format == "json":
             end = _json_halves({"rows": [], **(tail(count) if tail else {})})[1]
@@ -286,30 +270,32 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"sweep of {len(args.n)} x {lam_count} points exceeds {MAX_GRID_POINTS}")
     blocks = sweep(scenario, occupation, args.n, args.lam)
     token = occupation_to_state_token(occupation, scenario)
-    prefix = (scenario.value, token)
-    count, first = _write_rows(args, SWEEP_COLUMNS,
-                               ([prefix + row for row in block] for block in blocks),
-                               head={"tolerance": SWEEP_GATE},
-                               breached=lambda row: row[-1] > SWEEP_GATE,
+    rows = ([{"scenario": scenario.value, "input_state": token, "n": n, "lambda": lam,
+              "S_numeric": s_numeric, "S_closed": s_closed, "discrepancy": gap}
+             for n, lam, s_numeric, s_closed, gap in block] for block in blocks)
+    count, first = _write_rows(args, SWEEP_COLUMNS, rows, head={"tolerance": SWEEP_GATE},
+                               breached=lambda row: row["discrepancy"] > SWEEP_GATE,
                                tail=lambda count: {"all_within_tolerance": not count})
     if count:
         sys.stderr.write(f"{count} rows exceed tolerance {SWEEP_GATE}:\n")
-        for _, _, n, lam, _, _, gap in first:
-            sys.stderr.write(f"  state {token} n={n:.15g} lambda={lam:.15g} "
-                             f"discrepancy={gap:.15g}\n")
+        for row in first:
+            sys.stderr.write("  state %(input_state)s n=%(n).15g lambda=%(lambda).15g "
+                             "discrepancy=%(discrepancy).15g\n" % row)
         return 1
     return 0
 
 
-def _dynamics_row(p: float, p_vec, profile: ScaleFactorProfile, args) -> tuple:
+def _dynamics_row(p: float, p_vec, profile: ScaleFactorProfile, args) -> dict:
     try:
         point = momentum_point(p_vec, args.mass, profile)
     except IntegrationError as err:
         reason = str(err).replace(",", ";").replace("\n", " ")
-        return (abs(p), *[None] * (len(DYNAMICS_COLUMNS) - 2), f"error: {reason}")
-    return (point.p, point.a, *point.beta_moduli, point.n_created, point.lambda_effective,
-            point.s_numeric, point.s_closed, point.discrepancy,
-            point.normalization_residual, point.self_convergence, "ok")
+        return {"p": abs(p), "status": f"error: {reason}"}
+    return {"p": point.p, "A": point.a, **dict(zip(_BETAS, point.beta_moduli)),
+            "n_created": point.n_created, "lambda_effective": point.lambda_effective,
+            "S_numeric": point.s_numeric, "S_closed": point.s_closed,
+            "discrepancy": point.discrepancy, "norm_residual": point.normalization_residual,
+            "self_convergence": point.self_convergence, "status": "ok"}
 
 
 def _cmd_dynamics(args) -> int:
@@ -324,7 +310,7 @@ def _cmd_dynamics(args) -> int:
         check_point(p_vec, args.mass, profile)
     rows = ([_dynamics_row(p, p_vec, profile, args)] for p, p_vec in zip(args.p_grid, p_vecs))
     failed, _ = _write_rows(args, DYNAMICS_COLUMNS, rows, head={"profile": args.profile},
-                            breached=lambda row: row[-1] != "ok")
+                            breached=lambda row: row["status"] != "ok")
     if failed:
         sys.stderr.write(f"{failed} momentum points failed\n")
         return 1
@@ -332,9 +318,10 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_all(seed=args.seed, batch=args.batch)
+    verify_mod.check_run(args.seed, args.batch)
     render = verify_mod.render_json if args.report == "json" else verify_mod.render_text
     with _output(args) as out:
+        results = verify_mod.run_all(seed=args.seed, batch=args.batch)
         out.write(render(results, seed=args.seed))
     return 0 if all(r.passed for r in results) else 1
 
@@ -389,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    _check_output(args)   # before any row is computed
     # Value errors print the subcommand's usage line, not the root one.  A
     # dynamics point that fails its integration becomes an error row instead.
     try:

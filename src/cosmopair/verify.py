@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+import cosmopair
 from cosmopair import fock
 from cosmopair.bogoliubov import (
     DOWN,
@@ -53,10 +54,9 @@ from cosmopair.squeezing import (
     unitary_for,
 )
 
-__all__ = ["CheckResult", "DEFAULT_SEED", "render_json", "render_text", "run_all"]
+__all__ = ["CheckResult", "DEFAULT_SEED", "check_run", "render_json", "render_text", "run_all"]
 
 DEFAULT_SEED = 7
-SCHEMA_VERSION = 1
 
 _N_GRID = [0.25 * k for k in range(17)]           # 0 .. 4
 _LAMBDA_GRID = [0.1 * k for k in range(11)]       # 0 .. 1
@@ -325,17 +325,24 @@ def _check_concavity() -> CheckResult:
                    detail="second differences nonpositive on the interior grid")
 
 
-def run_all(seed: int = DEFAULT_SEED, batch: int = 100) -> list[CheckResult]:
-    """Run the full identity suite; deterministic for a fixed seed.
+def check_run(seed: int, batch: int) -> None:
+    """Refuse a negative seed, or a batch outside 1 .. MAX_BATCH draws per scenario.
 
-    ``seed`` and ``batch`` drive the seeded pass alone: ``batch`` is its
-    number of draws per scenario, at least 1, so that no check passes
-    vacuously, and at most MAX_BATCH.  ``seed`` must be nonnegative.
+    At least one draw, so that no seeded check passes vacuously.
     """
     if not 1 <= batch <= MAX_BATCH:
         raise ValueError(f"batch must be between 1 and {MAX_BATCH}, got {batch}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def run_all(seed: int = DEFAULT_SEED, batch: int = 100) -> list[CheckResult]:
+    """Run the full identity suite; deterministic for a fixed seed.
+
+    ``seed`` and ``batch`` drive the seeded pass alone; ``check_run``
+    refuses them, before any check runs, outside their range.
+    """
+    check_run(seed, batch)
     results: list[CheckResult] = []
     results.append(_check_anticommutators(4))
     results.append(_check_anticommutators(2))
@@ -366,7 +373,7 @@ def render_text(results: list[CheckResult], seed: int = DEFAULT_SEED) -> str:
 
 def render_json(results: list[CheckResult], seed: int = DEFAULT_SEED) -> str:
     payload = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": cosmopair.SCHEMA_VERSION,
         "report": "verification",
         "seed": seed,
         "all_passed": all(r.passed for r in results),

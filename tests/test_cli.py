@@ -1,6 +1,8 @@
 import argparse
 import ast
+import csv
 import errno
+import io
 import json
 import math
 import os
@@ -10,11 +12,17 @@ import sys
 
 import pytest
 
+import cosmopair
 from cosmopair import cli
 from cosmopair import dynamics as dyn
 from cosmopair import entanglement as ent
 from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import THETA_CHECK_TOLERANCE, Scenario
+
+
+def csv_rows(text: str) -> list[dict]:
+    """The rows of a CSV table, each keyed by the column names of its header."""
+    return list(csv.DictReader(io.StringIO(text)))
 
 
 def test_parse_grid_step_form():
@@ -158,24 +166,29 @@ STREAMED_SWEEP = ["sweep", "--scenario", "charge", "--n", "0:4:0.02", "--lambda"
 
 
 def one_shot_rendering(fmt: str, columns, rows, head: dict, tail: dict) -> str:
-    """Every row rendered at once: the joined CSV lines, or one ``json.dumps`` of the payload."""
+    """Every row rendered at once: the joined CSV lines, or one ``json.dumps`` of the payload.
+
+    Each row is a dict read by column name; a column it lacks is empty.
+    """
     if fmt == "json":
         def value(v):
             return v if v is None or isinstance(v, str) else float(f"{v:.15g}")
-        payload = {"schema_version": cli.SCHEMA_VERSION, **head,
-                   "rows": [dict(zip(columns, map(value, row))) for row in rows], **tail}
+        payload = {"schema_version": cosmopair.SCHEMA_VERSION, **head,
+                   "rows": [{name: value(row.get(name)) for name in columns} for row in rows],
+                   **tail}
         return json.dumps(payload, indent=2) + "\n"
-    lines = [",".join("" if v is None else v if isinstance(v, str) else f"{v:.15g}" for v in row)
-             for row in rows]
+    lines = [",".join("" if v is None else v if isinstance(v, str) else f"{v:.15g}"
+                      for v in map(row.get, columns)) for row in rows]
     return "\n".join([",".join(columns), *lines]) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_streamed_rows_equal_the_one_shot_rendering(fmt, tmp_path, capsys):
-    rows = [("charge", "0.0", *row)
+    rows = [{"scenario": "charge", "input_state": "0.0", "n": n, "lambda": lam,
+             "S_numeric": s_numeric, "S_closed": s_closed, "discrepancy": gap}
             for block in ent.sweep(Scenario.CHARGE_ONLY, 0, cli.parse_grid("0:4:0.02"),
                                    cli.parse_grid("0:1:0.5"))
-            for row in block]
+            for n, lam, s_numeric, s_closed, gap in block]
     assert len(rows) == 603
     expected = one_shot_rendering(fmt, cli.SWEEP_COLUMNS, rows,
                                   {"command": "sweep", "tolerance": cli.SWEEP_GATE},
@@ -185,12 +198,13 @@ def test_streamed_rows_equal_the_one_shot_rendering(fmt, tmp_path, capsys):
     out = tmp_path / f"sweep.{fmt}"
     assert cli.main(STREAMED_SWEEP + ["--format", fmt, "--output", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == expected
-    # dynamics rows come one block each; an error row holds None and text.
+    # dynamics rows come one block each; an error row holds p and status alone.
     argv = ["dynamics", "--mass", "0", "--p-grid", "0,1", "--format", fmt]
     args = argparse.Namespace(mass=0.0)
     rows = [cli._dynamics_row(p, (p / math.sqrt(3),) * 3, dyn.ScaleFactorProfile(1.0, 1.0), args)
             for p in (0.0, 1.0)]
-    assert rows[0][-1].startswith("error: ") and rows[1][-1] == "ok"
+    assert list(rows[0]) == ["p", "status"] and rows[0]["status"].startswith("error: ")
+    assert rows[1]["status"] == "ok"
     assert cli.main(argv) == 1
     assert capsys.readouterr().out == one_shot_rendering(
         fmt, cli.DYNAMICS_COLUMNS, rows, {"command": "dynamics", "profile": "tanh"}, {})
@@ -292,13 +306,12 @@ def test_dynamics_constant_profile(tmp_path):
     code = cli.main(["dynamics", "--profile", "constant", "--p-grid", "0.5,1.0",
                      "--output", str(out)])
     assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("p,A,beta_uu")
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert fields[-1] == "ok"
-        assert float(fields[6]) <= 1e-8   # n_created
-        assert float(fields[8]) <= 1e-6   # S_numeric
+    text = out.read_text()
+    assert text.startswith("p,A,beta_uu")
+    for row in csv_rows(text):
+        assert row["status"] == "ok"
+        assert float(row["n_created"]) <= 1e-8
+        assert float(row["S_numeric"]) <= 1e-6
 
 
 def test_dynamics_json(tmp_path):
@@ -342,6 +355,13 @@ def test_verify_rejects_a_batch_out_of_range(tmp_path, capsys):
         assert err.value.code == 2
         assert not out.exists()
         assert f"batch must be between 1 and 1000000, got {batch}" in capsys.readouterr().err
+    # A refused batch is found before the output is opened: an existing file keeps its bytes.
+    existing = tmp_path / "existing.json"
+    existing.write_bytes(b'{"kept": true}\n')
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify", "--batch", "0", "--output", str(existing)])
+    assert err.value.code == 2
+    assert existing.read_bytes() == b'{"kept": true}\n'
 
 
 def test_verify_rejects_a_negative_seed(tmp_path, capsys):
@@ -361,9 +381,9 @@ def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
     out = tmp_path / "dyn.csv"
     code = cli.main(argv + ["--output", str(out)])
     assert code == 1
-    lines = out.read_text().strip().split("\n")
-    assert any("error" in line for line in lines[1:])
-    assert any(line.endswith("ok") for line in lines[1:])
+    statuses = [row["status"] for row in csv_rows(out.read_text())]
+    assert any("error" in status for status in statuses)
+    assert "ok" in statuses
     assert "failed" in capsys.readouterr().err
 
     out = tmp_path / "dyn.json"
@@ -383,8 +403,9 @@ def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
 def test_a_point_that_would_crash_the_stepper_is_an_error_row(flags, reason, tmp_path, capsys):
     out = tmp_path / "dyn.csv"
     assert cli.main(["dynamics", *flags, "--output", str(out)]) == 1
-    (row,) = out.read_text().splitlines()[1:]
-    assert row.split(",")[-1].startswith(reason)
+    (row,) = csv_rows(out.read_text())
+    assert row["status"].startswith(reason)
+    assert all(row[name] == "" for name in cli.DYNAMICS_COLUMNS if name not in ("p", "status"))
     assert capsys.readouterr().err == "1 momentum points failed\n"
 
 
@@ -419,9 +440,8 @@ def test_dynamics_rows_report_the_momentum_modulus(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "momentum_point", failing_above_10)
     out = tmp_path / "dyn.csv"
     assert cli.main(["dynamics", "--p-grid=-1,1,-40", "--output", str(out)]) == 1
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert [(row[0], row[-1] == "ok") for row in rows] == [("1", True), ("1", True),
-                                                           ("40", False)]
+    assert [(row["p"], row["status"] == "ok") for row in csv_rows(out.read_text())] == [
+        ("1", True), ("1", True), ("40", False)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -541,7 +561,7 @@ def test_an_unwritable_output_is_a_usage_error(argv, where, reason, tmp_path, ca
     def no_rows(*args, **kwargs):
         raise AssertionError("rows computed")
 
-    monkeypatch.setattr(cli, "sweep", no_rows)
+    monkeypatch.setattr(ent, "from_density", no_rows)
     monkeypatch.setattr(cli, "momentum_point", no_rows)
     monkeypatch.setattr(verify_mod, "run_all", no_rows)
     (tmp_path / "file").write_text("")
@@ -560,7 +580,8 @@ def test_an_unwritable_output_is_a_usage_error(argv, where, reason, tmp_path, ca
 @pytest.mark.parametrize("argv", [
     ["sweep", "--scenario", "spinless", "--n", "1"],
     ["dynamics", "--profile", "constant", "--p-grid", "1"],
-], ids=["sweep", "dynamics"])
+    ["verify", "--batch", "2"],
+], ids=["sweep", "dynamics", "verify"])
 def test_an_output_that_cannot_be_opened_is_refused_before_the_first_row(argv, tmp_path, capsys,
                                                                          monkeypatch):
     # A directory without write permission, which root would not see: open() refuses.
@@ -572,6 +593,7 @@ def test_an_output_that_cannot_be_opened_is_refused_before_the_first_row(argv, t
 
     monkeypatch.setattr(ent, "from_density", no_rows)
     monkeypatch.setattr(cli, "momentum_point", no_rows)
+    monkeypatch.setattr(verify_mod, "run_all", no_rows)
     monkeypatch.setattr(cli, "open", refuse, raising=False)
     path = str(tmp_path / "out.csv")
     with pytest.raises(SystemExit) as err:
@@ -596,6 +618,36 @@ def _run_cli(argv, timeout: float, **environ) -> subprocess.CompletedProcess:
             env[key] = value
     return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
                           timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--scenario", "charge", "--n", "0:4:0.01", "--lambda", "0:1:0.1"],
+    ["dynamics", "--profile", "constant", "--p-grid", "1", "--format", "json"],
+    ["verify", "--batch", "1"],
+], ids=["sweep", "dynamics", "verify"])
+def test_a_stdout_whose_reader_has_gone_is_a_usage_error_without_a_traceback(argv):
+    # stdout is a pipe whose read end is closed, as after `| head -1`.
+    script = ("import os, sys\n"
+              "read, write = os.pipe()\n"
+              "os.close(read)\n"
+              "os.dup2(write, sys.stdout.fileno())\n"
+              "from cosmopair import cli\n"
+              "sys.exit(cli.main(sys.argv[1:]))\n")
+    done = _run_cli(["-c", script, *argv], timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith(f"usage: cosmopair {argv[0]} ")
+    assert done.stderr.splitlines()[-1] == \
+        f"cosmopair {argv[0]}: error: cannot write stdout: Broken pipe"
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
+def test_every_json_head_reads_the_one_schema_version(monkeypatch, capsys):
+    monkeypatch.setattr(cosmopair, "SCHEMA_VERSION", 99)
+    for argv in (["verify", "--batch", "1", "--report", "json"],
+                 ["sweep", "--scenario", "spinless", "--n", "1", "--format", "json"],
+                 ["dynamics", "--profile", "constant", "--p-grid", "1", "--format", "json"]):
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["schema_version"] == 99
 
 
 RUN_WIDE_ERRORS = pytest.mark.parametrize("flags, message", [
