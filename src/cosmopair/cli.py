@@ -36,8 +36,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import cosmopair  # noqa: E402
 from cosmopair import verify as verify_mod  # noqa: E402
 from cosmopair.bogoliubov import Scenario  # noqa: E402
-from cosmopair.dynamics import (FLAT, IntegrationError, ScaleFactorProfile,  # noqa: E402
-                                check_point, momentum_point)
+from cosmopair.dynamics import (FLAT, IntegrationError, Mode,  # noqa: E402
+                                ScaleFactorProfile, momentum_point)
 from cosmopair.entanglement import sweep  # noqa: E402
 
 __all__ = ["main", "parse_grid", "parse_momentum_grid",
@@ -285,12 +285,12 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _dynamics_row(p: float, p_vec, profile: ScaleFactorProfile, args) -> dict:
+def _dynamics_row(mode: Mode) -> dict:
     try:
-        point = momentum_point(p_vec, args.mass, profile)
+        point = momentum_point(mode)
     except IntegrationError as err:
         reason = str(err).replace(",", ";").replace("\n", " ")
-        return {"p": abs(p), "status": f"error: {reason}"}
+        return {"p": mode.p, "status": f"error: {reason}"}
     return {"p": point.p, "A": point.a, **dict(zip(_BETAS, point.beta_moduli)),
             "n_created": point.n_created, "lambda_effective": point.lambda_effective,
             "S_numeric": point.s_numeric, "S_closed": point.s_closed,
@@ -303,12 +303,10 @@ def _cmd_dynamics(args) -> int:
     profile = ScaleFactorProfile(args.epsilon, args.rho)
     if args.profile == "constant":
         profile = FLAT
-    # Every point passes momentum_point's own check first: a refused input is a
-    # usage error before any row.
-    p_vecs = [tuple(p * c for c in args.direction) for p in args.p_grid]
-    for p_vec in p_vecs:
-        check_point(p_vec, args.mass, profile)
-    rows = ([_dynamics_row(p, p_vec, profile, args)] for p, p_vec in zip(args.p_grid, p_vecs))
+    # Every point is checked as its Mode first: a refused input is a usage
+    # error before any row.
+    modes = [Mode(tuple(p * c for c in args.direction), args.mass, profile) for p in args.p_grid]
+    rows = ([_dynamics_row(mode)] for mode in modes)
     failed, _ = _write_rows(args, DYNAMICS_COLUMNS, rows, head={"profile": args.profile},
                             breached=lambda row: row["status"] != "ok")
     if failed:

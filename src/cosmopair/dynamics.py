@@ -44,7 +44,6 @@ __all__ = [
     "Mode",
     "ScalarBogolyubov",
     "ScaleFactorProfile",
-    "check_point",
     "default_tau_span",
     "dress_coefficients",
     "integrate_mode",
@@ -90,7 +89,7 @@ class ScaleFactorProfile:
 
     It rises smoothly from 1 to sqrt(1 + 2 epsilon); epsilon = 0 is the
     flat no-creation control, ``FLAT``.  Its share of the domain that
-    ``check_point`` states: finite epsilon >= 0 and rho > 0, with
+    ``Mode`` states: finite epsilon >= 0 and rho > 0, with
     2 epsilon (in a_out), 2 rho (in the span) and epsilon * rho (in the
     mass rate) finite.  The methods take a float tau and return Python
     floats (``math``, not numpy: the mode-equation right-hand side calls
@@ -130,18 +129,47 @@ class ScaleFactorProfile:
 FLAT = ScaleFactorProfile(epsilon=0.0)
 
 
+def default_tau_span(profile: ScaleFactorProfile) -> tuple[float, float]:
+    """Integration span whose ends sit within TOL / REFINEMENT of the profile's limits.
+
+    Both ends are then plane-wave regions, to start from and to match in,
+    at either tolerance that ``integrate_mode`` runs at.
+    """
+    if profile.epsilon == 0.0:   # flat: every span reaches the limits
+        return (-10.0, 10.0)
+    # a - a_limit ~ epsilon exp(-2 rho |tau|); the +4 margin buys ~55x.
+    half_width = (math.log(profile.epsilon / (TOL / REFINEMENT)) + 4.0) / (2.0 * profile.rho)
+    half_width = max(half_width, 4.0 / profile.rho)
+    return (-half_width, half_width)
+
+
 @dataclass(frozen=True)
 class Mode:
-    """One field mode: momentum vector (conformal units), mass and scale-factor profile.
+    """One checked momentum point: momentum vector (conformal units), mass and profile.
 
-    The constructor owns every per-mode rule of the domain that
-    ``check_point`` states: three components, a finite m >= 0, |p| zero
-    or normal, and m * epsilon * rho (the scale of the mass rate), |p|**2
-    and (m a)**2 finite (float ``**`` raises OverflowError where ``*``
-    gives inf; both become ValueError).  It computes, once, |p| (with
+    The constructor owns every rule of a point's domain and raises
+    ValueError for an input outside it: three components, a finite
+    m >= 0, |p| = 0 or |p| >= sys.float_info.min = 2.2250738585072014e-308
+    (below it the components are subnormal and lambda loses digits),
+    m * epsilon * rho (the scale of the mass rate), |p|**2 and (m a)**2
+    finite (float ``**`` raises OverflowError where ``*`` gives inf; both
+    become ValueError), and a phase max(E_in, E_out) * (tau1 - tau0) of at
+    most MAX_PHASE radians across the span.  The integrator needs a fixed
+    number of steps per radian, so that budget bounds the run time of one
+    integration instead of letting it hang.  ``ScaleFactorProfile`` checks
+    the profile's share: finite epsilon >= 0 and rho > 0, with 2 epsilon,
+    2 rho and epsilon * rho finite.  It computes, once, |p| (with
     ``math.hypot``, which does not underflow below 1.5e-154), the late
-    mass m a_out and the energies sqrt(|p|**2 + (m a)**2) at both ends of
-    the profile, where a is 1 early on.
+    mass m a_out, the energies sqrt(|p|**2 + (m a)**2) at both ends of the
+    profile, where a is 1 early on, and the span ``default_tau_span(profile)``
+    that every integration of the mode runs over.
+    A mode can still fail, with IntegrationError rather than ValueError:
+    ``integrate_mode`` refuses a degenerate mode, whose out-region energy
+    sqrt(|p|**2 + (m a_out)**2) is below MIN_OUT_ENERGY = 1e-9 (p = 0 with
+    m = 0, say) and which has no plane waves to match, before its first
+    step; an integration can overflow (rho = 1e149 at p = m = epsilon = 1,
+    say); and the dressed coefficients can miss the dressing gate,
+    DRESSING_GATE * TOL = 1e-8.
     """
 
     p_vec: tuple[float, float, float]
@@ -151,6 +179,7 @@ class Mode:
     m_out: float = field(init=False)
     e_in: float = field(init=False)
     e_out: float = field(init=False)
+    tau_span: tuple[float, float] = field(init=False)
 
     def __post_init__(self):
         vec = tuple(float(c) for c in self.p_vec)
@@ -177,63 +206,14 @@ class Mode:
         if not (e_in < math.inf and e_out < math.inf):
             raise ValueError(f"mode energy overflows: |p| = {p:g} or m a = "
                              f"{max(self.m, m_out):g} squared is not a finite double")
+        tau0, tau1 = tau_span = default_tau_span(self.profile)
+        phase = max(e_in, e_out) * (tau1 - tau0)
+        if not phase <= MAX_PHASE:
+            raise ValueError(f"mode phase {phase:.3g} rad across the span exceeds the "
+                             f"{MAX_PHASE:g} rad budget")
         for name, value in (("p_vec", vec), ("p", p), ("m_out", m_out),
-                            ("e_in", e_in), ("e_out", e_out)):
+                            ("e_in", e_in), ("e_out", e_out), ("tau_span", tau_span)):
             object.__setattr__(self, name, value)
-
-
-def default_tau_span(profile: ScaleFactorProfile) -> tuple[float, float]:
-    """Integration span whose ends sit within TOL / REFINEMENT of the profile's limits.
-
-    Both ends are then plane-wave regions, to start from and to match in,
-    at either tolerance that ``integrate_mode`` runs at.
-    """
-    if profile.epsilon == 0.0:   # flat: every span reaches the limits
-        return (-10.0, 10.0)
-    # a - a_limit ~ epsilon exp(-2 rho |tau|); the +4 margin buys ~55x.
-    half_width = (math.log(profile.epsilon / (TOL / REFINEMENT)) + 4.0) / (2.0 * profile.rho)
-    half_width = max(half_width, 4.0 / profile.rho)
-    return (-half_width, half_width)
-
-
-def _checked_span(mode: Mode) -> tuple[float, float]:
-    """``default_tau_span`` of the mode's profile, within the phase budget.
-
-    Raises ValueError when the mode would sweep more than MAX_PHASE
-    radians across the span.  The integrator needs a fixed number of steps
-    per radian, so this bounds the run time of one integration instead of
-    letting it hang.
-    """
-    tau0, tau1 = span = default_tau_span(mode.profile)
-    phase = max(mode.e_in, mode.e_out) * (tau1 - tau0)
-    if not phase <= MAX_PHASE:
-        raise ValueError(f"mode phase {phase:.3g} rad across the span exceeds the "
-                         f"{MAX_PHASE:g} rad budget")
-    return span
-
-
-def check_point(p_vec, m: float, profile: ScaleFactorProfile) -> Mode:
-    """``momentum_point``'s inputs checked, as the mode it integrates.
-
-    The domain of one point: finite epsilon >= 0, with rho > 0 and m >= 0
-    finite, |p| = 0 or |p| >= sys.float_info.min = 2.2250738585072014e-308
-    (below it the components are subnormal and lambda loses digits), and
-    2 epsilon, 2 rho, epsilon * rho, m * epsilon * rho, |p|**2 and (m a)**2
-    finite; ``ScaleFactorProfile`` and ``Mode`` check these.
-    Raises ValueError unless ``Mode`` accepts (p_vec, m, profile), or
-    when the mode would sweep more than MAX_PHASE radians over
-    ``default_tau_span(profile)``.
-    A point inside this domain can still fail, with IntegrationError
-    rather than ValueError: ``integrate_mode`` refuses a degenerate mode,
-    whose out-region energy sqrt(|p|**2 + (m a_out)**2) is below
-    MIN_OUT_ENERGY = 1e-9 (p = 0 with m = 0, say) and which has no plane
-    waves to match, before its first step; an integration can overflow
-    (rho = 1e149 at p = m = epsilon = 1, say); and the dressed
-    coefficients can miss the dressing gate, DRESSING_GATE * TOL = 1e-8.
-    """
-    mode = Mode(tuple(p_vec), m, profile)
-    _checked_span(mode)
-    return mode
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, Sec. II.10): the nodes
@@ -427,9 +407,9 @@ class ScalarBogolyubov:
 def integrate_mode(mode: Mode, refined: bool = False) -> ScalarBogolyubov:
     """Integrate the mode function across the expansion epoch and match its amplitudes.
 
-    Every setting comes from the mode: the span is
-    ``default_tau_span(mode.profile)``, which reaches both flat regions,
-    and the tolerance is tol = TOL, or TOL / REFINEMENT when refined.
+    Every setting comes from the mode: the span is ``mode.tau_span``,
+    which reaches both flat regions, and the tolerance is tol = TOL, or
+    TOL / REFINEMENT when refined.
     Initial data is exactly positive frequency at the start of the span.
     This module's own adaptive DOP853 stepper (rtol = tol, atol = tol / 100,
     steps of at most MAX_STEP_RHO / rho, with the step-size controller
@@ -442,13 +422,12 @@ def integrate_mode(mode: Mode, refined: bool = False) -> ScalarBogolyubov:
     (A, B) are returned as ``a_minus`` and ``b_minus``.
     Raises IntegrationError for a degenerate mode, whose out-region
     energy lies below MIN_OUT_ENERGY, before any step, and for an
-    integration whose arithmetic overflows or divides by zero.  Raises
-    ValueError when the mode would sweep more than ``MAX_PHASE`` radians.
+    integration whose arithmetic overflows or divides by zero.
     """
     if mode.e_out < MIN_OUT_ENERGY:
         raise IntegrationError(f"degenerate mode: out-region energy {mode.e_out:.3g} is "
                                f"below MIN_OUT_ENERGY = {MIN_OUT_ENERGY:g}")
-    tau0, tau1 = _checked_span(mode)
+    tau0, tau1 = mode.tau_span
     tol = TOL / REFINEMENT if refined else TOL
     profile = mode.profile
     p2 = mode.p ** 2
@@ -566,19 +545,17 @@ class MomentumPointResult:
     self_convergence: float
 
 
-def momentum_point(p_vec, m: float, profile: ScaleFactorProfile) -> MomentumPointResult:
-    """Integrate, dress and score one momentum point.
+def momentum_point(mode: Mode) -> MomentumPointResult:
+    """Integrate, dress and score one checked momentum point.
 
     Runs ``integrate_mode`` plain and refined, over the same span, reports
     the coefficient difference as the self-convergence diagnostic and
     dresses the plain run at the gate DRESSING_GATE * TOL.  The vacuum is
     scored by ``entanglement.score``, as a stack of one set, at
-    (n_created, lambda_effective).  Invalid inputs raise ValueError from
-    ``check_point`` before any integration.
+    (n_created, lambda_effective).
     """
     from cosmopair.entanglement import score
 
-    mode = check_point(p_vec, m, profile)
     scalar = integrate_mode(mode)
     scalar_fine = integrate_mode(mode, refined=True)
     self_conv = max(abs(scalar.a_minus - scalar_fine.a_minus),

@@ -161,9 +161,7 @@ def entropy_numeric(coeffs: BogolyubovCoefficients, occupation: int):
     occupation raises ValueError before any unitary is built.
     """
     scenario = coeffs.scenario
-    n_modes = scenario.n_modes
-    if not 0 <= occupation < fock.dimension(n_modes):
-        raise ValueError(f"occupation {occupation} out of range for {n_modes} modes")
+    scenario.split_occupation(occupation)
     evolved = _evolve_in_sector(build_generator(theta_from_coefficients(coeffs)), occupation)
     return fock.subsystem_entropy(evolved, scenario.particle_modes)
 

@@ -11,7 +11,7 @@ import pytest
 
 from cosmopair import cli
 from cosmopair.bogoliubov import Scenario, from_density
-from cosmopair.dynamics import FLAT, ScaleFactorProfile, momentum_point
+from cosmopair.dynamics import FLAT, Mode, ScaleFactorProfile, momentum_point
 from cosmopair.entanglement import (
     entropy_excited_closed_form,
     entropy_numeric,
@@ -131,7 +131,7 @@ def test_criterion_09_dynamics_pipeline():
     worst_flat_n = 0.0
     worst_flat_s = 0.0
     for p in (0.3, 1.0, 3.0):
-        point = momentum_point((p, 0.0, 0.0), 1.0, FLAT)
+        point = momentum_point(Mode((p, 0.0, 0.0), 1.0, FLAT))
         worst_flat_n = max(worst_flat_n, point.n_created)
         worst_flat_s = max(worst_flat_s, point.s_numeric)
     step = ScaleFactorProfile(epsilon=1.0, rho=1.0)
@@ -141,7 +141,7 @@ def test_criterion_09_dynamics_pipeline():
     worst_entropy = 0.0
     direction = (1.0 / math.sqrt(3.0),) * 3
     for p in grid:
-        point = momentum_point(tuple(p * c for c in direction), 1.0, step)
+        point = momentum_point(Mode(tuple(p * c for c in direction), 1.0, step))
         worst_norm = max(worst_norm, point.normalization_residual)
         worst_conv = max(worst_conv, point.self_convergence)
         worst_entropy = max(worst_entropy, abs(point.s_numeric - point.s_closed))

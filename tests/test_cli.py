@@ -1,4 +1,3 @@
-import argparse
 import ast
 import csv
 import errno
@@ -200,8 +199,7 @@ def test_streamed_rows_equal_the_one_shot_rendering(fmt, tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == expected
     # dynamics rows come one block each; an error row holds p and status alone.
     argv = ["dynamics", "--mass", "0", "--p-grid", "0,1", "--format", fmt]
-    args = argparse.Namespace(mass=0.0)
-    rows = [cli._dynamics_row(p, (p / math.sqrt(3),) * 3, dyn.ScaleFactorProfile(1.0, 1.0), args)
+    rows = [cli._dynamics_row(dyn.Mode((p / math.sqrt(3),) * 3, 0.0, dyn.ScaleFactorProfile()))
             for p in (0.0, 1.0)]
     assert list(rows[0]) == ["p", "status"] and rows[0]["status"].startswith("error: ")
     assert rows[1]["status"] == "ok"
@@ -355,11 +353,18 @@ def test_verify_rejects_a_batch_out_of_range(tmp_path, capsys):
         assert err.value.code == 2
         assert not out.exists()
         assert f"batch must be between 1 and 1000000, got {batch}" in capsys.readouterr().err
-    # A refused batch is found before the output is opened: an existing file keeps its bytes.
-    existing = tmp_path / "existing.json"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--batch", "0"],
+    ["dynamics", "--p-grid", "0.5,1,2", "--epsilon", "1e14"],
+], ids=["verify", "dynamics"])
+def test_a_refused_input_leaves_an_existing_output_as_it_was(argv, tmp_path):
+    # A refused input is found before the output is opened: the file keeps its bytes.
+    existing = tmp_path / "existing.csv"
     existing.write_bytes(b'{"kept": true}\n')
     with pytest.raises(SystemExit) as err:
-        cli.main(["verify", "--batch", "0", "--output", str(existing)])
+        cli.main(argv + ["--output", str(existing)])
     assert err.value.code == 2
     assert existing.read_bytes() == b'{"kept": true}\n'
 
@@ -411,15 +416,18 @@ def test_a_point_that_would_crash_the_stepper_is_an_error_row(flags, reason, tmp
 
 def test_every_grid_point_is_checked_before_the_first_row(tmp_path, capsys, monkeypatch):
     # A rule that refuses only the interior point: checking the extremes would miss it.
-    real_check = dyn.check_point
+    real_mode = dyn.Mode
 
     def refuse_unit_momentum(p_vec, *args):
         if math.isclose(math.hypot(*p_vec), 1.0):
             raise ValueError("refused |p| = 1")
-        return real_check(p_vec, *args)
+        return real_mode(p_vec, *args)
 
-    monkeypatch.setattr(cli, "check_point", refuse_unit_momentum)
-    monkeypatch.setattr(dyn, "check_point", refuse_unit_momentum)
+    def no_rows(*args, **kwargs):
+        raise AssertionError("rows computed")
+
+    monkeypatch.setattr(cli, "Mode", refuse_unit_momentum)
+    monkeypatch.setattr(cli, "momentum_point", no_rows)
     out = tmp_path / "dyn.csv"
     with pytest.raises(SystemExit) as err:
         cli.main(["dynamics", "--p-grid", "0.5,1,2", "--output", str(out)])
@@ -428,14 +436,31 @@ def test_every_grid_point_is_checked_before_the_first_row(tmp_path, capsys, monk
     assert capsys.readouterr().err.splitlines()[-1] == "cosmopair dynamics: error: refused |p| = 1"
 
 
+def test_a_dynamics_run_derives_each_span_once(tmp_path, monkeypatch):
+    # A point's span, and its phase against the budget, are derived when its
+    # Mode is built; both integrations of the point read them from the Mode.
+    profiles = []
+    real_span = dyn.default_tau_span
+
+    def counted_span(profile):
+        profiles.append(profile)
+        return real_span(profile)
+
+    monkeypatch.setattr(dyn, "default_tau_span", counted_span)
+    out = tmp_path / "dyn.csv"
+    assert cli.main(["dynamics", "--p-grid", "0.5,1,2", "--output", str(out)]) == 0
+    assert [row["status"] for row in csv_rows(out.read_text())] == ["ok"] * 3
+    assert len(profiles) == 3
+
+
 def test_dynamics_rows_report_the_momentum_modulus(tmp_path, monkeypatch):
     # p is |p| on ok and error rows alike.
     real_point = cli.momentum_point
 
-    def failing_above_10(p_vec, *args, **kwargs):
-        if max(map(abs, p_vec)) > 10:
+    def failing_above_10(mode):
+        if max(map(abs, mode.p_vec)) > 10:
             raise dyn.IntegrationError("refused")
-        return real_point(p_vec, *args, **kwargs)
+        return real_point(mode)
 
     monkeypatch.setattr(cli, "momentum_point", failing_above_10)
     out = tmp_path / "dyn.csv"
@@ -679,12 +704,12 @@ def test_dynamics_run_wide_errors_are_usage_errors(flags, message, tmp_path):
 
 @RUN_WIDE_ERRORS
 def test_the_library_refuses_the_same_run_wide_inputs(flags, message):
-    # The CLI's defaults and --p-grid 1, passed to momentum_point.
+    # The CLI's defaults and --p-grid 1, passed to Mode.
     values = {"--epsilon": 1.0, "--rho": 1.0, "--mass": 1.0,
               **{flag: float(value) for flag, value in zip(flags[::2], flags[1::2])}}
     with pytest.raises(ValueError) as err:
         profile = dyn.ScaleFactorProfile(values["--epsilon"], values["--rho"])
-        dyn.momentum_point((1.0, 0.0, 0.0), values["--mass"], profile)
+        dyn.Mode((1.0, 0.0, 0.0), values["--mass"], profile)
     assert message in str(err.value)
 
 

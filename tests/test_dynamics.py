@@ -38,18 +38,18 @@ def test_profile_validation():
         with pytest.raises(ValueError):
             dyn.ScaleFactorProfile(epsilon, rho)
     # Mode rejects an m * epsilon * rho that overflows the mass rate; at
-    # epsilon = 0 there is no rate
+    # epsilon = 0 there is no rate, though m * rho overflows
     dyn.Mode((1.0, 0.0, 0.0), 1e150, dyn.ScaleFactorProfile(1.0, 1e150))
-    dyn.Mode((1.0, 0.0, 0.0), 1e150, dyn.ScaleFactorProfile(0.0, 1e300))
+    dyn.Mode((1.0, 0.0, 0.0), 1e3, dyn.ScaleFactorProfile(0.0, 1e306))
     with pytest.raises(ValueError, match="m \\* epsilon \\* rho"):
         dyn.Mode((1.0, 0.0, 0.0), 1e10, dyn.ScaleFactorProfile(1.0, 1e300))
 
 
 def test_phase_budget_admits_the_documented_runs_and_rejects_a_hang():
     def phase(p, profile):
-        mode = dyn.Mode((p, 0.0, 0.0), 1.0, profile)
+        # max(E_in, E_out) at m = 1, where a is 1 early on and a_out late
         tau0, tau1 = dyn.default_tau_span(profile)
-        return max(mode.e_in, mode.e_out) * (tau1 - tau0)
+        return math.hypot(p, max(1.0, profile.a_out)) * (tau1 - tau0)
 
     # |p| = 40 is the widest run of the README, CI, tests and benchmark.
     assert 50.0 * phase(40.0, TANH) <= dyn.MAX_PHASE
@@ -57,7 +57,17 @@ def test_phase_budget_admits_the_documented_runs_and_rejects_a_hang():
     huge = dyn.ScaleFactorProfile(1e14, 1.0)
     assert phase(1.0, huge) > dyn.MAX_PHASE
     with pytest.raises(ValueError, match="rad budget"):
-        dyn.integrate_mode(dyn.Mode((1.0, 0.0, 0.0), 1.0, huge))
+        dyn.Mode((1.0, 0.0, 0.0), 1.0, huge)
+
+
+def test_a_mode_over_the_phase_budget_cannot_be_built():
+    # A massless flat mode sweeps |p| (tau1 - tau0) = 20 |p| rad: the budget
+    # admits |p| = MAX_PHASE / 20 and refuses the next double above it.
+    edge = dyn.MAX_PHASE / 20.0
+    with pytest.raises(ValueError, match="exceeds the 100000 rad budget"):
+        dyn.Mode((math.nextafter(edge, math.inf), 0.0, 0.0), 0.0, FLAT)
+    mode = dyn.Mode((edge, 0.0, 0.0), 0.0, FLAT)
+    assert mode.tau_span == (-10.0, 10.0) and mode.e_out * 20.0 == dyn.MAX_PHASE
 
 
 def test_non_finite_frequency_fails_the_integration_instead_of_hanging():
@@ -122,7 +132,7 @@ def test_asymptotic_energies():
 def test_momentum_below_the_square_root_underflow_is_reported():
     # sqrt(sum(c * c)) reads 0 below |p| ~ 1.5e-154; beta comes from the nonzero p_vec.
     assert dyn.Mode((0.0, 1e-300, 0.0), 1.0, TANH).p == 1e-300
-    point = dyn.momentum_point((1e-300, 0.0, 0.0), 1.0, TANH)
+    point = dyn.momentum_point(dyn.Mode((1e-300, 0.0, 0.0), 1.0, TANH))
     assert point.p == 1e-300 and 0.0 < max(point.beta_moduli) < 1e-299
 
 
@@ -148,13 +158,12 @@ _MODE = dyn.Mode((1.0, 0.0, 0.0), 1.0, FLAT)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: dyn.check_point((1.0, 0.0, 0.0), 1.0, FLAT, tol=dyn.TOL),
-    lambda: dyn.momentum_point((1.0, 0.0, 0.0), 1.0, FLAT, tol=dyn.TOL),
+    lambda: dyn.momentum_point(_MODE, tol=dyn.TOL),
     lambda: dyn.integrate_mode(_MODE, tol=dyn.TOL),
     lambda: dyn.integrate_mode(_MODE, tau_span=(-10.0, 10.0)),
     lambda: dyn.dress_coefficients(dyn.ScalarBogolyubov(1.0, 0.0), _MODE, tol=dyn.TOL),
     lambda: dyn.default_tau_span(FLAT, dyn.TOL),
-], ids=["check_point-tol", "momentum_point-tol", "integrate_mode-tol",
+], ids=["momentum_point-tol", "integrate_mode-tol",
         "integrate_mode-tau_span", "dress_coefficients-tol", "default_tau_span-tol"])
 def test_the_dynamics_functions_take_no_accuracy_knobs(call):
     # Every span and gate is derived from the mode and the fixed TOL; no
@@ -169,13 +178,13 @@ def test_a_wrong_tableau_weight_fails_the_dressing_gate(p, monkeypatch):
     # current at the two ends, so one weight off by 1e-6 relative breaks
     # them; at p = 0 and 12 only as an amplitude excess (|A| > 1), which
     # the set's clipped a = 1 does not show.  The real stepper passes.
-    assert dyn.momentum_point((p, 0.0, 0.0), 1.0, TANH).normalization_residual \
+    assert dyn.momentum_point(dyn.Mode((p, 0.0, 0.0), 1.0, TANH)).normalization_residual \
         <= dyn.DRESSING_GATE * dyn.TOL
     weights = tuple(b * (1.0 + 1e-6) if j == 0 else b for j, b in enumerate(dyn._B))
     monkeypatch.setattr(dyn, "_step", dyn._compile_step(dyn._C, dyn._A, weights,
                                                         dyn._E5, dyn._E3))
     with pytest.raises(dyn.IntegrationError, match="dressed coefficients violate"):
-        dyn.momentum_point((p, 0.0, 0.0), 1.0, TANH)
+        dyn.momentum_point(dyn.Mode((p, 0.0, 0.0), 1.0, TANH))
 
 
 def test_self_convergence_under_tolerance_refinement():
@@ -281,7 +290,7 @@ def test_particle_density_round_trip_within_bounds(scenario, fraction, lam, phas
 
 
 def test_momentum_point_end_to_end():
-    point = dyn.momentum_point((0.7, 0.7, 0.7), 1.0, TANH)
+    point = dyn.momentum_point(dyn.Mode((0.7, 0.7, 0.7), 1.0, TANH))
     assert point.normalization_residual <= 1e-6
     assert point.self_convergence <= 1e-8
     assert point.discrepancy == abs(point.s_numeric - point.s_closed) <= 1e-6
@@ -290,7 +299,7 @@ def test_momentum_point_end_to_end():
 
 def test_zero_momentum_point_creates_nothing():
     # The one input where the spinor contraction, and with it beta, vanishes.
-    point = dyn.momentum_point((0.0, 0.0, 0.0), 1.0, TANH)
+    point = dyn.momentum_point(dyn.Mode((0.0, 0.0, 0.0), 1.0, TANH))
     assert point.beta_moduli == (0.0, 0.0, 0.0, 0.0)
     assert point.lambda_effective == 0.0
     assert point.n_created == 0.0
@@ -302,7 +311,7 @@ def test_zero_momentum_point_creates_nothing():
 def test_lambda_effective_is_read_from_the_direction_at_tiny_momentum(direction, flip_share):
     # At |p| = 1e-170 the squared spinor contraction underflows to zero.
     norm = math.hypot(*direction)
-    point = dyn.momentum_point(tuple(1e-170 * c / norm for c in direction), 1.0, TANH)
+    point = dyn.momentum_point(dyn.Mode(tuple(1e-170 * c / norm for c in direction), 1.0, TANH))
     assert abs(point.lambda_effective - flip_share) <= 1e-12
 
 
@@ -310,7 +319,7 @@ def test_density_falls_off_at_large_momentum():
     # log-spaced moduli in [0.1, 10]: beyond the peak the created density
     # decreases monotonically toward zero
     grid = [0.1 * (100.0 ** (k / 9.0)) for k in range(10)]
-    densities = [dyn.momentum_point((p, 0.0, 0.0), 1.0, TANH).n_created for p in grid]
+    densities = [dyn.momentum_point(dyn.Mode((p, 0.0, 0.0), 1.0, TANH)).n_created for p in grid]
     peak = densities.index(max(densities))
     assert peak < len(grid) - 1
     for k in range(peak, len(grid) - 1):
@@ -334,7 +343,7 @@ def test_degenerate_mode_rejected(p, m, energy, monkeypatch):
 class TanhLinearMass:
     """a = 1 + delta (1 + tanh(rho tau)): the profile whose mode equation is hypergeometric.
 
-    It has the interface ``momentum_point`` reads from ``ScaleFactorProfile``;
+    It has the interface ``Mode`` and ``integrate_mode`` read from ``ScaleFactorProfile``;
     ``epsilon`` = delta sizes the default span, as a - 1 ~ 2 delta
     exp(2 rho tau) early on.
     """
@@ -427,7 +436,8 @@ def test_exact_tanh_linear_density_matches_the_sinh_form_and_stays_finite():
 ])
 def test_momentum_point_matches_the_exact_tanh_linear_density(p, rho):
     profile = TanhLinearMass(delta=0.5, rho=rho)
-    point = dyn.momentum_point(tuple(p / math.sqrt(3.0) for _ in range(3)), 1.0, profile)
+    mode = dyn.Mode(tuple(p / math.sqrt(3.0) for _ in range(3)), 1.0, profile)
+    point = dyn.momentum_point(mode)
     assert abs(point.n_created - exact_tanh_linear_density(p, 1.0, 0.5, rho)) <= 1e-10
 
 
@@ -436,7 +446,8 @@ def test_momentum_point_matches_the_exact_tanh_linear_density(p, rho):
                           "|p| = 40, above the 10 * tol gate of the dressing")
 def test_production_profile_passes_the_normalization_gate_at_large_momentum():
     tol = 1e-9
-    point = dyn.momentum_point(tuple(40.0 / math.sqrt(3.0) for _ in range(3)), 1.0, TANH)
+    mode = dyn.Mode(tuple(40.0 / math.sqrt(3.0) for _ in range(3)), 1.0, TANH)
+    point = dyn.momentum_point(mode)
     assert point.normalization_residual <= 10.0 * tol
     assert 0.0 <= point.n_created <= 1e-10
 
@@ -454,7 +465,8 @@ def test_production_profile_passes_the_normalization_gate_at_large_momentum():
 def test_no_creation_controls_read_their_exact_answer_at_large_momentum(mass, profile):
     # Nothing is created on the flat profile, nor for the conformally invariant
     # massless field: the exact answer is A = 1 and n = 0.
-    point = dyn.momentum_point(tuple(40.0 / math.sqrt(3.0) for _ in range(3)), mass, profile)
+    mode = dyn.Mode(tuple(40.0 / math.sqrt(3.0) for _ in range(3)), mass, profile)
+    point = dyn.momentum_point(mode)
     assert abs(point.a - 1.0) <= 1e-10
     assert 0.0 <= point.n_created <= 1e-10
 
@@ -600,8 +612,8 @@ def test_momentum_point_approaches_the_sudden_mass_quench(p):
     # As rho grows the created density tends to the instantaneous quench
     # with error ~ rho**-2, so two rhos Richardson-extrapolate to the limit.
     m, epsilon = 1.0, 1.0
-    n80, n320 = (dyn.momentum_point((p, 0.0, 0.0), m, dyn.ScaleFactorProfile(
-        epsilon, rho)).n_created for rho in (80.0, 320.0))
+    n80, n320 = (dyn.momentum_point(dyn.Mode((p, 0.0, 0.0), m, dyn.ScaleFactorProfile(
+        epsilon, rho))).n_created for rho in (80.0, 320.0))
     extrapolated = (16.0 * n320 - n80) / 15.0
     quench = sudden_density(p, m, dyn.ScaleFactorProfile(epsilon))
     assert abs(extrapolated - quench) <= 1e-5 * quench
@@ -632,7 +644,7 @@ def test_created_density_never_exceeds_the_sudden_quench(epsilon, rho, m, p, dir
     norm = math.hypot(*direction)
     tol = 1e-9
     try:
-        point = dyn.momentum_point(tuple(p * c / norm for c in direction), m, profile)
+        point = dyn.momentum_point(dyn.Mode(tuple(p * c / norm for c in direction), m, profile))
     except dyn.IntegrationError:   # a row the dressing gate refuses is not ok
         return
     assert 0.0 <= point.n_created <= sudden_density(point.p, m, profile) + 10.0 * tol
