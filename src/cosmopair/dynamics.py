@@ -91,9 +91,9 @@ class ScaleFactorProfile:
     flat no-creation control, ``FLAT``.  Its share of the domain that
     ``Mode`` states: finite epsilon >= 0 and rho > 0, with
     2 epsilon (in a_out), 2 rho (in the span) and epsilon * rho (in the
-    mass rate) finite.  The methods take a float tau and return Python
-    floats (``math``, not numpy: the mode-equation right-hand side calls
-    them at every solver stage).
+    mass rate) finite.  ``a`` takes a float tau and returns a Python float,
+    and so does ``frequency``'s closure, which the integrator calls at
+    every solver stage (``math``, not numpy).
     """
 
     epsilon: float = 1.0
@@ -115,15 +115,24 @@ class ScaleFactorProfile:
     def a_out(self) -> float:
         return math.sqrt(1.0 + 2.0 * self.epsilon)
 
-    def mass_and_rate(self, tau: float, m: float) -> tuple[float, float]:
-        """(M, dM/dtau) with M = m a(tau), from one evaluation of a(tau).
+    def frequency(self, p2: float, m: float):
+        """The closure tau -> (Re, Im) of -k(tau) = -(p2 + M**2) + i dM/dtau, M = m a(tau).
 
-        The rate is overflow-safe for large |rho tau|.
+        The mode equation reads f'' = -k f.  Both parts share one a(tau),
+        computed inline (``a`` keeps its own copy of the formula), and the
+        rate is overflow-safe for large |rho tau|.  ``(m a)**2`` raises
+        OverflowError where ``*`` would give inf, as ``Mode`` does.
         """
-        a = self.a(tau)
-        expo = math.exp(-2.0 * abs(self.rho * tau))
-        sech2 = 4.0 * expo / (1.0 + expo) ** 2
-        return m * a, m * self.epsilon * self.rho * sech2 / (2.0 * a)
+        epsilon, rho, rate = self.epsilon, self.rho, m * self.epsilon * self.rho
+        sqrt, tanh, exp = math.sqrt, math.tanh, math.exp
+
+        def minus_k(tau: float) -> tuple[float, float]:
+            x = rho * tau
+            a = sqrt(1.0 + epsilon * (1.0 + tanh(x)))
+            expo = exp(-2.0 * abs(x))
+            return -(p2 + (m * a) ** 2), rate * (4.0 * expo / (1.0 + expo) ** 2) / (2.0 * a)
+
+        return minus_k
 
 
 FLAT = ScaleFactorProfile(epsilon=0.0)
@@ -284,46 +293,50 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 _State = tuple[complex, complex]
 
 
-def _derivative(y: _State, k: complex) -> _State:
-    """(f, f')' for f'' = -k f."""
-    return y[1], -k * y[0]
-
-
 def _compile_step(c, a, b, e5, e3):
-    """One DOP853 step for the tableau (c, a, b, e5, e3), compiled as straight-line code.
+    """One DOP853 step for the tableau (c, a, b, e5, e3), compiled as straight-line float code.
 
-    The compiled ``step(k_of, t, y, dy, h, rtol, atol)`` returns (y_new,
-    k(t + h), error) for the step of length h from state y with derivative
-    dy at t.  The last stage sits at t + h, so its k serves the derivative
-    at y_new.  The error is DOP853's blend of its fifth- and third-order
-    estimates, RMS over the state scaled by atol + max(|y|, |y_new|) rtol.
-    Each stage derivative is a local and zero entries are left out, but
-    every weighted sum runs in the tableau's index order, so the step
-    rounds exactly as a loop over the dense rows does; the tests keep that
-    loop as the reference.  This is the integrator's hot path.
+    The compiled ``step(minus_k, t, y, g, h, rtol, atol)`` takes the state
+    y = (Re f, Im f, Re f', Im f') and g = (Re f'', Im f'') at t, with
+    f'' = -k f and -k(tau) from ``minus_k``, and returns (y_new, g_new,
+    error) for the step of length h; the last stage sits at t + h.  The
+    error is DOP853's blend of its fifth- and third-order estimates, RMS
+    over the state scaled by atol + max(|y|, |y_new|) rtol.  Zero entries
+    are left out, and each complex operation is written out on the float
+    parts as CPython evaluates it: sums in the tableau's index order, a
+    product as re = ar br - ai bi, im = ar bi + ai br, a modulus as
+    abs(complex(x, y)).  So the step rounds exactly as the complex loop
+    over the dense rows, which the tests keep as the reference, but runs
+    faster.  This is the integrator's hot path.
     """
-    comps = ("f", "fd")
+    def weighted(row, part: str) -> str:
+        return " + ".join(f"{w!r} * {part}{j}" for j, w in enumerate(row) if w)
 
-    def weighted(row, comp: str) -> str:
-        return " + ".join(f"{w!r} * d{comp}{j}" for j, w in enumerate(row) if w)
-
-    lines = ["def step(k_of, t, y, dy, h, rtol, atol):",
-             "    f, fd = y",
-             "    df0, dfd0 = dy"]
+    # (u, g) are the stage derivatives of (f, f'): u is f' at the stage.
+    lines = ["def step(minus_k, t, y, g, h, rtol, atol):",
+             "    fr, fi, ur0, ui0 = y",
+             "    gr0, gi0 = g"]
     for s, (node, row) in enumerate(zip(c[1:], a), start=1):
-        lines += [f"    k = k_of(t + {node!r} * h)",
-                  f"    df{s} = fd + h * ({weighted(row, 'fd')})",
-                  f"    dfd{s} = -k * (f + h * ({weighted(row, 'f')}))"]
-    for comp in comps:
-        lines += [f"    {comp}_new = {comp} + h * ({weighted(b, comp)})",
-                  f"    {comp}_scale = atol + max(abs({comp}), abs({comp}_new)) * rtol"]
+        lines += [f"    kr, ki = minus_k(t + {node!r} * h)",
+                  *(f"    u{x}{s} = u{x}0 + h * ({weighted(row, 'g' + x)})" for x in "ri"),
+                  *(f"    s{x} = f{x} + h * ({weighted(row, 'u' + x)})" for x in "ri"),
+                  f"    gr{s} = kr * sr - ki * si",
+                  f"    gi{s} = kr * si + ki * sr"]
+    for state, (re, im), stage in (("f", ("fr", "fi"), "u"), ("u", ("ur0", "ui0"), "g")):
+        lines += [f"    {state}r_new = {re} + h * ({weighted(b, stage + 'r')})",
+                  f"    {state}i_new = {im} + h * ({weighted(b, stage + 'i')})",
+                  f"    {state}_scale = atol + max(abs(complex({re}, {im})), "
+                  f"abs(complex({state}r_new, {state}i_new))) * rtol"]
     for name, row in (("e5", e5), ("e3", e3)):
         lines.append(f"    {name} = " + " + ".join(
-            f"abs(({weighted(row, comp)}) / {comp}_scale) ** 2" for comp in comps))
-    lines += ["    y_new = f_new, fd_new",
+            f"abs(complex(({weighted(row, stage + 'r')}) / {state}_scale, "
+            f"({weighted(row, stage + 'i')}) / {state}_scale)) ** 2"
+            for state, stage in (("f", "u"), ("u", "g"))))
+    lines += ["    y_new = fr_new, fi_new, ur_new, ui_new",
+              "    g_new = kr * fr_new - ki * fi_new, kr * fi_new + ki * fr_new",
               "    if e5 == 0.0 and e3 == 0.0:",
-              "        return y_new, k, 0.0",
-              f"    return y_new, k, abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {len(comps)})"]
+              "        return y_new, g_new, 0.0",
+              "    return y_new, g_new, abs(h) * e5 / sqrt((e5 + 0.01 * e3) * 2)"]
     namespace = {"sqrt": math.sqrt}
     exec(compile("\n".join(lines), "<dop853 step>", "exec"), namespace)
     return namespace["step"]
@@ -332,7 +345,7 @@ def _compile_step(c, a, b, e5, e3):
 _step = _compile_step(_C, _A, _B, _E5, _E3)
 
 
-def _initial_step(k_of, t0: float, t1: float, y0: _State, dy0: _State,
+def _initial_step(minus_k, t0: float, t1: float, y0: _State, dy0: _State,
                   rtol: float, atol: float) -> float:
     """Hairer-Norsett-Wanner's starting step for an order-7 error estimate."""
     scale = [atol + abs(v) * rtol for v in y0]
@@ -344,7 +357,7 @@ def _initial_step(k_of, t0: float, t1: float, y0: _State, dy0: _State,
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
     y1 = tuple(v + h0 * d for v, d in zip(y0, dy0))
-    dy1 = _derivative(y1, k_of(t0 + h0))
+    dy1 = y1[1], complex(*minus_k(t0 + h0)) * y1[0]
     d2 = rms([b - a for a, b in zip(dy0, dy1)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -353,18 +366,21 @@ def _initial_step(k_of, t0: float, t1: float, y0: _State, dy0: _State,
     return min(100.0 * h0, h1, t1 - t0)
 
 
-def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, max_step: float):
-    """Adaptive DOP853 from t0 to t1 with rtol = tol and atol = tol / 100.
+def _dop853(minus_k, t0: float, t1: float, y0: _State, tol: float, max_step: float):
+    """Adaptive DOP853 for f'' = -k f from t0 to t1 with rtol = tol and atol = tol / 100.
 
+    ``minus_k`` is a frequency closure (``ScaleFactorProfile.frequency``).
     No step is longer than max_step (as scipy's ``max_step``).  Returns
-    the end time, the state there and the number of accepted steps.
-    Raises IntegrationError when the step falls below 10 ulp of the time.
+    the end time, the state (f, f') there, and the numbers of accepted
+    and of tried steps.  Raises IntegrationError when the step falls
+    below 10 ulp of the time.
     """
     rtol, atol = tol, tol * 1e-2
-    t, y = t0, y0
-    dy = _derivative(y, k_of(t))
-    h_abs = min(_initial_step(k_of, t0, t1, y, dy, rtol, atol), max_step)
-    n_steps = 0
+    f, f_dot = y0
+    f_ddot = complex(*minus_k(t0)) * f
+    h_abs = min(_initial_step(minus_k, t0, t1, y0, (f_dot, f_ddot), rtol, atol), max_step)
+    t, y, g = t0, (f.real, f.imag, f_dot.real, f_dot.imag), (f_ddot.real, f_ddot.imag)
+    n_steps = n_tries = 0
     while t < t1:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = min(max(h_abs, min_step), max_step)
@@ -376,7 +392,8 @@ def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, max_step: float)
                                        f"at tau = {t}")
             t_new = min(t + h_abs, t1)
             h = h_abs = t_new - t
-            y_new, k_new, error = _step(k_of, t, y, dy, h, rtol, atol)
+            n_tries += 1
+            y_new, g_new, error = _step(minus_k, t, y, g, h, rtol, atol)
             if error < 1.0:
                 factor = _MAX_FACTOR if error == 0.0 else \
                     min(_MAX_FACTOR, _SAFETY * error ** _EXPONENT)
@@ -384,9 +401,9 @@ def _dop853(k_of, t0: float, t1: float, y0: _State, tol: float, max_step: float)
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _EXPONENT)
             rejected = True
-        t, y, dy = t_new, y_new, _derivative(y_new, k_new)
+        t, y, g = t_new, y_new, g_new
         n_steps += 1
-    return t, y, n_steps
+    return t, (complex(y[0], y[1]), complex(y[2], y[3])), n_steps, n_tries
 
 
 @dataclass(frozen=True)
@@ -394,8 +411,9 @@ class ScalarBogolyubov:
     """Scalar mixing amplitudes of one mode, with the cost of integrating them.
 
     ``n_steps`` counts the integrator's accepted steps and
-    ``n_rhs_evaluations`` its evaluations of the frequency k(tau); both
-    are 0 for amplitudes that were not integrated.
+    ``n_rhs_evaluations`` its evaluations of the frequency k(tau): 2 for
+    the start and the starting step, then 11 per step tried.  Both are 0
+    for amplitudes that were not integrated.
     """
 
     a_minus: complex
@@ -415,11 +433,12 @@ def integrate_mode(mode: Mode, refined: bool = False) -> ScalarBogolyubov:
     steps of at most MAX_STEP_RHO / rho, with the step-size controller
     of scipy's ``solve_ivp``; scipy is not imported, and the tests use
     it as the oracle) carries (f, f') to the end of the span and keeps no
-    trajectory.  Its step is straight-line code generated at import from
-    the tableau; the tests keep the loop over the tableau rows as its
-    bit-for-bit reference.  The end state is matched onto out-region
-    plane waves, f = A exp(-i E_out tau) + B exp(+i E_out tau), and
-    (A, B) are returned as ``a_minus`` and ``b_minus``.
+    trajectory.  It reads k from one closure, ``profile.frequency``.  Its
+    step is straight-line code on real and imaginary parts, generated at
+    import from the tableau; the tests keep the complex loop over the
+    tableau rows as its bit-for-bit reference.  The end state is matched
+    onto out-region plane waves, f = A exp(-i E_out tau) + B exp(+i E_out
+    tau), and (A, B) are returned as ``a_minus`` and ``b_minus``.
     Raises IntegrationError for a degenerate mode, whose out-region
     energy lies below MIN_OUT_ENERGY, before any step, and for an
     integration whose arithmetic overflows or divides by zero.
@@ -430,29 +449,20 @@ def integrate_mode(mode: Mode, refined: bool = False) -> ScalarBogolyubov:
     tau0, tau1 = mode.tau_span
     tol = TOL / REFINEMENT if refined else TOL
     profile = mode.profile
-    p2 = mode.p ** 2
-    m = mode.m
-    evaluations = 0
-
-    def k_of(tau: float) -> complex:
-        nonlocal evaluations
-        evaluations += 1
-        mass, rate = profile.mass_and_rate(tau, m)
-        return p2 + mass ** 2 - 1j * rate
-
     e_in, e_out = mode.e_in, mode.e_out
     f0 = cmath.exp(-1j * e_in * tau0)
     # A flat profile has no transition to resolve.
     max_step = MAX_STEP_RHO / profile.rho if profile.epsilon > 0.0 else math.inf
     try:
-        tau, (f, f_dot), n_steps = _dop853(k_of, tau0, tau1, (f0, -1j * e_in * f0), tol,
-                                           max_step)
+        tau, (f, f_dot), n_steps, n_tries = _dop853(profile.frequency(mode.p ** 2, mode.m),
+                                                    tau0, tau1, (f0, -1j * e_in * f0), tol,
+                                                    max_step)
     except ArithmeticError as err:   # float ** raises OverflowError where * gives inf
         raise IntegrationError(f"mode integration failed: {type(err).__name__}: {err}") from err
     rotated = f_dot * (1j / e_out)   # i f' / E_out
     return ScalarBogolyubov(a_minus=0.5 * (f + rotated) * cmath.exp(1j * e_out * tau),
                             b_minus=0.5 * (f - rotated) * cmath.exp(-1j * e_out * tau),
-                            n_steps=n_steps, n_rhs_evaluations=evaluations)
+                            n_steps=n_steps, n_rhs_evaluations=2 + len(_A) * n_tries)
 
 
 def spinor_contraction(p_vec) -> np.ndarray:

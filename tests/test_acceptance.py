@@ -7,10 +7,11 @@ the failure report) and asserts the same condition.
 import math
 import time
 
+import numpy as np
 import pytest
 
 from cosmopair import cli
-from cosmopair.bogoliubov import Scenario, from_density
+from cosmopair.bogoliubov import BogolyubovCoefficients, Scenario, from_density
 from cosmopair.dynamics import FLAT, Mode, ScaleFactorProfile, momentum_point
 from cosmopair.entanglement import (
     entropy_excited_closed_form,
@@ -163,3 +164,29 @@ def test_criterion_10_deterministic_verification(tmp_path):
     identical = first.read_bytes() == second.read_bytes()
     _report(10, "byte-identical verification report", 0.0 if identical else 1.0,
             0.5, passed=identical)
+
+
+def test_criterion_11_the_scenarios_differ_only_on_pair_inputs():
+    # The paper's input claim: vacuum entanglement is the same in both
+    # spinful scenarios, and "differences only arise when particles and/or
+    # antiparticles are present in the input state".  Input by input on the
+    # numeric route, charge-only sets at every (n, lambda) of the grid read
+    # the spin-am set's entropy at that n, except on the four inputs of one
+    # particle plus one antiparticle, which differ at every interior point.
+    grid = [(0.25 * i, 0.1 * j) for i in range(17) for j in range(11)]
+    charge = BogolyubovCoefficients.stack(
+        [from_density(Scenario.CHARGE_ONLY, n, lam=lam) for n, lam in grid])
+    spin_am = BogolyubovCoefficients.stack(
+        [from_density(Scenario.CHARGE_AND_ANGULAR_MOMENTUM, n) for n, _ in grid])
+    interior = np.array([0.0 < n < 4.0 and 0.0 < lam < 1.0 for n, lam in grid])
+    worst, least_pair_gap = 0.0, math.inf
+    for occupation in range(16):
+        gap = np.abs(entropy_numeric(charge, occupation) - entropy_numeric(spin_am, occupation))
+        particles, antiparticles = Scenario.CHARGE_ONLY.split_occupation(occupation)
+        if bin(particles).count("1") == bin(antiparticles).count("1") == 1:
+            least_pair_gap = min(least_pair_gap, float(gap[interior].min()))
+        else:
+            worst = max(worst, float(gap.max()))
+    print(f"    pair inputs differ by at least {least_pair_gap:.3f} bit")
+    _report(11, "scenarios differ only on particle-antiparticle pair inputs", worst, 1e-10,
+            passed=worst <= 1e-10 and least_pair_gap > 0.01)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import ALL_SCENARIOS
 from cosmopair import dynamics as dyn
 from cosmopair.bogoliubov import Scenario, from_density, validate
+from cosmopair.cli import parse_momentum_grid
 
 TANH = dyn.ScaleFactorProfile(epsilon=1.0, rho=1.0)
 FLAT = dyn.FLAT
@@ -24,7 +25,7 @@ def test_profile_asymptotics():
     # The flat profile is the smooth step at epsilon = 0.
     assert FLAT == dyn.ScaleFactorProfile(epsilon=0.0, rho=1.0)
     assert FLAT.a(-40.0) == FLAT.a(0.3) == FLAT.a_out == 1.0
-    assert FLAT.mass_and_rate(0.3, 2.0) == (2.0, 0.0)
+    assert FLAT.frequency(1.0, 2.0)(0.3) == (-5.0, 0.0)
     assert dyn.default_tau_span(FLAT) == (-10.0, 10.0)
 
 
@@ -77,8 +78,8 @@ def test_non_finite_frequency_fails_the_integration_instead_of_hanging():
         def a(self, tau):
             return 1.0
 
-        def mass_and_rate(self, tau, m):
-            return m, math.nan
+        def frequency(self, p2, m):
+            return lambda tau: (-(p2 + m ** 2), math.nan)
 
     mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, NanRate())
     with pytest.raises(dyn.IntegrationError, match="step size below"):
@@ -86,25 +87,28 @@ def test_non_finite_frequency_fails_the_integration_instead_of_hanging():
 
 
 def test_mass_dot_overflow_safe():
-    value = TANH.mass_and_rate(1e6, 1.0)[1]
+    value = TANH.frequency(0.0, 1.0)(1e6)[1]
     assert value == 0.0 or value < 1e-300
 
 
 @pytest.mark.parametrize("profile", [TANH, dyn.ScaleFactorProfile(0.3, 2.5), FLAT],
                          ids=["tanh", "tanh-steep", "flat"])
 def test_profile_methods_are_floats_matching_numpy_forms(profile):
-    m = 1.3
+    m, p2 = 1.3, 0.7
     taus = np.concatenate([[-1e6, -40.0], np.linspace(-6.0, 6.0, 49), [40.0, 1e6]])
     x = profile.rho * taus
     a_ref = np.sqrt(1.0 + profile.epsilon * (1.0 + np.tanh(x)))
     expo = np.exp(-2.0 * np.abs(x))
     rate_ref = m * profile.epsilon * profile.rho * 4.0 * expo / (1.0 + expo) ** 2 \
         / (2.0 * a_ref)
+    minus_k, massless_minus_k = profile.frequency(p2, m), profile.frequency(0.0, m)
     for tau, a, rate in zip(taus.tolist(), a_ref, rate_ref):
-        values = (profile.a(tau), *profile.mass_and_rate(tau, m))
+        values = (profile.a(tau), *minus_k(tau))
         assert all(type(v) is float for v in values)
-        for value, ref in zip(values, (a, m * a, rate)):
+        for value, ref in zip(values, (a, -(p2 + (m * a) ** 2), rate)):
             assert abs(value - ref) <= 1e-15 * abs(ref)
+        # a(tau) and the closure each keep a copy of the formula.
+        assert massless_minus_k(tau)[0] == -(m * profile.a(tau)) ** 2
 
 
 @pytest.mark.parametrize("m", [-1.0, math.nan, math.inf])
@@ -355,10 +359,13 @@ class TanhLinearMass:
     def a(self, tau: float) -> float:
         return 1.0 + self.epsilon * (1.0 + math.tanh(self.rho * tau))
 
-    def mass_and_rate(self, tau: float, m: float) -> tuple[float, float]:
-        expo = math.exp(-2.0 * abs(self.rho * tau))
-        sech2 = 4.0 * expo / (1.0 + expo) ** 2
-        return m * self.a(tau), m * self.epsilon * self.rho * sech2
+    def frequency(self, p2: float, m: float):
+        def minus_k(tau: float) -> tuple[float, float]:
+            expo = math.exp(-2.0 * abs(self.rho * tau))
+            sech2 = 4.0 * expo / (1.0 + expo) ** 2
+            return -(p2 + (m * self.a(tau)) ** 2), m * self.epsilon * self.rho * sech2
+
+        return minus_k
 
 
 def exact_tanh_linear_density(p: float, m: float, delta: float, rho: float) -> float:
@@ -493,7 +500,11 @@ def weighted_sum(weights, values):
 
 
 def reference_step(k_of, t, y, dy, h, rtol, atol):
-    """One DOP853 step as a loop over the dense tableau rows: the reference for ``dyn._step``."""
+    """One DOP853 step in complex arithmetic as a loop over the dense tableau rows.
+
+    The reference for ``dyn._step``, which runs on real and imaginary parts
+    and takes -k where this takes k.
+    """
     f, f_dot = y
     df, df_dot = stages = tuple([d] for d in dy)
     for c, row in zip(dyn._C[1:], dyn._A):
@@ -513,36 +524,54 @@ def reference_step(k_of, t, y, dy, h, rtol, atol):
     return y_new, k, abs(h) * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
 
 
-def random_step_arguments(k_of, seed: int, count: int = 100):
-    """Seeded (k_of, t, y, dy, h, rtol, atol) for full steps and shorter, clipped last steps."""
+def random_step_arguments(minus_k, seed: int, count: int = 100):
+    """Seeded (minus_k, t, y, g, h, rtol, atol) for full steps and shorter, clipped last steps."""
     rng = np.random.default_rng(seed)
     for i in range(count):
         t = float(rng.uniform(-20.0, 20.0))
-        y = tuple(complex(*rng.normal(size=2)) for _ in range(2))
+        f, f_dot = (complex(*rng.normal(size=2)) for _ in range(2))
         h = float(10.0 ** rng.uniform(-4.0, 0.0))
         if i % 2:
             h *= float(rng.uniform(0.0, 1.0))
         tol = float(10.0 ** rng.uniform(-12.0, -6.0))
-        yield k_of, t, y, dyn._derivative(y, k_of(t)), h, tol, tol * 1e-2
+        g = complex(*minus_k(t)) * f
+        yield (minus_k, t, (f.real, f.imag, f_dot.real, f_dot.imag), (g.real, g.imag), h,
+               tol, tol * 1e-2)
 
 
 def steps_off_the_loop_form(step, calls) -> int:
-    """Calls where step's (y_new, k, error) is not bit for bit the reference's."""
-    return sum(step(*call) != reference_step(*call) for call in calls)
+    """Calls where step's (y_new, g_new, error) is not bit for bit the reference's.
+
+    Each call is adapted to the reference: the state to (f, f'), the
+    frequency closure to k(tau) = -complex(*minus_k(tau)), and the
+    reference's k at t + h to f'' = -k f at the new state.
+    """
+    off = 0
+    for minus_k, t, (fr, fi, ur, ui), g, h, rtol, atol in calls:
+        (f, f_dot), k, error = reference_step(lambda tau: -complex(*minus_k(tau)), t,
+                                              (complex(fr, fi), complex(ur, ui)),
+                                              (complex(ur, ui), complex(*g)), h, rtol, atol)
+        y_new, g_new, step_error = step(minus_k, t, (fr, fi, ur, ui), g, h, rtol, atol)
+        off += ((complex(y_new[0], y_new[1]), complex(y_new[2], y_new[3]), complex(*g_new),
+                 step_error) != (f, f_dot, -k * f, error))
+    return off
 
 
-def duck_typed_frequency(tau: float) -> complex:
-    return complex(2.0 + math.cos(3.0 * tau), -0.5 * math.sin(tau))
+def duck_typed_frequency(tau: float) -> tuple[float, float]:
+    return -(2.0 + math.cos(3.0 * tau)), 0.5 * math.sin(tau)
 
 
-def test_compiled_step_equals_the_loop_form_on_random_states():
-    calls = list(random_step_arguments(duck_typed_frequency, seed=13))
+@pytest.mark.parametrize("minus_k", [duck_typed_frequency, TANH.frequency(0.01, 1.0)],
+                         ids=["duck-typed", "production"])
+def test_compiled_step_equals_the_loop_form_on_random_states(minus_k):
+    calls = list(random_step_arguments(minus_k, seed=13))
     assert steps_off_the_loop_form(dyn._step, calls) == 0
 
 
 def test_compiled_step_equals_the_loop_form_inside_an_integration(monkeypatch):
-    # Every call integrate_mode makes, with its own k_of: accepted steps,
-    # rejected ones and the last step, clipped to the end of the span.
+    # Every call integrate_mode makes, with its own frequency closure:
+    # accepted steps, rejected ones and the last step, clipped to the end
+    # of the span.
     calls = []
 
     def recording_step(*args):
@@ -555,6 +584,46 @@ def test_compiled_step_equals_the_loop_form_inside_an_integration(monkeypatch):
     monkeypatch.undo()
     assert len(calls) > accepted, "no rejected step to compare"
     assert steps_off_the_loop_form(step, calls) == 0
+
+
+def counted_frequencies(monkeypatch) -> list[int]:
+    """Make every frequency closure count its calls into the returned one-item list."""
+    calls = [0]
+    frequency = dyn.ScaleFactorProfile.frequency
+
+    def counting(profile, p2, m):
+        minus_k = frequency(profile, p2, m)
+
+        def counted(tau):
+            calls[0] += 1
+            return minus_k(tau)
+
+        return counted
+
+    monkeypatch.setattr(dyn.ScaleFactorProfile, "frequency", counting)
+    return calls
+
+
+@pytest.mark.parametrize("profile, rejects", [(TANH, True), (FLAT, False)], ids=["tanh", "flat"])
+def test_the_evaluation_count_is_the_calls_of_the_frequency(profile, rejects, monkeypatch):
+    # n_rhs_evaluations is derived as 2 + 11 per step tried; at p = 0.1
+    # the tanh profile rejects steps, and the flat one does not.
+    calls = counted_frequencies(monkeypatch)
+    scalar = dyn.integrate_mode(dyn.Mode((0.1, 0.0, 0.0), 1.0, profile))
+    assert scalar.n_rhs_evaluations == calls[0]
+    assert (calls[0] - 2 > 11 * scalar.n_steps) is rejects
+
+
+def test_the_benchmark_grid_keeps_its_evaluation_count(monkeypatch):
+    # Both runs of each point of `dynamics --p-grid log:0.1:40:6`, the
+    # |p| = 40 point whose row fails the dressing gate included.
+    calls = counted_frequencies(monkeypatch)
+    direction = tuple(1.0 / math.hypot(1.0, 1.0, 1.0) for _ in range(3))
+    modes = [dyn.Mode(tuple(p * c for c in direction), 1.0, TANH)
+             for p in parse_momentum_grid("log:0.1:40:6")]
+    total = sum(dyn.integrate_mode(mode, refined).n_rhs_evaluations
+                for mode in modes for refined in (False, True))
+    assert total == calls[0] == 84_427
 
 
 @pytest.mark.parametrize("table, index", [("c", 5), ("a", (7, 3)), ("b", 8), ("e5", 6),
@@ -590,10 +659,10 @@ def test_stepper_matches_scipy_dop853(p, refined, rho):
     scalar = dyn.integrate_mode(mode, refined=refined)
     e_in, e_out = mode.e_in, mode.e_out
 
+    minus_k = profile.frequency(p * p, mode.m)
+
     def rhs(tau, y):
-        mass, rate = profile.mass_and_rate(tau, mode.m)
-        k = p * p + mass ** 2 - 1j * rate
-        return [y[1], -k * y[0]]
+        return [y[1], complex(*minus_k(tau)) * y[0]]
 
     f0 = np.exp(-1j * e_in * span[0])
     ref = solve_ivp(rhs, span, np.array([f0, -1j * e_in * f0]), method="DOP853",
