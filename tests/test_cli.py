@@ -1,16 +1,20 @@
 import ast
-import csv
+import contextlib
 import errno
 import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import cli_cases
 import cosmopair
 from cosmopair import cli
 from cosmopair import dynamics as dyn
@@ -19,16 +23,13 @@ from cosmopair import verify as verify_mod
 from cosmopair.bogoliubov import THETA_CHECK_TOLERANCE, Scenario
 
 
-def csv_rows(text: str) -> list[dict]:
-    """The rows of a CSV table, each keyed by the column names of its header."""
-    return list(csv.DictReader(io.StringIO(text)))
-
-
 def test_parse_grid_step_form():
     grid = cli.parse_grid("0:4:0.1")
     assert len(grid) == 41
     assert grid[0] == 0.0 and grid[-1] == 4.0
     assert abs(grid[13] - 1.3) <= 1e-12
+    # A grid may hold the bound itself.
+    assert len(cli.parse_grid(f"1:{cli.MAX_GRID_POINTS}:1")) == cli.MAX_GRID_POINTS
 
 
 def test_parse_grid_list_and_scalar():
@@ -54,42 +55,6 @@ def test_every_spec_parser_reads_a_negative_zero_as_zero(parse, text):
     assert all(math.copysign(1.0, value) == 1.0 for value in parse(text))
 
 
-def test_parse_grid_errors():
-    for bad in ("", "1:2", "1:2:-1", "3:1:0.5"):
-        with pytest.raises(ValueError):
-            cli.parse_grid(bad)
-    for empty in (",", " , ,"):
-        with pytest.raises(ValueError, match="empty grid specification"):
-            cli.parse_grid(empty)
-    # An overflowing point count, and one point above the bound; each is
-    # refused before any list is built.
-    for huge in ("0:1e308:1e-308", f"0:{cli.MAX_GRID_POINTS}:1"):
-        with pytest.raises(ValueError, match=f"more than {cli.MAX_GRID_POINTS} points"):
-            cli.parse_grid(huge)
-    assert len(cli.parse_grid(f"1:{cli.MAX_GRID_POINTS}:1")) == cli.MAX_GRID_POINTS
-    with pytest.raises(ValueError, match=f"count <= {cli.MAX_GRID_POINTS}"):
-        cli.parse_momentum_grid(f"log:0.1:10:{cli.MAX_GRID_POINTS + 1}")
-    for count in ("1e1", "2.5", ""):
-        with pytest.raises(ValueError) as err:
-            cli.parse_momentum_grid(f"log:0.1:10:{count}")
-        assert str(err.value) == f"log grid 'log:0.1:10:{count}' needs an integer count"
-
-
-def test_a_sweep_above_the_point_bound_is_refused_before_it_runs(monkeypatch, capsys):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("sweep ran")
-
-    monkeypatch.setattr(cli, "sweep", no_sweep)
-    # 1001 x 1001 points: each grid is within the bound, their product is not.
-    with pytest.raises(SystemExit) as err:
-        cli.main(["sweep", "--scenario", "charge", "--n", "0:4:0.004",
-                  "--lambda", "0:1:0.001"])
-    assert err.value.code == 2
-    stderr = capsys.readouterr().err
-    assert stderr.startswith("usage: cosmopair sweep ")
-    assert f"1001 x 1001 points exceeds {cli.MAX_GRID_POINTS}" in stderr
-
-
 def test_parse_momentum_grid_log():
     grid = cli.parse_momentum_grid("log:0.1:10:30")
     assert len(grid) == 30
@@ -108,13 +73,6 @@ def test_state_tokens_round_trip():
     assert cli.occupation_to_state_token(0b10, Scenario.SPINLESS) == "0.1"
 
 
-def test_state_token_errors():
-    with pytest.raises(ValueError):
-        cli.state_token_to_occupation("up", Scenario.CHARGE_ONLY)
-    with pytest.raises(ValueError):
-        cli.state_token_to_occupation("up.up", Scenario.SPINLESS)
-
-
 def test_sweep_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = cli.main(["sweep", "--scenario", "spin-am", "--state", "vac",
@@ -129,7 +87,9 @@ def test_sweep_csv(tmp_path):
     assert abs(float(row[4]) - 2.0) <= 1e-10
 
 
-def test_sweep_spinless_maximum(capsys):
+def test_sweep_spinless_maximum(capsys, monkeypatch):
+    # The variable that once sized the worker pool is ignored.
+    monkeypatch.setenv("COSMOPAIR_WORKERS", "x")
     code = cli.main(["sweep", "--scenario", "spinless", "--state", "vac", "--n", "1"])
     assert code == 0
     body = capsys.readouterr().out.strip().split("\n")
@@ -243,40 +203,6 @@ def test_a_run_that_fails_midway_leaves_no_output_file(fmt, tmp_path, capsys, mo
         "cosmopair sweep: error: second block refused"
 
 
-def test_sweep_rejects_bad_state():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["sweep", "--scenario", "spinless", "--state", "up.up", "--n", "1"])
-    assert err.value.code == 2
-
-
-def test_sweep_missing_lambda_for_charge_only():
-    with pytest.raises(SystemExit) as err:
-        cli.main(["sweep", "--scenario", "charge", "--state", "vac", "--n", "1"])
-    assert err.value.code == 2
-
-
-def test_config_file_expansion(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("--scenario=spinless\n--state=vac\n--n=1\n")
-    out = tmp_path / "out.csv"
-    code = cli.main(["sweep", f"@{config}", "--output", str(out)])
-    assert code == 0
-    assert "spinless" in out.read_text()
-    for argv in (["sweep", f"@{tmp_path / 'missing.cfg'}"], ["sweep", "--config", str(config)]):
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
-        assert err.value.code == 2
-
-
-@pytest.mark.parametrize("blank", ["", "   ", "\t"], ids=["empty", "spaces", "tab"])
-def test_config_file_blank_lines_are_skipped(blank, tmp_path, capsys):
-    # A blank line adds no argument; argparse would refuse an empty one.
-    config = tmp_path / "run.cfg"
-    config.write_text(f"--scenario=spinless\n{blank}\n--n=1\n")
-    assert cli.main(["sweep", f"@{config}"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith("spinless,0.0,1,")
-
-
 def test_config_file_overridden_by_flags(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("--scenario=spinless\n--state=vac\n--n=1\n")
@@ -306,7 +232,7 @@ def test_dynamics_constant_profile(tmp_path):
     assert code == 0
     text = out.read_text()
     assert text.startswith("p,A,beta_uu")
-    for row in csv_rows(text):
+    for row in cli_cases.table_rows(text):
         assert row["status"] == "ok"
         assert float(row["n_created"]) <= 1e-8
         assert float(row["S_numeric"]) <= 1e-6
@@ -345,97 +271,6 @@ def test_verify_json_report(tmp_path):
     assert all("residual" in c for c in payload["checks"])
 
 
-def test_verify_rejects_a_batch_out_of_range(tmp_path, capsys):
-    for batch in ("0", "-3", "1000001"):
-        out = tmp_path / f"report{batch}.txt"
-        with pytest.raises(SystemExit) as err:
-            cli.main(["verify", "--batch", batch, "--output", str(out)])
-        assert err.value.code == 2
-        assert not out.exists()
-        assert f"batch must be between 1 and 1000000, got {batch}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv", [
-    ["verify", "--batch", "0"],
-    ["dynamics", "--p-grid", "0.5,1,2", "--epsilon", "1e14"],
-], ids=["verify", "dynamics"])
-def test_a_refused_input_leaves_an_existing_output_as_it_was(argv, tmp_path):
-    # A refused input is found before the output is opened: the file keeps its bytes.
-    existing = tmp_path / "existing.csv"
-    existing.write_bytes(b'{"kept": true}\n')
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv + ["--output", str(existing)])
-    assert err.value.code == 2
-    assert existing.read_bytes() == b'{"kept": true}\n'
-
-
-def test_verify_rejects_a_negative_seed(tmp_path, capsys):
-    out = tmp_path / "report.txt"
-    with pytest.raises(SystemExit) as err:
-        cli.main(["verify", "--seed", "-1", "--output", str(out)])
-    assert err.value.code == 2
-    assert not out.exists()
-    stderr = capsys.readouterr().err
-    assert stderr.startswith("usage: cosmopair verify ")
-    assert "seed must be nonnegative, got -1" in stderr
-
-
-def test_dynamics_exit_one_on_failing_point(tmp_path, capsys):
-    # massless zero-momentum mode has no out-region frequency to match
-    argv = ["dynamics", "--profile", "tanh", "--mass", "0", "--p-grid", "0,1"]
-    out = tmp_path / "dyn.csv"
-    code = cli.main(argv + ["--output", str(out)])
-    assert code == 1
-    statuses = [row["status"] for row in csv_rows(out.read_text())]
-    assert any("error" in status for status in statuses)
-    assert "ok" in statuses
-    assert "failed" in capsys.readouterr().err
-
-    out = tmp_path / "dyn.json"
-    assert cli.main(argv + ["--format", "json", "--output", str(out)]) == 1
-    failed, ok = json.loads(out.read_text())["rows"]
-    assert list(failed) == list(ok) == list(cli.DYNAMICS_COLUMNS)
-    assert failed["p"] == 0.0 and failed["status"].startswith("error: ")
-    assert all(failed[k] is None for k in cli.DYNAMICS_COLUMNS if k not in ("p", "status"))
-    assert ok["status"] == "ok"
-
-
-@pytest.mark.parametrize("flags, reason", [
-    (["--p-grid", "0", "--mass", "1e-160"],
-     "error: degenerate mode: out-region energy 1.73e-160 is below MIN_OUT_ENERGY = 1e-09"),
-    (["--p-grid", "1", "--rho", "1e150"], "error: mode integration failed: OverflowError: "),
-], ids=["degenerate", "overflow"])
-def test_a_point_that_would_crash_the_stepper_is_an_error_row(flags, reason, tmp_path, capsys):
-    out = tmp_path / "dyn.csv"
-    assert cli.main(["dynamics", *flags, "--output", str(out)]) == 1
-    (row,) = csv_rows(out.read_text())
-    assert row["status"].startswith(reason)
-    assert all(row[name] == "" for name in cli.DYNAMICS_COLUMNS if name not in ("p", "status"))
-    assert capsys.readouterr().err == "1 momentum points failed\n"
-
-
-def test_every_grid_point_is_checked_before_the_first_row(tmp_path, capsys, monkeypatch):
-    # A rule that refuses only the interior point: checking the extremes would miss it.
-    real_mode = dyn.Mode
-
-    def refuse_unit_momentum(p_vec, *args):
-        if math.isclose(math.hypot(*p_vec), 1.0):
-            raise ValueError("refused |p| = 1")
-        return real_mode(p_vec, *args)
-
-    def no_rows(*args, **kwargs):
-        raise AssertionError("rows computed")
-
-    monkeypatch.setattr(cli, "Mode", refuse_unit_momentum)
-    monkeypatch.setattr(cli, "momentum_point", no_rows)
-    out = tmp_path / "dyn.csv"
-    with pytest.raises(SystemExit) as err:
-        cli.main(["dynamics", "--p-grid", "0.5,1,2", "--output", str(out)])
-    assert err.value.code == 2
-    assert not out.exists()
-    assert capsys.readouterr().err.splitlines()[-1] == "cosmopair dynamics: error: refused |p| = 1"
-
-
 def test_a_dynamics_run_derives_each_span_once(tmp_path, monkeypatch):
     # A point's span, and its phase against the budget, are derived when its
     # Mode is built; both integrations of the point read them from the Mode.
@@ -449,7 +284,7 @@ def test_a_dynamics_run_derives_each_span_once(tmp_path, monkeypatch):
     monkeypatch.setattr(dyn, "default_tau_span", counted_span)
     out = tmp_path / "dyn.csv"
     assert cli.main(["dynamics", "--p-grid", "0.5,1,2", "--output", str(out)]) == 0
-    assert [row["status"] for row in csv_rows(out.read_text())] == ["ok"] * 3
+    assert [row["status"] for row in cli_cases.table_rows(out.read_text())] == ["ok"] * 3
     assert len(profiles) == 3
 
 
@@ -465,99 +300,8 @@ def test_dynamics_rows_report_the_momentum_modulus(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "momentum_point", failing_above_10)
     out = tmp_path / "dyn.csv"
     assert cli.main(["dynamics", "--p-grid=-1,1,-40", "--output", str(out)]) == 1
-    assert [(row["p"], row["status"] == "ok") for row in csv_rows(out.read_text())] == [
+    assert [(row["p"], row["status"] == "ok") for row in cli_cases.table_rows(out.read_text())] == [
         ("1", True), ("1", True), ("40", False)]
-
-
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--scenario", "spinless", "--n", "0:inf:1"],
-    ["dynamics", "--p-grid", "nan"],
-    ["dynamics", "--p-grid", "log:0.1:inf:3"],
-    ["dynamics", "--p-grid", "1", "--direction", "nan,1,1"],
-    ["dynamics", "--p-grid", "1", "--mass", "nan"],
-    ["dynamics", "--p-grid", "1", "--mass", "inf"],
-    ["dynamics", "--p-grid", "1", "--epsilon", "inf"],
-    ["dynamics", "--p-grid", "1", "--rho", "inf"],
-], ids=["n-inf", "p-nan", "log-p-inf", "direction-nan", "mass-nan", "mass-inf",
-        "epsilon-inf", "rho-inf"])
-def test_non_finite_input_is_a_usage_error(argv, tmp_path):
-    out = tmp_path / "out.csv"
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv + ["--output", str(out)])
-    assert err.value.code == 2
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv, flag", [
-    (["dynamics", "--p-grid", "1", "--tol", "1e-9"], "--tol"),
-    (["dynamics", "--p-grid", "1", "--tol", "1e-6"], "--tol"),
-    (["dynamics", "--p-grid", "1", "--tol", "nan"], "--tol"),
-    (["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "1e-10"], "--tolerance"),
-    (["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "1"], "--tolerance"),
-    (["sweep", "--scenario", "spinless", "--n", "1", "--tolerance", "nan"], "--tolerance"),
-], ids=["tol-default", "tol-above-the-scoring-gate", "tol-nan", "tolerance-default",
-        "tolerance-loosened", "tolerance-nan"])
-def test_the_accuracy_gates_are_not_options(argv, flag, capsys):
-    # Both gates are fixed: the flags that once moved them are unknown,
-    # whatever value they are given.
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv)
-    assert err.value.code == 2
-    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--rho", "0"], "profile needs epsilon >= 0 and rho > 0"),
-    (["--epsilon", "-1"], "profile needs epsilon >= 0 and rho > 0"),
-    # --a0 went with the constant family: a constant a0 only rescaled the mass.
-    (["--profile", "constant", "--a0", "2"], "unrecognized arguments: --a0 2"),
-    # The flat profile ignores epsilon and rho, but it does not skip their check.
-    (["--profile", "constant", "--epsilon", "-5"], "profile needs epsilon >= 0 and rho > 0"),
-    (["--profile", "constant", "--rho", "nan"], "profile needs epsilon >= 0 and rho > 0"),
-], ids=["rho-zero", "epsilon-negative", "a0-is-gone", "constant-epsilon-negative",
-        "constant-rho-nan"])
-def test_dynamics_profile_errors_are_usage_errors(flags, message, tmp_path, capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["dynamics", "--p-grid", "1", "--output", str(tmp_path / "x.csv")] + flags)
-    assert err.value.code == 2
-    assert message in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["sweep", "--scenario", "spinless", "--n", "a"], "argument --n: 'a' in 'a' is not a number"),
-    (["sweep", "--scenario", "spinless", "--n", "1,b"],
-     "argument --n: 'b' in '1,b' is not a number"),
-    (["dynamics", "--p-grid", "log:x:10:5"],
-     "argument --p-grid: 'x' in 'log:x:10:5' is not a number"),
-    (["dynamics", "--direction", "a,1,1"],
-     "argument --direction: 'a' in 'a,1,1' is not a number"),
-], ids=["n-word", "n-list", "log-start", "direction"])
-def test_parse_errors_name_the_flag_and_the_spec(argv, message, capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv)
-    assert err.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == f"cosmopair {argv[0]}: error: {message}"
-
-
-def test_a_lambda_grid_outside_charge_only_is_a_usage_error(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    with pytest.raises(SystemExit) as err:
-        cli.main(["sweep", "--scenario", "spinless", "--n", "1", "--lambda", "5",
-                  "--output", str(out)])
-    assert err.value.code == 2
-    assert not out.exists()
-    assert "only a charge-only sweep takes a lambda grid" in capsys.readouterr().err
-
-
-def test_a_subnormal_momentum_is_a_usage_error_before_any_row(tmp_path, capsys):
-    # The grid's first point is fine; every point is checked before the first row.
-    out = tmp_path / "dyn.csv"
-    with pytest.raises(SystemExit) as err:
-        cli.main(["dynamics", "--p-grid", "1,1e-320", "--output", str(out)])
-    assert err.value.code == 2
-    assert not out.exists()
-    assert "below the smallest normal double" in capsys.readouterr().err
-    assert cli.main(["dynamics", "--p-grid", "0", "--output", str(out)]) == 0
 
 
 def test_epsilon_zero_runs_the_flat_profile(tmp_path):
@@ -569,37 +313,119 @@ def test_epsilon_zero_runs_the_flat_profile(tmp_path):
     assert rows("--profile", "tanh", "--epsilon", "0") == rows("--profile", "constant")
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--scenario", "spinless", "--n", "1"],
-    ["dynamics", "--profile", "constant", "--p-grid", "1"],
-    ["verify", "--batch", "2"],
-], ids=["sweep", "dynamics", "verify"])
-@pytest.mark.parametrize("where, reason", [
-    ("missing/out.txt", "No such file or directory"),
-    (".", "Is a directory"),
-    ("file/out.txt", "Not a directory"),
-    ("", "No such file or directory"),
-], ids=["missing-directory", "directory", "under-a-file", "empty"])
-def test_an_unwritable_output_is_a_usage_error(argv, where, reason, tmp_path, capsys,
-                                               monkeypatch):
-    # Each path is refused before any row is computed, and nothing is created.
+def forbid_rows(monkeypatch):
+    """Make every route that computes rows raise, so that a refusal found after one fails."""
     def no_rows(*args, **kwargs):
         raise AssertionError("rows computed")
 
     monkeypatch.setattr(ent, "from_density", no_rows)
     monkeypatch.setattr(cli, "momentum_point", no_rows)
     monkeypatch.setattr(verify_mod, "run_all", no_rows)
-    (tmp_path / "file").write_text("")
-    path = os.path.join(tmp_path, where) if where else ""
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv + ["--output", path])
-    assert err.value.code == 2
-    assert sorted(q.name for q in tmp_path.iterdir()) == ["file"]
-    assert (tmp_path / "file").read_text() == ""
-    stderr = capsys.readouterr().err
-    assert stderr.startswith(f"usage: cosmopair {argv[0]} ")
-    assert stderr.splitlines()[-1] == (f"cosmopair {argv[0]}: error: cannot write --output "
-                                       f"{path}: {reason}")
+
+
+def files_in(directory: pathlib.Path) -> dict:
+    return {path: path.is_file() and path.read_bytes() for path in directory.rglob("*")}
+
+
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=lambda case: case.argv)
+def test_every_command_line_case_holds(case, tmp_path, monkeypatch, capsys):
+    # A usage error is found before any row is computed; it creates no file and
+    # keeps an existing one.  A case without an --output of its own also runs
+    # into a new file and into an existing one.
+    monkeypatch.chdir(tmp_path)
+    cli_cases.make_files(tmp_path)
+    runs = [case.words]
+    if case.code == 2:
+        forbid_rows(monkeypatch)
+        if "--output" not in case.words:
+            runs += [case.words + ["--output", name] for name in ("new.csv", "existing.csv")]
+    for argv in runs:
+        before = files_in(tmp_path)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit:
+            code = exit.code
+        assert cli_cases.problems(case, code, *capsys.readouterr()) == [], argv
+        assert case.code != 2 or files_in(tmp_path) == before, argv
+
+
+def modes_of(argv: list[str]) -> list:
+    """The Modes of the points of ``cosmopair dynamics``, built as the command builds them."""
+    args = cli._build_parser().parse_args(argv)
+    profile = dyn.ScaleFactorProfile(args.epsilon, args.rho)
+    if args.profile == "constant":
+        profile = dyn.FLAT
+    return [dyn.Mode(tuple(p * c for c in args.direction), args.mass, profile)
+            for p in args.p_grid]
+
+
+@pytest.mark.parametrize("case", [case for case in cli_cases.CASES if case.library],
+                         ids=lambda case: case.argv)
+def test_the_library_refuses_the_same_inputs(case):
+    with pytest.raises(ValueError, match=re.escape(case.expect)):
+        modes_of(case.words)
+
+
+# Generated command lines: the table's options, given its values, numbers or edge values.
+EDGES = ("0", "-0", "5e-324", "1e300", "-1e300", "nan", "inf", "-1")
+NUMBER = re.compile(r"-?(\d+\.?\d*(e-?\d+)?|inf|nan)")
+LISTS = ("--n", "--lambda", "--p-grid", "--direction")
+# Sweep's required options, and those whose defaults run longer than the table's values.
+ALWAYS = ("--scenario", "--n", "--p-grid", "--batch")
+
+
+def _table_options() -> tuple[dict, list]:
+    options, numbers = {}, set(EDGES)
+    for case in cli_cases.CASES:
+        words = case.words
+        numbers.update(filter(NUMBER.fullmatch, (t for w in words for t in re.split("[,:=]", w))))
+        if case.rule not in ("an option that the command does not take",
+                             "a required option left out"):
+            for flag, value in zip(words[1:], words[2:]):
+                if flag.startswith("--") and flag != "--output" and not value.startswith("--"):
+                    options.setdefault(words[0], {}).setdefault(flag, set()).add(value)
+    return options, sorted(numbers)
+
+
+OPTIONS, NUMBERS = _table_options()
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv, numbers = [command], st.sampled_from(NUMBERS)
+    for flag, values in sorted(OPTIONS[command].items()):
+        value = (st.lists(numbers, min_size=1, max_size=3).map(",".join) if flag in LISTS
+                 else numbers if all(map(NUMBER.fullmatch, values))
+                 else st.sampled_from(sorted(values)))
+        if flag in ALWAYS or draw(st.booleans()):
+            argv += [flag, draw(value)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=command_lines())
+def test_a_generated_command_line_exits_0_1_or_2_with_physical_rows(argv, tmp_path_factory):
+    # Only draws that run briefly: a small verify batch, points that sweep little phase.
+    with contextlib.suppress(SystemExit, ValueError):
+        assume(argv[0] != "verify" or int(argv[argv.index("--batch") + 1]) <= 100)
+        assume(argv[0] != "dynamics" or sum(max(m.e_in, m.e_out) * (m.tau_span[1] - m.tau_span[0])
+                                            for m in modes_of(argv)) <= 2e3)
+    out, err = tmp_path_factory.mktemp("run") / "out", io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv + ["--output", str(out)])
+        except SystemExit as exit:
+            code = exit.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().count("error:") == 1 and not out.exists()
+    elif argv[0] != "verify":
+        for row in cli_cases.table_rows(out.read_text(), "json" if "json" in argv else "csv"):
+            s_max = 1 if row.get("scenario") == "spinless" else 2
+            tops = dict(n_created=4, A=1, lambda_effective=1, S_numeric=s_max, S_closed=s_max)
+            assert row.get("status", "ok") != "ok" or all(
+                0 <= float(row[k]) <= top for k, top in tops.items() if k in row), (argv, row)
 
 
 @pytest.mark.parametrize("argv", [
@@ -610,15 +436,10 @@ def test_an_unwritable_output_is_a_usage_error(argv, where, reason, tmp_path, ca
 def test_an_output_that_cannot_be_opened_is_refused_before_the_first_row(argv, tmp_path, capsys,
                                                                          monkeypatch):
     # A directory without write permission, which root would not see: open() refuses.
-    def no_rows(*args, **kwargs):
-        raise AssertionError("rows computed")
-
     def refuse(path, *args, **kwargs):
         raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
-    monkeypatch.setattr(ent, "from_density", no_rows)
-    monkeypatch.setattr(cli, "momentum_point", no_rows)
-    monkeypatch.setattr(verify_mod, "run_all", no_rows)
+    forbid_rows(monkeypatch)
     monkeypatch.setattr(cli, "open", refuse, raising=False)
     path = str(tmp_path / "out.csv")
     with pytest.raises(SystemExit) as err:
@@ -675,44 +496,6 @@ def test_every_json_head_reads_the_one_schema_version(monkeypatch, capsys):
         assert json.loads(capsys.readouterr().out)["schema_version"] == 99
 
 
-RUN_WIDE_ERRORS = pytest.mark.parametrize("flags, message", [
-    (["--mass", "-1"], "mass -1.0 must be finite and nonnegative"),
-    # values that passed up front but failed every row inside the run
-    (["--epsilon", "1e308"], "with 2 epsilon and 2 rho finite"),
-    (["--rho", "1e308"], "with 2 epsilon and 2 rho finite"),
-    # values that passed up front and then ran for minutes
-    (["--epsilon", "1e14"], "exceeds the 100000 rad budget"),
-    (["--epsilon", "1e200", "--rho", "1e200"], "needs epsilon * rho finite"),
-    # values that gave a traceback (float ** overflowing) or an inf mass rate
-    (["--mass", "1e200"], "squared is not a finite double"),
-    (["--rho", "1e300", "--mass", "1e10"], "needs m * epsilon * rho finite"),
-], ids=["mass-negative", "epsilon-overflows", "rho-overflows", "phase-over-budget",
-        "rate-overflows", "mass-squared-overflows", "mass-rate-overflows"])
-
-
-@RUN_WIDE_ERRORS
-def test_dynamics_run_wide_errors_are_usage_errors(flags, message, tmp_path):
-    # A child process with a timeout, so that a run that hangs fails the test.
-    out = tmp_path / "x.csv"
-    done = _run_cli(["-m", "cosmopair.cli", "dynamics", "--p-grid", "1",
-                     "--output", str(out), *flags], timeout=60)
-    assert done.returncode == 2
-    assert not out.exists()
-    assert done.stderr.startswith("usage: cosmopair dynamics ")
-    assert message in done.stderr
-
-
-@RUN_WIDE_ERRORS
-def test_the_library_refuses_the_same_run_wide_inputs(flags, message):
-    # The CLI's defaults and --p-grid 1, passed to Mode.
-    values = {"--epsilon": 1.0, "--rho": 1.0, "--mass": 1.0,
-              **{flag: float(value) for flag, value in zip(flags[::2], flags[1::2])}}
-    with pytest.raises(ValueError) as err:
-        profile = dyn.ScaleFactorProfile(values["--epsilon"], values["--rho"])
-        dyn.Mode((1.0, 0.0, 0.0), values["--mass"], profile)
-    assert message in str(err.value)
-
-
 def test_rows_fail_only_through_the_dressing_gate(tmp_path):
     # A dressing gate looser than the fixed gate of theta_from_coefficients
     # would let a row pass it and then fail while being scored.
@@ -740,18 +523,6 @@ def test_direction_scale_does_not_change_the_rows(direction, plain, tmp_path):
     assert rows(direction) == rows(plain)
 
 
-@pytest.mark.parametrize("argv", [
-    ["sweep", "--scenario", "spinless", "--n", "0:inf:1"],
-    ["dynamics", "--p-grid", "1", "--mass", "nan"],
-    ["verify", "--batch", "0"],
-], ids=["sweep", "dynamics", "verify"])
-def test_value_errors_print_the_subcommand_usage(argv, capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(argv)
-    assert err.value.code == 2
-    assert capsys.readouterr().err.startswith(f"usage: cosmopair {argv[0]} ")
-
-
 def test_every_command_runs_without_scipy(tmp_path):
     # sys.modules[name] = None makes any import of scipy raise ImportError.
     script = """
@@ -776,20 +547,6 @@ def test_charge_sweep_entropy_nonnegative_at_full_density(capsys):
     rows = capsys.readouterr().out.strip().split("\n")[1:]
     assert len(rows) == 11
     assert all(float(row.split(",")[4]) >= 0.0 for row in rows)
-
-
-def test_pool_and_sweep_seed_options_are_gone(tmp_path, monkeypatch):
-    sweep_args = ["sweep", "--scenario", "spinless", "--n", "1",
-                  "--output", str(tmp_path / "sweep.csv")]
-    dynamics_args = ["dynamics", "--profile", "constant", "--p-grid", "1",
-                     "--output", str(tmp_path / "dyn.csv")]
-    for argv in (sweep_args + ["--workers", "2"], dynamics_args + ["--workers", "2"],
-                 sweep_args + ["--seed", "1"]):
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
-        assert err.value.code == 2
-    monkeypatch.setenv("COSMOPAIR_WORKERS", "x")
-    assert cli.main(sweep_args) == 0
 
 
 def test_importing_the_cli_loads_no_more_of_numpy_random_than_numpy_does():

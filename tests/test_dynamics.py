@@ -30,20 +30,12 @@ def test_profile_asymptotics():
 
 
 def test_profile_validation():
+    # The profiles it refuses, and the m * epsilon * rho that overflows the mass
+    # rate, are cases of tests/cli_cases.py; at epsilon = 0 there is no rate,
+    # though m * rho overflows.
     dyn.ScaleFactorProfile(epsilon=0.0, rho=3.0)
-    # 2 epsilon overflows a_out at 1e308, 2 rho the span's half width
-    # epsilon * rho overflows the mass rate at (1e200, 1e200)
-    for epsilon, rho in ((-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0), (1e308, 1.0),
-                         (1.0, 0.0), (1.0, -1.0), (1.0, math.inf), (1.0, math.nan),
-                         (1.0, 1e308), (1e200, 1e200)):
-        with pytest.raises(ValueError):
-            dyn.ScaleFactorProfile(epsilon, rho)
-    # Mode rejects an m * epsilon * rho that overflows the mass rate; at
-    # epsilon = 0 there is no rate, though m * rho overflows
     dyn.Mode((1.0, 0.0, 0.0), 1e150, dyn.ScaleFactorProfile(1.0, 1e150))
     dyn.Mode((1.0, 0.0, 0.0), 1e3, dyn.ScaleFactorProfile(0.0, 1e306))
-    with pytest.raises(ValueError, match="m \\* epsilon \\* rho"):
-        dyn.Mode((1.0, 0.0, 0.0), 1e10, dyn.ScaleFactorProfile(1.0, 1e300))
 
 
 def test_phase_budget_admits_the_documented_runs_and_rejects_a_hang():
@@ -111,12 +103,6 @@ def test_profile_methods_are_floats_matching_numpy_forms(profile):
         assert massless_minus_k(tau)[0] == -(m * profile.a(tau)) ** 2
 
 
-@pytest.mark.parametrize("m", [-1.0, math.nan, math.inf])
-def test_mode_parameters_reject_bad_mass(m):
-    with pytest.raises(ValueError):
-        dyn.Mode((1.0, 0.0, 0.0), m, TANH)
-
-
 def test_asymptotic_energies():
     mode = dyn.Mode((0.0, 0.0, 1.0), 1.0, TANH)
     assert abs(mode.m_out - math.sqrt(3.0)) <= 1e-15
@@ -129,8 +115,6 @@ def test_asymptotic_energies():
             dyn.Mode((p, 0.0, 0.0), m, TANH)
     with pytest.raises(ValueError, match="three components"):
         dyn.Mode((1.0, 0.0), 1.0, TANH)
-    with pytest.raises(ValueError, match="m \\* epsilon \\* rho"):
-        dyn.Mode((1.0, 0.0, 0.0), 1e10, dyn.ScaleFactorProfile(1.0, 1e300))
 
 
 def test_momentum_below_the_square_root_underflow_is_reported():
@@ -571,11 +555,13 @@ def test_compiled_step_equals_the_loop_form_on_random_states(minus_k):
 def test_compiled_step_equals_the_loop_form_inside_an_integration(monkeypatch):
     # Every call integrate_mode makes, with its own frequency closure:
     # accepted steps, rejected ones and the last step, clipped to the end
-    # of the span.
+    # of the span.  The integration tries 88 steps; one that never ends fails
+    # at the cap instead of filling the memory.
     calls = []
 
     def recording_step(*args):
         calls.append(args)
+        assert len(calls) <= 1000, "the integration tried more than 1000 steps"
         return step(*args)
 
     step = dyn._step
