@@ -373,9 +373,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    # Value errors print the subcommand's usage line, not the root one.  A
-    # dynamics point that fails its integration becomes an error row instead.
+    args, unknown = _build_parser().parse_known_args(argv)
+    # Unknown options and value errors print the subcommand's usage line, not
+    # the root one.  A dynamics point that fails its integration becomes an
+    # error row instead.
+    if unknown:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.run(args)
     except ValueError as err:

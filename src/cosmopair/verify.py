@@ -68,8 +68,10 @@ _LAMBDA_GRID = [0.1 * k for k in range(11)]       # 0 .. 1
 # factorization pass takes about 100 ms at 16 and 85 ms at 64 (2-vCPU
 # x86_64 host).
 STACK_BLOCK = 64
-# The bound grids have: a draw costs about 0.5 ms, so 10**9 would take days.
-MAX_BATCH = 10**6
+# The bound on draws: run_all takes 0.26 s at 10**3 and 2.5 s at 10**4, at a
+# peak RSS of 34.6 MB (one BLAS thread, 2-vCPU x86_64 host), so 10**6 would
+# run for about four minutes.
+MAX_BATCH = 10**4
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 A case is a command line (shell words after ``cosmopair``), its exit code, what
 it must print and the README rule it illustrates.  Exit 2: a usage line first
 and ``<prog>: error: …`` last, holding ``expect``, where ``<prog>`` is
-``cosmopair <command>``, or ``cosmopair`` for an unknown option or an
-unreadable ``@file``, which the root parser refuses.
+``cosmopair <command>``, or ``cosmopair`` for an unreadable ``@file``, which
+the root parser refuses.
 Exit 1: each ``dynamics`` row whose status is not ``ok`` starts with ``expect``
 and holds only ``p`` and ``status``, and stderr counts them.  Exit 0: an empty
 stderr.  ``library`` marks what ``Mode`` or ``ScaleFactorProfile`` refuse
@@ -133,11 +133,11 @@ CASES = [
            ("dynamics --p-grid 1,1e-320", "is nonzero but below the smallest normal double"),
            ("dynamics --p-grid 0.5,1e-320,2", "is nonzero but below the smallest normal double"),
            library=True),
-    *_rule("a negative `verify --seed`, and a `verify --batch` below 1 or above 10⁶", 2,
+    *_rule("a negative `verify --seed`, and a `verify --batch` below 1 or above 10⁴", 2,
            ("verify --seed -1", "seed must be nonnegative, got -1"),
-           ("verify --batch 0", "batch must be between 1 and 1000000, got 0"),
-           ("verify --batch -3", "batch must be between 1 and 1000000, got -3"),
-           ("verify --batch 1000001", "batch must be between 1 and 1000000, got 1000001")),
+           ("verify --batch 0", "batch must be between 1 and 10000, got 0"),
+           ("verify --batch -3", "batch must be between 1 and 10000, got -3"),
+           ("verify --batch 10001", "batch must be between 1 and 10000, got 10001")),
     *_rule("an `--output` path that cannot be written", 2, *(
         (f"{command} --output {shlex.quote(path)}", f"cannot write --output {path}: {reason}")
         for command in (_SWEEP, _DYNAMICS, "verify --batch 2")
@@ -203,9 +203,8 @@ def problems(case: Case, code: int, out: str, err: str) -> list[str]:
     if code != case.code:
         found.append(f"exit {code}, not {case.code}")
     elif code == 2:
-        # The root parser refuses an unknown option and an unreadable @file.
-        root = case.expect.startswith(("unrecognized arguments: ", "[Errno "))
-        prog = "cosmopair" if root else f"cosmopair {case.words[0]}"
+        # The root parser refuses an unreadable @file.
+        prog = "cosmopair" if case.expect.startswith("[Errno ") else f"cosmopair {case.words[0]}"
         if not (lines[0].startswith(f"usage: {prog} ")
                 and lines[-1].startswith(f"{prog}: error: ") and case.expect in lines[-1]):
             found.append(f"stderr reads {err!r}")

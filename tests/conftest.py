@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# The stack table's equalities assert in a helper module; report their operands.
+pytest.register_assert_rewrite("stack_cases")
 
 from cosmopair import verify
 from cosmopair.bogoliubov import Scenario, random_coefficients
+
+# Every run draws the same examples, so tier-1 and CI test the same inputs;
+# each test keeps its own max_examples.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 ALL_SCENARIOS = tuple(Scenario)
 

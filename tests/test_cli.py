@@ -403,7 +403,7 @@ def command_lines(draw) -> list[str]:
     return argv
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None)
 @given(argv=command_lines())
 def test_a_generated_command_line_exits_0_1_or_2_with_physical_rows(argv, tmp_path_factory):
     # Only draws that run briefly: a small verify batch, points that sweep little phase.

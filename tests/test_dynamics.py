@@ -5,7 +5,7 @@ from operator import add, mul
 
 import numpy as np
 import pytest
-from hypothesis import example, given, seed, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ALL_SCENARIOS
@@ -689,7 +689,6 @@ def log_uniform(low: float, high: float):
        p=log_uniform(1e-2, 3.0),
        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 1e-3))
 @settings(max_examples=40, deadline=None)
-@seed(2611)
 def test_created_density_never_exceeds_the_sudden_quench(epsilon, rho, m, p, direction):
     # The mass m a(tau) only grows, so the adiabatic Bloch vector turns one
     # way, by at most the angle between the in and out eigenbases: n_created

@@ -108,84 +108,6 @@ def test_excited_catalogue_matches_numeric_everywhere(scenario):
     assert worst <= 1e-10
 
 
-def catalogue_branch(scenario, occupation):
-    """Which catalogue entry an occupation falls in, read from its bits alone."""
-    particle_bits, anti_bits = scenario.split_occupation(occupation)
-    if scenario is Scenario.SPINLESS:
-        return "pair" if particle_bits == anti_bits else "unpaired"
-    p_count, a_count = fock.occupancy(particle_bits), fock.occupancy(anti_bits)
-    if abs(p_count - a_count) in (1, 2):
-        return f"|charge| = {abs(p_count - a_count)}"
-    if p_count != 1:
-        return f"p_count {p_count}"
-    return "parallel" if particle_bits == anti_bits else "antiparallel"
-
-
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-def test_array_closed_forms_equal_the_scalar_calls(scenario):
-    """Each item of an array call equals the scalar call at that point, on every branch."""
-    rng = np.random.default_rng(29)
-    n = np.concatenate([[0.0, scenario.n_max, 1e-13, scenario.n_max + 1e-13],
-                        rng.uniform(0.0, scenario.n_max, 40)])
-    lam = np.concatenate([[0.0, 1.0, 1.0, 0.0], rng.uniform(0.0, 1.0, 40)])
-    points = list(zip(n.tolist(), lam.tolist()))
-    branches = set()
-    for occupation in range(fock.dimension(scenario.n_modes)):
-        branches.add(catalogue_branch(scenario, occupation))
-        stacked = ent.entropy_excited_closed_form(occupation, n, lam, scenario)
-        assert isinstance(stacked, np.ndarray) and stacked.shape == n.shape
-        assert stacked.tolist() == [ent.entropy_excited_closed_form(occupation, x, y, scenario)
-                                    for x, y in points]
-        # A scalar lambda broadcasts against an array of densities.
-        assert ent.entropy_excited_closed_form(occupation, n, 0.3, scenario).tolist() == [
-            ent.entropy_excited_closed_form(occupation, x, 0.3, scenario) for x in n.tolist()]
-    if scenario is Scenario.SPINLESS:
-        assert branches == {"pair", "unpaired"}
-    else:
-        assert branches == {"|charge| = 2", "|charge| = 1", "p_count 0", "p_count 2",
-                            "parallel", "antiparallel"}
-    assert ent.entropy_vacuum_closed_form(n, scenario).tolist() == [
-        ent.entropy_vacuum_closed_form(x, scenario) for x in n.tolist()]
-    x = rng.uniform(0.0, 1.0, 20)
-    assert ent.binary_entropy(x).tolist() == [ent.binary_entropy(v) for v in x.tolist()]
-    q = 0.25 * x
-    assert ent.pair_state_entropy(q).tolist() == [ent.pair_state_entropy(v) for v in q.tolist()]
-
-
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-@pytest.mark.parametrize("bad_n, bad_lam", [(None, 1.5), (None, -1e-13), (None, math.nan),
-                                            (4.5, None), (-0.1, None), (math.nan, None)])
-def test_array_closed_form_raises_like_the_scalar_call(scenario, bad_n, bad_lam):
-    """One out-of-range point in an array raises as that point alone does.
-
-    A bad lambda raises only where the catalogue reads it (a charge-only
-    one-particle, one-antiparticle input); elsewhere both calls succeed.
-    A second bad point later in the array must not change the message.
-    """
-    n = np.linspace(0.0, scenario.n_max, 9)
-    lam = np.linspace(0.0, 1.0, 9)
-    if bad_n is not None:
-        n[3], n[6] = bad_n * scenario.n_max / 4.0, 2.0 * scenario.n_max
-    if bad_lam is not None:
-        lam[3], lam[6] = bad_lam, 2.0
-    for occupation in range(fock.dimension(scenario.n_modes)):
-        try:
-            alone = ent.entropy_excited_closed_form(occupation, n[3], lam[3], scenario)
-        except ValueError as err:
-            with pytest.raises(ValueError) as stacked:
-                ent.entropy_excited_closed_form(occupation, n, lam, scenario)
-            assert str(stacked.value) == str(err)
-        else:
-            assert bad_n is None
-            assert ent.entropy_excited_closed_form(occupation, n, lam, scenario)[3] == alone
-    if bad_n is not None:
-        with pytest.raises(ValueError) as alone:
-            ent.entropy_vacuum_closed_form(n[3], scenario)
-        with pytest.raises(ValueError) as stacked:
-            ent.entropy_vacuum_closed_form(n, scenario)
-        assert str(stacked.value) == str(alone.value)
-
-
 def test_pair_entropy_matches_logarithmic_grouping():
     # equivalent grouping: 2 - (1+s)log2(1+s) - (1-s)log2(1-s), s = sqrt(1-4q)
     for q in (0.25, 0.2, 0.1, 0.01, 1e-6):
@@ -363,44 +285,6 @@ def test_taking_the_first_row_builds_only_the_first_block(monkeypatch):
 def test_entropy_numeric_bad_occupation():
     with pytest.raises(ValueError):
         ent.entropy_numeric(coeffs(1.0, scenario=Scenario.SPINLESS), 7)
-
-
-def density_sets(scenario, size, seed, edge):
-    """``size`` seeded coefficient sets holding the density edges.
-
-    n = edge * n_max sits at one seeded position and, when there is room,
-    the other edge at another; a = 0 at n = n_max, where only the dense
-    route works.
-    """
-    rng = np.random.default_rng(seed)
-    fractions = rng.uniform(0.0, 1.0, size)
-    positions = rng.permutation(size)[:2]
-    fractions[positions] = (edge, 1.0 - edge)[:len(positions)]
-    return [from_density(scenario, min(f * scenario.n_max, scenario.n_max),
-                         lam=float(rng.uniform(0.0, 1.0)),
-                         phases=tuple(rng.uniform(-math.pi, math.pi, 4)))
-            for f in fractions]
-
-
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-@given(size=st.sampled_from([1, 15, 16, 17]), seed=st.integers(0, 2**32 - 1),
-       edge=st.sampled_from([0.0, 1.0]))
-@settings(max_examples=6, deadline=None)
-@example(size=1, seed=0, edge=0.0)
-@example(size=1, seed=0, edge=1.0)
-def test_entropy_numeric_on_a_stack_equals_the_per_set_calls(scenario, size, seed, edge):
-    sets = density_sets(scenario, size, seed, edge)
-    stack = BogolyubovCoefficients.stack(sets)
-    # The same sets with one more leading axis, shape (1, size), and none of them.
-    wide = BogolyubovCoefficients(scenario, stack.a[np.newaxis], stack.beta[np.newaxis])
-    empty = BogolyubovCoefficients(scenario, stack.a[:0], stack.beta[:0])
-    for occupation in range(fock.dimension(scenario.n_modes)):
-        stacked = ent.entropy_numeric(stack, occupation)
-        assert stacked.shape == (size,)
-        assert stacked.tolist() == [ent.entropy_numeric(c, occupation) for c in sets]
-        assert ent.entropy_numeric(wide, occupation).tolist() == [stacked.tolist()]
-        assert ent.entropy_numeric(empty, occupation).shape == (0,)
-    assert isinstance(ent.entropy_numeric(sets[0], 0), float)
 
 
 @pytest.mark.parametrize("block", [1, 7, 16, 32, ent.SCORE_BLOCK])

@@ -243,12 +243,16 @@ def test_partial_trace_argument_errors():
             fock.partial_trace(bad, [0])
     with pytest.raises(ValueError):
         fock.subsystem_entropy(np.full(6, 1 / np.sqrt(6)), [0])
+    # An empty stack of states still has keep checked.
+    with pytest.raises(ValueError, match="not a subset"):
+        fock.subsystem_entropy(np.zeros((0, 16)), [4])
 
 
 def test_entropy_pure_and_mixed():
     assert fock.von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
     assert abs(fock.von_neumann_entropy(np.diag([0.5, 0.5])) - 1.0) <= 1e-14
-    assert abs(fock.von_neumann_entropy(np.diag([0.25] * 4)) - 2.0) <= 1e-14
+    # The cap makes the maximally mixed entropy exact.
+    assert fock.von_neumann_entropy(np.eye(4) / 4) == 2.0
 
 
 def test_entropy_of_rounded_pure_state_is_exactly_zero():
@@ -267,21 +271,6 @@ def test_entropy_of_eigenvalues_rejects_entries_outside_unit_interval():
     for bad in ([np.nan, 0.5], [np.inf, 0.5], [0.5, -np.inf], [1.5, 0.5], [-1e-3, 1.0]):
         with pytest.raises(ValueError):
             fock.entropy_of_eigenvalues(bad)
-
-
-@given(seed=st.integers(0, 2**31), shape=st.sampled_from([(1, 2), (7, 4), (2, 3, 4), (0, 4)]))
-@settings(max_examples=12, deadline=None)
-def test_a_stacked_entropy_of_eigenvalues_equals_its_per_row_calls(seed, shape):
-    rng = np.random.default_rng(seed)
-    # Entries at zero, at the floor, just above it and at one beside random ones.
-    edges = rng.choice([0.0, fock.EIGENVALUE_FLOOR, 2 * fock.EIGENVALUE_FLOOR, 1.0], size=shape)
-    spectra = np.where(rng.uniform(size=shape) < 0.5, rng.uniform(size=shape), edges)
-    stacked = fock.entropy_of_eigenvalues(spectra)
-    assert stacked.shape == shape[:-1]
-    per_row = [fock.entropy_of_eigenvalues(row) for row in spectra.reshape(-1, shape[-1])]
-    assert all(isinstance(s, float) for s in per_row)
-    assert stacked.ravel().tolist() == per_row
-    assert all(math.copysign(1.0, s) == 1.0 for s in per_row)
 
 
 def test_an_entry_at_the_eigenvalue_floor_counts_as_zero():
@@ -345,56 +334,6 @@ def test_charge_and_spin_operators_are_diagonal():
     assert np.array_equal(jz, bit_loop((0.5, -0.5, 0.5, -0.5)))
 
 
-def reduced_stack(shape, rng):
-    """Reduced two-mode operators of random four-mode pure states, stacked to shape."""
-    states = [random_state(16, rng) for _ in range(int(np.prod(shape)))]
-    return np.array([fock.partial_trace(fock.outer_product(s), [0, 1])
-                     for s in states]).reshape(*shape, 4, 4)
-
-
-@given(seed=st.integers(0, 2**31), shape=st.sampled_from([(1,), (3,), (16,), (2, 3)]))
-@settings(max_examples=12, deadline=None)
-def test_stacked_density_functions_equal_per_item_calls(seed, shape):
-    rng = np.random.default_rng(seed)
-    states = np.array([random_state(16, rng) for _ in range(int(np.prod(shape)))])
-    states = states.reshape(*shape, 16)
-    rhos = reduced_stack(shape, rng)
-    # A pure and a maximally mixed item: the clip and the cap of each entropy.
-    rhos.reshape(-1, 4, 4)[0] = np.diag([1.0, 0.0, 0.0, 0.0])
-    rhos.reshape(-1, 4, 4)[-1] = np.eye(4) / 4
-    flat_states, flat_rhos = states.reshape(-1, 16), rhos.reshape(-1, 4, 4)
-    assert np.array_equal(fock.outer_product(states),
-                          np.array([fock.outer_product(s) for s in flat_states])
-                          .reshape(*shape, 16, 16))
-    eigs = fock.validate_density_operator(rhos)
-    assert eigs.shape == (*shape, 4)
-    assert np.array_equal(eigs.reshape(-1, 4),
-                          [fock.validate_density_operator(r) for r in flat_rhos])
-    clipped = np.clip(eigs, 0.0, 1.0)
-    entropies = fock.entropy_of_eigenvalues(clipped)
-    assert entropies.shape == shape
-    assert entropies.ravel().tolist() == [fock.entropy_of_eigenvalues(e)
-                                          for e in clipped.reshape(-1, 4)]
-    stacked = fock.von_neumann_entropy(rhos)
-    assert stacked.shape == shape
-    per_item = [fock.von_neumann_entropy(r) for r in flat_rhos]
-    assert all(isinstance(s, float) for s in per_item)
-    assert stacked.ravel().tolist() == per_item
-    assert per_item[-1] == 2.0 and (len(per_item) == 1 or per_item[0] == 0.0)
-    subsystem = fock.subsystem_entropy(states, [0, 1])
-    assert subsystem.shape == shape
-    per_state = [fock.subsystem_entropy(s, [0, 1]) for s in flat_states]
-    assert all(isinstance(s, float) for s in per_state)
-    assert subsystem.ravel().tolist() == per_state
-    # An empty stack, with or without further leading axes, gives no entropies.
-    for empty_states in (flat_states[:0], states[..., :0, :]):
-        expected_shape = empty_states.shape[:-1]
-        assert fock.subsystem_entropy(empty_states, [0, 1]).shape == expected_shape
-        assert fock.von_neumann_entropy(fock.outer_product(empty_states)).shape == expected_shape
-    with pytest.raises(ValueError, match="not a subset"):
-        fock.subsystem_entropy(flat_states[:0], [4])
-
-
 def test_stacked_entropy_clips_and_caps_each_item():
     # Rounding puts one eigenvalue above 1 in the first item, and the
     # unclipped sum of the second above log2(2) = 1.
@@ -405,38 +344,3 @@ def test_stacked_entropy_clips_and_caps_each_item():
     entropies = fock.von_neumann_entropy(rhos)
     assert entropies[0] == 0.0 and entropies[1] == 1.0
     assert entropies.tolist() == [fock.von_neumann_entropy(r) for r in rhos]
-
-
-BAD_OPERATORS = {
-    "nan entry": np.diag([0.5, 0.5, np.nan, 0.0]),
-    "not hermitian": np.diag([0.5, 0.5, 0.0, 0.0]) + np.triu(np.full((4, 4), 0.1), 1),
-    "trace 0.9": np.diag([0.5, 0.4, 0.0, 0.0]),
-    "negative eigenvalue": np.diag([0.6, 0.5, -0.1, 0.0]),
-}
-BAD_STATES = {"nan entry": np.full(16, np.nan), "norm 2": 2 * fock.basis_state(5, 4)}
-BAD_SPECTRA = {"nan entry": [0.5, np.nan, 0.5, 0.0], "negative": [0.6, 0.5, -0.1, 0.0],
-               "above one": [1.5, -0.5, 0.0, 0.0]}
-
-
-@pytest.mark.parametrize("size", [1, 3, 16])
-def test_one_bad_item_in_a_stack_raises_like_alone(size):
-    rng = np.random.default_rng(61)
-    good_rhos = reduced_stack((size,), rng)
-    good_states = np.array([random_state(16, rng) for _ in range(size)])
-    good_spectra = np.clip(fock.validate_density_operator(good_rhos), 0.0, 1.0)
-    cases = [(fn, good_rhos, bad) for fn in (fock.validate_density_operator,
-                                             fock.von_neumann_entropy)
-             for bad in BAD_OPERATORS.values()]
-    cases += [(fn, good_states, bad)
-              for fn in (fock.outer_product, lambda states: fock.subsystem_entropy(states, [0, 1]))
-              for bad in BAD_STATES.values()]
-    cases += [(fock.entropy_of_eigenvalues, good_spectra, bad) for bad in BAD_SPECTRA.values()]
-    for fn, good, bad in cases:
-        with pytest.raises(ValueError) as alone:
-            fn(bad)
-        for position in sorted({0, size // 2, size - 1}):
-            stack = good.copy()
-            stack[position] = bad
-            with pytest.raises(ValueError) as stacked:
-                fn(stack)
-            assert str(stacked.value) == str(alone.value)

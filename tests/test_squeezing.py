@@ -13,13 +13,13 @@ from cosmopair.bogoliubov import (
     DOWN,
     UP,
     Scenario,
-    check_theta,
     from_density,
     mu_nu_from_theta,
     random_coefficients,
     squeezing_angle,
     theta_from_coefficients,
 )
+from stack_cases import full_density_theta, theta_stack
 
 
 def spinless_theta(value):
@@ -45,7 +45,7 @@ def test_generator_anti_hermitian(scenario):
 
 
 def test_generator_rejects_symmetric_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^theta must be antisymmetric$"):
         sq.build_generator(np.ones((4, 4)))
 
 
@@ -126,16 +126,6 @@ def test_decoupled_rejects_mismatched_shapes(scenario):
             sq.apply_decoupled(theta, np.zeros(shape))
 
 
-def theta_stack(scenario, size, seed):
-    return np.array([theta_from_coefficients(c) for c in seeded_sets(scenario, size, seed)])
-
-
-def full_density_theta(scenario):
-    """theta at n = n_max, where cos(r) = a = 0: the dense route only."""
-    return theta_from_coefficients(
-        from_density(scenario, scenario.n_max, lam=0.5))
-
-
 def generator_cases():
     """One theta, a seeded stack per scenario, zero thetas and a = 0 thetas."""
     yield spinless_theta(0.3)
@@ -155,151 +145,6 @@ def test_generator_is_the_pair_sum_minus_its_adjoint_entry_for_entry(theta):
     assert gen.shape == create.shape
     assert np.array_equal(gen, create - create.conj().swapaxes(-1, -2))
     assert np.array_equal(gen, -gen.conj().swapaxes(-1, -2))
-
-
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-def test_generator_refuses_a_stack_with_one_non_antisymmetric_item(scenario):
-    n = scenario.n_modes
-    for position in (0, 2, 4):
-        stack = theta_stack(scenario, 5, seed=107)
-        stack[position, 0, n - 1] += 0.1
-        with pytest.raises(ValueError, match="^theta must be antisymmetric$"):
-            sq.build_generator(stack)
-
-
-def assert_stack_matches_items(fn, stack, *args):
-    """fn on a stack equals fn on each item, output by output, within 1e-14."""
-    stacked = fn(stack, *args)
-    per_item = [fn(item, *args) for item in stack]
-    if not isinstance(stacked, tuple):
-        stacked, per_item = (stacked,), [(out,) for out in per_item]
-    for k, out in enumerate(stacked):
-        expected = np.array([item[k] for item in per_item])
-        assert out.shape == expected.shape
-        assert np.max(np.abs(out - expected), initial=0.0) <= 1e-14
-
-
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-@given(size=st.sampled_from([1, 3, 16]), seed=st.integers(0, 2**31))
-@settings(max_examples=12, deadline=None)
-def test_stacked_calls_equal_per_item_calls(scenario, size, seed):
-    thetas = theta_stack(scenario, size, seed)
-    dense_thetas = np.concatenate([thetas, full_density_theta(scenario)[np.newaxis]])
-    dim = fock.dimension(scenario.n_modes)
-    for fn in (check_theta, squeezing_angle, mu_nu_from_theta, sq.pair_creation_sum,
-               sq.build_generator):
-        assert_stack_matches_items(fn, dense_thetas)
-    generators = sq.build_generator(dense_thetas)
-    assert_stack_matches_items(sq.unitary_dense, generators)
-    unitaries = sq.unitary_dense(generators)
-    assert sq.unitarity_residual(unitaries) == max(map(sq.unitarity_residual, unitaries))
-    # An empty stack: no items, so no residual.
-    assert sq.unitary_dense(generators[:0]).shape == (0, dim, dim)
-    assert sq.unitarity_residual(unitaries[:0]) == 0.0
-    for mode in range(scenario.n_modes):
-        assert_stack_matches_items(sq.conjugate_mode, unitaries, mode)
-    states = np.random.default_rng(seed).normal(size=(dim, 3))
-    for state in (np.eye(dim), states, states[:, 0]):
-        assert_stack_matches_items(sq.apply_decoupled, thetas, state)
-
-
-def bad_thetas(scenario):
-    """Invalid theta items, each with the functions it must break."""
-    n = scenario.n_modes
-    symmetric = np.ones((n, n), dtype=complex)
-    bad = {"not antisymmetric": (symmetric, (check_theta, mu_nu_from_theta,
-                                             sq.pair_creation_sum, sq.build_generator)),
-           "cos r ~ 0": (full_density_theta(scenario), ()),
-           # finite, but theta^dag theta overflows to inf
-           "overflowing": (1e200 * full_density_theta(scenario),
-                           (squeezing_angle, mu_nu_from_theta)),
-           # theta^dag theta finite, but its trace overflows to inf
-           "trace overflowing": (7e153 * full_density_theta(scenario),
-                                 (squeezing_angle, mu_nu_from_theta))}
-    if n == 4:  # every antisymmetric 2x2 matrix has a scalar modulus
-        single_pair = np.zeros((4, 4), dtype=complex)
-        single_pair[0, 2], single_pair[2, 0] = 0.3, -0.3
-        bad["non-scalar modulus"] = (single_pair, (squeezing_angle,))
-    return bad
-
-
-@pytest.mark.parametrize("scenario", ALL_SCENARIOS)
-@pytest.mark.parametrize("size", [1, 3, 16])
-def test_bad_item_anywhere_in_a_stack_raises_like_alone(scenario, size):
-    good = theta_stack(scenario, size, seed=83)
-    eye = np.eye(fock.dimension(scenario.n_modes))
-
-    def decoupled(theta):
-        return sq.apply_decoupled(theta, eye)
-
-    for item, breaks in bad_thetas(scenario).values():
-        for position in sorted({0, size // 2, size - 1}):
-            stack = good.copy()
-            stack[position] = item
-            for fn in breaks + (decoupled,):
-                with pytest.raises(Exception) as alone:
-                    fn(item)
-                with pytest.raises(type(alone.value)):
-                    fn(stack)
-    generators = sq.build_generator(good)
-    unitaries = sq.unitary_dense(generators)
-    hermitian = 1j * generators[0]
-    scrambled = np.random.default_rng(89).normal(size=unitaries.shape[1:])
-    for fn, stack, item, error in (
-            (sq.unitary_dense, generators, hermitian, ValueError),
-            (lambda u: sq.conjugate_mode(u, 0), unitaries, scrambled, sq.DecompositionError)):
-        for position in sorted({0, size // 2, size - 1}):
-            broken = stack.copy()
-            broken[position] = item
-            for target in (item, broken):
-                with pytest.raises(error):
-                    fn(target)
-
-
-def nan_gate_case(name):
-    """(call, valid input, finitely broken input) for a gate that must reject NaN.
-
-    The valid input of a stack-aware function is a stack of three items;
-    the fock functions take one state or operator.
-    """
-    thetas = theta_stack(Scenario.CHARGE_ONLY, 3, seed=97)
-    symmetric = np.ones((4, 4), dtype=complex)
-    generators = sq.build_generator(thetas)
-    unitaries = sq.unitary_dense(generators)
-    single_pair = np.zeros((4, 4), dtype=complex)
-    single_pair[0, 2], single_pair[2, 0] = 0.3, -0.3
-    eye = np.eye(16)
-    return {
-        "check_theta": (check_theta, thetas, symmetric),
-        "squeezing_angle": (squeezing_angle, thetas, single_pair),
-        "mu_nu_from_theta": (mu_nu_from_theta, thetas, symmetric),
-        "apply_decoupled": (lambda t: sq.apply_decoupled(t, eye), thetas, symmetric),
-        "unitary_dense": (sq.unitary_dense, generators, 1j * generators[0]),
-        "conjugate_mode": (lambda u: sq.conjugate_mode(u, 0), unitaries,
-                           np.random.default_rng(89).normal(size=(16, 16))),
-        "outer_product": (fock.outer_product, fock.basis_state(5, 4), 2 * fock.basis_state(5, 4)),
-        "von_neumann_entropy": (fock.von_neumann_entropy, np.diag([0.5, 0.25, 0.25, 0.0]),
-                                np.diag([0.7, 0.7, 0.0, 0.0])),
-    }[name]
-
-
-@pytest.mark.parametrize("name", ["check_theta", "squeezing_angle", "mu_nu_from_theta",
-                                  "apply_decoupled", "unitary_dense", "conjugate_mode",
-                                  "outer_product", "von_neumann_entropy"])
-def test_nan_fails_each_gate_like_a_finite_breach(name):
-    fn, valid, broken = nan_gate_case(name)
-    fn(valid)
-    with pytest.raises(Exception) as finite:
-        fn(broken)
-    # NaN as a whole input, and as the middle item of a stack (the middle
-    # entry or row of a single state or operator).
-    alone = np.full_like(np.asarray(broken, dtype=complex), np.nan)
-    inside = np.array(valid, dtype=complex)
-    inside[len(inside) // 2] = np.nan
-    for bad in (alone, inside):
-        with pytest.raises(Exception) as caught:
-            fn(bad)
-        assert type(caught.value) is type(finite.value)
 
 
 @pytest.mark.parametrize("scenario", ALL_SCENARIOS)
