@@ -330,12 +330,24 @@ class _ArgumentParser(argparse.ArgumentParser):
         return [arg_line] if arg_line.strip() else []
 
 
+class _CommandParser(_ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        """Refuse an option after the command word with the command's usage line.
+
+        The root parser refuses, with its own usage line, an option before it.
+        """
+        namespace, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return namespace, unknown
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="cosmopair",
         description="Pair-creation entanglement sweeps, mode dynamics and verification",
         fromfile_prefix_chars="@")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     sweep_p = sub.add_parser("sweep", help="entropy sweep over density (and lambda)")
     sweep_p.set_defaults(run=_cmd_sweep, command_parser=sweep_p)
@@ -373,12 +385,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, unknown = _build_parser().parse_known_args(argv)
-    # Unknown options and value errors print the subcommand's usage line, not
-    # the root one.  A dynamics point that fails its integration becomes an
-    # error row instead.
-    if unknown:
-        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = _build_parser().parse_args(argv)
+    # Value errors print the subcommand's usage line, not the root one.  A
+    # dynamics point that fails its integration becomes an error row instead.
     try:
         return args.run(args)
     except ValueError as err:

@@ -3,8 +3,8 @@
 A case is a command line (shell words after ``cosmopair``), its exit code, what
 it must print and the README rule it illustrates.  Exit 2: a usage line first
 and ``<prog>: error: …`` last, holding ``expect``, where ``<prog>`` is
-``cosmopair <command>``, or ``cosmopair`` for an unreadable ``@file``, which
-the root parser refuses.
+``cosmopair <command>``, or ``cosmopair`` for an unreadable ``@file`` or an
+option before the command word, which the root parser refuses.
 Exit 1: each ``dynamics`` row whose status is not ``ok`` starts with ``expect``
 and holds only ``p`` and ``status``, and stderr counts them.  Exit 0: an empty
 stderr.  ``library`` marks what ``Mode`` or ``ScaleFactorProfile`` refuse
@@ -158,6 +158,8 @@ CASES = [
            (f"{_DYNAMICS} --workers 2", "unrecognized arguments: --workers 2"),
            (f"{_SWEEP} --seed 1", "unrecognized arguments: --seed 1"),
            ("dynamics --p-grid 1 --profile constant --a0 2", "unrecognized arguments: --a0 2")),
+    *_rule("an option before the command word", 2,
+           ("--bogus dynamics --p-grid 1", "unrecognized arguments: --bogus")),
     *_rule("a required option left out", 2,
            ("sweep --config run.cfg", "the following arguments are required: --scenario, --n")),
     *_rule("write `--p-grid=-1,1`", 2,
@@ -203,8 +205,9 @@ def problems(case: Case, code: int, out: str, err: str) -> list[str]:
     if code != case.code:
         found.append(f"exit {code}, not {case.code}")
     elif code == 2:
-        # The root parser refuses an unreadable @file.
-        prog = "cosmopair" if case.expect.startswith("[Errno ") else f"cosmopair {case.words[0]}"
+        # The root parser refuses an unreadable @file and an option before the command.
+        root = case.expect.startswith("[Errno ") or case.words[0].startswith("-")
+        prog = "cosmopair" if root else f"cosmopair {case.words[0]}"
         if not (lines[0].startswith(f"usage: {prog} ")
                 and lines[-1].startswith(f"{prog}: error: ") and case.expect in lines[-1]):
             found.append(f"stderr reads {err!r}")

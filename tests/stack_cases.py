@@ -30,11 +30,10 @@ class Bad(NamedTuple):
     """An item that breaks a row's function.
 
     ``make(arg, good)`` builds it from the good item it replaces, or gives None
-    where it does not apply.  Alone it raises ``error``, and a stack that holds
-    it raises the same type, and with ``message`` the same message, also with
-    a second bad item, ``then(arg, good)``, after it.  Where ``raises(arg)`` is
-    False the function never reads the broken value, and the stack's result
-    there is the item's.
+    where it does not apply.  Alone it raises ``error``, that type and not a
+    subclass, and a stack that holds it raises the same type, and with
+    ``message`` the same message, also with a second bad item,
+    ``then(arg, good)``, after it.
     """
 
     label: str
@@ -42,7 +41,6 @@ class Bad(NamedTuple):
     error: type = ValueError
     message: bool = True
     then: Callable | None = None
-    raises: Callable = lambda arg: True
 
 
 class Row(NamedTuple):
@@ -54,7 +52,6 @@ class Row(NamedTuple):
     equal: Callable  # equal(stacked, items, shape, one), one an item's result
     bad: tuple = ()
     entropy: bool = False  # each item gives a Python float, +0.0 at zero
-    nan_like: str | None = None  # the bad item whose exception type NaN raises
 
 
 def item(leaves, shape, k):
@@ -163,10 +160,14 @@ def spectra(arg, shape, rng):
 
 
 def points(arg, shape, rng, top=None):
-    """(n, lambda) for an occupation, else n alone (in [0, top] if given); edge points first."""
+    """(n, lambda) for an occupation, else n alone (in [0, top] if given); edge points first.
+
+    Where the catalogue does not read lambda, the edge points' lambdas are out of range.
+    """
     size, n_max = math.prod(shape), top or arg[0].n_max
     n = np.concatenate([[0.0, n_max, 1e-13, n_max + 1e-13], rng.uniform(0.0, n_max, size)])
-    lam = np.concatenate([[0.0, 1.0, 1.0, 0.0], rng.uniform(0.0, 1.0, size)])
+    edges = [0.0, 1.0, 1.0, 0.0] if len(arg) < 2 or reads_lambda(arg) else [1.5, -1e-13, np.nan, 2]
+    lam = np.concatenate([edges, rng.uniform(0.0, 1.0, size)])
     return (n[:size].reshape(shape), lam[:size].reshape(shape))[:2 if len(arg) == 2 else 1]
 
 
@@ -184,15 +185,32 @@ def _broken_modulus(arg, good):
     return good[0], beta
 
 
-def breaks(k, values, then=None, raises=lambda arg: True, **kwargs):
+def breaks(k, values, then=None, **kwargs):
     """Bad items with leaf k at value(arg) per (label, value), a second at then(arg) if given."""
     def leaf_at(value):
         def make(arg, good):
             new = value(arg) if k < len(good) else None
             return None if new is None else (*good[:k], new, *good[k + 1:])
         return make
-    return tuple(Bad(label, leaf_at(value), then=then and leaf_at(then), raises=raises, **kwargs)
+    return tuple(Bad(label, leaf_at(value), then=then and leaf_at(then), **kwargs)
                  for label, value in values)
+
+
+def nan_items(error=ValueError):
+    """NaN as a whole item and in one entry of it, each raising the type of a finite breach."""
+    def entry(arg, good):
+        new = good[0].copy()
+        new.flat[new.size // 2] = np.nan
+        return (new,)
+    return (Bad("nan item", lambda arg, good: (np.full_like(good[0], np.nan),), error),
+            Bad("nan in one entry", entry, error))
+
+
+def _near_antisymmetric(arg, good):
+    """0.1 off antisymmetry in one corner entry; the diagonal stays zero."""
+    theta = good[0].copy()
+    theta[0, -1] += 0.1
+    return (theta,)
 
 
 def reads_lambda(arg):
@@ -206,17 +224,19 @@ COEFFICIENT_BREAKS = (Bad("nan entry", _nan_entry, then=_broken_modulus),
                       Bad("broken modulus pair", _broken_modulus, then=_nan_entry), A_ABOVE_ONE)
 # Antisymmetric with one pair only, so that its modulus is not scalar.
 SINGLE_PAIR = np.array([[0, 0, 0.3, 0], [0, 0, 0, 0], [-0.3, 0, 0, 0], [0, 0, 0, 0]], complex)
-THETA_BREAKS = breaks(0, [
+THETA_BREAKS = (Bad("near antisymmetric", _near_antisymmetric), *breaks(0, [
     ("not antisymmetric", lambda arg: np.ones((arg[0].n_modes,) * 2, complex)),
     ("non-scalar modulus", lambda arg: SINGLE_PAIR if arg[0].n_modes == 4 else None),
     ("cos r = 0", lambda arg: full_density_theta(arg[0])),
     # Finite, but theta^dag theta overflows; then finite, but its trace overflows.
     ("overflowing", lambda arg: 1e200 * full_density_theta(arg[0])),
-    ("trace overflowing", lambda arg: 7e153 * full_density_theta(arg[0]))])
+    ("trace overflowing", lambda arg: 7e153 * full_density_theta(arg[0]))]))
+ANTISYMMETRY = ("near antisymmetric", "not antisymmetric")
 DENSITY_BREAKS = breaks(0, [(f"n {f} n_max/4", lambda arg, f=f: f * arg[0].n_max / 4)
                             for f in (4.5, -0.1, math.nan)], lambda arg: 2.0 * arg[0].n_max)
-LAMBDA_BREAKS = breaks(1, [(f"lambda {v}", lambda arg, v=v: v) for v in (1.5, -1e-13, math.nan)],
-                       lambda arg: 2.0, raises=reads_lambda)
+# Only where the catalogue reads lambda; elsewhere the good stacks hold such values.
+LAMBDA_BREAKS = breaks(1, [(f"lambda {v}", lambda arg, v=v: v if reads_lambda(arg) else None)
+                           for v in (1.5, -1e-13, math.nan)], lambda arg: 2.0)
 UNIT_BREAKS = breaks(0, [(f"x {v}", lambda arg, v=v: v) for v in (1.5, -0.1, math.nan)],
                      lambda arg: 2.0)
 # Each second bad item of a fock stack fails the last gate that the first can fail.
@@ -237,6 +257,7 @@ SPECTRUM_BREAKS = breaks(0, [
     lambda arg: np.array([2.0, 0.5, 0.5, 0.0][:arg[0]]))
 SCRAMBLED = breaks(0, [("scrambled", lambda arg: np.random.default_rng(89).normal(
     size=(2**arg[0].n_modes,) * 2))], error=sq.DecompositionError, message=False)
+NAN = nan_items()
 
 
 def _validated(coeffs):
@@ -287,33 +308,30 @@ CASES = [
         ((Scenario.CHARGE_ONLY,),), coefficient_stack, SHAPES, same(1e-15), (A_ABOVE_ONE,)),
     Row("unitary_for", on_sets(sq.unitary_for), SCENARIOS, coefficient_stack, SHAPES,
         same(1e-14), COEFFICIENT_BREAKS),
-    # The first bad item of each theta row is the one NaN breaks like.
     *(Row(fn.__name__, plain(fn), SCENARIOS, thetas, A0_SHAPES, same(1e-14),
-          tuple(bad for bad in THETA_BREAKS if bad.label in labels), nan_like=labels[0])
+          (*(bad for bad in THETA_BREAKS if bad.label in labels), *NAN))
       for fn, labels in (
-          (bg.check_theta, ("not antisymmetric",)),
+          (bg.check_theta, ANTISYMMETRY),
           (bg.squeezing_angle, ("non-scalar modulus", "overflowing", "trace overflowing")),
-          (bg.mu_nu_from_theta, ("not antisymmetric", "overflowing", "trace overflowing")),
-          (sq.pair_creation_sum, ("not antisymmetric",)),
-          (sq.build_generator, ("not antisymmetric",)))),
+          (bg.mu_nu_from_theta, (*ANTISYMMETRY, "overflowing", "trace overflowing")),
+          (sq.pair_creation_sum, ANTISYMMETRY),
+          (sq.build_generator, ANTISYMMETRY))),
     Row("unitary_dense", plain(sq.unitary_dense), SCENARIOS, generators, A0_SHAPES, same(1e-14),
-        (Bad("not anti-Hermitian", lambda arg, good: (1j * good[0],)),),
-        nan_like="not anti-Hermitian"),
+        (Bad("not anti-Hermitian", lambda arg, good: (1j * good[0],)), *NAN)),
     Row("unitarity_residual", plain(sq.unitarity_residual), SCENARIOS, unitaries, A0_SHAPES,
         max_of_items),
     Row("conjugate_mode", lambda arg, u: sq.conjugate_mode(u, arg[1]),
         tuple((s, mode) for s in Scenario for mode in range(s.n_modes)), unitaries, A0_SHAPES,
-        same(1e-14), SCRAMBLED, nan_like="scrambled"),
+        same(1e-14), (*SCRAMBLED, *nan_items(sq.DecompositionError))),
     Row("apply_decoupled", _decoupled,
         tuple((s, form) for s in Scenario for form in ("eye", "block", "state")),
-        functools.partial(thetas, a0=False), SHAPES, same(1e-14), THETA_BREAKS,
-        nan_like="not antisymmetric"),
+        functools.partial(thetas, a0=False), SHAPES, same(1e-14), (*THETA_BREAKS, *NAN)),
     Row("outer_product", plain(fock.outer_product), ((),), states, SHAPES + ((2, 0),), same(),
-        STATE_BREAKS, nan_like="norm 2"),
+        (*STATE_BREAKS, *NAN)),
     Row("validate_density_operator", plain(fock.validate_density_operator), ((),),
         density_operators, SHAPES + ((2, 0),), same(), OPERATOR_BREAKS),
     Row("von_neumann_entropy", plain(fock.von_neumann_entropy), ((),), density_operators,
-        SHAPES + ((2, 0),), same(), OPERATOR_BREAKS, entropy=True, nan_like="trace 0.9"),
+        SHAPES + ((2, 0),), same(), (*OPERATOR_BREAKS, *NAN), entropy=True),
     Row("entropy_of_eigenvalues", plain(fock.entropy_of_eigenvalues), ((2,), (4,)), spectra,
         ((1,), (7,), (2, 3), (0,)), same(), SPECTRUM_BREAKS, entropy=True),
     Row("subsystem_entropy", lambda arg, psi: fock.subsystem_entropy(psi, [0, 1]), ((),), states,

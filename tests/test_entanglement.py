@@ -44,13 +44,6 @@ def test_vacuum_closed_form_values():
     assert ent.entropy_vacuum_closed_form(2.0, Scenario.SPINLESS) == 0.0
 
 
-def test_vacuum_closed_form_out_of_range():
-    with pytest.raises(ValueError):
-        ent.entropy_vacuum_closed_form(4.2, Scenario.CHARGE_ONLY)
-    with pytest.raises(ValueError):
-        ent.entropy_vacuum_closed_form(2.5, Scenario.SPINLESS)
-
-
 def test_entropy_numeric_examples():
     assert ent.entropy_numeric(coeffs(0.0), 0) <= 1e-12
     for scenario in SPINFUL:

@@ -161,13 +161,6 @@ def test_overflowing_theta_raises_without_numpy_warnings(scenario):
                     fn(theta)
 
 
-def test_decoupled_rejects_non_scalar_modulus():
-    theta = np.zeros((4, 4), dtype=complex)
-    theta[0, 2], theta[2, 0] = 0.3, -0.3  # single pair only: |theta| not scalar
-    with pytest.raises(ValueError):
-        sq.apply_decoupled(theta, fock.basis_state(0, 4))
-
-
 def test_decoupled_breaks_down_at_vanishing_cosine():
     coeffs = from_density(Scenario.CHARGE_ONLY, 4.0, lam=0.5)
     theta = theta_from_coefficients(coeffs)
