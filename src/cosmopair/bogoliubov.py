@@ -178,7 +178,8 @@ class ValidationReport:
 
     @property
     def worst(self) -> float:
-        return float(self.table.max())
+        """The largest residual, NaN if any is NaN; 0.0 for an empty stack."""
+        return float(self.table.max(initial=0.0))
 
     def failing(self) -> list[str]:
         """Constraints broken by the first set that breaks any; empty when all pass."""

@@ -226,7 +226,8 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
           lambda_grid=None) -> Iterator[list[tuple[float, float, float, float, float]]]:
     """Blocks of (n, lambda, S_numeric, S_closed, discrepancy) rows over a density grid.
 
-    Rows run in grid order, lambda fastest.  The lambda grid is required
+    Rows run in grid order, lambda fastest.  Either grid is any iterable of
+    numbers, a numpy array as well as a list.  The lambda grid is required
     (nonempty) for the charge-only scenario; the other scenarios refuse
     one and read lambda = 1 on every row, keeping the rows uniform.  The
     occupation and the whole grid are checked when ``sweep`` is called, so
@@ -240,7 +241,7 @@ def sweep(scenario: Scenario, occupation: int, n_grid,
     if not n_values:
         raise ValueError("empty density grid")
     if scenario is Scenario.CHARGE_ONLY:
-        lam_values = [float(v) for v in (lambda_grid or [])]
+        lam_values = [] if lambda_grid is None else [float(v) for v in lambda_grid]
         if not lam_values:
             raise ValueError("charge-only sweep needs a nonempty lambda grid")
     elif lambda_grid is not None:

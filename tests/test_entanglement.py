@@ -197,6 +197,12 @@ def test_sweep_shapes_and_discrepancies():
     assert all(0.0 <= s <= 1.0 + 1e-12 for _, _, s, _, _ in spinless)
 
 
+def test_a_numpy_lambda_grid_gives_the_rows_of_its_list():
+    grids = (np.linspace(0.0, 4.0, 3), np.array([0.1, 0.5]))
+    assert sweep_rows(Scenario.CHARGE_ONLY, 0b0101, *grids) == \
+        sweep_rows(Scenario.CHARGE_ONLY, 0b0101, *(grid.tolist() for grid in grids))
+
+
 def test_sweep_rejects_bad_grids():
     with pytest.raises(ValueError):
         ent.sweep(Scenario.CHARGE_ONLY, 0, [1.0], [])

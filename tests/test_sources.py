@@ -4,7 +4,9 @@ No module defines a top-level function or class name twice: a second
 definition silently replaces the first, so pytest never collects a test
 whose name is reused further down its module.  Every name a module lists
 in ``__all__`` is defined in that module, so a retired helper cannot stay
-exported.
+exported.  No test module imports a name that starts with ``test_``:
+pytest collects a test wherever a test module binds its name, so it would
+run that test twice.
 """
 
 import ast
@@ -45,3 +47,14 @@ def test_every_exported_name_is_defined_in_its_module():
         undefined += [f"{path.relative_to(ROOT)}: {name}" for name in exported
                       if name not in defined]
     assert undefined == []
+
+
+def test_no_module_under_tests_imports_a_test_by_name():
+    imported = []
+    for path in ROOT.glob("tests/**/*.py"):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                imported += [f"{path.relative_to(ROOT)}: {alias.name}" for alias in node.names
+                             if alias.name.startswith("test_")
+                             or (alias.asname or "").startswith("test_")]
+    assert imported == []
