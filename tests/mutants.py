@@ -14,16 +14,19 @@ wrong.  Each row is one wrong route, a mutant (DeMillo, Lipton & Sayward
 ``patch(monkeypatch)`` applies the mutant in-process and never rewrites
 source.  ``verify`` and ``entanglement`` import by name, so a function they
 call is patched in their namespace (``at``); a function that a test table
-holds by reference, as ``stack_cases.CASES`` does, runs a mutant's code in
-place of its own (``recoded``).  ``UNKILLED`` names every ``verify`` check
-that no row makes FAIL, and why.
+holds by reference, as ``stack_cases.CASES`` does, runs its own source with
+one string replaced, recompiled in memory (``edited``).  ``UNKILLED`` names
+every ``verify`` check that no row makes FAIL, and why.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import math
+import textwrap
+import types
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -77,9 +80,21 @@ def at(modules, name, wrap):
     return patch
 
 
-def recoded(function, mutant):
-    """Patch that runs mutant's code, in function's module, under every name bound to function."""
-    return lambda monkeypatch: monkeypatch.setattr(function, "__code__", mutant.__code__)
+def edited(function, old, new):
+    """Patch that runs function's source with old, which it holds once, replaced by new.
+
+    The edited source is compiled in memory and its code swapped into
+    function, so every name bound to function runs the mutant; a source that
+    no longer holds old exactly once fails the row.
+    """
+    def patch(monkeypatch):
+        source = textwrap.dedent(inspect.getsource(function))
+        assert source.count(old) == 1, f"{function.__qualname__} holds {old!r} not once"
+        module = compile(source.replace(old, new), f"<mutant of {function.__qualname__}>", "exec")
+        code = next(c for c in module.co_consts
+                    if isinstance(c, types.CodeType) and c.co_name == function.__name__)
+        monkeypatch.setattr(function, "__code__", code)
+    return patch
 
 
 def scaled(factor):
@@ -359,61 +374,6 @@ ROUTE_ROWS = [
 
 
 # --- the stack contract -----------------------------------------------------
-# Each mutant's code runs in the module of the function it replaces, so its
-# names (np, _finite_gram, SCALAR_MODULUS_TOLERANCE) are that module's.
-
-def require_naming_the_last(ok, values, message):
-    if not (ok.all() if ok.ndim else ok):
-        raise ValueError(message.format(np.asarray(values)[~ok][-1].item()))
-
-
-def unitarity_residual_without_initial(unitary):
-    gram = unitary @ unitary.conj().swapaxes(-1, -2)
-    return float(np.abs(gram - np.eye(unitary.shape[-1])).max())
-
-
-def failing_of_the_last_broken_set(self):
-    bad = ~(self.table <= self.tolerance).reshape(-1, len(self.names))
-    broken = bad.any(axis=1)
-    if not broken.any():
-        return []
-    return [name for name, b in zip(self.names, bad[len(broken) - 1 - broken[::-1].argmax()])
-            if b]
-
-
-def squeezing_angle_of_the_whole_stack(theta):
-    gram = _finite_gram(np.asarray(theta, dtype=complex))  # noqa: F821
-    r2 = gram.diagonal(axis1=-2, axis2=-1).real.mean(axis=-1)
-    deviation = np.abs(gram - r2[..., np.newaxis, np.newaxis] * np.eye(gram.shape[-1])).max(
-        axis=(-2, -1))
-    bad = ~(deviation <= SCALAR_MODULUS_TOLERANCE * np.maximum(1.0, r2))  # noqa: F821
-    if bad.any():
-        raise ValueError(f"|theta| is not scalar: deviation {float(deviation[bad].max())}")
-    radius = np.sqrt(np.maximum(np.full_like(r2, r2.mean()), 0.0))
-    return float(radius) if radius.ndim == 0 else radius
-
-
-def check_theta_on_the_diagonal(theta):
-    theta = np.asarray(theta, dtype=complex)
-    if theta.ndim < 2 or theta.shape[-1] != theta.shape[-2] or theta.shape[-1] not in (2, 4):
-        raise ValueError(f"theta must be a 2x2 or 4x4 matrix, got {theta.shape}")
-    scale = np.maximum(1.0, np.abs(theta).max(axis=(-2, -1)))
-    asymmetry = np.abs(2.0 * theta.diagonal(axis1=-2, axis2=-1)).max(axis=-1)
-    if not (asymmetry <= 1e-12 * scale).all():
-        raise ValueError("theta must be antisymmetric")
-    return theta
-
-
-def check_theta_letting_nan_through(theta):
-    theta = np.asarray(theta, dtype=complex)
-    if theta.ndim < 2 or theta.shape[-1] != theta.shape[-2] or theta.shape[-1] not in (2, 4):
-        raise ValueError(f"theta must be a 2x2 or 4x4 matrix, got {theta.shape}")
-    scale = np.maximum(1.0, np.abs(theta).max(axis=(-2, -1)))
-    asymmetry = np.abs(theta + theta.swapaxes(-1, -2)).max(axis=(-2, -1))
-    if (asymmetry > 1e-12 * scale).any():
-        raise ValueError("theta must be antisymmetric")
-    return theta
-
 
 def stack_killer(name, label="", error=AssertionError):
     """The stack table's equality case of a row, or with label its bad-item case."""
@@ -430,26 +390,29 @@ DID_NOT_RAISE = pytest.fail.Exception
 
 STACK_ROWS = [
     Mutant("require names the last bad item", "stack contract",
-           at([fock], "require", lambda real: require_naming_the_last),
+           edited(fock.require, "[~ok][0]", "[~ok][-1]"),
            (stack_killer("outer_product", "norm 2"),
             stack_killer("entropy_vacuum_closed_form", "n 4.5 n_max/4"))),
     Mutant("unitarity_residual without initial=0.0", "stack contract",
-           recoded(sq.unitarity_residual, unitarity_residual_without_initial),
+           edited(sq.unitarity_residual, ".max(initial=0.0)", ".max()"),
            (stack_killer("unitarity_residual", error=ValueError),)),
     Mutant("failing() reads the last broken set", "stack contract",
-           lambda monkeypatch: monkeypatch.setattr(bg.ValidationReport, "failing",
-                                                   failing_of_the_last_broken_set),
+           edited(bg.ValidationReport.failing, "bad[broken.argmax()]",
+                  "bad[len(broken) - 1 - broken[::-1].argmax()]"),
            (stack_killer("validate", "nan entry"),)),
     Mutant("squeezing_angle takes r**2 over the whole stack", "stack contract",
-           recoded(bg.squeezing_angle, squeezing_angle_of_the_whole_stack),
+           edited(bg.squeezing_angle, "np.maximum(r2, 0.0)",
+                  "np.maximum(np.full_like(r2, r2.mean()), 0.0)"),
            (stack_killer("squeezing_angle"),),
            frozenset({"generator_scalar_modulus", "unitarity_random_batch",
                       *(f"factorized_vs_dense_{s.value}" for s in Scenario)})),
     Mutant("check_theta measures asymmetry on the diagonal alone", "stack contract",
-           recoded(bg.check_theta, check_theta_on_the_diagonal),
+           edited(bg.check_theta, "np.abs(theta + theta.swapaxes(-1, -2)).max(axis=(-2, -1))",
+                  "np.abs(2.0 * theta.diagonal(axis1=-2, axis2=-1)).max(axis=-1)"),
            (stack_killer("check_theta", "near antisymmetric", DID_NOT_RAISE),)),
     Mutant("check_theta lets NaN through", "stack contract",
-           recoded(bg.check_theta, check_theta_letting_nan_through),
+           edited(bg.check_theta, "if not (asymmetry <= 1e-12 * scale).all():",
+                  "if (asymmetry > 1e-12 * scale).any():"),
            (stack_killer("check_theta", "nan item", DID_NOT_RAISE),)),
     Mutant("catalogue checks lambda for every input", "stack contract",
            at([ent, verify], "entropy_excited_closed_form", lambda_checked_for_every_input),

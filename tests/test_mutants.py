@@ -4,8 +4,8 @@ import sys
 
 import pytest
 
-from cosmopair import cli, verify
-from mutants import MUTANTS, ROUTES, UNKILLED
+from cosmopair import cli, fock, verify
+from mutants import MUTANTS, ROUTES, UNKILLED, edited
 
 KILLS = [(row, killer) for row in MUTANTS for killer in row.killers]
 
@@ -50,9 +50,10 @@ def test_verify_fails_exactly_the_checks_of_each_mutant(row, monkeypatch, capsys
         assert results[check].residual > bound
     if row.cli:
         assert cli.main(["verify", "--batch", "2"]) == 1
-        failed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
-                  if line.startswith("FAIL")]
-        assert sorted(failed) == sorted(row.verify_fails)
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == len(row.verify_fails)
+        assert all(any(line.startswith(f"FAIL  {name} ") for line in failed)
+                   for name in row.verify_fails)
 
 
 def test_every_route_and_every_verify_check_has_a_row():
@@ -64,3 +65,8 @@ def test_every_route_and_every_verify_check_has_a_row():
     assert killed <= checks
     assert checks - killed == set(UNKILLED)
     assert all(UNKILLED.values())
+
+
+def test_an_edit_whose_old_text_left_the_source_fails_the_row(monkeypatch):
+    with pytest.raises(AssertionError, match="not once"):
+        edited(fock.require, "[~ok][1]", "[~ok][-1]")(monkeypatch)
