@@ -17,6 +17,22 @@ so each dressed norm, a**2 plus the |beta|**2 of one row or column, is
 exactly Q_out / Q_in.  Its residual, an amplitude excess included, is
 the one accuracy monitor of a point, gated at DRESSING_GATE * TOL.
 
+The plain run steps the mode equation with DOP853.  The reference run,
+``integrate_mode(mode, refined=True)``, solves the same mode in another
+frame with another method: the amplitudes (alpha, beta) of the
+instantaneous positive- and negative-energy eigenvectors of
+H = [[M, p], [p, -M]] (the adiabatic frame of Kluger, Mottola &
+Eisenberg 1998, Phys. Rev. D 58:125015) obey
+
+    (alpha, beta)' = [[0, c e^{2i Phi}], [-c e^{-2i Phi}, 0]] (alpha, beta),
+
+with omega = sqrt(p**2 + M**2), Phi = int omega dtau from tau0 and
+c = -p M' / (2 omega**2).  A fourth-order Magnus
+step (Iserles & Norsett 1999, Phil. Trans. R. Soc. A 357:983) carries
+them across the span; c vanishes on the flat profile, at m = 0 and at
+p = 0, so there beta is exactly 0.  ``momentum_point`` reports the gap
+between the moduli of the two runs' amplitudes as ``self_convergence``.
+
 Gamma-matrix representation: gamma0 = -i diag(1, 1, -1, -1) and spatial
 gammas off-diagonal Pauli blocks, so the positive/negative energy flat
 spinors are the first/last two coordinate vectors and the contraction
@@ -53,15 +69,25 @@ __all__ = [
     "spinor_contraction",
 ]
 
-# The fixed accuracy contract of one momentum point.  integrate_mode runs
-# at TOL, or at TOL / REFINEMENT when refined (momentum_point's
-# self-convergence diagnostic), over default_tau_span, which is sized for
-# the finer of the two.  dress_coefficients accepts a coefficient set
-# within DRESSING_GATE * TOL = 1e-8 of its constraints; scoring re-checks
-# the set at the looser bogoliubov.THETA_CHECK_TOLERANCE = 1e-6.
+# The fixed accuracy contract of one momentum point.  integrate_mode's
+# plain run steps at TOL over default_tau_span, whose ends lie within
+# TOL / REFINEMENT of the profile's limits.  dress_coefficients accepts a
+# coefficient set within DRESSING_GATE * TOL = 1e-8 of its constraints;
+# scoring re-checks the set at the looser
+# bogoliubov.THETA_CHECK_TOLERANCE = 1e-6.
 TOL = 1e-9
 REFINEMENT = 2.0
 DRESSING_GATE = 10.0
+# The reference run takes N = max(MIN_REFERENCE_STEPS, ceil(2 * phase))
+# uniform Magnus steps, phase = max(E_in, E_out) * (tau1 - tau0), up to
+# 2e5 at MAX_PHASE.  It builds and reduces the step matrices
+# REFERENCE_CHUNK steps at a time, 26 evaluations of (M, M') each, so its
+# arrays stay near 100 kB whatever N is.  Chunks of 512 ran faster than
+# 256 or 1024, and raised the peak RSS of `dynamics --p-grid
+# log:0.1:40:6` by 0.6 MB, where 4096 raised it by 3.3 MB (2-vCPU x86_64
+# host).
+MIN_REFERENCE_STEPS = 1024
+REFERENCE_CHUNK = 512
 # Out-region energies below this make a mode degenerate: no plane waves to match.
 MIN_OUT_ENERGY = 1e-9
 # Largest phase max(E_in, E_out) * (tau1 - tau0), in radians, that one
@@ -92,8 +118,9 @@ class ScaleFactorProfile:
     ``Mode`` states: finite epsilon >= 0 and rho > 0, with
     2 epsilon (in a_out), 2 rho (in the span) and epsilon * rho (in the
     mass rate) finite.  ``a`` takes a float tau and returns a Python float,
-    and so does ``frequency``'s closure, which the integrator calls at
-    every solver stage (``math``, not numpy).
+    and so does ``frequency``'s closure, which the DOP853 run calls at
+    every solver stage (``math``, not numpy); ``mass_and_rate`` is the
+    numpy form that the reference run evaluates on arrays of tau.
     """
 
     epsilon: float = 1.0
@@ -134,6 +161,13 @@ class ScaleFactorProfile:
 
         return minus_k
 
+    def mass_and_rate(self, tau: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+        """(M, dM/dtau) at each tau of an array, M = m a(tau): ``a`` and ``frequency``'s rate."""
+        x = self.rho * tau
+        a = np.sqrt(1.0 + self.epsilon * (1.0 + np.tanh(x)))
+        expo = np.exp(-2.0 * np.abs(x))
+        return m * a, (m * self.epsilon * self.rho) * (4.0 * expo / (1.0 + expo) ** 2) / (2.0 * a)
+
 
 FLAT = ScaleFactorProfile(epsilon=0.0)
 
@@ -142,7 +176,8 @@ def default_tau_span(profile: ScaleFactorProfile) -> tuple[float, float]:
     """Integration span whose ends sit within TOL / REFINEMENT of the profile's limits.
 
     Both ends are then plane-wave regions, to start from and to match in,
-    at either tolerance that ``integrate_mode`` runs at.
+    with a factor REFINEMENT to spare at the plain run's TOL; both of
+    ``integrate_mode``'s runs cross this span.
     """
     if profile.epsilon == 0.0:   # flat: every span reaches the limits
         return (-10.0, 10.0)
@@ -410,10 +445,13 @@ def _dop853(minus_k, t0: float, t1: float, y0: _State, tol: float, max_step: flo
 class ScalarBogolyubov:
     """Scalar mixing amplitudes of one mode, with the cost of integrating them.
 
-    ``n_steps`` counts the integrator's accepted steps and
-    ``n_rhs_evaluations`` its evaluations of the frequency k(tau): 2 for
-    the start and the starting step, then 11 per step tried.  Both are 0
-    for amplitudes that were not integrated.
+    For the plain DOP853 run, ``n_steps`` counts the accepted steps and
+    ``n_rhs_evaluations`` the evaluations of the frequency k(tau): 2 for
+    the start and the starting step, then 11 per step tried.  For the
+    reference run, ``n_steps`` is the number N of Magnus steps and
+    ``n_rhs_evaluations`` the 26 N points at which (M, M') is evaluated:
+    2 Gauss nodes and 24 quadrature nodes of the phase per step.  Both
+    are 0 for amplitudes that were not integrated.
     """
 
     a_minus: complex
@@ -422,23 +460,116 @@ class ScalarBogolyubov:
     n_rhs_evaluations: int = 0
 
 
+# The 8-point Gauss-Legendre rule on [-1, 1], its nodes x >= 0 and their
+# weights (the rule is symmetric), as numpy.polynomial.legendre.leggauss(8)
+# gives them: constants, so that no import of numpy.polynomial is paid.
+_GL_NODES = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
+_GL_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+               0.10122853629037706)
+# The two Gauss nodes of a Magnus step, as fractions of the step, and the
+# ends of the three pieces they cut it into, each integrated by the rule.
+_GAUSS = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
+_PIECES = np.array([0.0, *_GAUSS, 1.0])
+_WIDTHS = np.diff(_PIECES)
+# The rule on [0, 1], and the quadrature nodes of a step as fractions of it, piece by piece.
+_UNIT_NODES = (1.0 + np.array([*(-x for x in reversed(_GL_NODES)), *_GL_NODES])) / 2.0
+_UNIT_WEIGHTS = np.array([*reversed(_GL_WEIGHTS), *_GL_WEIGHTS]) / 2.0
+_QUADRATURE = (_PIECES[:-1, None] + _WIDTHS[:, None] * _UNIT_NODES).ravel()
+
+
+def reference_steps(mode: Mode) -> int:
+    """N = max(MIN_REFERENCE_STEPS, ceil(2 * max(E_in, E_out) * (tau1 - tau0))): 2 per radian."""
+    tau0, tau1 = mode.tau_span
+    return max(MIN_REFERENCE_STEPS, math.ceil(2.0 * max(mode.e_in, mode.e_out) * (tau1 - tau0)))
+
+
+def _tree_product(a: np.ndarray, b: np.ndarray) -> tuple[complex, complex]:
+    """The product U_{n-1} ... U_1 U_0 of SU(2) matrices U_k = [[a_k, b_k], [-conj b_k, conj a_k]].
+
+    Adjacent pairs are multiplied, later on the left, one batched product
+    per level; an odd last matrix is carried up as it is.
+    """
+    while a.size > 1:
+        odd = a.size % 2
+        a_early, a_late, b_early, b_late = a[0:-1:2], a[1::2], b[0:-1:2], b[1::2]
+        a_next = a_late * a_early - b_late * b_early.conj()
+        b_next = a_late * b_early + b_late * a_early.conj()
+        if odd:
+            a_next, b_next = np.append(a_next, a[-1]), np.append(b_next, b[-1])
+        a, b = a_next, b_next
+    return complex(a[0]), complex(b[0])
+
+
+def _adiabatic_amplitudes(mode: Mode, n_steps: int) -> tuple[complex, complex, float]:
+    """(alpha, beta) at the end of the span after n_steps Magnus steps, and Phi there.
+
+    Each step of length h takes x = c e^{2i Phi} at its two Gauss nodes,
+    x_minus at the earlier and x_plus at the later one, and applies
+    exp [[i sigma, u], [-conj u, -i sigma]] with u = (h / 2) (x_plus + x_minus)
+    and the commutator term sigma = (sqrt 3 / 6) h**2 Im(x_minus conj x_plus);
+    with the other sign of sigma the step still conserves |alpha|**2 +
+    |beta|**2 but is of second order only.  Phi - E_in (tau - tau0) is
+    summed from the 8-point Gauss-Legendre rule on each of the three
+    pieces the nodes cut a step into.  Steps are built and multiplied
+    REFERENCE_CHUNK at a time, each chunk as a tree.  The mode needs
+    omega > 0 everywhere, as p > 0 or m > 0 gives.
+    """
+    profile, p, m, e_in = mode.profile, mode.p, mode.m, mode.e_in
+    tau0, tau1 = mode.tau_span
+    h = (tau1 - tau0) / n_steps
+    alpha, b_total, excess = 1.0 + 0.0j, 0.0j, 0.0
+    for first in range(0, n_steps, REFERENCE_CHUNK):
+        steps = np.arange(first, min(first + REFERENCE_CHUNK, n_steps), dtype=float)[:, None]
+        mass, _ = profile.mass_and_rate(tau0 + (steps + _QUADRATURE) * h, m)
+        pieces = (np.sqrt(p * p + mass * mass) - e_in).reshape(len(steps), 3, -1) @ _UNIT_WEIGHTS
+        excess_at = excess + np.cumsum((pieces * (h * _WIDTHS)).ravel()).reshape(-1, 3)
+        excess = float(excess_at[-1, 2])
+        nodes = steps + _GAUSS
+        mass, rate = profile.mass_and_rate(tau0 + nodes * h, m)
+        omega = np.sqrt(p * p + mass * mass)
+        coupling = -0.5 * (p / omega) * (rate / omega)
+        x = coupling * np.exp(2j * (e_in * nodes * h + excess_at[:, :2]))
+        x_minus, x_plus = x[:, 0], x[:, 1]
+        u = (0.5 * h) * (x_plus + x_minus)
+        sigma = (math.sqrt(3.0) / 6.0 * h * h) * (x_minus * x_plus.conj()).imag
+        s = np.hypot(sigma, np.abs(u))
+        sinc = np.sinc(s / math.pi)
+        a_chunk, b_chunk = _tree_product(np.cos(s) + 1j * sigma * sinc, u * sinc)
+        alpha, b_total = (a_chunk * alpha - b_chunk * b_total.conjugate(),
+                          a_chunk * b_total + b_chunk * alpha.conjugate())
+    return alpha, -b_total.conjugate(), e_in * (tau1 - tau0) + excess
+
+
 def integrate_mode(mode: Mode, refined: bool = False) -> ScalarBogolyubov:
-    """Integrate the mode function across the expansion epoch and match its amplitudes.
+    """Integrate the mode across the expansion epoch and match its amplitudes.
 
     Every setting comes from the mode: the span is ``mode.tau_span``,
-    which reaches both flat regions, and the tolerance is tol = TOL, or
-    TOL / REFINEMENT when refined.
-    Initial data is exactly positive frequency at the start of the span.
-    This module's own adaptive DOP853 stepper (rtol = tol, atol = tol / 100,
-    steps of at most MAX_STEP_RHO / rho, with the step-size controller
-    of scipy's ``solve_ivp``; scipy is not imported, and the tests use
-    it as the oracle) carries (f, f') to the end of the span and keeps no
-    trajectory.  It reads k from one closure, ``profile.frequency``.  Its
-    step is straight-line code on real and imaginary parts, generated at
-    import from the tableau; the tests keep the complex loop over the
-    tableau rows as its bit-for-bit reference.  The end state is matched
-    onto out-region plane waves, f = A exp(-i E_out tau) + B exp(+i E_out
-    tau), and (A, B) are returned as ``a_minus`` and ``b_minus``.
+    which reaches both flat regions.  Both runs return the amplitudes
+    (A, B) of f = A exp(-i E_out tau) + B exp(+i E_out tau) at the end of
+    the span as ``a_minus`` and ``b_minus``.
+
+    The plain run starts from exactly positive frequency and steps
+    (f, f') with this module's own adaptive DOP853 stepper (rtol = TOL,
+    atol = TOL / 100, steps of at most MAX_STEP_RHO / rho, with the
+    step-size controller of scipy's ``solve_ivp``; scipy is not imported,
+    and the tests use it as the oracle), keeping no trajectory.  It reads
+    k from one closure, ``profile.frequency``.  Its step is straight-line
+    code on real and imaginary parts, generated at import from the
+    tableau; the tests keep the complex loop over the tableau rows as its
+    bit-for-bit reference.
+
+    The refined run is the reference: ``reference_steps(mode)`` uniform
+    fourth-order Magnus steps in the adiabatic frame (see the module
+    docstring), vectorised over the steps with numpy, read (M, M') from
+    ``profile.mass_and_rate``.  Its (alpha, beta) map onto the plane waves
+    as A = alpha k_A e^{-i(E_in tau0 + Phi_1 - E_out tau1)} and
+    B = beta k_B e^{-i(E_in tau0 - Phi_1 + E_out tau1)}, with
+    k_A = sqrt(E_in (E_in + M) / (E_out (E_out + M_out))) and
+    k_B = sqrt((E_out + M_out) / (2 E_out)) sqrt(2 E_in (E_in + M)) / |p|.
+    At p = 0, where beta is exactly 0 and k_B infinite, B is their finite
+    limit: the run at |p| = 1e-20 m, whose |p|**2 rounds away beside
+    m**2 in both energies.
+
     Raises IntegrationError for a degenerate mode, whose out-region
     energy lies below MIN_OUT_ENERGY, before any step, and for an
     integration whose arithmetic overflows or divides by zero.
@@ -447,15 +578,33 @@ def integrate_mode(mode: Mode, refined: bool = False) -> ScalarBogolyubov:
         raise IntegrationError(f"degenerate mode: out-region energy {mode.e_out:.3g} is "
                                f"below MIN_OUT_ENERGY = {MIN_OUT_ENERGY:g}")
     tau0, tau1 = mode.tau_span
-    tol = TOL / REFINEMENT if refined else TOL
     profile = mode.profile
     e_in, e_out = mode.e_in, mode.e_out
+    if refined:
+        near = mode if mode.p > 0.0 else Mode((1e-20 * mode.m, 0.0, 0.0), mode.m, profile)
+        n_steps = reference_steps(near)
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                alpha, beta, phase = _adiabatic_amplitudes(near, n_steps)
+        except ArithmeticError as err:   # numpy raises FloatingPointError
+            raise IntegrationError(f"mode integration failed: {type(err).__name__}: "
+                                   f"{err}") from err
+        if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+            raise IntegrationError("mode integration failed: the reference amplitudes "
+                                   "are not finite")
+        k_a = math.sqrt(e_in * (e_in + mode.m) / (e_out * (e_out + mode.m_out)))
+        k_b = (math.sqrt((e_out + mode.m_out) / (2.0 * e_out))
+               * math.sqrt(2.0 * e_in * (e_in + mode.m)) / near.p)
+        return ScalarBogolyubov(
+            a_minus=alpha * k_a * cmath.exp(-1j * (e_in * tau0 + phase - e_out * tau1)),
+            b_minus=beta * k_b * cmath.exp(-1j * (e_in * tau0 - phase + e_out * tau1)),
+            n_steps=n_steps, n_rhs_evaluations=(2 + _QUADRATURE.size) * n_steps)
     f0 = cmath.exp(-1j * e_in * tau0)
     # A flat profile has no transition to resolve.
     max_step = MAX_STEP_RHO / profile.rho if profile.epsilon > 0.0 else math.inf
     try:
         tau, (f, f_dot), n_steps, n_tries = _dop853(profile.frequency(mode.p ** 2, mode.m),
-                                                    tau0, tau1, (f0, -1j * e_in * f0), tol,
+                                                    tau0, tau1, (f0, -1j * e_in * f0), TOL,
                                                     max_step)
     except ArithmeticError as err:   # float ** raises OverflowError where * gives inf
         raise IntegrationError(f"mode integration failed: {type(err).__name__}: {err}") from err
@@ -558,18 +707,21 @@ class MomentumPointResult:
 def momentum_point(mode: Mode) -> MomentumPointResult:
     """Integrate, dress and score one checked momentum point.
 
-    Runs ``integrate_mode`` plain and refined, over the same span, reports
-    the coefficient difference as the self-convergence diagnostic and
-    dresses the plain run at the gate DRESSING_GATE * TOL.  The vacuum is
+    Runs ``integrate_mode`` plain and refined (the adiabatic-frame
+    reference), over the same span, and dresses the plain run at the gate
+    DRESSING_GATE * TOL.  Every output reads the amplitudes only through
+    |A| and |B|, so ``self_convergence`` is the larger gap of their
+    moduli, max(| |A| - |A_ref| |, | |B| - |B_ref| |); the phase error of the
+    plain run, which no output carries, stays out of it.  The vacuum is
     scored by ``entanglement.score``, as a stack of one set, at
     (n_created, lambda_effective).
     """
     from cosmopair.entanglement import score
 
     scalar = integrate_mode(mode)
-    scalar_fine = integrate_mode(mode, refined=True)
-    self_conv = max(abs(scalar.a_minus - scalar_fine.a_minus),
-                    abs(scalar.b_minus - scalar_fine.b_minus))
+    reference = integrate_mode(mode, refined=True)
+    self_conv = max(abs(abs(scalar.a_minus) - abs(reference.a_minus)),
+                    abs(abs(scalar.b_minus) - abs(reference.b_minus)))
     dressed = dress_coefficients(scalar, mode)
     coeffs = dressed.coefficients
     n_created = particle_density(coeffs)

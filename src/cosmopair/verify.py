@@ -6,7 +6,10 @@ a fixed seed yields byte-identical reports across runs.
 
 Inputs come from two sources: the seeded pass, ``batch`` random draws
 per scenario, and one fixed (n, lambda) grid per scenario, which feeds
-every other check, so the seed moves none of those.
+every other check, so the seed moves none of those.  A group of grid
+checks whose sets a routine refuses (ValueError) reports each of its
+checks as FAIL, with an infinite residual and the refusal as detail, and
+the other groups still run.
 
 The seeded draws come from the standard library's Mersenne Twister,
 ``random.Random(seed)``, so no command loads ``numpy.random``.
@@ -90,6 +93,24 @@ def _result(name: str, residual: float, tolerance: float, detail: str = "",
                        passed=bool(ok), detail=detail)
 
 
+def _fails_on_refusal(*checks: tuple[str, float]):
+    """Decorator of a group of grid checks, given as its (name, tolerance) pairs in order.
+
+    When the group's routines refuse the grid sets with ValueError, each
+    of its checks is reported as FAIL instead.
+    """
+    def wrap(group):
+        @functools.wraps(group)
+        def run():
+            try:
+                return group()
+            except ValueError as err:
+                return [_result(name, math.inf, tolerance, detail=f"grid sets refused: {err}",
+                                passed=False) for name, tolerance in checks]
+        return run
+    return wrap
+
+
 def _worst(deviation: np.ndarray) -> float:
     """Largest modulus over every entry of a (stacked) deviation."""
     return float(np.max(np.abs(deviation)))
@@ -126,6 +147,9 @@ def _check_anticommutators(n_modes: int) -> CheckResult:
     return _result(f"ladder_anticommutators_{n_modes}_modes", worst, 1e-14)
 
 
+@_fails_on_refusal(("coefficient_constraints_grid", 1e-12),
+                   ("reduced_coherence_cross_terms", 1e-12),
+                   ("determinant_combination_modulus", 1e-12))
 def _check_constraints() -> list[CheckResult]:
     results = []
     reports = {scenario: validate(_grid_sets(scenario)[2]) for scenario in Scenario}
@@ -149,6 +173,8 @@ def _check_constraints() -> list[CheckResult]:
     return results
 
 
+@_fails_on_refusal(("generator_scalar_modulus", 1e-12), ("generator_block_sparsity", 1e-14),
+                   ("mixing_matrix_reconstruction", 1e-12), ("mixing_matrix_algebra", 1e-12))
 def _check_generator_structure() -> list[CheckResult]:
     worst_radius = 0.0
     worst_pattern = 0.0
@@ -251,6 +277,9 @@ def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
             *expansions]
 
 
+@_fails_on_refusal(*((f"vacuum_entropy_curve_{s.value}", 1e-10) for s in Scenario),
+                   ("vacuum_entropy_lambda_independence", 1e-10),
+                   ("spinful_spinless_scaling", 1e-12))
 def _check_vacuum_curves() -> list[CheckResult]:
     results = []
     numeric = {}
@@ -271,6 +300,9 @@ def _check_vacuum_curves() -> list[CheckResult]:
     return results
 
 
+@_fails_on_refusal(*((f"excited_entropy_catalogue_{s.value}", 1e-10) for s in Scenario),
+                   ("charge_commutation", 1e-12), ("angular_momentum_commutation", 1e-12),
+                   ("complementary_reduction_entropy", 1e-10))
 def _check_unitary_stacks() -> list[CheckResult]:
     """Excited catalogue, conservation and complementary checks on one stack per scenario.
 

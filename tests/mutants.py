@@ -8,8 +8,8 @@ wrong.  Each row is one wrong route, a mutant (DeMillo, Lipton & Sayward
   without the mutant and raise ``error`` under it, that type and not a
   subclass (``AssertionError`` unless a gate is the killer);
 * ``verify_fails``: the exact set of checks that ``verify.run_all(batch=16)``
-  reports FAIL under it; an empty set means ``cosmopair verify`` cannot see
-  the mutant.
+  reports FAIL under it, a check whose inputs are refused included; an
+  empty set means ``cosmopair verify`` cannot see the mutant.
 
 ``patch(monkeypatch)`` applies the mutant in-process and never rewrites
 source.  ``verify`` and ``entanglement`` import by name, so a function they
@@ -46,8 +46,8 @@ from cosmopair import squeezing as sq
 from cosmopair.bogoliubov import DOWN, UP, BogolyubovCoefficients, Scenario
 from cosmopair.expansions import A_DOWN, FULL, P_BOTH, P_UP, UP_UP, VAC
 
-ROUTES = ("integration", "dressing", "λ", "density", "from_density", "scoring", "closed forms",
-          "stack contract", "verify oracle")
+ROUTES = ("integration", "reference", "dressing", "λ", "density", "from_density", "scoring",
+          "closed forms", "stack contract", "verify oracle")
 
 
 class Killer(NamedTuple):
@@ -66,8 +66,6 @@ class Mutant(NamedTuple):
     verify_fails: frozenset = frozenset()
     # (check, bound): the check's residual under the mutant lies above the bound.
     residual: tuple | None = None
-    # The checks whose FAIL set is verify_fails: run_all, unless the mutant makes it raise.
-    checks: Callable = lambda: verify.run_all(batch=16)
     # `cosmopair verify --batch 2` then exits 1 with one FAIL line per name of verify_fails.
     cli: bool = False
 
@@ -180,11 +178,21 @@ VERIFY_ROWS = [
     Mutant("spinless score + 1e-11", "verify oracle", at([verify], "score", spinless_score_off),
            verify_fails=frozenset({"spinful_spinless_scaling"}),
            residual=("spinful_spinless_scaling", 1.9e-11)),
-    # Under run_all the broken sets make theta_from_coefficients raise.
+    # The constraint checks measure the broken sets; every other group of grid
+    # checks sees theta_from_coefficients refuse them, and reports each check
+    # as FAIL.
     Mutant("down-up phase dropped", "verify oracle", at([verify], "_grid_sets", dropped_phase),
-           verify_fails=frozenset({"coefficient_constraints_grid", "reduced_coherence_cross_terms",
-                                   "determinant_combination_modulus"}),
-           residual=("reduced_coherence_cross_terms", 1e-3), checks=verify._check_constraints),
+           verify_fails=frozenset({
+               "coefficient_constraints_grid", "reduced_coherence_cross_terms",
+               "determinant_combination_modulus", "generator_scalar_modulus",
+               "generator_block_sparsity", "mixing_matrix_reconstruction", "mixing_matrix_algebra",
+               *(f"{check}_{s.value}" for check in ("vacuum_entropy_curve",
+                                                    "excited_entropy_catalogue")
+                 for s in Scenario),
+               "vacuum_entropy_lambda_independence", "spinful_spinless_scaling",
+               "charge_commutation", "angular_momentum_commutation",
+               "complementary_reduction_entropy"}),
+           residual=("reduced_coherence_cross_terms", 1e-3), cli=True),
     *(Mutant(f"stack rotated {label}", "verify oracle",
              at([verify], "unitary_for",
                 on_scenario(scenario, rotated(scenario, row, column, angle))),
@@ -262,6 +270,7 @@ def initial_slope_flipped(real):
     return lambda minus_k, t0, t1, y0, *args: real(minus_k, t0, t1, (y0[0], -y0[1]), *args)
 
 
+
 TANH = test_dynamics.TANH
 DIGITS = [("c", (5,)), ("a", (7, 3)), ("b", (8,)), ("e5", (6,)), ("e3", (0,))]
 STEP_EQUALITY = Killer(test_dynamics.test_compiled_step_equals_the_loop_form_on_random_states,
@@ -297,6 +306,12 @@ DYNAMICS_ROWS = [
                    label="ScaleFactorProfile-1-1"),)),
     Mutant("sign of the initial f'", "integration", at([dyn], "_dop853", initial_slope_flipped),
            (END_TO_END,)),
+    # The commutator term of the Magnus step with the other sign: the step
+    # still conserves |alpha|**2 + |beta|**2, but is of second order.
+    Mutant("Magnus commutator sign flipped", "reference",
+           edited(dyn._adiabatic_amplitudes, "(x_minus * x_plus.conj()).imag",
+                  "(x_plus * x_minus.conj()).imag"),
+           (Killer(test_dynamics.test_the_reference_is_fourth_order),)),
     Mutant("dressing with m and m_out swapped", "dressing",
            at([dyn], "dress_coefficients", masses_swapped), (END_TO_END,)),
     Mutant("DRESSING_GATE 10 -> 100", "dressing",
@@ -349,6 +364,14 @@ def channels_swapped(real):
     return from_density
 
 
+def catalogue_reversed(real):
+    """score pairs its stack with the catalogue points in reverse order."""
+    def score(coeffs, occupation, n, lam):
+        n, lam = np.asarray(n, dtype=float), np.asarray(lam, dtype=float)
+        return real(coeffs, occupation, n[::-1], lam[::-1])
+    return score
+
+
 def catalogue_at_the_first_point(real):
     """score reads the catalogue of every item at the (n, lambda) of its stack's first item."""
     def score(coeffs, occupation, n, lam):
@@ -370,6 +393,13 @@ ROUTE_ROWS = [
            at([ent, verify], "score", catalogue_at_the_first_point),
            (Killer(test_entanglement.test_sweep_shapes_and_discrepancies),),
            frozenset({f"vacuum_entropy_curve_{s.value}" for s in Scenario})),
+    # The spinful and spinless vacuum curves are symmetric about half filling,
+    # so only grids that are not, the killer's and verify's charge-only blocks
+    # of 64, see it.
+    Mutant("score reads the catalogue in reverse order", "scoring",
+           at([ent, verify], "score", catalogue_reversed),
+           (Killer(test_entanglement.test_sweep_shapes_and_discrepancies),),
+           frozenset({"vacuum_entropy_curve_charge"})),
 ]
 
 
@@ -425,15 +455,13 @@ STACK_ROWS = [
 MUTANTS = [*VERIFY_ROWS, *DYNAMICS_ROWS, *ROUTE_ROWS, *STACK_ROWS]
 
 # The checks of verify that no row makes FAIL: check -> why.
+# The dropped down-up phase fails every grid check, all but the constraint
+# checks by refusal; generator_block_sparsity, mixing_matrix_reconstruction,
+# mixing_matrix_algebra, vacuum_entropy_lambda_independence and
+# excited_entropy_catalogue_spinless fail under no other row.
 UNKILLED = {
     "ladder_anticommutators_4_modes": "no row mutates fock.ladder_operators, the tables it checks",
     "ladder_anticommutators_2_modes": "no row mutates fock.ladder_operators, the tables it checks",
-    "generator_block_sparsity": "no row mutates theta_from_coefficients, whose blocks it reads",
-    "mixing_matrix_reconstruction": "no row mutates mu_nu_from_theta or expected_pair_mixing",
-    "mixing_matrix_algebra": "no row mutates mu_nu_from_theta, whose matrices it reads",
     "ladder_conjugation_recovery": "no row mutates conjugate_mode or the dense unitary it reads",
-    "vacuum_entropy_lambda_independence":
-        "the vacuum reads the channel moduli summed, so the swapped channels keep it flat",
-    "excited_entropy_catalogue_spinless": "the catalogue rows mutate the spinful pair inputs alone",
     "closed_form_concavity": "no row mutates entropy_vacuum_closed_form, the curve it reads",
 }

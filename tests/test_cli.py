@@ -523,11 +523,12 @@ def test_direction_scale_does_not_change_the_rows(direction, plain, tmp_path):
     assert rows(direction) == rows(plain)
 
 
-def test_every_command_runs_without_scipy(tmp_path):
-    # sys.modules[name] = None makes any import of scipy raise ImportError.
+def test_every_command_runs_without_scipy_or_numpy_polynomial(tmp_path):
+    # sys.modules[name] = None makes any import of the module raise ImportError.
+    # The reference run's Gauss-Legendre rule is constants, not leggauss.
     script = """
 import sys
-sys.modules["scipy"] = None
+sys.modules["scipy"] = sys.modules["numpy.polynomial"] = None
 from cosmopair import cli
 out = sys.argv[1]
 print(cli.main(["verify", "--batch", "2", "--output", out + "/verify.txt"]))

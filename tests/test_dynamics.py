@@ -73,9 +73,14 @@ def test_non_finite_frequency_fails_the_integration_instead_of_hanging():
         def frequency(self, p2, m):
             return lambda tau: (-(p2 + m ** 2), math.nan)
 
+        def mass_and_rate(self, tau, m):
+            return np.full_like(tau, m), np.full_like(tau, math.nan)
+
     mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, NanRate())
     with pytest.raises(dyn.IntegrationError, match="step size below"):
         dyn.integrate_mode(mode)
+    with pytest.raises(dyn.IntegrationError, match="reference amplitudes are not finite"):
+        dyn.integrate_mode(mode, refined=True)
 
 
 def test_mass_dot_overflow_safe():
@@ -86,15 +91,13 @@ def test_mass_dot_overflow_safe():
 @pytest.mark.parametrize("profile", [TANH, dyn.ScaleFactorProfile(0.3, 2.5), FLAT],
                          ids=["tanh", "tanh-steep", "flat"])
 def test_profile_methods_are_floats_matching_numpy_forms(profile):
+    # mass_and_rate is the numpy form of a and of the rate, which the reference
+    # run reads; a and the closure are the float forms that DOP853 reads.
     m, p2 = 1.3, 0.7
     taus = np.concatenate([[-1e6, -40.0], np.linspace(-6.0, 6.0, 49), [40.0, 1e6]])
-    x = profile.rho * taus
-    a_ref = np.sqrt(1.0 + profile.epsilon * (1.0 + np.tanh(x)))
-    expo = np.exp(-2.0 * np.abs(x))
-    rate_ref = m * profile.epsilon * profile.rho * 4.0 * expo / (1.0 + expo) ** 2 \
-        / (2.0 * a_ref)
+    mass, rate_ref = profile.mass_and_rate(taus, m)
     minus_k, massless_minus_k = profile.frequency(p2, m), profile.frequency(0.0, m)
-    for tau, a, rate in zip(taus.tolist(), a_ref, rate_ref):
+    for tau, a, rate in zip(taus.tolist(), mass / m, rate_ref):
         values = (profile.a(tau), *minus_k(tau))
         assert all(type(v) is float for v in values)
         for value, ref in zip(values, (a, -(p2 + (m * a) ** 2), rate)):
@@ -167,12 +170,13 @@ def test_the_real_stepper_passes_the_dressing_gate(p):
     assert point.normalization_residual <= dyn.DRESSING_GATE * dyn.TOL
 
 
-def test_self_convergence_under_tolerance_refinement():
+def test_the_plain_run_agrees_with_the_reference():
+    # The complex amplitudes, phases included (1.8e-9 apart at p = 1).
     mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
     tol = 1e-9
-    coarse = dyn.integrate_mode(mode)
-    fine = dyn.integrate_mode(mode, refined=True)
-    drift = max(abs(coarse.a_minus - fine.a_minus), abs(coarse.b_minus - fine.b_minus))
+    plain = dyn.integrate_mode(mode)
+    reference = dyn.integrate_mode(mode, refined=True)
+    drift = max(abs(plain.a_minus - reference.a_minus), abs(plain.b_minus - reference.b_minus))
     assert drift <= 10 * tol
 
 
@@ -284,6 +288,9 @@ def test_zero_momentum_point_creates_nothing():
     assert point.lambda_effective == 0.0
     assert point.n_created == 0.0
     assert point.s_numeric == 0.0 and point.s_closed == 0.0
+    # The mode function's B stays finite as p -> 0 (|B| = 0.0669 here); the
+    # reference reads that limit, so the two runs still agree.
+    assert point.self_convergence <= 1e-9
 
 
 @pytest.mark.parametrize("direction, flip_share", [((1.0, 1.0, 1.0), 2.0 / 3.0),
@@ -307,17 +314,19 @@ def test_density_falls_off_at_large_momentum():
     assert densities[-1] < 1e-6 * max(densities)
 
 
+@pytest.mark.parametrize("refined", [False, True], ids=["plain", "reference"])
 @pytest.mark.parametrize("p, m, energy", [(0.0, 0.0, "0"), (5e-10, 1e-10, "5.29e-10"),
                                            (0.0, 1e-160, "1.73e-160")])
-def test_degenerate_mode_rejected(p, m, energy, monkeypatch):
-    # integrate_mode refuses, naming the energy, before the stepper runs.
+def test_degenerate_mode_rejected(p, m, energy, refined, monkeypatch):
+    # integrate_mode refuses, naming the energy, before either integrator runs.
     def no_steps(*args):
         raise AssertionError("integrated a degenerate mode")
 
     monkeypatch.setattr(dyn, "_dop853", no_steps)
+    monkeypatch.setattr(dyn, "_adiabatic_amplitudes", no_steps)
     with pytest.raises(dyn.IntegrationError,
                        match=f"out-region energy {energy} is below MIN_OUT_ENERGY = 1e-09"):
-        dyn.integrate_mode(dyn.Mode((p, 0.0, 0.0), m, TANH))
+        dyn.integrate_mode(dyn.Mode((p, 0.0, 0.0), m, TANH), refined)
 
 
 class TanhLinearMass:
@@ -343,6 +352,12 @@ class TanhLinearMass:
 
         return minus_k
 
+    def mass_and_rate(self, tau: np.ndarray, m: float) -> tuple[np.ndarray, np.ndarray]:
+        x = self.rho * tau
+        expo = np.exp(-2.0 * np.abs(x))
+        return (m * (1.0 + self.epsilon * (1.0 + np.tanh(x))),
+                m * self.epsilon * self.rho * 4.0 * expo / (1.0 + expo) ** 2)
+
 
 def exact_tanh_linear_density(p: float, m: float, delta: float, rho: float) -> float:
     """n_created = 4 |beta|**2 in closed form (Duncan 1978, Phys. Rev. D 17:964).
@@ -365,6 +380,12 @@ def exact_tanh_linear_density(p: float, m: float, delta: float, rho: float) -> f
             * tail(x_plus) * tail(x_minus) / (tail(x_in) * tail(x_out)))
 
 
+def tanh_linear_mode(p: float, rho: float) -> dyn.Mode:
+    """The mode of modulus p along (1, 1, 1) at m = 1 on the tanh-linear profile, delta = 0.5."""
+    return dyn.Mode(tuple(p / math.sqrt(3.0) for _ in range(3)), 1.0,
+                    TanhLinearMass(delta=0.5, rho=rho))
+
+
 SPAN_PROFILES = [*(dyn.ScaleFactorProfile(epsilon, rho) for epsilon in (1e-4, 1.0, 1e3)
                    for rho in (0.1, 1.0, 300.0)),
                  *(TanhLinearMass(0.5, rho) for rho in (0.1, 300.0))]
@@ -374,8 +395,8 @@ SPAN_PROFILES = [*(dyn.ScaleFactorProfile(epsilon, rho) for epsilon in (1e-4, 1.
     f"{type(profile).__name__}-{profile.epsilon:g}-{profile.rho:g}"))
 def test_the_span_reaches_both_flat_regions(profile):
     # integrate_mode starts from and matches onto plane waves at the ends
-    # of the derived span, so both ends must lie in the flat regions at the
-    # finer of its two tolerances.
+    # of the derived span, so both ends must lie in the flat regions, within
+    # TOL / REFINEMENT.
     tau0, tau1 = dyn.default_tau_span(profile)
     assert tau0 < tau1
     assert abs(profile.a(tau0) - 1.0) <= dyn.TOL / dyn.REFINEMENT
@@ -418,9 +439,7 @@ def test_exact_tanh_linear_density_matches_the_sinh_form_and_stays_finite():
                "above the 10 * tol gate of the dressing")),
 ])
 def test_momentum_point_matches_the_exact_tanh_linear_density(p, rho):
-    profile = TanhLinearMass(delta=0.5, rho=rho)
-    mode = dyn.Mode(tuple(p / math.sqrt(3.0) for _ in range(3)), 1.0, profile)
-    point = dyn.momentum_point(mode)
+    point = dyn.momentum_point(tanh_linear_mode(p, rho))
     assert abs(point.n_created - exact_tanh_linear_density(p, 1.0, 0.5, rho)) <= 1e-10
 
 
@@ -593,47 +612,151 @@ def test_the_evaluation_count_is_the_calls_of_the_frequency(profile, rejects, mo
 
 
 def test_the_benchmark_grid_keeps_its_evaluation_count(monkeypatch):
-    # Both runs of each point of `dynamics --p-grid log:0.1:40:6`, the
-    # |p| = 40 point whose row fails the dressing gate included.
+    # The plain runs of each point of `dynamics --p-grid log:0.1:40:6`, the
+    # |p| = 40 point whose row fails the dressing gate included.  The
+    # reference runs read mass_and_rate and never call the closure.
     calls = counted_frequencies(monkeypatch)
     direction = tuple(1.0 / math.hypot(1.0, 1.0, 1.0) for _ in range(3))
     modes = [dyn.Mode(tuple(p * c for c in direction), 1.0, TANH)
              for p in parse_momentum_grid("log:0.1:40:6")]
-    total = sum(dyn.integrate_mode(mode, refined).n_rhs_evaluations
-                for mode in modes for refined in (False, True))
-    assert total == calls[0] == 84_427
+    total = sum(dyn.integrate_mode(mode).n_rhs_evaluations for mode in modes)
+    assert [dyn.integrate_mode(mode, refined=True).n_steps for mode in modes] == \
+        [1024] * 5 + [2036]
+    assert total == calls[0] == 40_415
 
 
-@pytest.mark.parametrize("refined", [False, True], ids=["1e-09", "5e-10"])   # by tol
-@pytest.mark.parametrize("p", [0.1, 1.0, 12.0, 40.0])
-@pytest.mark.parametrize("rho", [1.0, 300.0])
-def test_stepper_matches_scipy_dop853(p, refined, rho):
-    # scipy's solve_ivp is the oracle: the same method and step-size
-    # controller.  At rho = 300 the step cap MAX_STEP_RHO / rho binds.
+def scipy_dop853(mode: dyn.Mode, tol: float):
+    """scipy's DOP853 on f'' = -k f across the mode's span, at rtol = tol and atol = tol / 100.
+
+    It starts from positive frequency, and its steps are capped at
+    MAX_STEP_RHO / rho, as the plain run's.
+    """
     from scipy.integrate import solve_ivp
 
-    profile = dyn.ScaleFactorProfile(1.0, rho)
-    mode = dyn.Mode((p, 0.0, 0.0), 1.0, profile)
-    tol = dyn.TOL / dyn.REFINEMENT if refined else dyn.TOL
-    span = dyn.default_tau_span(profile)
-    scalar = dyn.integrate_mode(mode, refined=refined)
-    e_in, e_out = mode.e_in, mode.e_out
-
-    minus_k = profile.frequency(p * p, mode.m)
+    minus_k = mode.profile.frequency(mode.p ** 2, mode.m)
 
     def rhs(tau, y):
         return [y[1], complex(*minus_k(tau)) * y[0]]
 
-    f0 = np.exp(-1j * e_in * span[0])
-    ref = solve_ivp(rhs, span, np.array([f0, -1j * e_in * f0]), method="DOP853",
-                    rtol=tol, atol=tol * 1e-2, max_step=dyn.MAX_STEP_RHO / rho)
+    f0 = np.exp(-1j * mode.e_in * mode.tau_span[0])
+    ref = solve_ivp(rhs, mode.tau_span, np.array([f0, -1j * mode.e_in * f0]),
+                    method="DOP853", rtol=tol, atol=tol * 1e-2,
+                    max_step=dyn.MAX_STEP_RHO / mode.profile.rho)
     assert ref.success
+    return ref
+
+
+@pytest.mark.parametrize("p", [0.1, 1.0, 12.0, 40.0])
+@pytest.mark.parametrize("rho", [1.0, 300.0])
+def test_stepper_matches_scipy_dop853(p, rho):
+    # scipy's solve_ivp is the oracle: the same method and step-size
+    # controller.  At rho = 300 the step cap MAX_STEP_RHO / rho binds.
+    mode = dyn.Mode((p, 0.0, 0.0), 1.0, dyn.ScaleFactorProfile(1.0, rho))
+    scalar = dyn.integrate_mode(mode)
+    ref = scipy_dop853(mode, dyn.TOL)
     assert scalar.n_steps + 1 == len(ref.t)
     # (f, f') at the end of the span, back from the matched amplitudes
-    positive = scalar.a_minus * np.exp(-1j * e_out * span[1])
-    negative = scalar.b_minus * np.exp(1j * e_out * span[1])
+    e_out, tau1 = mode.e_out, mode.tau_span[1]
+    positive = scalar.a_minus * np.exp(-1j * e_out * tau1)
+    negative = scalar.b_minus * np.exp(1j * e_out * tau1)
     end = np.array([positive + negative, -1j * e_out * (positive - negative)])
     assert np.max(np.abs(end - ref.y[:, -1])) <= 1e-11
+
+
+# --- the reference run: fourth-order Magnus in the adiabatic frame -----------
+
+def test_the_gauss_legendre_constants_are_numpys():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.max(np.abs(nodes[4:] - dyn._GL_NODES)) <= 1e-15
+    assert np.max(np.abs(weights[4:] - dyn._GL_WEIGHTS)) <= 1e-15
+    assert np.max(np.abs(nodes[:4] + dyn._GL_NODES[::-1])) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [0.1, 1.0, 12.0, 40.0])
+@pytest.mark.parametrize("rho", [1.0, 300.0])
+def test_the_reference_matches_scipy_on_the_mode_equation(p, rho):
+    # Another frame and another method: scipy's DOP853 on f'' = -k f, at
+    # rtol = 1e-12.  Every output reads |A| and |B|; the phase of A, which
+    # none reads, carries the reference's own error of up to 2.1e-9 (p = 12).
+    mode = dyn.Mode((p, 0.0, 0.0), 1.0, dyn.ScaleFactorProfile(1.0, rho))
+    f, f_dot = scipy_dop853(mode, 1e-12).y[:, -1]
+    rotated, tau1 = f_dot * (1j / mode.e_out), mode.tau_span[1]
+    a_ref = 0.5 * (f + rotated) * np.exp(1j * mode.e_out * tau1)
+    b_ref = 0.5 * (f - rotated) * np.exp(-1j * mode.e_out * tau1)
+    scalar = dyn.integrate_mode(mode, refined=True)
+    assert abs(abs(scalar.a_minus) - abs(a_ref)) <= 1e-10
+    assert abs(abs(scalar.b_minus) - abs(b_ref)) <= 1e-10
+    assert max(abs(scalar.a_minus - a_ref), abs(scalar.b_minus - b_ref)) <= 1e-8
+
+
+def test_the_reference_counts_the_points_of_mass_and_rate(monkeypatch):
+    # 26 per step: 2 Gauss nodes and 3 x 8 quadrature nodes of the phase.
+    points = [0]
+    mass_and_rate = dyn.ScaleFactorProfile.mass_and_rate
+
+    def counted(profile, tau, m):
+        points[0] += np.size(tau)
+        return mass_and_rate(profile, tau, m)
+
+    monkeypatch.setattr(dyn.ScaleFactorProfile, "mass_and_rate", counted)
+    mode = dyn.Mode(tuple(40.0 / math.sqrt(3.0) for _ in range(3)), 1.0, TANH)
+    scalar = dyn.integrate_mode(mode, refined=True)
+    phase = mode.e_out * (mode.tau_span[1] - mode.tau_span[0])
+    assert scalar.n_steps == dyn.reference_steps(mode) == math.ceil(2.0 * phase) == 2036
+    assert scalar.n_rhs_evaluations == points[0] == 26 * scalar.n_steps
+
+
+def test_the_reference_is_the_same_in_chunks_of_any_size(monkeypatch):
+    # 1024 steps in two chunks of 512, then in ten of 100 and an eleventh of
+    # 24: the carry between chunks and the odd levels of the tree (25 and 3).
+    mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TANH)
+    whole = dyn.integrate_mode(mode, refined=True)
+    assert whole.n_steps == 1024 and abs(whole.b_minus) > 0.01
+    monkeypatch.setattr(dyn, "REFERENCE_CHUNK", 100)
+    chunked = dyn.integrate_mode(mode, refined=True)
+    assert abs(chunked.a_minus - whole.a_minus) <= 1e-14
+    assert abs(chunked.b_minus - whole.b_minus) <= 1e-14
+
+
+def test_the_reference_is_fourth_order():
+    # |dn| against the exact density falls 16-fold per doubling of N at a
+    # point whose oscillation is resolved (rho = 1, p = 1).  With the commutator
+    # term of the other sign the step still conserves |alpha|**2 + |beta|**2
+    # to 1e-14 but falls 4-fold: only the order sees it.
+    mode = dyn.Mode((1.0, 0.0, 0.0), 1.0, TanhLinearMass(delta=0.5, rho=1.0))
+    exact = exact_tanh_linear_density(1.0, 1.0, 0.5, 1.0)
+    errors = []
+    for n_steps in (128, 256, 512):
+        alpha, beta, _ = dyn._adiabatic_amplitudes(mode, n_steps)
+        assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) <= 1e-14
+        errors.append(abs(4.0 * abs(beta) ** 2 - exact))
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(12.0 <= ratio <= 20.0 for ratio in ratios), ratios
+
+
+@pytest.mark.parametrize("p, rho", TANH_POINTS + HIGH_RHO_POINTS)
+def test_the_reference_matches_the_exact_tanh_linear_density(p, rho):
+    # (3, 0.1) included, where the plain run fails the dressing gate.
+    mode = tanh_linear_mode(p, rho)
+    dressed = dyn.dress_coefficients(dyn.integrate_mode(mode, refined=True), mode)
+    n_created = dyn.particle_density(dressed.coefficients)
+    assert abs(n_created - exact_tanh_linear_density(p, 1.0, 0.5, rho)) <= 1e-10
+
+
+@pytest.mark.parametrize("p, mass, profile", [
+    *(pytest.param(p, 1.0, FLAT, id=f"flat-{p:g}") for p in (0.0, 1.0, 40.0)),
+    *(pytest.param(p, 0.0, TANH, id=f"massless-{p:g}") for p in (1.0, 40.0)),
+    pytest.param(0.0, 1.0, TANH, id="zero-momentum"),
+])
+def test_the_reference_is_exact_where_nothing_is_created(p, mass, profile):
+    # c = -p M' / (2 omega**2) vanishes on the flat profile, at m = 0 and at
+    # p = 0, so every step is the identity: alpha = 1 and beta = 0 exactly.
+    mode = dyn.Mode(tuple(p / math.sqrt(3.0) for _ in range(3)), mass, profile)
+    assert dyn._adiabatic_amplitudes(mode, dyn.reference_steps(mode))[:2] == (1.0, 0.0)
+    if profile is FLAT or mass == 0.0:   # where the mode function mixes nothing either
+        scalar = dyn.integrate_mode(mode, refined=True)
+        assert scalar.b_minus == 0.0
+        assert abs(scalar.a_minus - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [0.3, 1.0, 3.0])

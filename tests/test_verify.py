@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import numpy as np
@@ -28,6 +29,23 @@ def test_suite_passes_with_unique_names():
     assert len(names) == len(set(names))
     failing = [r.name for r in results if not r.passed]
     assert not failing, failing
+
+
+def test_refused_grid_sets_fail_each_grid_check_in_its_place(monkeypatch):
+    # Each group of grid checks reports the refusal as its own FAILs, under the
+    # names and tolerances it reports otherwise; the seeded checks still run.
+    plain = verify.run_all(batch=1)
+
+    def refused(scenario):
+        raise ValueError("sets refused")
+
+    monkeypatch.setattr(verify, "_grid_sets", refused)
+    report = verify.run_all(batch=1)
+    assert [(r.name, r.tolerance) for r in report] == [(r.name, r.tolerance) for r in plain]
+    failed = [r for r in report if not r.passed]
+    assert len(report) == 33 and len(failed) == 18
+    assert all(r.residual == math.inf and r.detail == "grid sets refused: sets refused"
+               for r in failed)
 
 
 def test_reports_are_deterministic_and_well_formed():
