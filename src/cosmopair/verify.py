@@ -1,15 +1,16 @@
 """One-shot verification suite for every identity the package rests on.
 
-Each check reports its worst residual against a pinned tolerance; the
-text and JSON renderings are deterministic functions of the results, so
-a fixed seed yields byte-identical reports across runs.
+``CHECKS`` lists every check once, in report order, with its tolerance
+and the group function that measures it: a new check is one row plus its
+group's code.  Each group runs once and returns, per check, its worst
+residual and detail; the text and JSON renderings are deterministic
+functions of the results, so a fixed seed yields byte-identical reports.
 
-Inputs come from two sources: the seeded pass, ``batch`` random draws
+Inputs come from two sources: the seeded group, ``batch`` random draws
 per scenario, and one fixed (n, lambda) grid per scenario, which feeds
-every other check, so the seed moves none of those.  A group of grid
-checks whose sets a routine refuses (ValueError) reports each of its
-checks as FAIL, with an infinite residual and the refusal as detail, and
-the other groups still run.
+every other group, so the seed moves none of those.  A grid group whose
+sets a routine refuses (ValueError) reports each of its rows as FAIL,
+with an infinite residual and the refusal as detail; the others still run.
 
 The seeded draws come from the standard library's Mersenne Twister,
 ``random.Random(seed)``, so no command loads ``numpy.random``.
@@ -21,7 +22,9 @@ import functools
 import json
 import math
 import random
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,29 +89,11 @@ class CheckResult:
     detail: str = ""
 
 
-def _result(name: str, residual: float, tolerance: float, detail: str = "",
-            passed: bool | None = None) -> CheckResult:
-    ok = residual <= tolerance if passed is None else passed
-    return CheckResult(name=name, residual=float(residual), tolerance=float(tolerance),
-                       passed=bool(ok), detail=detail)
-
-
-def _fails_on_refusal(*checks: tuple[str, float]):
-    """Decorator of a group of grid checks, given as its (name, tolerance) pairs in order.
-
-    When the group's routines refuse the grid sets with ValueError, each
-    of its checks is reported as FAIL instead.
-    """
-    def wrap(group):
-        @functools.wraps(group)
-        def run():
-            try:
-                return group()
-            except ValueError as err:
-                return [_result(name, math.inf, tolerance, detail=f"grid sets refused: {err}",
-                                passed=False) for name, tolerance in checks]
-        return run
-    return wrap
+class _Outcome(NamedTuple):
+    """What a group measured for one check; it passes at residual <= tolerance if ``holds``."""
+    residual: float
+    detail: str = ""
+    holds: bool = True
 
 
 def _worst(deviation: np.ndarray) -> float:
@@ -133,30 +118,26 @@ def _grid_sets(scenario: Scenario) -> tuple[np.ndarray, np.ndarray, BogolyubovCo
         from_density(scenario, n_point, lam_point, phases) for n_point, lam_point in points)
 
 
-def _check_anticommutators(n_modes: int) -> CheckResult:
-    lowering, raising = fock.ladder_operators(n_modes)
-    eye = np.eye(fock.dimension(n_modes))
-    worst = 0.0
-    for i in range(n_modes):
-        for j in range(n_modes):
-            mixed = lowering[i] @ raising[j] + raising[j] @ lowering[i]
-            target = eye if i == j else 0.0
-            worst = max(worst, float(np.max(np.abs(mixed - target))))
-            same = lowering[i] @ lowering[j] + lowering[j] @ lowering[i]
-            worst = max(worst, float(np.max(np.abs(same))))
-    return _result(f"ladder_anticommutators_{n_modes}_modes", worst, 1e-14)
+def _anticommutators() -> dict[str, _Outcome]:
+    outcomes = {}
+    for n_modes in (4, 2):
+        lowering, raising = fock.ladder_operators(n_modes)
+        eye = np.eye(fock.dimension(n_modes))
+        worst = 0.0
+        for i in range(n_modes):
+            for j in range(n_modes):
+                mixed = lowering[i] @ raising[j] + raising[j] @ lowering[i]
+                target = eye if i == j else 0.0
+                worst = max(worst, float(np.max(np.abs(mixed - target))))
+                same = lowering[i] @ lowering[j] + lowering[j] @ lowering[i]
+                worst = max(worst, float(np.max(np.abs(same))))
+        outcomes[f"ladder_anticommutators_{n_modes}_modes"] = _Outcome(worst)
+    return outcomes
 
 
-@_fails_on_refusal(("coefficient_constraints_grid", 1e-12),
-                   ("reduced_coherence_cross_terms", 1e-12),
-                   ("determinant_combination_modulus", 1e-12))
-def _check_constraints() -> list[CheckResult]:
-    results = []
+def _constraints() -> dict[str, _Outcome]:
     reports = {scenario: validate(_grid_sets(scenario)[2]) for scenario in Scenario}
     worst_norm = max(report.worst for report in reports.values())
-    results.append(_result("coefficient_constraints_grid", worst_norm, 1e-12,
-                           detail="normalization, orthogonality and sparsity over the "
-                                  "(n, lambda) grid, all scenarios"))
     _, _, sets = _grid_sets(Scenario.CHARGE_ONLY)
     # The column orthogonality sum conj(du) uu + ud conj(dd) multiplies the
     # spin-coherence entries of the reduced particle operator.
@@ -165,17 +146,18 @@ def _check_constraints() -> list[CheckResult]:
     skipped = int(np.count_nonzero((b[:, UP, UP] == 0.0) | (b[:, DOWN, UP] == 0.0)))
     target = np.abs(b[:, UP, DOWN]) ** 2 + np.abs(b[:, UP, UP]) ** 2
     worst_det = _worst(np.abs(determinant_combination(sets)) - target)
-    results.append(_result("reduced_coherence_cross_terms", _worst(cross), 1e-12))
-    results.append(_result(
-        "determinant_combination_modulus", worst_det, 1e-12,
-        detail=f"phase left free; {skipped} grid points with a vanishing channel "
-               "hold trivially"))
-    return results
+    return {
+        "coefficient_constraints_grid": _Outcome(
+            worst_norm, "normalization, orthogonality and sparsity over the (n, lambda) grid, "
+                        "all scenarios"),
+        "reduced_coherence_cross_terms": _Outcome(_worst(cross)),
+        "determinant_combination_modulus": _Outcome(
+            worst_det, f"phase left free; {skipped} grid points with a vanishing channel "
+                       "hold trivially"),
+    }
 
 
-@_fails_on_refusal(("generator_scalar_modulus", 1e-12), ("generator_block_sparsity", 1e-14),
-                   ("mixing_matrix_reconstruction", 1e-12), ("mixing_matrix_algebra", 1e-12))
-def _check_generator_structure() -> list[CheckResult]:
+def _generator_structure() -> dict[str, _Outcome]:
     worst_radius = 0.0
     worst_pattern = 0.0
     worst_mixing = 0.0
@@ -200,16 +182,16 @@ def _check_generator_structure() -> list[CheckResult]:
             worst_algebra,
             _worst(mu @ mu.conj().swapaxes(1, 2) + nu @ nu.conj().swapaxes(1, 2) - eye),
             _worst(mu @ nu.swapaxes(1, 2) + nu @ mu.swapaxes(1, 2)))
-    return [
-        _result("generator_scalar_modulus", worst_radius, 1e-12,
-                detail="|theta| = arccos(a) * identity on the grid"),
-        _result("generator_block_sparsity", worst_pattern, 1e-14),
-        _result("mixing_matrix_reconstruction", worst_mixing, 1e-12),
-        _result("mixing_matrix_algebra", worst_algebra, 1e-12),
-    ]
+    return {
+        "generator_scalar_modulus": _Outcome(worst_radius,
+                                             "|theta| = arccos(a) * identity on the grid"),
+        "generator_block_sparsity": _Outcome(worst_pattern),
+        "mixing_matrix_reconstruction": _Outcome(worst_mixing),
+        "mixing_matrix_algebra": _Outcome(worst_algebra),
+    }
 
 
-def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
+def _factorization(seed: int, batch: int) -> dict[str, _Outcome]:
     """Every seeded oracle on one pass of ``batch`` draws per scenario.
 
     Each block of draws yields theta, the dense unitaries and the
@@ -219,7 +201,7 @@ def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
     results above the same 1e-12.
     """
     rng = random.Random(seed)
-    factorized, expansions = [], []
+    outcomes = {}
     worst_unitarity = 0.0
     worst_conjugation = 0.0
     worst_nilpotency = 0.0
@@ -261,49 +243,39 @@ def _check_factorization(seed: int, batch: int) -> list[CheckResult]:
                 slot = 1 if occupation else 0
                 worst_expansion[slot] = max(worst_expansion[slot],
                                             _worst(unitaries[..., occupation] - expected))
-        factorized.append(_result(f"factorized_vs_dense_{scenario.value}", worst, 1e-10,
-                                  detail=f"{batch} seeded draws x {dim} basis inputs"))
-        expansions.append(_result(
-            f"vacuum_expansion_{scenario.value}", worst_expansion[0], 1e-10,
-            detail="single-pair amplitudes carry -a conj(beta); the opposite sign "
-                   "variant is the momentum-reflected convention"))
-        expansions.append(_result(f"excited_expansions_{scenario.value}", worst_expansion[1],
-                                  1e-10))
-    return [*factorized,
-            _result("unitarity_random_batch", worst_unitarity, 1e-12),
-            _result("ladder_conjugation_recovery", worst_conjugation, 1e-10),
-            _result("pair_sum_nilpotency", worst_nilpotency, 1e-14,
-                    detail="cube vanishes exactly; square's top coefficient matches"),
-            *expansions]
+        outcomes[f"factorized_vs_dense_{scenario.value}"] = _Outcome(
+            worst, f"{batch} seeded draws x {dim} basis inputs")
+        outcomes[f"vacuum_expansion_{scenario.value}"] = _Outcome(
+            worst_expansion[0], "single-pair amplitudes carry -a conj(beta); the opposite sign "
+                                "variant is the momentum-reflected convention")
+        outcomes[f"excited_expansions_{scenario.value}"] = _Outcome(worst_expansion[1])
+    outcomes["unitarity_random_batch"] = _Outcome(worst_unitarity)
+    outcomes["ladder_conjugation_recovery"] = _Outcome(worst_conjugation)
+    outcomes["pair_sum_nilpotency"] = _Outcome(
+        worst_nilpotency, "cube vanishes exactly; square's top coefficient matches")
+    return outcomes
 
 
-@_fails_on_refusal(*((f"vacuum_entropy_curve_{s.value}", 1e-10) for s in Scenario),
-                   ("vacuum_entropy_lambda_independence", 1e-10),
-                   ("spinful_spinless_scaling", 1e-12))
-def _check_vacuum_curves() -> list[CheckResult]:
-    results = []
-    numeric = {}
+def _vacuum_curves() -> dict[str, _Outcome]:
+    outcomes, numeric = {}, {}
     for scenario in Scenario:
         n, lam, sets = _grid_sets(scenario)
         values, _, gaps = np.concatenate([
             score(BogolyubovCoefficients(scenario, sets.a[p], sets.beta[p]), 0, n[p], lam[p])
             for p in (slice(k, k + STACK_BLOCK) for k in range(0, n.size, STACK_BLOCK))], axis=1)
         numeric[scenario] = values.reshape(len(_N_GRID), -1)
-        results.append(_result(f"vacuum_entropy_curve_{scenario.value}", gaps.max(), 1e-10,
-                               detail=f"{n.size}-point (n, lambda) grid"))
+        outcomes[f"vacuum_entropy_curve_{scenario.value}"] = _Outcome(
+            gaps.max(), f"{n.size}-point (n, lambda) grid")
     charge = numeric[Scenario.CHARGE_ONLY]
     spread = charge.max(axis=1) - charge.min(axis=1)
-    results.append(_result("vacuum_entropy_lambda_independence", spread.max(), 1e-10))
+    outcomes["vacuum_entropy_lambda_independence"] = _Outcome(spread.max())
     # Grid row k holds charge density n and spinless density n/2.
-    worst_rel = _worst(charge - 2.0 * numeric[Scenario.SPINLESS])
-    results.append(_result("spinful_spinless_scaling", worst_rel, 1e-12))
-    return results
+    outcomes["spinful_spinless_scaling"] = _Outcome(
+        _worst(charge - 2.0 * numeric[Scenario.SPINLESS]))
+    return outcomes
 
 
-@_fails_on_refusal(*((f"excited_entropy_catalogue_{s.value}", 1e-10) for s in Scenario),
-                   ("charge_commutation", 1e-12), ("angular_momentum_commutation", 1e-12),
-                   ("complementary_reduction_entropy", 1e-10))
-def _check_unitary_stacks() -> list[CheckResult]:
+def _unitary_stacks() -> dict[str, _Outcome]:
     """Excited catalogue, conservation and complementary checks on one stack per scenario.
 
     The dense unitaries are built once on a coarse slice of the grid:
@@ -311,9 +283,8 @@ def _check_unitary_stacks() -> list[CheckResult]:
     0.9}.  The charge-only stack, whose spin-preserving channel is open,
     witnesses that J_z commutation can fail.
     """
-    catalogue = []
+    outcomes, jz_commutators = {}, {}
     jz = fock.spin_z_operator()
-    jz_commutators = {}
     worst_charge = 0.0
     worst_complementary = 0.0
     for scenario in Scenario:
@@ -333,30 +304,55 @@ def _check_unitary_stacks() -> list[CheckResult]:
             closed = entropy_excited_closed_form(occupation, n[pick], lam[pick], scenario)
             worst = max(worst, _worst(s_particle - closed))
             worst_complementary = max(worst_complementary, _worst(s_particle - s_anti))
-        catalogue.append(_result(f"excited_entropy_catalogue_{scenario.value}", worst, 1e-10,
-                                 detail="every occupation, numeric route authoritative"))
-    residual_cam = jz_commutators[Scenario.CHARGE_AND_ANGULAR_MOMENTUM]
+        outcomes[f"excited_entropy_catalogue_{scenario.value}"] = _Outcome(
+            worst, "every occupation, numeric route authoritative")
     witness = jz_commutators[Scenario.CHARGE_ONLY]
-    return [
-        *catalogue,
-        _result("charge_commutation", worst_charge, 1e-12, detail="all scenarios"),
-        _result("angular_momentum_commutation", residual_cam, 1e-12,
-                passed=residual_cam <= 1e-12 and witness > 1e-3,
-                detail=f"conserving scenario commutes; spin-preserving channel witness "
-                       f"violation {witness:.3e} > 1e-3"),
-        _result("complementary_reduction_entropy", worst_complementary, 1e-10),
-    ]
+    outcomes["charge_commutation"] = _Outcome(worst_charge, "all scenarios")
+    outcomes["angular_momentum_commutation"] = _Outcome(
+        jz_commutators[Scenario.CHARGE_AND_ANGULAR_MOMENTUM],
+        f"conserving scenario commutes; spin-preserving channel witness "
+        f"violation {witness:.3e} > 1e-3", holds=witness > 1e-3)
+    outcomes["complementary_reduction_entropy"] = _Outcome(worst_complementary)
+    return outcomes
 
 
-def _check_concavity() -> CheckResult:
+def _concavity() -> dict[str, _Outcome]:
     worst = 0.0
     for scenario in (Scenario.CHARGE_ONLY, Scenario.SPINLESS):
         grid = np.array([k * scenario.n_max / 40.0 for k in range(41)])
         values = entropy_vacuum_closed_form(grid, scenario)
         second = values[:-2] - 2.0 * values[1:-1] + values[2:]
         worst = max(worst, float(second.max()))
-    return _result("closed_form_concavity", max(worst, 0.0), 1e-12,
-                   detail="second differences nonpositive on the interior grid")
+    return {"closed_form_concavity": _Outcome(
+        max(worst, 0.0), "second differences nonpositive on the interior grid")}
+
+
+# Every check, in report order: name -> (tolerance, the group that computes it).
+CHECKS: dict[str, tuple[float, Callable[..., dict[str, _Outcome]]]] = {
+    "ladder_anticommutators_4_modes": (1e-14, _anticommutators),
+    "ladder_anticommutators_2_modes": (1e-14, _anticommutators),
+    "coefficient_constraints_grid": (1e-12, _constraints),
+    "reduced_coherence_cross_terms": (1e-12, _constraints),
+    "determinant_combination_modulus": (1e-12, _constraints),
+    "generator_scalar_modulus": (1e-12, _generator_structure),
+    "generator_block_sparsity": (1e-14, _generator_structure),
+    "mixing_matrix_reconstruction": (1e-12, _generator_structure),
+    "mixing_matrix_algebra": (1e-12, _generator_structure),
+    **{f"factorized_vs_dense_{s.value}": (1e-10, _factorization) for s in Scenario},
+    "unitarity_random_batch": (1e-12, _factorization),
+    "ladder_conjugation_recovery": (1e-10, _factorization),
+    "pair_sum_nilpotency": (1e-14, _factorization),
+    **{f"{check}_{s.value}": (1e-10, _factorization)
+       for s in Scenario for check in ("vacuum_expansion", "excited_expansions")},
+    **{f"vacuum_entropy_curve_{s.value}": (1e-10, _vacuum_curves) for s in Scenario},
+    "vacuum_entropy_lambda_independence": (1e-10, _vacuum_curves),
+    "spinful_spinless_scaling": (1e-12, _vacuum_curves),
+    **{f"excited_entropy_catalogue_{s.value}": (1e-10, _unitary_stacks) for s in Scenario},
+    "charge_commutation": (1e-12, _unitary_stacks),
+    "angular_momentum_commutation": (1e-12, _unitary_stacks),
+    "closed_form_concavity": (1e-12, _concavity),
+    "complementary_reduction_entropy": (1e-10, _unitary_stacks),
+}
 
 
 def check_run(seed: int, batch: int) -> None:
@@ -371,23 +367,27 @@ def check_run(seed: int, batch: int) -> None:
 
 
 def run_all(seed: int = DEFAULT_SEED, batch: int = 100) -> list[CheckResult]:
-    """Run the full identity suite; deterministic for a fixed seed.
+    """Every check of ``CHECKS``, in its order; deterministic for a fixed seed.
 
-    ``seed`` and ``batch`` drive the seeded pass alone; ``check_run``
-    refuses them, before any check runs, outside their range.
+    Each group runs once, when the table first names it.  ``seed`` and
+    ``batch`` drive the seeded group alone, whose ValueError propagates;
+    ``check_run`` refuses them, before any check runs, outside their range.
     """
     check_run(seed, batch)
-    results: list[CheckResult] = []
-    results.append(_check_anticommutators(4))
-    results.append(_check_anticommutators(2))
-    results.extend(_check_constraints())
-    results.extend(_check_generator_structure())
-    results.extend(_check_factorization(seed, batch))
-    results.extend(_check_vacuum_curves())
-    *stacked, complementary = _check_unitary_stacks()
-    results.extend(stacked)
-    results.append(_check_concavity())
-    results.append(complementary)
+    outcomes: dict[Callable, dict[str, _Outcome]] = {}
+    results = []
+    for name, (tolerance, group) in CHECKS.items():
+        if group is _factorization and group not in outcomes:
+            outcomes[group] = _factorization(seed, batch)
+        elif group not in outcomes:
+            try:
+                outcomes[group] = group()
+            except ValueError as err:
+                refused = _Outcome(math.inf, f"grid sets refused: {err}", holds=False)
+                outcomes[group] = {row: refused for row, (_, g) in CHECKS.items() if g is group}
+        residual, detail, holds = outcomes[group][name]
+        results.append(CheckResult(name=name, residual=float(residual), tolerance=tolerance,
+                                   passed=bool(residual <= tolerance and holds), detail=detail))
     return results
 
 

@@ -37,6 +37,7 @@ import stack_cases
 import test_bogoliubov
 import test_dynamics
 import test_entanglement
+import test_fock
 import test_stacks
 from cosmopair import bogoliubov as bg
 from cosmopair import dynamics as dyn
@@ -203,6 +204,25 @@ VERIFY_ROWS = [
     Mutant("spinless antiparticle entropy + 1e-9", "verify oracle",
            at([fock], "subsystem_entropy", antiparticle_entropy_off),
            verify_fails=frozenset({"complementary_reduction_entropy"})),
+    # Every sign of the Jordan-Wigner string +1: the ladder tables that
+    # fock.ladder_operators stacks commute across modes, and every dense
+    # unitary built from them is wrong too.  The checks that still pass read
+    # no ladder table, or measure what the unsigned tables keep: the charge,
+    # the equal entropies of the two halves, and the vacuum curves' lambda
+    # independence and spin scaling.
+    Mutant("Jordan-Wigner string dropped from the ladder tables", "verify oracle",
+           edited(fock.annihilation_operator, "-1.0 if occupancy(source & lower) & 1 else 1.0",
+                  "1.0"),
+           (Killer(test_fock.test_annihilation_jordan_wigner_sign),
+            Killer(test_fock.test_anticommutation_relations, (3,), label="3")),
+           frozenset({
+               "ladder_anticommutators_4_modes", "ladder_anticommutators_2_modes",
+               "unitarity_random_batch", "ladder_conjugation_recovery", "pair_sum_nilpotency",
+               "angular_momentum_commutation",
+               *(f"{check}_{s.value}" for check in ("factorized_vs_dense", "vacuum_expansion",
+                                                    "excited_expansions", "vacuum_entropy_curve",
+                                                    "excited_entropy_catalogue")
+                 for s in Scenario)})),
 ]
 
 
@@ -457,11 +477,9 @@ MUTANTS = [*VERIFY_ROWS, *DYNAMICS_ROWS, *ROUTE_ROWS, *STACK_ROWS]
 # The checks of verify that no row makes FAIL: check -> why.
 # The dropped down-up phase fails every grid check, all but the constraint
 # checks by refusal; generator_block_sparsity, mixing_matrix_reconstruction,
-# mixing_matrix_algebra, vacuum_entropy_lambda_independence and
-# excited_entropy_catalogue_spinless fail under no other row.
+# mixing_matrix_algebra and vacuum_entropy_lambda_independence fail under no
+# other row.  Both ladder anticommutators and ladder_conjugation_recovery
+# fail only under the dropped Jordan-Wigner string.
 UNKILLED = {
-    "ladder_anticommutators_4_modes": "no row mutates fock.ladder_operators, the tables it checks",
-    "ladder_anticommutators_2_modes": "no row mutates fock.ladder_operators, the tables it checks",
-    "ladder_conjugation_recovery": "no row mutates conjugate_mode or the dense unitary it reads",
     "closed_form_concavity": "no row mutates entropy_vacuum_closed_form, the curve it reads",
 }

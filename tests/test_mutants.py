@@ -60,7 +60,7 @@ def test_every_route_and_every_verify_check_has_a_row():
     assert len({row.name for row in MUTANTS}) == len(MUTANTS)
     assert {row.route for row in MUTANTS} == set(ROUTES)
     assert all(row.killers or row.verify_fails for row in MUTANTS)
-    checks = {r.name for r in verify.run_all(batch=1)}
+    checks = set(verify.CHECKS)
     killed = set().union(*(row.verify_fails for row in MUTANTS))
     assert killed <= checks
     assert checks - killed == set(UNKILLED)

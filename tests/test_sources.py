@@ -6,7 +6,8 @@ whose name is reused further down its module.  Every name a module lists
 in ``__all__`` is defined in that module, so a retired helper cannot stay
 exported.  No test module imports a name that starts with ``test_``:
 pytest collects a test wherever a test module binds its name, so it would
-run that test twice.
+run that test twice.  In ``verify``, only ``run_all`` builds a
+``CheckResult``, from a row of ``CHECKS``, so no check bypasses the table.
 """
 
 import ast
@@ -58,3 +59,14 @@ def test_no_module_under_tests_imports_a_test_by_name():
                              if alias.name.startswith("test_")
                              or (alias.asname or "").startswith("test_")]
     assert imported == []
+
+
+def test_verify_builds_check_results_in_run_all_alone():
+    def built(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id == "CheckResult"]
+
+    tree = _tree(ROOT / "src" / "cosmopair" / "verify.py")
+    run_all = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "run_all")
+    assert built(run_all) and set(built(tree)) == set(built(run_all))

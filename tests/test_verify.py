@@ -64,8 +64,11 @@ def test_reports_are_deterministic_and_well_formed():
 
 
 def factorization_one_draw_at_a_time(seed, batch):
-    """Reference for verify._check_factorization: every seeded oracle on one draw per call."""
-    factorized, expansions = [], []
+    """Reference for verify._factorization: every seeded oracle on one draw per call.
+
+    Returns check name -> (residual, detail).
+    """
+    outcomes = {}
     rng = random.Random(seed)
     worst_unitarity = 0.0
     worst_conjugation = 0.0
@@ -107,54 +110,86 @@ def factorization_one_draw_at_a_time(seed, batch):
                     worst_vacuum = max(worst_vacuum, err)
                 else:
                     worst_excited = max(worst_excited, err)
-        factorized.append(verify._result(f"factorized_vs_dense_{scenario.value}", worst, 1e-10,
-                                         detail=f"{batch} seeded draws x {dim} basis inputs"))
-        expansions.append(verify._result(
-            f"vacuum_expansion_{scenario.value}", worst_vacuum, 1e-10,
-            detail="single-pair amplitudes carry -a conj(beta); the opposite sign "
-                   "variant is the momentum-reflected convention"))
-        expansions.append(verify._result(f"excited_expansions_{scenario.value}",
-                                         worst_excited, 1e-10))
-    return [*factorized,
-            verify._result("unitarity_random_batch", worst_unitarity, 1e-12),
-            verify._result("ladder_conjugation_recovery", worst_conjugation, 1e-10),
-            verify._result("pair_sum_nilpotency", worst_nilpotency, 1e-14,
-                           detail="cube vanishes exactly; square's top coefficient matches"),
-            *expansions]
+        outcomes[f"factorized_vs_dense_{scenario.value}"] = (
+            worst, f"{batch} seeded draws x {dim} basis inputs")
+        outcomes[f"vacuum_expansion_{scenario.value}"] = (
+            worst_vacuum, "single-pair amplitudes carry -a conj(beta); the opposite sign "
+                          "variant is the momentum-reflected convention")
+        outcomes[f"excited_expansions_{scenario.value}"] = (worst_excited, "")
+    outcomes["unitarity_random_batch"] = (worst_unitarity, "")
+    outcomes["ladder_conjugation_recovery"] = (worst_conjugation, "")
+    outcomes["pair_sum_nilpotency"] = (
+        worst_nilpotency, "cube vanishes exactly; square's top coefficient matches")
+    return outcomes
 
 
 # One draw, one full block, and two full blocks with a partial third.
 @pytest.mark.parametrize("batch", [1, verify.STACK_BLOCK, 2 * verify.STACK_BLOCK + 5])
 def test_stacked_factorization_check_matches_one_draw_at_a_time(batch):
-    stacked = verify._check_factorization(7, batch)
+    stacked = verify._factorization(7, batch)
     reference = factorization_one_draw_at_a_time(7, batch)
-    assert len(stacked) == len(reference) == 12
-    for got, want in zip(stacked, reference):
-        assert (got.name, got.tolerance, got.detail, got.passed) == \
-            (want.name, want.tolerance, want.detail, want.passed)
-        assert abs(got.residual - want.residual) <= 1e-15
+    assert set(stacked) == set(reference)
+    for name, (residual, detail) in reference.items():
+        assert (stacked[name].detail, stacked[name].holds) == (detail, True)
+        assert abs(stacked[name].residual - residual) <= 1e-15
 
 
-# Identities the unit tests read from the shared default run instead of
-# recomputing them: check name -> pinned tolerance.  A tolerance moved off
-# its pin in ``verify``, or a failing check, fails the case of that check.
+# Every check of verify with its pinned tolerance, in report order, written
+# out here and never read from ``verify.CHECKS``: a tolerance loosened in
+# the table, or a check moved, added or dropped, fails the equality test.
 UNIT_IDENTITIES = {
-    "ladder_anticommutators_2_modes": 1e-14,
     "ladder_anticommutators_4_modes": 1e-14,
+    "ladder_anticommutators_2_modes": 1e-14,
     "coefficient_constraints_grid": 1e-12,
-    "pair_sum_nilpotency": 1e-14,
+    "reduced_coherence_cross_terms": 1e-12,
+    "determinant_combination_modulus": 1e-12,
+    "generator_scalar_modulus": 1e-12,
+    "generator_block_sparsity": 1e-14,
     "mixing_matrix_reconstruction": 1e-12,
     "mixing_matrix_algebra": 1e-12,
-    **{f"vacuum_expansion_{s.value}": 1e-10 for s in Scenario},
-    **{f"excited_expansions_{s.value}": 1e-10 for s in Scenario},
-    "angular_momentum_commutation": 1e-12,
-    **{f"vacuum_entropy_curve_{s.value}": 1e-10 for s in Scenario},
+    "factorized_vs_dense_charge": 1e-10,
+    "factorized_vs_dense_spin-am": 1e-10,
+    "factorized_vs_dense_spinless": 1e-10,
+    "unitarity_random_batch": 1e-12,
+    "ladder_conjugation_recovery": 1e-10,
+    "pair_sum_nilpotency": 1e-14,
+    "vacuum_expansion_charge": 1e-10,
+    "excited_expansions_charge": 1e-10,
+    "vacuum_expansion_spin-am": 1e-10,
+    "excited_expansions_spin-am": 1e-10,
+    "vacuum_expansion_spinless": 1e-10,
+    "excited_expansions_spinless": 1e-10,
+    "vacuum_entropy_curve_charge": 1e-10,
+    "vacuum_entropy_curve_spin-am": 1e-10,
+    "vacuum_entropy_curve_spinless": 1e-10,
     "vacuum_entropy_lambda_independence": 1e-10,
+    "spinful_spinless_scaling": 1e-12,
+    "excited_entropy_catalogue_charge": 1e-10,
+    "excited_entropy_catalogue_spin-am": 1e-10,
+    "excited_entropy_catalogue_spinless": 1e-10,
+    "charge_commutation": 1e-12,
+    "angular_momentum_commutation": 1e-12,
     "closed_form_concavity": 1e-12,
     "complementary_reduction_entropy": 1e-10,
 }
 
 
+def test_the_check_table_holds_every_pinned_tolerance_in_report_order():
+    table = [(name, tolerance) for name, (tolerance, _) in verify.CHECKS.items()]
+    assert table == list(UNIT_IDENTITIES.items())
+
+
+def test_each_group_returns_the_names_the_table_assigns_to_it():
+    assigned = {}
+    for name, (_, group) in verify.CHECKS.items():
+        assigned.setdefault(group, set()).add(name)
+    for group, names in assigned.items():
+        outcomes = group(7, 1) if group is verify._factorization else group()
+        assert set(outcomes) == names, group.__name__
+
+
+# The unit tests read these identities from the shared default run instead
+# of recomputing them; a check that fails on the real code fails its case.
 @pytest.mark.parametrize("name", sorted(UNIT_IDENTITIES))
 def test_unit_identities_are_read_from_verify(name, verify_results):
     check = verify_results[name]
@@ -178,8 +213,9 @@ def test_grid_sets_pair_each_point_with_its_set_lambda_fastest(scenario):
 
 
 def test_seed_moves_only_the_seeded_pass():
-    seeded = {r.name for r in verify._check_factorization(0, 1)}
+    seeded = {name for name, (_, group) in verify.CHECKS.items()
+              if group is verify._factorization}
     first, second = verify.run_all(seed=0, batch=1), verify.run_all(seed=1, batch=1)
     fixed = [(r.name, r.residual, r.detail) for r in first if r.name not in seeded]
-    assert len(seeded) == 12 and len(fixed) == len(first) - 12
+    assert seeded and len(fixed) == len(first) - len(seeded)
     assert fixed == [(r.name, r.residual, r.detail) for r in second if r.name not in seeded]
