@@ -121,7 +121,8 @@ def parse_momentum_grid(text: str) -> list[float]:
         if start <= 0 or stop <= start or not 2 <= count <= MAX_GRID_POINTS:
             raise ValueError(f"log grid needs 0 < start < stop and 2 <= count <= {MAX_GRID_POINTS}")
         ratio = (stop / start) ** (1.0 / (count - 1))
-        return [start * ratio ** k for k in range(count)]
+        # stop itself: start * ratio ** (count - 1) can miss it by an ulp or more.
+        return [*(start * ratio ** k for k in range(count - 1)), stop]
     return parse_grid(text)
 
 

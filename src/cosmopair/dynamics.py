@@ -81,7 +81,7 @@ DRESSING_GATE = 10.0
 # The reference run takes N = max(MIN_REFERENCE_STEPS, ceil(2 * phase))
 # uniform Magnus steps, phase = max(E_in, E_out) * (tau1 - tau0), up to
 # 2e5 at MAX_PHASE.  It builds and reduces the step matrices
-# REFERENCE_CHUNK steps at a time, 26 evaluations of (M, M') each, so its
+# REFERENCE_CHUNK steps at a time, 11 evaluations of (M, M') each, so its
 # arrays stay near 100 kB whatever N is.  Chunks of 512 ran faster than
 # 256 or 1024, and raised the peak RSS of `dynamics --p-grid
 # log:0.1:40:6` by 0.6 MB, where 4096 raised it by 3.3 MB (2-vCPU x86_64
@@ -449,8 +449,8 @@ class ScalarBogolyubov:
     ``n_rhs_evaluations`` the evaluations of the frequency k(tau): 2 for
     the start and the starting step, then 11 per step tried.  For the
     reference run, ``n_steps`` is the number N of Magnus steps and
-    ``n_rhs_evaluations`` the 26 N points at which (M, M') is evaluated:
-    2 Gauss nodes and 24 quadrature nodes of the phase per step.  Both
+    ``n_rhs_evaluations`` the 11 N points at which (M, M') is evaluated:
+    2 Gauss nodes and 9 quadrature nodes of the phase per step.  Both
     are 0 for amplitudes that were not integrated.
     """
 
@@ -460,21 +460,19 @@ class ScalarBogolyubov:
     n_rhs_evaluations: int = 0
 
 
-# The 8-point Gauss-Legendre rule on [-1, 1], its nodes x >= 0 and their
-# weights (the rule is symmetric), as numpy.polynomial.legendre.leggauss(8)
-# gives them: constants, so that no import of numpy.polynomial is paid.
-_GL_NODES = (0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362)
-_GL_WEIGHTS = (0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
-               0.10122853629037706)
 # The two Gauss nodes of a Magnus step, as fractions of the step, and the
-# ends of the three pieces they cut it into, each integrated by the rule.
+# ends of the three pieces they cut it into.
 _GAUSS = 0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0
 _PIECES = np.array([0.0, *_GAUSS, 1.0])
 _WIDTHS = np.diff(_PIECES)
-# The rule on [0, 1], and the quadrature nodes of a step as fractions of it, piece by piece.
-_UNIT_NODES = (1.0 + np.array([*(-x for x in reversed(_GL_NODES)), *_GL_NODES])) / 2.0
-_UNIT_WEIGHTS = np.array([*reversed(_GL_WEIGHTS), *_GL_WEIGHTS]) / 2.0
-_QUADRATURE = (_PIECES[:-1, None] + _WIDTHS[:, None] * _UNIT_NODES).ravel()
+# The 3-point Gauss-Legendre rule on [-1, 1], which sums the phase on each
+# piece: exact nodes and weights, so that no import of numpy.polynomial is paid.
+_PHASE_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)])
+_PHASE_WEIGHTS = np.array([5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0])
+# The 11 points of a step at which (M, M') is read, as fractions of it: the
+# 2 Gauss nodes, then the rule's 3 nodes on each piece in turn.
+_NODES = np.array([*_GAUSS, *(_PIECES[:-1, None]
+                               + _WIDTHS[:, None] * (1.0 + _PHASE_NODES) / 2.0).ravel()])
 
 
 def reference_steps(mode: Mode) -> int:
@@ -509,10 +507,11 @@ def _adiabatic_amplitudes(mode: Mode, n_steps: int) -> tuple[complex, complex, f
     and the commutator term sigma = (sqrt 3 / 6) h**2 Im(x_minus conj x_plus);
     with the other sign of sigma the step still conserves |alpha|**2 +
     |beta|**2 but is of second order only.  Phi - E_in (tau - tau0) is
-    summed from the 8-point Gauss-Legendre rule on each of the three
+    summed from the 3-point Gauss-Legendre rule on each of the three
     pieces the nodes cut a step into.  Steps are built and multiplied
-    REFERENCE_CHUNK at a time, each chunk as a tree.  The mode needs
-    omega > 0 everywhere, as p > 0 or m > 0 gives.
+    REFERENCE_CHUNK at a time, each chunk as a tree, from one call of
+    ``profile.mass_and_rate`` at the 11 points of each of its steps.  The
+    mode needs omega > 0 everywhere, as p > 0 or m > 0 gives.
     """
     profile, p, m, e_in = mode.profile, mode.p, mode.m, mode.e_in
     tau0, tau1 = mode.tau_span
@@ -520,15 +519,13 @@ def _adiabatic_amplitudes(mode: Mode, n_steps: int) -> tuple[complex, complex, f
     alpha, b_total, excess = 1.0 + 0.0j, 0.0j, 0.0
     for first in range(0, n_steps, REFERENCE_CHUNK):
         steps = np.arange(first, min(first + REFERENCE_CHUNK, n_steps), dtype=float)[:, None]
-        mass, _ = profile.mass_and_rate(tau0 + (steps + _QUADRATURE) * h, m)
-        pieces = (np.sqrt(p * p + mass * mass) - e_in).reshape(len(steps), 3, -1) @ _UNIT_WEIGHTS
-        excess_at = excess + np.cumsum((pieces * (h * _WIDTHS)).ravel()).reshape(-1, 3)
-        excess = float(excess_at[-1, 2])
-        nodes = steps + _GAUSS
-        mass, rate = profile.mass_and_rate(tau0 + nodes * h, m)
+        mass, rate = profile.mass_and_rate(tau0 + (steps + _NODES) * h, m)
         omega = np.sqrt(p * p + mass * mass)
-        coupling = -0.5 * (p / omega) * (rate / omega)
-        x = coupling * np.exp(2j * (e_in * nodes * h + excess_at[:, :2]))
+        pieces = (omega[:, 2:] - e_in).reshape(len(steps), 3, 3) @ _PHASE_WEIGHTS
+        excess_at = excess + np.cumsum((pieces * (0.5 * h * _WIDTHS)).ravel()).reshape(-1, 3)
+        excess = float(excess_at[-1, 2])
+        coupling = -0.5 * (p / omega[:, :2]) * (rate[:, :2] / omega[:, :2])
+        x = coupling * np.exp(2j * (e_in * (steps + _GAUSS) * h + excess_at[:, :2]))
         x_minus, x_plus = x[:, 0], x[:, 1]
         u = (0.5 * h) * (x_plus + x_minus)
         sigma = (math.sqrt(3.0) / 6.0 * h * h) * (x_minus * x_plus.conj()).imag
@@ -598,7 +595,7 @@ def integrate_mode(mode: Mode, refined: bool = False) -> ScalarBogolyubov:
         return ScalarBogolyubov(
             a_minus=alpha * k_a * cmath.exp(-1j * (e_in * tau0 + phase - e_out * tau1)),
             b_minus=beta * k_b * cmath.exp(-1j * (e_in * tau0 - phase + e_out * tau1)),
-            n_steps=n_steps, n_rhs_evaluations=(2 + _QUADRATURE.size) * n_steps)
+            n_steps=n_steps, n_rhs_evaluations=_NODES.size * n_steps)
     f0 = cmath.exp(-1j * e_in * tau0)
     # A flat profile has no transition to resolve.
     max_step = MAX_STEP_RHO / profile.rho if profile.epsilon > 0.0 else math.inf

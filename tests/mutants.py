@@ -299,6 +299,8 @@ PROFILE_FORMS = Killer(test_dynamics.test_profile_methods_are_floats_matching_nu
                        label="tanh")
 # The dressing gate fails the point.
 END_TO_END = Killer(test_dynamics.test_momentum_point_end_to_end, error=dyn.IntegrationError)
+TANH_LINEAR = Killer(test_dynamics.test_the_reference_matches_the_exact_tanh_linear_density,
+                     (1.0, 1.0), label="1.0-1.0")
 
 DYNAMICS_ROWS = [
     # One weight off by 1e-6 relative breaks the dressed norms, the ratio of
@@ -332,6 +334,21 @@ DYNAMICS_ROWS = [
            edited(dyn._adiabatic_amplitudes, "(x_minus * x_plus.conj()).imag",
                   "(x_plus * x_minus.conj()).imag"),
            (Killer(test_dynamics.test_the_reference_is_fourth_order),)),
+    # The middle weight 8/9 of the phase rule off by 1e-4 relative: a phase
+    # error that grows with the span, the same at N and 2N steps, so the step
+    # rule's gate map cannot see it.  A 1e-6 nudge moved n by up to 8.4e-10.
+    Mutant("phase rule weight 8/9 x (1 + 1e-4)", "reference",
+           lambda monkeypatch: monkeypatch.setattr(
+               dyn, "_PHASE_WEIGHTS", dyn._PHASE_WEIGHTS * np.array([1.0, 1.0 + 1e-4, 1.0])),
+           (Killer(test_dynamics.test_the_reference_phase_matches_scipy_quad, (12.0, 1.0),
+                   label="1.0-12.0"),
+            TANH_LINEAR)),
+    # Too few steps for the transition: the phase is still summed right.
+    Mutant("MIN_REFERENCE_STEPS 1024 -> 128", "reference",
+           lambda monkeypatch: monkeypatch.setattr(dyn, "MIN_REFERENCE_STEPS", 128),
+           (TANH_LINEAR,
+            Killer(test_dynamics.test_the_step_rule_holds_its_gates, (100.0, 10.0, 3.64),
+                   label="100.0-10.0-3.64"))),
     Mutant("dressing with m and m_out swapped", "dressing",
            at([dyn], "dress_coefficients", masses_swapped), (END_TO_END,)),
     Mutant("DRESSING_GATE 10 -> 100", "dressing",

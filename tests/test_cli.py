@@ -55,13 +55,18 @@ def test_every_spec_parser_reads_a_negative_zero_as_zero(parse, text):
     assert all(math.copysign(1.0, value) == 1.0 for value in parse(text))
 
 
-def test_parse_momentum_grid_log():
-    grid = cli.parse_momentum_grid("log:0.1:10:30")
-    assert len(grid) == 30
-    assert abs(grid[0] - 0.1) <= 1e-15
-    assert abs(grid[-1] - 10.0) <= 1e-12
-    ratios = [grid[k + 1] / grid[k] for k in range(29)]
-    assert max(ratios) - min(ratios) <= 1e-12
+@pytest.mark.parametrize("spec, start, stop, count", [
+    ("log:0.1:10:30", 0.1, 10.0, 30),
+    ("log:0.1:40:6", 0.1, 40.0, 6),
+    ("log:1e-3:1e3:7", 1e-3, 1e3, 7),
+])
+def test_parse_momentum_grid_log(spec, start, stop, count):
+    # Both ends exactly: start * ratio ** (count - 1) misses stop by an ulp or more.
+    grid = cli.parse_momentum_grid(spec)
+    assert len(grid) == count
+    assert grid[0] == start and grid[-1] == stop
+    ratios = [grid[k + 1] / grid[k] for k in range(count - 1)]
+    assert max(ratios) - min(ratios) <= 1e-12 * max(ratios)
 
 
 def test_state_tokens_round_trip():
